@@ -12,7 +12,8 @@ Config and report formats are JSON; the CSV summary has one row per
 experiment with columns experiment_id, estimator_id, params, n_samples,
 mean, stderr, closed_form, z, pass.  Exit codes: 0 all non-probe
 experiments pass, 1 a check failed or an estimator errored, 2 the config or
-command line was invalid.
+command line was invalid.  The estimator tables below (_ESTIMATORS, _PAIRS,
+_CLOSED_FORMS) are the single list of estimator and closed-form ids.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +42,6 @@ VERSION = "0.1.0"
 CONFIG_VERSION = 1
 DEFAULT_SEED = 20260809
 SEED_ENV_VAR = "CONDMOMENTS_SEED"
-
-_SINGLE_ESTIMATORS = ("pinv_moment", "detweighted_square", "detweighted_rect",
-                      "espnorm", "espnormrest", "poly_moment")
-_PAIR_ESTIMATORS = ("detweighted_rect_pair", "detweighted_square_pair", "poly_matrix_pair", "poly_scaling_pair")
 
 
 @dataclass(frozen=True)
@@ -68,182 +67,128 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# estimator tables: the one list of estimator, pair and closed-form ids.  They
+# look montecarlo and formulas functions up on the module at call time, so a
+# function replaced there (a test double, a tracer) is the one that runs.
 
-def _closed_form(closed_form_id: str, params: dict) -> formulas.FormulaValue:
-    if closed_form_id == "pinv_moment_value":
-        return formulas.pinv_moment_value(params["r"], params["m"])
-    if closed_form_id == "invnor2mdet_value":
-        return formulas.invnor2mdet_value(params["r"], params["k"])
-    if closed_form_id == "main_theorem_value":
-        return formulas.main_theorem_value(params["n"], params["degrees"])
-    if closed_form_id == "espnorm_value":
-        return formulas.espnorm_value(params["n"], params["alpha"])
-    if closed_form_id == "espnormrest_closed":
-        return formulas.espnormrest_value(
-            params["n"], params["alpha"], params["beta"]
-        ).closed_form
-    if closed_form_id == "espnormrest_sum":
-        return formulas.espnormrest_value(
-            params["n"], params["alpha"], params["beta"]
-        ).sum_form
-    raise ValueError(f"unknown closed_form_id {closed_form_id!r}")
+# single estimator id -> its params, in montecarlo's estimate_<id> and <id>_domain order
+_ESTIMATORS = {
+    "pinv_moment": ("r", "m", "alpha", "norm"),
+    "detweighted_rect": ("r", "n", "alpha", "norm"),
+    "detweighted_square": ("r", "k", "alpha", "norm"),
+    "espnorm": ("n", "alpha"),
+    "espnormrest": ("n", "alpha", "beta"),
+    "poly_moment": ("n", "degrees", "alpha", "relative", "norm"),
+}
+_DEFAULTS = {"relative": False}
+_SECOND_FROBENIUS = {"alpha": 2.0, "norm": "frobenius"}
 
 
-# ---------------------------------------------------------------------------
-# experiment validation (before any sampling starts)
+class _Pair(NamedTuple):
+    """Two estimates checked as lhs_scale * lhs = rhs_scale * rhs.
+
+    lhs and rhs map the params to (estimator id, its params), scales to
+    (lhs_scale, rhs_scale); rhs_samples names the param holding the rhs
+    sample count when samples are not overridden.
+    """
+
+    lhs: Callable[[dict], tuple[str, dict]]
+    rhs: Callable[[dict], tuple[str, dict]]
+    scales: Callable[[dict], tuple[float, float]] = lambda p: (1.0, 1.0)
+    rhs_samples: str | None = None
+
+
+_PAIRS = {
+    # rectangular fibration: scaled weighted r x n moment = pinv moment over r x (n+1)
+    "detweighted_rect_pair": _Pair(
+        lhs=lambda p: ("detweighted_rect", p),
+        rhs=lambda p: ("pinv_moment", {**p, "m": p["n"] + 1}),
+        scales=lambda p: (formulas.rect_fibration_constant(p["r"], p["n"]).value, 1.0),
+    ),
+    # kernel fibration: r x n pinv moment = scaled square moment, det exponent 2(n-r)
+    "detweighted_square_pair": _Pair(
+        lhs=lambda p: ("pinv_moment", {**_SECOND_FROBENIUS, **p, "m": p["n"]}),
+        rhs=lambda p: ("detweighted_square", {**_SECOND_FROBENIUS, **p, "k": p["n"] - p["r"]}),
+        scales=lambda p: (1.0, formulas.kernel_constant(p["r"], p["n"] - p["r"]).value),
+    ),
+    # relative polynomial moment = pinv moment over r x (n+1)
+    "poly_matrix_pair": _Pair(
+        lhs=lambda p: ("poly_moment", {**p, "relative": True}),
+        rhs=lambda p: ("pinv_moment", {**p, "r": len(p["degrees"]), "m": p["n"] + 1}),
+        rhs_samples="matrix_samples",
+    ),
+    # absolute = Gamma(N) / Gamma(N - alpha/2) * relative
+    "poly_scaling_pair": _Pair(
+        lhs=lambda p: ("poly_moment", {**p, "relative": False}),
+        rhs=lambda p: ("poly_moment", {**p, "relative": True}),
+        scales=lambda p: (1.0, formulas.scaling_constant(p["n"], p["degrees"], p["alpha"]).value),
+    ),
+}
+
+# closed_form_id -> (the estimator it checks, the params it holds at, its value)
+_CLOSED_FORMS = {
+    "pinv_moment_value": ("pinv_moment", _SECOND_FROBENIUS,
+                          lambda p: formulas.pinv_moment_value(p["r"], p["m"])),
+    "invnor2mdet_value": ("detweighted_square", _SECOND_FROBENIUS,
+                          lambda p: formulas.invnor2mdet_value(p["r"], p["k"])),
+    "main_theorem_value": ("poly_moment", {**_SECOND_FROBENIUS, "relative": False},
+                           lambda p: formulas.main_theorem_value(p["n"], p["degrees"])),
+    "espnorm_value": ("espnorm", {}, lambda p: formulas.espnorm_value(p["n"], p["alpha"])),
+    "espnormrest_closed": ("espnormrest", {}, lambda p: formulas.espnormrest_value(
+        p["n"], p["alpha"], p["beta"]).closed_form),
+    "espnormrest_sum": ("espnormrest", {}, lambda p: formulas.espnormrest_value(
+        p["n"], p["alpha"], p["beta"]).sum_form),
+}
+
+
+def _calls(exp: ExperimentConfig, samples: int, workers: int) -> list:
+    """(estimator id, args, config) of each estimator call an experiment makes."""
+    p = {**_DEFAULTS, **exp.params}
+    pair = _PAIRS.get(exp.estimator_id)
+    if pair is not None:
+        own = pair.rhs_samples is not None and samples == exp.samples
+        sides = [(*pair.lhs(p), mix64(exp.seed, 1), samples),
+                 (*pair.rhs(p), mix64(exp.seed, 2), p[pair.rhs_samples] if own else samples)]
+    elif exp.estimator_id in _ESTIMATORS:
+        sides = [(exp.estimator_id, p, exp.seed, samples)]
+    else:
+        raise ValueError(f"unknown estimator_id {exp.estimator_id!r}")
+    lines = 8 if exp.lines_per_system is None else exp.lines_per_system
+    return [
+        (est_id, [params[name] for name in _ESTIMATORS[est_id]],
+         EstimatorConfig(samples=n, seed=seed, workers=workers, lines_per_system=lines))
+        for est_id, params, seed, n in sides
+    ]
+
+
+def _closed_form(exp: ExperimentConfig) -> formulas.FormulaValue:
+    """The closed form of a single-estimator experiment, checked to apply."""
+    cf_id = exp.closed_form_id
+    if cf_id not in _CLOSED_FORMS:
+        raise ValueError(f"closed_form_id must be one of {list(_CLOSED_FORMS)}, got {cf_id!r}")
+    checks, fixed, value = _CLOSED_FORMS[cf_id]
+    if checks != exp.estimator_id:
+        raise ValueError(f"{cf_id} checks {checks}, not {exp.estimator_id}")
+    p = {**_DEFAULTS, **exp.params}
+    for name, at in fixed.items():
+        if p.get(name) != at:
+            raise ValueError(f"{cf_id} holds only at {name} = {at!r}, got {p.get(name)!r}")
+    return value(exp.params)
+
 
 def _validate_experiment(exp: ExperimentConfig) -> None:
-    p = exp.params
-    est = exp.estimator_id
-    if est == "pinv_moment":
-        r, m, alpha = p["r"], p["m"], p["alpha"]
-        if not (1 <= r <= m):
-            raise ValueError(f"{exp.experiment_id}: need 1 <= r <= m")
-        if not (0 < alpha < 2 * (m - r + 1)):
-            raise ValueError(
-                f"{exp.experiment_id}: alpha violates 0 < alpha < 2(m-r+1) = {2 * (m - r + 1)}"
-            )
-    elif est == "detweighted_rect":
-        r, n, alpha = p["r"], p["n"], p["alpha"]
-        if not (1 <= r <= n) or not (0 < alpha < 2 * (n - r + 2)):
-            raise ValueError(
-                f"{exp.experiment_id}: alpha violates 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)}"
-            )
-    elif est == "detweighted_square":
-        r, k, alpha = p["r"], p["k"], p["alpha"]
-        if r < 1 or k <= 0 or not (0 < alpha < 4 * k + 2):
-            raise ValueError(
-                f"{exp.experiment_id}: alpha violates 0 < alpha < 4k+2 = {4 * k + 2}"
-            )
-    elif est == "espnorm":
-        if p["alpha"] <= -2 * p["n"]:
-            raise ValueError(f"{exp.experiment_id}: alpha violates alpha > -2n")
-    elif est == "espnormrest":
-        n, alpha, beta = p["n"], p["alpha"], p["beta"]
-        if n < 2 or alpha < 0 or 2 * alpha + beta <= 1 - 2 * n:
-            raise ValueError(
-                f"{exp.experiment_id}: parameters violate 2*alpha + beta > 1 - 2n"
-            )
-    elif est in ("poly_moment", "poly_matrix_pair", "poly_scaling_pair"):
-        n = p["n"]
-        degs = bwspace.check_degrees(n, p["degrees"])
-        r = len(degs)
-        alpha = p["alpha"]
-        if r != 1:
-            raise ValueError(f"{exp.experiment_id}: polynomial sampling needs r = 1")
-        if not (0 < alpha < 2 * (n - r + 2)):
-            raise ValueError(
-                f"{exp.experiment_id}: alpha violates 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)}"
-            )
-        if est == "poly_matrix_pair" and int(p.get("matrix_samples", 0)) < 1:
-            raise ValueError(f"{exp.experiment_id}: poly_matrix_pair needs matrix_samples >= 1")
-    elif est == "detweighted_rect_pair":
-        r, n, alpha = p["r"], p["n"], p["alpha"]
-        if not (1 <= r <= n) or not (0 < alpha < 2 * (n - r + 2)):
-            raise ValueError(
-                f"{exp.experiment_id}: alpha violates 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)}"
-            )
-    elif est == "detweighted_square_pair":
-        r, n = p["r"], p["n"]
-        if not (1 <= r < n):
-            raise ValueError(f"{exp.experiment_id}: kernel identity needs 1 <= r < n")
-    else:
-        raise ValueError(f"{exp.experiment_id}: unknown estimator_id {est!r}")
-    if exp.closed_form_id is not None:
-        _closed_form(exp.closed_form_id, p)  # raises on bad formula parameters
-
-
-# ---------------------------------------------------------------------------
-# experiment execution
-
-def _cfg(exp: ExperimentConfig, seed: int, samples: int, workers: int) -> EstimatorConfig:
-    return EstimatorConfig(
-        samples=samples,
-        seed=seed,
-        workers=workers,
-        lines_per_system=exp.lines_per_system or 8,
-    )
-
-
-def _run_single(exp: ExperimentConfig, samples: int, workers: int) -> Comparison:
-    p = exp.params
-    cfg = _cfg(exp, exp.seed, samples, workers)
-    if exp.estimator_id == "pinv_moment":
-        est = montecarlo.estimate_pinv_moment(p["r"], p["m"], p["alpha"], p["norm"], cfg)
-    elif exp.estimator_id == "detweighted_rect":
-        est = montecarlo.estimate_detweighted_rect(p["r"], p["n"], p["alpha"], p["norm"], cfg)
-    elif exp.estimator_id == "detweighted_square":
-        est = montecarlo.estimate_detweighted_square(p["r"], p["k"], p["alpha"], p["norm"], cfg)
-    elif exp.estimator_id == "espnorm":
-        est = montecarlo.estimate_espnorm(p["n"], p["alpha"], cfg)
-    elif exp.estimator_id == "espnormrest":
-        est = montecarlo.estimate_espnormrest(p["n"], p["alpha"], p["beta"], cfg)
-    elif exp.estimator_id == "poly_moment":
-        est = montecarlo.estimate_poly_moment(
-            p["n"], p["degrees"], p["alpha"], p.get("relative", False), p["norm"], cfg
-        )
-    else:
-        raise ValueError(f"not a single-estimator experiment: {exp.estimator_id}")
-    cf = _closed_form(exp.closed_form_id, p)
-    return montecarlo.compare(est, cf, exp.tolerance_sigmas)
-
-
-def _run_pair(exp: ExperimentConfig, samples: int, workers: int) -> Comparison:
-    p = exp.params
-    seed_lhs = mix64(exp.seed, 1)
-    seed_rhs = mix64(exp.seed, 2)
-    tol = exp.tolerance_sigmas
-
-    if exp.estimator_id == "detweighted_rect_pair":
-        r, n, alpha, norm = p["r"], p["n"], p["alpha"], p["norm"]
-        lhs = montecarlo.estimate_detweighted_rect(
-            r, n, alpha, norm, _cfg(exp, seed_lhs, samples, workers)
-        )
-        rhs = montecarlo.estimate_pinv_moment(
-            r, n + 1, alpha, norm, _cfg(exp, seed_rhs, samples, workers)
-        )
-        scale = math.exp(math.lgamma(n - r + 1) - math.lgamma(n + 1))
-        return montecarlo.compare_pair(lhs, rhs, tol, lhs_scale=scale)
-
-    if exp.estimator_id == "detweighted_square_pair":
-        r, n = p["r"], p["n"]
-        alpha, norm = p.get("alpha", 2.0), p.get("norm", "frobenius")
-        lhs = montecarlo.estimate_pinv_moment(
-            r, n, alpha, norm, _cfg(exp, seed_lhs, samples, workers)
-        )
-        rhs = montecarlo.estimate_detweighted_square(
-            r, n - r, alpha, norm, _cfg(exp, seed_rhs, samples, workers)
-        )
-        scale = math.exp(
-            sum(math.lgamma(i) - math.lgamma(r + i) for i in range(1, n - r + 1))
-        )
-        return montecarlo.compare_pair(lhs, rhs, tol, rhs_scale=scale)
-
-    if exp.estimator_id == "poly_matrix_pair":
-        n, degs, alpha, norm = p["n"], p["degrees"], p["alpha"], p["norm"]
-        matrix_samples = p["matrix_samples"] if samples == exp.samples else samples
-        lhs = montecarlo.estimate_poly_moment(
-            n, degs, alpha, True, norm, _cfg(exp, seed_lhs, samples, workers)
-        )
-        rhs = montecarlo.estimate_pinv_moment(
-            len(degs), n + 1, alpha, norm, _cfg(exp, seed_rhs, matrix_samples, workers)
-        )
-        return montecarlo.compare_pair(lhs, rhs, tol)
-
-    if exp.estimator_id == "poly_scaling_pair":
-        n, degs, alpha, norm = p["n"], p["degrees"], p["alpha"], p["norm"]
-        lhs = montecarlo.estimate_poly_moment(
-            n, degs, alpha, False, norm, _cfg(exp, seed_lhs, samples, workers)
-        )
-        rhs = montecarlo.estimate_poly_moment(
-            n, degs, alpha, True, norm, _cfg(exp, seed_rhs, samples, workers)
-        )
-        n_dim = bwspace.dim_space(n, degs)
-        scale = math.exp(math.lgamma(n_dim) - math.lgamma(n_dim - alpha / 2.0))
-        return montecarlo.compare_pair(lhs, rhs, tol, rhs_scale=scale)
-
-    raise ValueError(f"not a pair experiment: {exp.estimator_id}")
+    """Reject an experiment before sampling: every estimator call must pass its
+    montecarlo domain check; a single estimate needs a closed form that applies."""
+    try:
+        for est_id, args, _ in _calls(exp, exp.samples, 1):
+            getattr(montecarlo, f"{est_id}_domain")(*args)
+        if exp.estimator_id not in _PAIRS:
+            _closed_form(exp)
+        elif exp.closed_form_id is not None:
+            raise ValueError(f"pair experiments take no closed_form_id, "
+                             f"got {exp.closed_form_id!r}")
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{exp.experiment_id}: {err}") from err
 
 
 def run_experiment(
@@ -251,55 +196,38 @@ def run_experiment(
 ) -> Comparison:
     """Execute one experiment and compare against its reference."""
     samples = samples_override if samples_override is not None else exp.samples
-    if exp.estimator_id in _PAIR_ESTIMATORS:
-        return _run_pair(exp, samples, workers)
-    return _run_single(exp, samples, workers)
+    estimates = [getattr(montecarlo, f"estimate_{est_id}")(*args, cfg)
+                 for est_id, args, cfg in _calls(exp, samples, workers)]
+    pair = _PAIRS.get(exp.estimator_id)
+    if pair is None:
+        return montecarlo.compare(estimates[0], _closed_form(exp), exp.tolerance_sigmas)
+    lhs_scale, rhs_scale = pair.scales(exp.params)
+    return montecarlo.compare_pair(*estimates, exp.tolerance_sigmas,
+                                   lhs_scale=lhs_scale, rhs_scale=rhs_scale)
 
 
-def _row_from_comparison(exp: ExperimentConfig, comp: Comparison) -> dict:
-    est = comp.estimate
+def _row(exp: ExperimentConfig, comp: Comparison | None, err: Exception | None = None) -> dict:
+    """One report row: the comparison, or the error that stopped the experiment."""
+    est = comp.estimate if comp else None
     return {
         "experiment_id": exp.experiment_id,
         "estimator_id": exp.estimator_id,
         "params": exp.params,
-        "n_samples": est.n_samples,
+        "n_samples": getattr(est, "n_samples", 0),
         "seed": exp.seed,
-        "method": est.method,
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "lhs_scale": comp.lhs_scale,
-        "closed_form": comp.closed_form.value if comp.closed_form else None,
+        "method": getattr(est, "method", None),
+        "mean": getattr(est, "mean", None),
+        "stderr": getattr(est, "stderr", None),
+        "lhs_scale": getattr(comp, "lhs_scale", 1.0),
+        "closed_form": comp.closed_form.value if comp and comp.closed_form else None,
         "closed_form_id": exp.closed_form_id,
-        "reference_value": comp.reference_value,
-        "reference_stderr": comp.reference_stderr,
-        "z": comp.z_score,
-        "pass": comp.passed,
+        "reference_value": getattr(comp, "reference_value", None),
+        "reference_stderr": getattr(comp, "reference_stderr", None),
+        "z": getattr(comp, "z_score", None),
+        "pass": getattr(comp, "passed", False),
         "probe": exp.probe,
         "tolerance_sigmas": exp.tolerance_sigmas,
-        "error": None,
-    }
-
-
-def _error_row(exp: ExperimentConfig, err: Exception) -> dict:
-    return {
-        "experiment_id": exp.experiment_id,
-        "estimator_id": exp.estimator_id,
-        "params": exp.params,
-        "n_samples": 0,
-        "seed": exp.seed,
-        "method": None,
-        "mean": None,
-        "stderr": None,
-        "lhs_scale": 1.0,
-        "closed_form": None,
-        "closed_form_id": exp.closed_form_id,
-        "reference_value": None,
-        "reference_stderr": None,
-        "z": None,
-        "pass": False,
-        "probe": exp.probe,
-        "tolerance_sigmas": exp.tolerance_sigmas,
-        "error": f"{type(err).__name__}: {err}",
+        "error": f"{type(err).__name__}: {err}" if err else None,
     }
 
 
@@ -409,8 +337,6 @@ def parse_config(obj: dict) -> list[ExperimentConfig]:
             lines_per_system=e.get("lines_per_system"),
             probe=bool(e.get("probe", False)),
         )
-        if exp.samples < 1:
-            raise ValueError(f"{exp.experiment_id}: samples must be >= 1")
         if exp.experiment_id in seen:
             raise ValueError(f"duplicate experiment_id {exp.experiment_id!r}")
         seen.add(exp.experiment_id)
@@ -453,10 +379,9 @@ def run_verify(
     rows = []
     for exp in experiments:
         try:
-            comp = run_experiment(exp, samples_override=samples_override, workers=workers)
-            row = _row_from_comparison(exp, comp)
-        except (cxla.NumericError, ValueError) as err:
-            row = _error_row(exp, err)
+            row = _row(exp, run_experiment(exp, samples_override, workers))
+        except (cxla.NumericError, KeyError, ValueError) as err:
+            row = _row(exp, None, err)
         rows.append(row)
         if echo is not None:
             flag = "probe" if row["probe"] else ("pass" if row["pass"] else "FAIL")
@@ -764,7 +689,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default="report", help="output directory for JSON/CSV reports")
 
     e = sub.add_parser("estimate", help="run a single estimator")
-    e.add_argument("--estimator", required=True, choices=_SINGLE_ESTIMATORS)
+    e.add_argument("--estimator", required=True, choices=list(_ESTIMATORS))
     e.add_argument("--samples", type=int, default=100_000)
     e.add_argument("--seed", type=int, default=None)
     e.add_argument("--workers", type=int, default=1)
@@ -825,7 +750,7 @@ def _cmd_verify(args) -> int:
                 ]
         else:
             exps = default_suite(_resolve_seed(args.seed))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (OSError, KeyError, TypeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     report = run_verify(exps, samples_override=args.samples, workers=args.workers,
@@ -842,21 +767,9 @@ def _cmd_estimate(args) -> int:
     seed = _resolve_seed(args.seed)
     cfg = EstimatorConfig(samples=args.samples, seed=seed, workers=args.workers,
                           lines_per_system=args.lines)
+    estimate = getattr(montecarlo, f"estimate_{args.estimator}")
     try:
-        if args.estimator == "pinv_moment":
-            est = montecarlo.estimate_pinv_moment(args.r, args.m, args.alpha, args.norm, cfg)
-        elif args.estimator == "detweighted_rect":
-            est = montecarlo.estimate_detweighted_rect(args.r, args.n, args.alpha, args.norm, cfg)
-        elif args.estimator == "detweighted_square":
-            est = montecarlo.estimate_detweighted_square(args.r, args.k, args.alpha, args.norm, cfg)
-        elif args.estimator == "espnorm":
-            est = montecarlo.estimate_espnorm(args.n, args.alpha, cfg)
-        elif args.estimator == "espnormrest":
-            est = montecarlo.estimate_espnormrest(args.n, int(args.alpha), args.beta, cfg)
-        else:
-            est = montecarlo.estimate_poly_moment(
-                args.n, args.degrees, args.alpha, args.relative, args.norm, cfg
-            )
+        est = estimate(*(getattr(args, name) for name in _ESTIMATORS[args.estimator]), cfg)
     except (TypeError, ValueError) as err:
         print(f"parameter error: {err}", file=sys.stderr)
         return 2

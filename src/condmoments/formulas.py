@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import bwspace
+
 
 @dataclass(frozen=True)
 class FormulaValue:
@@ -125,8 +127,6 @@ def main_theorem_value(n: int, degrees) -> FormulaValue:
     with N the complex dimension of the system space.  At n = r this is the
     determined-case value (N - 1) r.
     """
-    from . import bwspace
-
     degs = bwspace.check_degrees(n, degrees)
     r = len(degs)
     n_dim = bwspace.dim_space(n, degs)
@@ -139,6 +139,29 @@ def main_theorem_value(n: int, degrees) -> FormulaValue:
     )
 
 
+def rect_fibration_constant(r: int, n: int) -> FormulaValue:
+    """Rectangular fibration scale Gamma(n - r + 1) / Gamma(n + 1) (r x n to r x (n+1))."""
+    log_value = _lgamma(n - r + 1.0, "rect_fibration") - _lgamma(n + 1.0, "rect_fibration")
+    return _from_log(log_value, "rect_fibration_constant", {"r": r, "n": n})
+
+
+def kernel_constant(r: int, k: int) -> FormulaValue:
+    """Kernel fibration (Grassmannian) factor prod_{i=1..k} Gamma(i) / Gamma(r + i)."""
+    log_value = 0.0
+    for i in range(1, k + 1):
+        log_value += _lgamma(float(i), "kernel") - _lgamma(float(r + i), "kernel")
+    return _from_log(log_value, "kernel_constant", {"r": r, "k": k})
+
+
+def scaling_constant(n: int, degrees, alpha: float) -> FormulaValue:
+    """Absolute over relative alpha-th moment: Gamma(N) / Gamma(N - alpha/2), alpha/2 < N."""
+    n_dim = bwspace.dim_space(n, degrees)
+    if alpha / 2.0 >= n_dim:
+        raise ValueError(f"alpha/2 must be below N = {n_dim}")
+    log_value = _lgamma(float(n_dim), "scaling") - _lgamma(n_dim - alpha / 2.0, "scaling")
+    return _from_log(log_value, "scaling_constant", {"n": n, "alpha": alpha, "N": n_dim})
+
+
 def exmualpha_constant(n: int, r: int, degrees, alpha: float) -> FormulaValue:
     """Constant relating the alpha-th absolute moment to the square-matrix
 
@@ -148,8 +171,6 @@ def exmualpha_constant(n: int, r: int, degrees, alpha: float) -> FormulaValue:
 
     valid for 0 < alpha < 2 (n - r + 2) and alpha/2 < N.
     """
-    from . import bwspace
-
     degs = bwspace.check_degrees(n, degrees)
     if r != len(degs):
         raise ValueError(f"r = {r} does not match len(degrees) = {len(degs)}")
@@ -157,16 +178,11 @@ def exmualpha_constant(n: int, r: int, degrees, alpha: float) -> FormulaValue:
         raise ValueError(
             f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)}, got {alpha}"
         )
-    n_dim = bwspace.dim_space(n, degs)
-    if alpha / 2.0 >= n_dim:
-        raise ValueError(f"alpha/2 must be below N = {n_dim}")
-    log_value = _lgamma(float(n_dim), "exmualpha") - _lgamma(n_dim - alpha / 2.0, "exmualpha")
-    for i in range(1, n - r + 2):
-        log_value += _lgamma(float(i), "exmualpha") - _lgamma(float(r + i), "exmualpha")
+    scaling = scaling_constant(n, degs, alpha)
     return _from_log(
-        log_value,
+        scaling.log_value + kernel_constant(r, n - r + 1).log_value,
         "exmualpha_constant",
-        {"n": n, "r": r, "degrees": list(degs), "alpha": alpha, "N": n_dim},
+        {"n": n, "r": r, "degrees": list(degs), "alpha": alpha, "N": scaling.params["N"]},
     )
 
 
@@ -199,8 +215,6 @@ def volumes(n: int, k: int, l: int, degrees) -> Volumes:
 
     vol V_h = D pi^(n-r) / Gamma(n-r+1) with D the product of the degrees.
     """
-    from . import bwspace
-
     degs = bwspace.check_degrees(n, degrees)
     r = len(degs)
     if not (1 <= k < l):

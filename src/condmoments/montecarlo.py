@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import conditioning, randgeom, roots
+from . import bwspace, conditioning, randgeom, roots
 from .cxla import NumericError
 from .formulas import FormulaValue
 from .randgeom import RngStream
@@ -34,7 +34,7 @@ BLOCK_SAMPLES = 4096
 MOM_BUCKETS = 32
 _NORMS = ("frobenius", "operator")
 
-# failed root searches tolerated before the polynomial estimator aborts
+# share of systems whose root search may fail before the polynomial estimator aborts
 _MAX_FAILURE_RATE = 1e-3
 
 
@@ -187,10 +187,8 @@ def _log_pinv_norm(s: np.ndarray, norm: str) -> np.ndarray:
         return -np.log(s[:, -1])
 
 
-def estimate_pinv_moment(
-    r: int, m: int, alpha: float, norm: str, cfg: EstimatorConfig
-) -> EstimateResult:
-    """MC mean of ||M^+||^alpha over standard Gaussian r x m complex matrices.
+def pinv_moment_domain(r: int, m: int, alpha: float, norm: str) -> bool:
+    """Check the parameters of estimate_pinv_moment; True if the tail is heavy.
 
     The mean is finite iff alpha < 2(m - r + 1); outside that range the
     estimator refuses to run.  The variance is finite iff alpha < m - r + 1,
@@ -204,7 +202,14 @@ def estimate_pinv_moment(
             f"alpha must satisfy 0 < alpha < 2(m-r+1) = {2 * (m - r + 1)} "
             f"for a finite mean, got {alpha}"
         )
-    heavy = not (alpha < m - r + 1)
+    return not (alpha < m - r + 1)
+
+
+def estimate_pinv_moment(
+    r: int, m: int, alpha: float, norm: str, cfg: EstimatorConfig
+) -> EstimateResult:
+    """MC mean of ||M^+||^alpha over standard Gaussian r x m complex matrices."""
+    heavy = pinv_moment_domain(r, m, alpha, norm)
 
     def log_values(rng: RngStream, count: int) -> np.ndarray:
         a = randgeom.complex_gaussian_array(rng, (count, r, m))
@@ -215,10 +220,8 @@ def estimate_pinv_moment(
     return _run_matrix_estimator("pinv_moment", params, cfg, log_values, heavy)
 
 
-def estimate_detweighted_rect(
-    r: int, n: int, alpha: float, norm: str, cfg: EstimatorConfig
-) -> EstimateResult:
-    """MC mean of ||A^+||^alpha |det A A*| over Gaussian r x n matrices."""
+def detweighted_rect_domain(r: int, n: int, alpha: float, norm: str) -> bool:
+    """Check the parameters of estimate_detweighted_rect; True if the tail is heavy."""
     _check_norm(norm)
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n, got r = {r}, n = {n}")
@@ -227,7 +230,14 @@ def estimate_detweighted_rect(
             f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)} "
             f"for a finite mean, got {alpha}"
         )
-    heavy = not (alpha < n - r + 2)
+    return not (alpha < n - r + 2)
+
+
+def estimate_detweighted_rect(
+    r: int, n: int, alpha: float, norm: str, cfg: EstimatorConfig
+) -> EstimateResult:
+    """MC mean of ||A^+||^alpha |det A A*| over Gaussian r x n matrices."""
+    heavy = detweighted_rect_domain(r, n, alpha, norm)
 
     def log_values(rng: RngStream, count: int) -> np.ndarray:
         a = randgeom.complex_gaussian_array(rng, (count, r, n))
@@ -240,14 +250,8 @@ def estimate_detweighted_rect(
     return _run_matrix_estimator("detweighted_rect", params, cfg, log_values, heavy)
 
 
-def estimate_detweighted_square(
-    r: int, k: float, alpha: float, norm: str, cfg: EstimatorConfig
-) -> EstimateResult:
-    """MC mean of ||B^-1||^alpha |det B|^(2k) over Gaussian r x r matrices.
-
-    k is the determinant half-exponent: the absolute-moment identity uses
-    k = n - r + 1 and the kernel-variety identity uses k = n - r.
-    """
+def detweighted_square_domain(r: int, k: float, alpha: float, norm: str) -> bool:
+    """Check the parameters of estimate_detweighted_square; True if the tail is heavy."""
     _check_norm(norm)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -257,7 +261,18 @@ def estimate_detweighted_square(
         raise ValueError(
             f"alpha must satisfy 0 < alpha < 4k+2 = {4 * k + 2} for a finite mean, got {alpha}"
         )
-    heavy = not (alpha < 2 * k + 1)
+    return not (alpha < 2 * k + 1)
+
+
+def estimate_detweighted_square(
+    r: int, k: float, alpha: float, norm: str, cfg: EstimatorConfig
+) -> EstimateResult:
+    """MC mean of ||B^-1||^alpha |det B|^(2k) over Gaussian r x r matrices.
+
+    k is the determinant half-exponent: the absolute-moment identity uses
+    k = n - r + 1 and the kernel-variety identity uses k = n - r.
+    """
+    heavy = detweighted_square_domain(r, k, alpha, norm)
 
     def log_values(rng: RngStream, count: int) -> np.ndarray:
         a = randgeom.complex_gaussian_array(rng, (count, r, r))
@@ -270,13 +285,18 @@ def estimate_detweighted_square(
     return _run_matrix_estimator("detweighted_square", params, cfg, log_values, heavy)
 
 
-def estimate_espnorm(n: int, alpha: float, cfg: EstimatorConfig) -> EstimateResult:
-    """MC mean of ||v||^alpha over standard Gaussian vectors in C^n."""
+def espnorm_domain(n: int, alpha: float) -> bool:
+    """Check the parameters of estimate_espnorm; True if the tail is heavy."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha <= -2 * n:
         raise ValueError(f"alpha must exceed -2n = {-2 * n} for a finite mean, got {alpha}")
-    heavy = not (2 * alpha > -2 * n)
+    return not (2 * alpha > -2 * n)
+
+
+def estimate_espnorm(n: int, alpha: float, cfg: EstimatorConfig) -> EstimateResult:
+    """MC mean of ||v||^alpha over standard Gaussian vectors in C^n."""
+    heavy = espnorm_domain(n, alpha)
 
     def log_values(rng: RngStream, count: int) -> np.ndarray:
         v = randgeom.complex_gaussian_array(rng, (count, n))
@@ -287,17 +307,22 @@ def estimate_espnorm(n: int, alpha: float, cfg: EstimatorConfig) -> EstimateResu
     return _run_matrix_estimator("espnorm", params, cfg, log_values, heavy)
 
 
-def estimate_espnormrest(
-    n: int, alpha: int, beta: float, cfg: EstimatorConfig
-) -> EstimateResult:
-    """MC mean of ||v||^(2 alpha) ||P v||^beta, P dropping the last coordinate."""
+def espnormrest_domain(n: int, alpha: int, beta: float) -> bool:
+    """Check the parameters of estimate_espnormrest; True if the tail is heavy."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if alpha < 0 or int(alpha) != alpha:
         raise ValueError(f"alpha must be a nonnegative integer, got {alpha}")
     if 2 * alpha + beta <= 1 - 2 * n:
         raise ValueError(f"need 2*alpha + beta > 1 - 2n = {1 - 2 * n}")
-    heavy = not (4 * alpha + 2 * beta > 1 - 2 * n)
+    return not (4 * alpha + 2 * beta > 1 - 2 * n)
+
+
+def estimate_espnormrest(
+    n: int, alpha: int, beta: float, cfg: EstimatorConfig
+) -> EstimateResult:
+    """MC mean of ||v||^(2 alpha) ||P v||^beta, P dropping the last coordinate."""
+    heavy = espnormrest_domain(n, alpha, beta)
 
     def log_values(rng: RngStream, count: int) -> np.ndarray:
         v = randgeom.complex_gaussian_array(rng, (count, n))
@@ -326,8 +351,6 @@ def _poly_system_log_value(
     # batched single-equation fast path; for r = 1 the Frobenius and operator
     # values coincide and mu = ||h|| sqrt(d) / ||Dh(x)||, which agrees with
     # conditioning.empirical_moment (pinned by a consistency test)
-    from . import bwspace
-
     hnorm = bwspace.bw_norm(h)
     residuals = np.abs(bwspace.evaluate_at(h, pts)[:, 0])
     if np.any(residuals > conditioning.ZERO_TOL * hnorm):
@@ -340,6 +363,24 @@ def _poly_system_log_value(
         mu = mu / hnorm
     value = float(np.mean(mu**alpha))
     return math.log(value) if value > 0 else -math.inf
+
+
+def poly_moment_domain(n: int, degrees, alpha: float, relative: bool, norm: str) -> bool:
+    """Check the parameters of estimate_poly_moment; True if the tail is heavy."""
+    _check_norm(norm)
+    if not isinstance(relative, bool):
+        raise ValueError(f"relative must be true or false, got {relative!r}")
+    degs = bwspace.check_degrees(n, degrees)
+    if len(degs) != 1:
+        raise ValueError(
+            f"polynomial sampling supports a single equation (r = 1), got r = {len(degs)}"
+        )
+    r = len(degs)
+    if not (0 < alpha < 2 * (n - r + 2)):
+        raise ValueError(
+            f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)}, got {alpha}"
+        )
+    return not (alpha < n - r + 2)
 
 
 def estimate_poly_moment(
@@ -359,20 +400,8 @@ def estimate_poly_moment(
     single-equation systems (any n >= 1, which includes the determined
     n = 1 slice).
     """
-    _check_norm(norm)
-    from . import bwspace
-
+    heavy = poly_moment_domain(n, degrees, alpha, relative, norm)
     degs = bwspace.check_degrees(n, degrees)
-    if len(degs) != 1:
-        raise ValueError(
-            f"polynomial sampling supports a single equation (r = 1), got r = {len(degs)}"
-        )
-    r = len(degs)
-    if not (0 < alpha < 2 * (n - r + 2)):
-        raise ValueError(
-            f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)}, got {alpha}"
-        )
-    heavy = not (alpha < n - r + 2)
     lines = 1 if n == 1 else cfg.lines_per_system
 
     def worker(task) -> np.ndarray:
@@ -393,11 +422,10 @@ def estimate_poly_moment(
     logv = np.concatenate(parts)
 
     failed = int(np.count_nonzero(np.isnan(logv)))
-    total_lines = cfg.samples * lines
-    if failed > _MAX_FAILURE_RATE * total_lines:
+    if failed > _MAX_FAILURE_RATE * cfg.samples:
         raise NumericError(
-            f"root finding failed for {failed} of {cfg.samples} systems "
-            f"({total_lines} lines); rate exceeds {_MAX_FAILURE_RATE:.1%}"
+            f"root finding failed for {failed} of {cfg.samples} systems; "
+            f"system failure rate exceeds {_MAX_FAILURE_RATE:.1%}"
         )
     if failed:
         logv = logv[~np.isnan(logv)]

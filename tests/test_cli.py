@@ -58,6 +58,63 @@ class TestConfigParsing:
         assert len(probes) == 2
 
 
+POLY = {"experiment_id": "poly-small", "estimator_id": "poly_moment",
+        "params": {"n": 2, "degrees": [2], "alpha": 2.0, "relative": False,
+                   "norm": "frobenius"},
+        "samples": 50, "closed_form_id": "main_theorem_value"}
+SCALING_PAIR = {"experiment_id": "scaling-small", "estimator_id": "poly_scaling_pair",
+                "params": {"n": 1, "degrees": [2], "alpha": 2.0, "norm": "frobenius"},
+                "samples": 50}
+PINV_PARAMS = tiny_config()["experiments"][0]["params"]
+
+INVALID_EXPERIMENTS = {
+    "unknown-norm": ({"params": {**PINV_PARAMS, "norm": "spectral"}}, "norm must be one of"),
+    "no-closed-form": ({"closed_form_id": None}, "closed_form_id must be one of"),
+    "espnormrest-fractional-alpha": (
+        {"estimator_id": "espnormrest", "params": {"n": 3, "alpha": 1.5, "beta": 2.0},
+         "closed_form_id": None}, "nonnegative integer"),
+    "string-r": ({"params": {**PINV_PARAMS, "r": "1"}}, "not supported"),
+    "string-lines": ({**POLY, "lines_per_system": "8"}, "not supported"),
+    "zero-lines": ({**POLY, "lines_per_system": 0}, "lines_per_system must be >= 1"),
+    "closed-form-on-pair": ({**SCALING_PAIR, "closed_form_id": "main_theorem_value"},
+                            "take no closed_form_id"),
+    "closed-form-of-other-estimator": (
+        {"estimator_id": "espnormrest", "params": {"n": 3, "alpha": 1, "beta": 2.0},
+         "closed_form_id": "espnorm_value"}, "espnorm_value checks espnorm,"),
+    "pinv-value-off-alpha-two": ({"params": {**PINV_PARAMS, "alpha": 1.0}},
+                                 "holds only at alpha = 2.0"),
+    "main-theorem-relative": ({**POLY, "params": {**POLY["params"], "relative": True}},
+                              "holds only at relative = False"),
+}
+
+
+@pytest.mark.parametrize("overrides, message", INVALID_EXPERIMENTS.values(),
+                         ids=INVALID_EXPERIMENTS.keys())
+def test_invalid_config_rejected_at_parse_exit_two(tmp_path, capsys, overrides, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(**overrides)))
+    assert cli.main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "rep")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_run_experiment_looks_functions_up_at_call_time(monkeypatch):
+    # the tables must reach montecarlo and formulas through the module, so a
+    # function replaced there after import (as a layer tracer does) still runs
+    from condmoments import formulas, montecarlo
+
+    exp = cli.parse_config(tiny_config(samples=500))[0]
+    seen = []
+    estimate, closed_form = montecarlo.estimate_pinv_moment, formulas.pinv_moment_value
+    monkeypatch.setattr(montecarlo, "estimate_pinv_moment",
+                        lambda *args: seen.append("estimate") or estimate(*args))
+    monkeypatch.setattr(formulas, "pinv_moment_value",
+                        lambda *args: seen.append("closed_form") or closed_form(*args))
+    comp = cli.run_experiment(exp)
+    assert seen == ["estimate", "closed_form"]
+    assert comp.estimate.n_samples == 500
+
+
 class TestRunVerify:
     def test_tiny_run_passes_and_writes_reports(self, tmp_path):
         exps = cli.parse_config(tiny_config())

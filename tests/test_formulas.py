@@ -147,6 +147,53 @@ class TestExmualphaConstant:
             formulas.exmualpha_constant(2, 2, (2,), 2.0)  # r mismatch
 
 
+class TestIdentityConstants:
+    def test_rect_fibration_exact(self):
+        for n in range(1, 7):
+            for r in range(1, n + 1):
+                expected = exact_gamma_ratio([n - r + 1], [n + 1])
+                c = formulas.rect_fibration_constant(r, n)
+                assert c.value == pytest.approx(expected, rel=1e-13)
+                # the value the rectangular fibration pair was scaled by
+                assert c.value == math.exp(math.lgamma(n - r + 1) - math.lgamma(n + 1))
+
+    def test_kernel_exact(self):
+        for r in range(1, 5):
+            for k in range(0, 5):
+                expected = exact_gamma_ratio(
+                    list(range(1, k + 1)), [r + i for i in range(1, k + 1)]
+                )
+                c = formulas.kernel_constant(r, k)
+                assert c.value == pytest.approx(expected, rel=1e-13)
+                assert c.value == math.exp(
+                    sum(math.lgamma(i) - math.lgamma(r + i) for i in range(1, k + 1))
+                )
+
+    def test_scaling_exact(self):
+        for n, degrees in ((1, (2,)), (2, (2,)), (3, (1, 2))):
+            n_dim = bwspace.dim_space(n, degrees)
+            for alpha in (2.0, 4.0):
+                expected = exact_gamma_ratio([n_dim], [n_dim - int(alpha) // 2])
+                c = formulas.scaling_constant(n, degrees, alpha)
+                assert c.value == pytest.approx(expected, rel=1e-13)
+                assert c.value == math.exp(
+                    math.lgamma(n_dim) - math.lgamma(n_dim - alpha / 2.0)
+                )
+
+    def test_scaling_rejects_pole(self):
+        with pytest.raises(ValueError, match="below N"):
+            formulas.scaling_constant(1, (1,), 4.0)
+
+    def test_exmualpha_is_scaling_times_kernel(self):
+        for n in range(1, 5):
+            for r in range(1, n + 1):
+                degrees = [2] * r
+                c = formulas.exmualpha_constant(n, r, degrees, 2.0)
+                parts = (formulas.scaling_constant(n, degrees, 2.0).value
+                         * formulas.kernel_constant(r, n - r + 1).value)
+                assert c.value == pytest.approx(parts, rel=1e-13)
+
+
 class TestPinvMomentValue:
     def test_values(self):
         assert formulas.pinv_moment_value(1, 2).value == pytest.approx(1.0)

@@ -169,6 +169,25 @@ class TestPolyMoment:
         with pytest.raises(NumericError, match="rate exceeds"):
             montecarlo.estimate_poly_moment(2, (2,), 2.0, False, "frobenius", cfg(100, 26))
 
+    def test_failure_rate_counts_systems_not_lines(self, monkeypatch):
+        # 4 of 1000 systems (0.4%) fail: over the 0.1% limit, although 4 is
+        # under 0.1% of the 8000 lines
+        from condmoments import roots
+        from condmoments.cxla import NumericError
+
+        real = roots.sample_variety_points
+
+        def fail_every_250th(h, rng, lines):
+            if rng.stream_index % 250 == 0:
+                raise roots.RootFindingError("forced failure")
+            return real(h, rng, lines)
+
+        monkeypatch.setattr(montecarlo.roots, "sample_variety_points", fail_every_250th)
+        with pytest.raises(NumericError, match="4 of 1000 systems"):
+            montecarlo.estimate_poly_moment(
+                2, (2,), 2.0, False, "frobenius", cfg(1000, 26, lines_per_system=8)
+            )
+
 
 class TestDeterminism:
     def test_bitwise_replay(self):
