@@ -189,37 +189,61 @@ def projective_point(x) -> np.ndarray:
     return out
 
 
-def _power_table(x: np.ndarray, max_d: int) -> np.ndarray:
-    # P[k, t] = x_k ** t, with 0**0 = 1
-    return x[:, None] ** np.arange(max_d + 1)
+def _power_table(points: np.ndarray, d: int) -> np.ndarray:
+    # P[..., k, t] = x_k ** t, with 0**0 = 1
+    return points[..., None] ** np.arange(d + 1)
+
+
+def _forms_at(ptab: np.ndarray, expo: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[s, j] x^(expo[j]) at each point of a (S, m, n+1, d+1) power table."""
+    monos = ptab[..., 0, expo[:, 0]]  # (S, m, K), built one variable at a time
+    for k in range(1, ptab.shape[-2]):
+        monos = monos * ptab[..., k, expo[:, k]]
+    return np.matmul(monos, coeffs[:, :, None])[..., 0]
+
+
+def evaluate_forms(n: int, d: int, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Values of S degree-d forms, each at its own m points.
+
+    coeffs (S, K) holds one form's coordinates per row and points
+    (S, m, n+1) the points of each form; returns an (S, m) array.
+    """
+    expo, w = monomial_basis(n, d)
+    return _forms_at(_power_table(points, d), expo, w * coeffs)
+
+
+def gradient_forms(n: int, d: int, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Gradients of S degree-d forms, each at its own m points; (S, m, n+1).
+
+    Exact term-wise differentiation, shapes as in evaluate_forms.
+    """
+    _, w = monomial_basis(n, d)
+    a = w * coeffs
+    ptab = _power_table(points, d)
+    out = np.empty(points.shape, dtype=np.complex128)
+    for k, (lowered, factor) in enumerate(_jacobian_tables(n, d)):
+        out[..., k] = _forms_at(ptab, lowered, a * factor)
+    return out
+
+
+def _points(h: SystemCoords, points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.complex128)
+    if pts.ndim != 2 or pts.shape[1] != h.n + 1:
+        raise ValueError(f"points must be (m, {h.n + 1}), got {pts.shape}")
+    return pts
 
 
 def evaluate(h: SystemCoords, x) -> np.ndarray:
     """Evaluate all equations at a point, returning a length-r vector."""
-    v = _point(x, h.n)
-    ptab = _power_table(v, max(h.degrees))
-    cols = np.arange(h.n + 1)
-    out = np.empty(h.r, dtype=np.complex128)
-    for i, d in enumerate(h.degrees):
-        expo, w = monomial_basis(h.n, d)
-        monos = np.prod(ptab[cols[None, :], expo], axis=1)
-        out[i] = np.dot(w * h.coords[i], monos)
-    return out
+    return evaluate_at(h, _point(x, h.n)[None, :])[0]
 
 
 def evaluate_at(h: SystemCoords, points) -> np.ndarray:
     """Evaluate all equations at many points; returns an (m, r) array."""
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim != 2 or pts.shape[1] != h.n + 1:
-        raise ValueError(f"points must be (m, {h.n + 1}), got {pts.shape}")
-    ptab = pts[:, :, None] ** np.arange(max(h.degrees) + 1)  # (m, n+1, d+1)
-    cols = np.arange(h.n + 1)
-    out = np.empty((pts.shape[0], h.r), dtype=np.complex128)
-    for i, d in enumerate(h.degrees):
-        expo, w = monomial_basis(h.n, d)
-        monos = np.prod(ptab[:, cols[None, :], expo], axis=2)  # (m, K)
-        out[:, i] = monos @ (w * h.coords[i])
-    return out
+    pts = _points(h, points)[None]
+    return np.stack(
+        [evaluate_forms(h.n, d, c[None], pts)[0] for d, c in zip(h.degrees, h.coords)], axis=1
+    )
 
 
 @lru_cache(maxsize=None)
@@ -239,34 +263,15 @@ def _jacobian_tables(n: int, d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...
 
 def jacobian(h: SystemCoords, x) -> np.ndarray:
     """Derivative matrix Dh(x), shape (r, n+1), by exact term-wise differentiation."""
-    v = _point(x, h.n)
-    ptab = _power_table(v, max(h.degrees))
-    cols = np.arange(h.n + 1)
-    out = np.empty((h.r, h.n + 1), dtype=np.complex128)
-    for i, d in enumerate(h.degrees):
-        _, w = monomial_basis(h.n, d)
-        a = w * h.coords[i]
-        for k, (lowered, factor) in enumerate(_jacobian_tables(h.n, d)):
-            monos = np.prod(ptab[cols[None, :], lowered], axis=1)
-            out[i, k] = np.dot(a * factor, monos)
-    return out
+    return jacobian_at(h, _point(x, h.n)[None, :])[0]
 
 
 def jacobian_at(h: SystemCoords, points) -> np.ndarray:
     """Derivative matrices at many points; returns an (m, r, n+1) array."""
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim != 2 or pts.shape[1] != h.n + 1:
-        raise ValueError(f"points must be (m, {h.n + 1}), got {pts.shape}")
-    ptab = pts[:, :, None] ** np.arange(max(h.degrees) + 1)
-    cols = np.arange(h.n + 1)
-    out = np.empty((pts.shape[0], h.r, h.n + 1), dtype=np.complex128)
-    for i, d in enumerate(h.degrees):
-        _, w = monomial_basis(h.n, d)
-        a = w * h.coords[i]
-        for k, (lowered, factor) in enumerate(_jacobian_tables(h.n, d)):
-            monos = np.prod(ptab[:, cols[None, :], lowered], axis=2)
-            out[:, i, k] = monos @ (a * factor)
-    return out
+    pts = _points(h, points)[None]
+    return np.stack(
+        [gradient_forms(h.n, d, c[None], pts)[0] for d, c in zip(h.degrees, h.coords)], axis=1
+    )
 
 
 def kernel_poly(x, d: int) -> SystemCoords:

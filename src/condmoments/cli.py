@@ -641,7 +641,7 @@ def run_formulas(name: str, args: dict) -> dict:
     if name == "espnorm":
         return fv(formulas.espnorm_value(args["n"], args["alpha"]))
     if name == "espnormrest":
-        forms = formulas.espnormrest_value(args["n"], int(args["alpha"]), args["beta"])
+        forms = formulas.espnormrest_value(args["n"], args["alpha"], args["beta"])
         return {
             "closed_form": fv(forms.closed_form),
             "sum_form": fv(forms.sum_form),
@@ -656,7 +656,7 @@ def run_formulas(name: str, args: dict) -> dict:
     if name == "pinv_moment":
         return fv(formulas.pinv_moment_value(args["r"], args["m"]))
     if name == "volumes":
-        vols = formulas.volumes(args["n"], int(args["k"]), args["l"], args["degrees"])
+        vols = formulas.volumes(args["n"], args["k"], args["l"], args["degrees"])
         return {
             "vol_projective": fv(vols.vol_projective),
             "vol_grassmann": fv(vols.vol_grassmann),
@@ -764,11 +764,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    seed = _resolve_seed(args.seed)
-    cfg = EstimatorConfig(samples=args.samples, seed=seed, workers=args.workers,
-                          lines_per_system=args.lines)
     estimate = getattr(montecarlo, f"estimate_{args.estimator}")
     try:
+        cfg = EstimatorConfig(samples=args.samples, seed=_resolve_seed(args.seed),
+                              workers=args.workers, lines_per_system=args.lines)
         est = estimate(*(getattr(args, name) for name in _ESTIMATORS[args.estimator]), cfg)
     except (TypeError, ValueError) as err:
         print(f"parameter error: {err}", file=sys.stderr)

@@ -219,6 +219,9 @@ def volumes(n: int, k: int, l: int, degrees) -> Volumes:
     r = len(degs)
     if not (1 <= k < l):
         raise ValueError(f"need 1 <= k < l, got k = {k}, l = {l}")
+    if int(k) != k:
+        raise ValueError(f"k must be an integer, got {k}")
+    k = int(k)
 
     log_proj = n * math.log(math.pi) - _lgamma(n + 1.0, "vol_projective")
     log_grass = k * (l - k) * math.log(math.pi)

@@ -2,9 +2,10 @@
 
 Sampling discipline: draws happen in fixed blocks of BLOCK_SAMPLES, one
 counter-based substream per block (the polynomial estimator uses one
-substream per system instead).  Values are reduced in block order with
-pairwise summation, so a result is a pure function of
-(estimator_id, params, seed, n_samples) regardless of the worker count.
+substream per system instead, and runs chunks of systems as whole arrays).
+Values are reduced in block order with pairwise summation, so a result is a
+pure function of (estimator_id, params, seed, n_samples) regardless of the
+worker count.
 
 Heavy tails: whenever the estimand's second moment is infinite or unproven
 the estimator switches to median-of-means over MOM_BUCKETS contiguous
@@ -36,6 +37,9 @@ _NORMS = ("frobenius", "operator")
 
 # share of systems whose root search may fail before the polynomial estimator aborts
 _MAX_FAILURE_RATE = 1e-3
+# the polynomial estimator runs its systems in chunks of about this many
+# evaluation points, which bounds its working memory
+CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,14 @@ def _check_norm(norm: str) -> str:
     if norm not in _NORMS:
         raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
     return norm
+
+
+def _check_integers(**counts) -> None:
+    """Reject counts (or degree lists) that are not integers, 1.0 included."""
+    for name, value in counts.items():
+        values = np.atleast_1d(value).tolist()
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _blocks(n: int, block: int = BLOCK_SAMPLES):
@@ -202,6 +214,7 @@ def pinv_moment_domain(r: int, m: int, alpha: float, norm: str) -> bool:
             f"alpha must satisfy 0 < alpha < 2(m-r+1) = {2 * (m - r + 1)} "
             f"for a finite mean, got {alpha}"
         )
+    _check_integers(r=r, m=m)
     return not (alpha < m - r + 1)
 
 
@@ -230,6 +243,7 @@ def detweighted_rect_domain(r: int, n: int, alpha: float, norm: str) -> bool:
             f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)} "
             f"for a finite mean, got {alpha}"
         )
+    _check_integers(r=r, n=n)
     return not (alpha < n - r + 2)
 
 
@@ -261,6 +275,7 @@ def detweighted_square_domain(r: int, k: float, alpha: float, norm: str) -> bool
         raise ValueError(
             f"alpha must satisfy 0 < alpha < 4k+2 = {4 * k + 2} for a finite mean, got {alpha}"
         )
+    _check_integers(r=r)
     return not (alpha < 2 * k + 1)
 
 
@@ -291,6 +306,7 @@ def espnorm_domain(n: int, alpha: float) -> bool:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha <= -2 * n:
         raise ValueError(f"alpha must exceed -2n = {-2 * n} for a finite mean, got {alpha}")
+    _check_integers(n=n)
     return not (2 * alpha > -2 * n)
 
 
@@ -315,6 +331,7 @@ def espnormrest_domain(n: int, alpha: int, beta: float) -> bool:
         raise ValueError(f"alpha must be a nonnegative integer, got {alpha}")
     if 2 * alpha + beta <= 1 - 2 * n:
         raise ValueError(f"need 2*alpha + beta > 1 - 2n = {1 - 2 * n}")
+    _check_integers(n=n)
     return not (4 * alpha + 2 * beta > 1 - 2 * n)
 
 
@@ -335,34 +352,28 @@ def estimate_espnormrest(
     return _run_matrix_estimator("espnormrest", params, cfg, log_values, heavy)
 
 
-def _poly_system_log_value(
-    seed: int,
-    system_index: int,
-    n: int,
-    degrees: tuple[int, ...],
-    alpha: float,
-    relative: bool,
-    norm: str,
-    lines: int,
-) -> float:
-    rng = RngStream(seed, system_index)
-    h = randgeom.gaussian_system(rng, n, degrees)
-    pts = roots.sample_variety_points(h, rng, lines)
-    # batched single-equation fast path; for r = 1 the Frobenius and operator
-    # values coincide and mu = ||h|| sqrt(d) / ||Dh(x)||, which agrees with
-    # conditioning.empirical_moment (pinned by a consistency test)
-    hnorm = bwspace.bw_norm(h)
-    residuals = np.abs(bwspace.evaluate_at(h, pts)[:, 0])
-    if np.any(residuals > conditioning.ZERO_TOL * hnorm):
-        raise ValueError("sampled point failed the zero-residual precondition")
-    jac = bwspace.jacobian_at(h, pts)[:, 0, :]
-    sigma = np.linalg.norm(jac, axis=1)
-    with np.errstate(divide="ignore"):
-        mu = hnorm * math.sqrt(degrees[0]) / sigma
-    if relative:
-        mu = mu / hnorm
-    value = float(np.mean(mu**alpha))
-    return math.log(value) if value > 0 else -math.inf
+def _poly_log_values(
+    coeffs: np.ndarray, d: int, pts: np.ndarray, failed: np.ndarray, alpha: float, relative: bool
+) -> np.ndarray:
+    """log of each system's zero-set average of mu^alpha; nan for failed systems.
+
+    Single-equation fast path: for r = 1 the Frobenius and operator values
+    coincide and mu = ||h|| sqrt(d) / ||Dh(x)||, which agrees with
+    conditioning.empirical_moment (pinned by a consistency test).
+    """
+    n = pts.shape[2] - 1
+    hnorm = np.linalg.norm(coeffs, axis=1)[:, None]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        residuals = np.abs(bwspace.evaluate_forms(n, d, coeffs, pts))
+        if np.any(residuals[~failed] > conditioning.ZERO_TOL * hnorm[~failed]):
+            raise ValueError("sampled point failed the zero-residual precondition")
+        sigma = np.linalg.norm(bwspace.gradient_forms(n, d, coeffs, pts), axis=2)
+        mu = hnorm * math.sqrt(d) / sigma
+        if relative:
+            mu = mu / hnorm
+        logv = np.log(np.mean(mu**alpha, axis=1))
+    logv[failed] = math.nan
+    return logv
 
 
 def poly_moment_domain(n: int, degrees, alpha: float, relative: bool, norm: str) -> bool:
@@ -380,6 +391,7 @@ def poly_moment_domain(n: int, degrees, alpha: float, relative: bool, norm: str)
         raise ValueError(
             f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)}, got {alpha}"
         )
+    _check_integers(n=n, degrees=degrees)
     return not (alpha < n - r + 2)
 
 
@@ -402,21 +414,15 @@ def estimate_poly_moment(
     """
     heavy = poly_moment_domain(n, degrees, alpha, relative, norm)
     degs = bwspace.check_degrees(n, degrees)
+    d = degs[0]
     lines = 1 if n == 1 else cfg.lines_per_system
+    # restriction nodes, the most points per system of any evaluation pass
+    chunk = max(1, CHUNK_POINTS // (lines * (d + 4)))
 
     def worker(task) -> np.ndarray:
-        start, stop = task
-        vals = np.empty(stop - start)
-        for j in range(start, stop):
-            try:
-                vals[j - start] = _poly_system_log_value(
-                    cfg.seed, j, n, degs, alpha, relative, norm, lines
-                )
-            except roots.RootFindingError:
-                vals[j - start] = math.nan
-        return vals
+        coeffs, pts, failed = roots.sample_zero_sets(cfg.seed, range(*task), n, d, lines)
+        return _poly_log_values(coeffs, d, pts, failed, alpha, relative)
 
-    chunk = 256
     tasks = [(s, min(s + chunk, cfg.samples)) for s in range(0, cfg.samples, chunk)]
     parts = _map_blocks(worker, tasks, cfg.workers)
     logv = np.concatenate(parts)

@@ -60,12 +60,17 @@ class RngStream:
         return self.generator().random(shape)
 
 
+def complex_gaussians(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussians from two equal-shape arrays of U[0, 1) deviates."""
+    # polar Box-Muller: radius^2 ~ Exp(1), uniform phase
+    return np.sqrt(-np.log1p(-u)) * np.exp(2j * np.pi * v)
+
+
 def complex_gaussian_array(rng: RngStream, shape) -> np.ndarray:
     """I.i.d. standard complex Gaussians (E|z|^2 = 1) of the given shape."""
     u = rng.uniforms(shape)
     v = rng.uniforms(shape)
-    # polar Box-Muller: radius^2 ~ Exp(1), uniform phase
-    return np.sqrt(-np.log1p(-u)) * np.exp(2j * np.pi * v)
+    return complex_gaussians(u, v)
 
 
 def complex_gaussian_vector(rng: RngStream, n: int) -> np.ndarray:
@@ -100,11 +105,18 @@ def haar_unitary(rng: RngStream, dim: int) -> np.ndarray:
     """Haar-distributed unitary via phase-normalized QR of a Ginibre matrix."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    a = complex_gaussian_array(rng, (dim, dim))
+    return unitary_from_ginibre(complex_gaussian_array(rng, (dim, dim)))
+
+
+def unitary_from_ginibre(a: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack (..., dim, dim) of Ginibre matrices.
+
+    QR with the phases of R's diagonal moved into Q, which makes the law of
+    Q exactly Haar.
+    """
     q, r = np.linalg.qr(a)
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases[None, :]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def sample_fiber(rng: RngStream, x, n: int, degrees) -> SystemCoords:
@@ -182,12 +194,14 @@ def random_projective_line(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarr
     while True:
         g1 = complex_gaussian_vector(rng, n + 1)
         g2 = complex_gaussian_vector(rng, n + 1)
-        nrm1 = np.linalg.norm(g1)
-        if nrm1 == 0.0:  # measure zero, retry
-            continue
-        u = g1 / nrm1
-        w = g2 - np.vdot(u, g2) * u
-        nrm2 = np.linalg.norm(w)
-        if nrm2 == 0.0:
-            continue
-        return u, w / nrm2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u, v = orthonormal_pair(g1, g2)
+        if np.all(np.isfinite(u)) and np.all(np.isfinite(v)):  # else measure zero, retry
+            return u, v
+
+
+def orthonormal_pair(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt along the last axis: orthonormal (u, v) spanning each (g1, g2)."""
+    u = g1 / np.linalg.norm(g1, axis=-1, keepdims=True)
+    w = g2 - np.sum(np.conj(u) * g2, axis=-1, keepdims=True) * u
+    return u, w / np.linalg.norm(w, axis=-1, keepdims=True)

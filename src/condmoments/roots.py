@@ -9,10 +9,19 @@ the tangent space of a hypersurface at any smooth point is a complex
 hyperplane, all of which are unitarily equivalent, so the line-section
 point process has constant density with respect to the volume measure of
 the zero set.
+
+One path, batched over systems and lines (a single form is a batch of one).
+System j draws from RngStream(seed, j): its coordinates, its line pairs
+(n >= 2; for n = 1 the line is (e_0, e_1)), a Ginibre chart matrix per line,
+then the Aberth start phases.  Stall nudges and the charts of a retried line
+come from that line's own substream, RngStream(mix64(seed, j), line), made
+on first use, so a line's roots never depend on the batch it is solved in.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +29,16 @@ import numpy as np
 from . import bwspace, randgeom
 from .bwspace import SystemCoords
 from .cxla import NumericError
-from .randgeom import RngStream
+from .randgeom import RngStream, mix64
 
 ABERTH_MAX_ITER = 200
 ABERTH_TOL = 1e-12
+CHART_RETRIES = 2  # fresh charts tried on a line whose first chart fails
 _RESIDUAL_TOL = 1e-9
+
+# fixed deterministic spot-check chart points of a restriction, unit (s, t)
+_CHECKS = np.array([[0.6, 0.8 + 0.06j], [1.0, -0.1j], [-0.28, 0.96 - 0.028j]])
+_CHECKS /= np.linalg.norm(_CHECKS, axis=1)[:, None]
 
 
 class RootFindingError(NumericError):
@@ -51,169 +65,53 @@ class BinaryForm:
 
 
 def binary_form_value(g: BinaryForm, s: complex, t: complex) -> complex:
-    d = g.degree
-    powers_s = np.power(s, np.arange(d, -1, -1, dtype=np.float64))
-    powers_t = np.power(t, np.arange(0, d + 1, dtype=np.float64))
-    return complex(np.dot(g.coeffs, powers_s * powers_t))
+    return complex(_binary_form_values(g.coeffs, np.array([[s, t]], dtype=np.complex128))[0])
 
 
-def _binary_form_values(g: BinaryForm, st: np.ndarray) -> np.ndarray:
-    """g at each row (s, t) of an (m, 2) array."""
-    d = g.degree
-    powers_s = st[:, 0:1] ** np.arange(d, -1, -1)
-    powers_t = st[:, 1:2] ** np.arange(0, d + 1)
-    return (powers_s * powers_t) @ g.coeffs
+def _binary_form_values(coeffs: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """Forms (..., d+1) at points st (..., m, 2), broadcast; returns (..., m)."""
+    d = coeffs.shape[-1] - 1
+    powers = st[..., 0:1] ** np.arange(d, -1, -1) * st[..., 1:2] ** np.arange(d + 1)
+    return np.matmul(powers, coeffs[..., :, None])[..., 0]
+
+
+def _restrict(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Binary forms g(s, t) = h(s u + t v), (S, L, d+1), of S equations (S, K)
+    on L orthonormal line pairs u, v (S, L, n+1) each.
+
+    The values g(1, w^k) at the (d+1)-th roots of unity w^k determine the
+    coefficients exactly through one DFT; a residual check at fixed chart
+    points guards the construction.
+    """
+    n_sys, n_lines, dim = u.shape
+    omega = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
+    nodes = np.concatenate([np.stack([np.ones(d + 1), omega], axis=1), _CHECKS])  # (d+4, 2)
+    pts = nodes[:, 0:1] * u[:, :, None, :] + nodes[:, 1:2] * v[:, :, None, :]
+    values = bwspace.evaluate_forms(dim - 1, d, coeffs, pts.reshape(n_sys, -1, dim))
+    values = values.reshape(n_sys, n_lines, d + 4)
+    forms = np.fft.fft(values[..., : d + 1], axis=-1) / (d + 1)
+    hnorm = np.linalg.norm(coeffs, axis=1)
+    residuals = np.abs(_binary_form_values(forms, _CHECKS) - values[..., d + 1 :])
+    if np.any(residuals > _RESIDUAL_TOL * hnorm[:, None, None]):
+        raise NumericError("line restriction failed its residual check")
+    return forms
 
 
 def restrict_to_line(h: SystemCoords, u, v) -> BinaryForm:
-    """Binary form g(s, t) = h(s u + t v) for a single-equation system.
-
-    (u, v) must be orthonormal.  Coefficients are recovered exactly by
-    discrete Fourier interpolation: the values g(1, w^k) at the (d+1)-th
-    roots of unity w^k determine the d+1 coefficients through one inverse
-    DFT.  A pointwise residual check guards the construction.
-    """
+    """Binary form g(s, t) = h(s u + t v) for a single-equation system and
+    an orthonormal pair (u, v); a batch of one of _restrict."""
     if h.r != 1:
         raise ValueError(f"restriction needs a single-equation system, got r = {h.r}")
     uu = np.asarray(u, dtype=np.complex128).ravel()
     vv = np.asarray(v, dtype=np.complex128).ravel()
     if uu.shape != (h.n + 1,) or vv.shape != (h.n + 1,):
         raise ValueError("line vectors must live in C^(n+1)")
-    gram = np.array(
-        [
-            [np.vdot(uu, uu), np.vdot(uu, vv)],
-            [np.vdot(vv, uu), np.vdot(vv, vv)],
-        ]
-    )
-    if np.linalg.norm(gram - np.eye(2)) > 1e-8:
+    pair = np.stack([uu, vv])
+    if np.linalg.norm(pair.conj() @ pair.T - np.eye(2)) > 1e-8:
         raise ValueError("line vectors must be orthonormal")
-
     d = h.degrees[0]
-    omega = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-
-    # fixed deterministic spot-check chart points, normalized to unit (s, t)
-    checks = np.array(
-        [[0.6, 0.8 + 0.06j], [1.0, -0.1j], [-0.28, 0.96 - 0.028j]], dtype=np.complex128
-    )
-    checks /= np.linalg.norm(checks, axis=1)[:, None]
-
-    nodes = np.concatenate([np.stack([np.ones(d + 1, dtype=np.complex128), omega], axis=1), checks])
-    points = nodes[:, 0:1] * uu[None, :] + nodes[:, 1:2] * vv[None, :]
-    values = bwspace.evaluate_at(h, points)[:, 0]
-    coeffs = np.fft.fft(values[: d + 1]) / (d + 1)
-    g = BinaryForm(degree=d, coeffs=coeffs)
-
-    hnorm = bwspace.bw_norm(h)
-    residuals = np.abs(_binary_form_values(g, checks) - values[d + 1 :])
-    if np.any(residuals > _RESIDUAL_TOL * hnorm):
-        raise NumericError("line restriction failed its residual check")
-    return g
-
-
-def _horner_pair(coeffs_desc: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a polynomial and its derivative at each z (coefficients descending)."""
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for c in coeffs_desc:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _aberth(coeffs_asc: np.ndarray, rng: RngStream) -> np.ndarray:
-    """All roots of a dense univariate polynomial, simultaneous iteration.
-
-    coeffs_asc[k] is the coefficient of w^k and the leading coefficient
-    must be nonzero.  Convergence target: homogeneous residual
-    |p(z)| / (1 + |z|^2)^(d/2) below ABERTH_TOL * max|coeff| at every root.
-    """
-    d = len(coeffs_asc) - 1
-    scale = np.max(np.abs(coeffs_asc))
-    lead = coeffs_asc[-1]
-    inner = np.abs(coeffs_asc[:-1]).max()
-    if inner == 0.0:
-        return np.zeros(d, dtype=np.complex128)  # p = c * w^d
-    radius = (inner / abs(lead)) ** (1.0 / d) * (1.0 + 1e-3)
-    phases = rng.uniforms(d)
-    z = radius * np.exp(2j * np.pi * phases)
-
-    desc = coeffs_asc[::-1]
-    for _ in range(ABERTH_MAX_ITER):
-        p, dp = _horner_pair(desc, z)
-        if np.all(np.abs(p) <= ABERTH_TOL * scale * (1.0 + np.abs(z) ** 2) ** (d / 2)):
-            return z
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = p / dp
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            inv_diff = 1.0 / diff
-            np.fill_diagonal(inv_diff, 0.0)
-            corr = newton / (1.0 - newton * inv_diff.sum(axis=1))
-        bad = ~np.isfinite(corr)
-        if np.any(bad):
-            # stalled iterate (derivative zero or colliding guesses): nudge
-            corr = np.where(bad, 0.1 * radius * np.exp(2j * np.pi * rng.uniforms(d)), corr)
-        z = z - corr
-    p, _ = _horner_pair(desc, z)
-    if np.all(np.abs(p) <= ABERTH_TOL * scale * (1.0 + np.abs(z) ** 2) ** (d / 2)):
-        return z
-    raise RootFindingError(f"Aberth iteration did not converge after {ABERTH_MAX_ITER} steps")
-
-
-def _compose_unitary(g: BinaryForm, q: np.ndarray) -> np.ndarray:
-    """Coefficients (ascending in t') of g(q @ (s', t'))."""
-    d = g.degree
-    s_form = np.array([q[0, 0], q[0, 1]])  # s = q00 s' + q01 t'
-    t_form = np.array([q[1, 0], q[1, 1]])
-    out = np.zeros(d + 1, dtype=np.complex128)
-    s_pows = [np.array([1.0 + 0j])]
-    t_pows = [np.array([1.0 + 0j])]
-    for _ in range(d):
-        s_pows.append(np.convolve(s_pows[-1], s_form))
-        t_pows.append(np.convolve(t_pows[-1], t_form))
-    for k in range(d + 1):
-        out += g.coeffs[k] * np.convolve(s_pows[d - k], t_pows[k])
-    return out
-
-
-def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
-    """The d projective roots of a binary form, as unit vectors in C^2.
-
-    A random Haar unitary change of chart makes a root at the chart
-    boundary almost surely absent; the rotated form is dehomogenized,
-    solved by Aberth-Ehrlich, and the roots are mapped back.  Clustered
-    (multiple) roots are returned as nearby simple roots.  One chart
-    resample is attempted before giving up.
-    """
-    if g.degree < 1:
-        raise ValueError("root extraction needs degree >= 1")
-    if np.all(g.coeffs == 0):
-        raise ValueError("cannot extract roots of the zero form")
-    scale = float(np.max(np.abs(g.coeffs)))
-    last_err: RootFindingError | None = None
-    for _ in range(2):
-        q = randgeom.haar_unitary(rng, 2)
-        rotated = _compose_unitary(g, q)
-        if abs(rotated[-1]) < 1e-14 * scale:
-            # leading coefficient vanished: the chart still contains a root
-            # at infinity, resample
-            last_err = RootFindingError("degenerate chart rotation")
-            continue
-        try:
-            w = _aberth(rotated, rng)
-        except RootFindingError as exc:
-            last_err = exc
-            continue
-        chart = np.stack([np.ones_like(w), w], axis=1)
-        chart /= np.linalg.norm(chart, axis=1)[:, None]
-        pts = chart @ q.T
-        residuals = np.abs(_binary_form_values(g, pts))
-        if np.all(residuals < _RESIDUAL_TOL * scale):
-            return pts
-        last_err = RootFindingError(
-            f"root residual {residuals.max():.3e} above {_RESIDUAL_TOL:.0e} * max|coeff|"
-        )
-    raise last_err if last_err is not None else RootFindingError("root finding failed")
+    coeffs = _restrict(h.coords[0][None], d, uu[None, None], vv[None, None])
+    return BinaryForm(degree=d, coeffs=coeffs[0, 0])
 
 
 def _bconv_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,46 +137,172 @@ def _compose_unitary_batch(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aberth_batch(coeffs_asc: np.ndarray, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise Aberth-Ehrlich; returns (roots (L, d), failed-row mask)."""
-    n_rows, dp1 = coeffs_asc.shape
-    d = dp1 - 1
-    scale = np.max(np.abs(coeffs_asc), axis=1)
-    inner = np.max(np.abs(coeffs_asc[:, :-1]), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = np.where(
-            inner > 0, (inner / np.abs(coeffs_asc[:, -1])) ** (1.0 / d) * (1.0 + 1e-3), 0.0
-        )
-    z = radius[:, None] * np.exp(2j * np.pi * rng.uniforms((n_rows, d)))
-    desc = coeffs_asc[:, ::-1]
-    done = inner == 0.0  # pure-leading rows: all roots at the origin, exact
+def _aberth_batch(coeffs_asc: np.ndarray, phases: np.ndarray, row_rng):
+    """Row-wise Aberth-Ehrlich on coefficients of w^k; returns (roots (R, d), failed).
 
-    for _ in range(ABERTH_MAX_ITER):
-        p = np.zeros_like(z)
-        dp = np.zeros_like(z)
-        for col in range(dp1):
-            dp = dp * z + p
-            p = p * z + desc[:, col : col + 1]
-        residual_ok = np.abs(p) <= ABERTH_TOL * scale[:, None] * (1.0 + np.abs(z) ** 2) ** (d / 2)
-        done |= residual_ok.all(axis=1)
-        if done.all():
-            return z, ~done
+    Row i starts at angles 2 pi phases[i] on a circle and leaves the batch once
+    |p(z)| / (1 + |z|^2)^(d/2) <= ABERTH_TOL * max|coeff| at all its roots.  A
+    vanishing leading coefficient (a root at infinity) fails the row at once; a
+    stalled iterate is nudged with uniforms drawn from row_rng(i).
+    """
+    d = coeffs_asc.shape[1] - 1
+    mag = np.abs(coeffs_asc)
+    inner = np.max(mag[:, :-1], axis=1)
+    failed = mag[:, -1] < 1e-14 * np.max(mag, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.where(inner > 0, (inner / mag[:, -1]) ** (1.0 / d) * (1.0 + 1e-3), 0.0)
+    z = radius[:, None] * np.exp(2j * np.pi * phases)
+    # pure-leading rows keep all their roots at the origin, which is exact
+    active = np.flatnonzero((inner > 0) & ~failed)
+    za, desc = z[active], coeffs_asc[active, ::-1]
+    tol = ABERTH_TOL * np.max(mag[active], axis=1)[:, None]
+    eye = np.eye(d, dtype=bool)
+    for step in range(ABERTH_MAX_ITER + 1):
+        p = np.zeros_like(za)
+        dp = np.zeros_like(za)
+        for col in range(d + 1):
+            dp = dp * za + p
+            p = p * za + desc[:, col : col + 1]
+        done = np.all(np.abs(p) <= tol * (1.0 + np.abs(za) ** 2) ** (d / 2), axis=1)
+        if done.any():  # converged rows leave the batch
+            z[active[done]] = za[done]
+            left = ~done
+            active, za, desc, tol = active[left], za[left], desc[left], tol[left]
+            p, dp = p[left], dp[left]
+        if active.size == 0 or step == ABERTH_MAX_ITER:
+            break
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = p / dp
-            diff = z[:, :, None] - z[:, None, :]
-            eye = np.eye(d, dtype=bool)
+            diff = za[:, :, None] - za[:, None, :]
             diff[:, eye] = 1.0
             inv_diff = 1.0 / diff
             inv_diff[:, eye] = 0.0
             corr = newton / (1.0 - newton * inv_diff.sum(axis=2))
-        corr[done] = 0.0
         bad = ~np.isfinite(corr)
-        if np.any(bad):
-            corr[bad] = 0.1 * np.repeat(radius[:, None], d, axis=1)[bad] * np.exp(
-                2j * np.pi * rng.uniforms(int(bad.sum()))
-            )
-        z = z - corr
-    return z, ~done
+        for k in np.flatnonzero(bad.any(axis=1)):
+            row = active[k]
+            nudge = np.exp(2j * np.pi * row_rng(row).uniforms(int(bad[k].sum())))
+            corr[k, bad[k]] = 0.1 * radius[row] * nudge
+        za = za - corr
+    z[active] = za
+    failed[active] = True
+    return z, failed
+
+
+def _solve_in_charts(forms: np.ndarray, ginibre: np.ndarray, phases: np.ndarray, row_rng):
+    """Unit roots (R, d, 2) of R binary forms, each in its own Haar chart, and
+    the failed rows: no convergence or a residual >= _RESIDUAL_TOL * max|coeff|."""
+    q = randgeom.unitary_from_ginibre(ginibre)
+    w, failed = _aberth_batch(_compose_unitary_batch(forms, q), phases, row_rng)
+    with np.errstate(invalid="ignore"):  # rows that failed may hold inf or nan
+        chart = np.stack([np.ones_like(w), w], axis=2)
+        chart /= np.linalg.norm(chart, axis=2)[:, :, None]
+        pts = np.einsum("rjk,rik->rij", q, chart)  # back through the chart unitary
+        residuals = np.abs(_binary_form_values(forms, pts))
+        scale = np.max(np.abs(forms), axis=1)
+        failed |= np.any(residuals >= _RESIDUAL_TOL * scale[:, None], axis=1)
+    return pts, failed
+
+
+def _solve(forms: np.ndarray, ginibre: np.ndarray, phases: np.ndarray, row_rng):
+    """_solve_in_charts, then up to CHART_RETRIES fresh charts and start
+    phases, drawn from row_rng(row), for each row that failed."""
+    pts, failed = _solve_in_charts(forms, ginibre, phases, row_rng)
+    for _ in range(CHART_RETRIES):
+        rows = np.flatnonzero(failed)
+        if rows.size == 0:
+            break
+        streams = [row_rng(row) for row in rows]
+        retry_ginibre = np.stack([randgeom.complex_gaussian_array(s, (2, 2)) for s in streams])
+        retry_phases = np.stack([s.uniforms(forms.shape[1] - 1) for s in streams])
+        pts[rows], failed[rows] = _solve_in_charts(
+            forms[rows], retry_ginibre, retry_phases, lambda k: streams[k]
+        )
+    return pts, failed
+
+
+def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
+    """The d projective roots of a binary form, as unit vectors in C^2.
+
+    A random Haar unitary change of chart makes a root at the chart
+    boundary almost surely absent; the rotated form is dehomogenized,
+    solved by Aberth-Ehrlich, and the roots are mapped back.  Clustered
+    (multiple) roots are returned as nearby simple roots.  A batch of one of
+    _solve that draws everything from rng.
+    """
+    if g.degree < 1:
+        raise ValueError("root extraction needs degree >= 1")
+    if np.all(g.coeffs == 0):
+        raise ValueError("cannot extract roots of the zero form")
+    ginibre = randgeom.complex_gaussian_array(rng, (1, 2, 2))
+    pts, failed = _solve(g.coeffs[None], ginibre, rng.uniforms((1, g.degree)), lambda row: rng)
+    if failed[0]:
+        raise RootFindingError(f"root finding failed in {1 + CHART_RETRIES} charts")
+    return pts[0]
+
+
+def _row_streams(seed: int, first_system: int, lines: int):
+    """row -> its line's substream, made on first use; row i is line
+    i % lines of system first_system + i // lines."""
+
+    @functools.lru_cache(maxsize=None)
+    def get(row: int) -> RngStream:
+        system, line = divmod(int(row), lines)
+        return RngStream(mix64(seed, first_system + system), line)
+
+    return get
+
+
+def _section_sizes(n: int, lines: int) -> list[int]:
+    """Uniforms of a system's line pairs (0 for n = 1) and its chart matrices,
+    each complex Gaussian array as its radius uniforms then its phase uniforms."""
+    pair = 2 * lines * (n + 1) if n >= 2 else 0
+    return [pair, pair, 4 * lines, 4 * lines]
+
+
+def _sections(x: np.ndarray, n: int, d: int, lines: int):
+    """Lines (u, v), chart Ginibre matrices and Aberth start phases of S systems
+    from their uniforms x (S, T) in stream order; for n = 1 the line is (e_0, e_1)."""
+    n_sys = x.shape[0]
+    a_pair, b_pair, a_chart, b_chart, phases = np.split(
+        x, np.cumsum(_section_sizes(n, lines)), axis=1
+    )
+    if n >= 2:
+        g = randgeom.complex_gaussians(a_pair, b_pair).reshape(n_sys, lines, 2, n + 1)
+        u, v = randgeom.orthonormal_pair(g[:, :, 0], g[:, :, 1])
+    else:
+        u, v = np.broadcast_to(np.eye(2)[:, None, None, :], (2, n_sys, lines, 2))
+    ginibre = randgeom.complex_gaussians(a_chart, b_chart).reshape(n_sys * lines, 2, 2)
+    return u, v, ginibre, phases.reshape(n_sys * lines, d)
+
+
+def _line_points(coeffs: np.ndarray, d: int, sections, row_rng) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-set points (S, L*d, n+1) of S equations on their L lines each, and
+    the systems with a line whose roots failed after every chart retry."""
+    u, v, ginibre, phases = sections
+    n_sys, n_lines, dim = u.shape
+    forms = _restrict(coeffs, d, u, v).reshape(n_sys * n_lines, d + 1)
+    st, failed = _solve(forms, ginibre, phases, row_rng)
+    st = st.reshape(n_sys, n_lines, d, 2)
+    pts = st[..., 0:1] * u[:, :, None, :] + st[..., 1:2] * v[:, :, None, :]
+    return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)
+
+
+def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
+    """Gaussian degree-d equations j in systems and their zero-set points.
+
+    Each system draws its coordinates and sections from RngStream(seed, j) in
+    one call.  Returns the coordinates (S, K), the points (S, lines * d, n+1)
+    and the systems whose root search failed.  Pass lines = 1 for n = 1.
+    """
+    k = math.comb(n + d, n)
+    size = 2 * k + sum(_section_sizes(n, lines)) + lines * d
+    x = np.stack([RngStream(seed, j).uniforms(size) for j in systems])
+    coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k : 2 * k])
+    points, failed = _line_points(
+        coeffs, d, _sections(x[:, 2 * k :], n, d, lines), _row_streams(seed, systems.start, lines)
+    )
+    return coeffs, points, failed
 
 
 def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.ndarray:
@@ -290,9 +314,8 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
     multiplicity.  For n = 1 the line is the whole projective space and the
     d roots are returned once.
 
-    All lines are processed as one batch (lines drawn first, then charts,
-    then the root iteration); a line whose batched root search fails falls
-    back to the scalar path with a fresh chart before the error propagates.
+    A batch of one of sample_zero_sets: after h = gaussian_system(rng, ...)
+    with rng = RngStream(seed, j) it returns the estimator's points of system j.
     """
     if h.r != 1:
         raise ValueError(f"variety sampling needs r = 1, got r = {h.r}")
@@ -300,68 +323,13 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
         raise ValueError("cannot sample the zero set of the zero system")
     if lines < 1:
         raise ValueError(f"lines must be >= 1, got {lines}")
-
-    if h.n == 1:
-        e0 = np.array([1.0, 0.0], dtype=np.complex128)
-        e1 = np.array([0.0, 1.0], dtype=np.complex128)
-        g = restrict_to_line(h, e0, e1)
-        return binary_form_roots(g, rng)
-
     n, d = h.n, h.degrees[0]
-    hnorm = bwspace.bw_norm(h)
-
-    # uniform lines: Gaussian pairs, row-wise Gram-Schmidt
-    pairs = randgeom.complex_gaussian_array(rng, (lines, 2, n + 1))
-    u = pairs[:, 0, :]
-    u = u / np.linalg.norm(u, axis=1)[:, None]
-    w = pairs[:, 1, :] - np.einsum("lj,lj->l", np.conj(u), pairs[:, 1, :])[:, None] * u
-    v = w / np.linalg.norm(w, axis=1)[:, None]
-
-    # restrictions: DFT nodes plus fixed spot-check points, one evaluation pass
-    omega = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-    checks = np.array(
-        [[0.6, 0.8 + 0.06j], [1.0, -0.1j], [-0.28, 0.96 - 0.028j]], dtype=np.complex128
+    lines = 1 if n == 1 else lines
+    x = rng.uniforms((1, sum(_section_sizes(n, lines)) + lines * d))
+    points, failed = _line_points(
+        h.coords[0][None], d, _sections(x, n, d, lines),
+        _row_streams(rng.seed, rng.stream_index, lines),
     )
-    checks /= np.linalg.norm(checks, axis=1)[:, None]
-    nodes = np.concatenate(
-        [np.stack([np.ones(d + 1, dtype=np.complex128), omega], axis=1), checks]
-    )  # (d+4, 2)
-    pts = nodes[None, :, 0:1] * u[:, None, :] + nodes[None, :, 1:2] * v[:, None, :]
-    values = bwspace.evaluate_at(h, pts.reshape(-1, n + 1))[:, 0].reshape(lines, -1)
-    coeffs = np.fft.fft(values[:, : d + 1], axis=1) / (d + 1)
-
-    powers = (checks[:, 0:1] ** np.arange(d, -1, -1)) * (checks[:, 1:2] ** np.arange(d + 1))
-    predicted = coeffs @ powers.T
-    if np.any(np.abs(predicted - values[:, d + 1 :]) > _RESIDUAL_TOL * hnorm):
-        raise NumericError("line restriction failed its residual check")
-
-    # random charts: batched Haar 2x2, then rotated dehomogenized coefficients
-    ginibre = randgeom.complex_gaussian_array(rng, (lines, 2, 2))
-    q, rfac = np.linalg.qr(ginibre)
-    diag = rfac[:, (0, 1), (0, 1)]
-    q = q * (diag / np.abs(diag))[:, None, :]
-    rotated = _compose_unitary_batch(coeffs, q)
-
-    scale = np.max(np.abs(coeffs), axis=1)
-    failed = np.abs(rotated[:, -1]) < 1e-14 * scale
-    roots_w, aberth_failed = _aberth_batch(rotated, rng)
-    failed |= aberth_failed
-
-    chart = np.stack([np.ones_like(roots_w), roots_w], axis=2)
-    chart /= np.linalg.norm(chart, axis=2)[:, :, None]
-    chart = np.einsum("ljk,lik->lij", q, chart)  # back through the chart unitary
-    out = np.einsum("li,lj->lij", chart[:, :, 0], u) + np.einsum(
-        "li,lj->lij", chart[:, :, 1], v
-    )
-
-    # root residuals per line, against each line's own coefficient scale
-    res_pow_s = chart[:, :, 0:1] ** np.arange(d, -1, -1)
-    res_pow_t = chart[:, :, 1:2] ** np.arange(d + 1)
-    residuals = np.abs(np.einsum("lik,lk->li", res_pow_s * res_pow_t, coeffs))
-    failed |= np.any(residuals >= _RESIDUAL_TOL * scale[:, None], axis=1)
-
-    for idx in np.flatnonzero(failed):
-        g = BinaryForm(degree=d, coeffs=coeffs[idx])
-        roots2 = binary_form_roots(g, rng)  # fresh chart, scalar retry path
-        out[idx] = roots2[:, 0:1] * u[idx][None, :] + roots2[:, 1:2] * v[idx][None, :]
-    return out.reshape(lines * d, n + 1)
+    if failed[0]:
+        raise RootFindingError(f"root finding failed on a line in {1 + CHART_RETRIES} charts")
+    return points[0]

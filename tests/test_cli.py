@@ -74,6 +74,7 @@ INVALID_EXPERIMENTS = {
         {"estimator_id": "espnormrest", "params": {"n": 3, "alpha": 1.5, "beta": 2.0},
          "closed_form_id": None}, "nonnegative integer"),
     "string-r": ({"params": {**PINV_PARAMS, "r": "1"}}, "not supported"),
+    "float-r": ({"params": {**PINV_PARAMS, "r": 1.0}}, "r must be an integer"),
     "string-lines": ({**POLY, "lines_per_system": "8"}, "not supported"),
     "zero-lines": ({**POLY, "lines_per_system": 0}, "lines_per_system must be >= 1"),
     "closed-form-on-pair": ({**SCALING_PAIR, "closed_form_id": "main_theorem_value"},
@@ -218,6 +219,22 @@ class TestMain:
         code = cli.main(["estimate", "--estimator", "pinv_moment", "--r", "3",
                          "--m", "2", "--samples", "10"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--samples", "--workers", "--lines"])
+    def test_estimate_zero_count_exit_two(self, capsys, flag):
+        argv = ["estimate", "--estimator", "poly_moment", "--n", "2", "--degrees", "2",
+                "--samples", "10", flag, "0"]
+        assert cli.main(argv) == 2
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["espnormrest", "--n", "3", "--alpha", "1.5", "--beta", "2"], "nonnegative integer"),
+        (["volumes", "--n", "1", "--k", "1.5", "--l", "3", "--degrees", "1"],
+         "k must be an integer"),
+    ])
+    def test_formulas_fractional_integer_param_exit_two(self, capsys, argv, message):
+        assert cli.main(["formulas", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_formulas_main_theorem(self, capsys):
         code = cli.main(["formulas", "main_theorem", "--n", "2", "--degrees", "2"])

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from condmoments import formulas, montecarlo
+from condmoments import bwspace, conditioning, formulas, montecarlo, roots
 from condmoments.montecarlo import EstimatorConfig
+from condmoments.randgeom import RngStream, gaussian_system
 
 
 def cfg(samples, seed, **kw):
@@ -159,40 +161,86 @@ class TestPolyMoment:
             montecarlo.estimate_poly_moment(2, (1, 1), 2.0, False, "frobenius", cfg(10, 25))
 
     def test_root_failure_rate_aborts_with_diagnostic(self, monkeypatch):
-        from condmoments import roots
         from condmoments.cxla import NumericError
 
-        def always_fail(h, rng, lines):
-            raise roots.RootFindingError("forced failure")
+        real = roots.sample_zero_sets
 
-        monkeypatch.setattr(montecarlo.roots, "sample_variety_points", always_fail)
+        def always_fail(seed, systems, n, d, lines):
+            coeffs, pts, failed = real(seed, systems, n, d, lines)
+            return coeffs, pts, np.ones_like(failed)
+
+        monkeypatch.setattr(montecarlo.roots, "sample_zero_sets", always_fail)
         with pytest.raises(NumericError, match="rate exceeds"):
             montecarlo.estimate_poly_moment(2, (2,), 2.0, False, "frobenius", cfg(100, 26))
 
     def test_failure_rate_counts_systems_not_lines(self, monkeypatch):
         # 4 of 1000 systems (0.4%) fail: over the 0.1% limit, although 4 is
         # under 0.1% of the 8000 lines
-        from condmoments import roots
         from condmoments.cxla import NumericError
 
-        real = roots.sample_variety_points
+        real = roots.sample_zero_sets
 
-        def fail_every_250th(h, rng, lines):
-            if rng.stream_index % 250 == 0:
-                raise roots.RootFindingError("forced failure")
-            return real(h, rng, lines)
+        def fail_every_250th(seed, systems, n, d, lines):
+            coeffs, pts, failed = real(seed, systems, n, d, lines)
+            return coeffs, pts, failed | (np.asarray(systems) % 250 == 0)
 
-        monkeypatch.setattr(montecarlo.roots, "sample_variety_points", fail_every_250th)
+        monkeypatch.setattr(montecarlo.roots, "sample_zero_sets", fail_every_250th)
         with pytest.raises(NumericError, match="4 of 1000 systems"):
             montecarlo.estimate_poly_moment(
                 2, (2,), 2.0, False, "frobenius", cfg(1000, 26, lines_per_system=8)
             )
 
 
+def poly_log_values(monkeypatch, chunk_points, *args):
+    """Per-system log-values of estimate_poly_moment(*args) at a chunk size."""
+    seen = []
+    reduce = montecarlo._reduce_log_values
+    monkeypatch.setattr(montecarlo, "CHUNK_POINTS", chunk_points)
+    monkeypatch.setattr(montecarlo, "_reduce_log_values",
+                        lambda logv, heavy: seen.append(logv) or reduce(logv, heavy))
+    montecarlo.estimate_poly_moment(*args)
+    return seen[0]
+
+
+class TestPolyBatching:
+    @pytest.mark.parametrize("n, d, lines", [(1, 3, 1), (2, 2, 8), (3, 2, 3)])
+    def test_chunk_size_leaves_per_system_values_unchanged(self, monkeypatch, n, d, lines):
+        args = (n, (d,), 2.0, False, "frobenius", cfg(60, 40, lines_per_system=lines))
+        default = poly_log_values(monkeypatch, montecarlo.CHUNK_POINTS, *args)
+        for systems in (1, 7):
+            chunked = poly_log_values(monkeypatch, systems * lines * (d + 4), *args)
+            np.testing.assert_allclose(chunked, default, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, d, lines, relative", [(1, 2, 1, False), (2, 3, 4, False),
+                                                        (3, 2, 2, True)])
+    def test_sample_variety_points_reproduces_system_values(self, monkeypatch, n, d, lines,
+                                                             relative):
+        seed, alpha = 41, 1.5
+        logv = poly_log_values(monkeypatch, montecarlo.CHUNK_POINTS, n, (d,), alpha, relative,
+                               "frobenius", cfg(6, seed, lines_per_system=lines))
+        for j in range(6):
+            rng = RngStream(seed, j)
+            h = gaussian_system(rng, n, (d,))
+            pts = roots.sample_variety_points(h, rng, lines)
+            hnorm = bwspace.bw_norm(h)
+            assert np.all(np.abs(bwspace.evaluate_at(h, pts)) <= conditioning.ZERO_TOL * hnorm)
+            sigma = np.linalg.norm(bwspace.jacobian_at(h, pts)[:, 0, :], axis=1)
+            mu = math.sqrt(d) / sigma if relative else hnorm * math.sqrt(d) / sigma
+            assert math.log(np.mean(mu**alpha)) == pytest.approx(logv[j], abs=1e-12)
+
+
 class TestDeterminism:
     def test_bitwise_replay(self):
         a = montecarlo.estimate_pinv_moment(2, 4, 2.0, "frobenius", cfg(10_000, 30))
         b = montecarlo.estimate_pinv_moment(2, 4, 2.0, "frobenius", cfg(10_000, 30))
+        assert a.mean == b.mean
+        assert a.stderr == b.stderr
+
+    def test_poly_bitwise_replay(self):
+        a = montecarlo.estimate_poly_moment(
+            2, (2,), 2.0, False, "frobenius", cfg(500, 35, lines_per_system=4))
+        b = montecarlo.estimate_poly_moment(
+            2, (2,), 2.0, False, "frobenius", cfg(500, 35, lines_per_system=4))
         assert a.mean == b.mean
         assert a.stderr == b.stderr
 

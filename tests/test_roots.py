@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from condmoments import bwspace, roots
+from condmoments import bwspace, randgeom, roots
 from condmoments.randgeom import RngStream, complex_gaussian_vector, gaussian_system
 from condmoments.roots import BinaryForm
 
@@ -200,3 +200,41 @@ class TestSampleVarietyPoints:
         z = bwspace.make_system(1, (2,), [np.zeros(3, dtype=complex)])
         with pytest.raises(ValueError, match="zero system"):
             roots.sample_variety_points(z, RngStream(81, 0), 1)
+
+
+class TestRowSubstreams:
+    # a row's nudges and retry charts come from the substream of its
+    # (system, line), so the row solves the same way at any batch position
+    RADIUS = 9.0 ** 0.5 * (1.0 + 1e-3)  # the Aberth start radius of the stall form
+    ROWS = {
+        # w^2 - 2 RADIUS w + 9: the start point at phase 0 is the critical
+        # point, so the first Newton step divides by zero and is nudged
+        "stall": (np.array([9.0, -2.0 * RADIUS, 1.0]), np.eye(2), np.array([0.0, 0.5])),
+        # s t in the identity chart has its leading coefficient at zero, so
+        # the first chart fails and the row is retried
+        "retry": (np.array([0.0, 1.0, 0.0]), np.eye(2), np.array([0.1, 0.6])),
+    }
+
+    def solve_at(self, kind, position, size, lines=2, system=10):
+        rng = RngStream(90, position)  # filler rows
+        forms = randgeom.complex_gaussian_array(rng, (size, 3))
+        ginibre = randgeom.complex_gaussian_array(rng, (size, 2, 2))
+        phases = rng.uniforms((size, 2))
+        forms[position], ginibre[position], phases[position] = self.ROWS[kind]
+        first = system - position // lines  # keeps the row at (system, position % lines)
+        streams = roots._row_streams(91, first, lines)
+        used = []
+        pts, failed = roots._solve(forms, ginibre, phases,
+                                   lambda row: used.append(row) or streams(row))
+        assert not failed.any()
+        assert used and set(used) == {position}
+        return pts[position]
+
+    @pytest.mark.parametrize("kind", ["stall", "retry"])
+    def test_same_roots_at_any_batch_position(self, kind):
+        alone = self.solve_at(kind, 1, 2)
+        for position, size in ((3, 4), (5, 12), (11, 12)):
+            assert np.allclose(self.solve_at(kind, position, size), alone, rtol=0, atol=1e-14)
+        form = BinaryForm(2, self.ROWS[kind][0])
+        for s, t in alone:
+            assert abs(roots.binary_form_value(form, s, t)) < 1e-9 * np.max(np.abs(form.coeffs))
