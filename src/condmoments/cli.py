@@ -750,6 +750,9 @@ def _cmd_verify(args) -> int:
                 ]
         else:
             exps = default_suite(_resolve_seed(args.seed))
+        # the overrides reach every estimator call: reject them before sampling
+        EstimatorConfig(samples=1 if args.samples is None else args.samples, seed=0,
+                        workers=args.workers)
     except (OSError, KeyError, TypeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -38,11 +38,19 @@ def _lgamma(x: float, what: str) -> float:
     return math.lgamma(x)
 
 
+def check_finite(**values) -> None:
+    """Reject real parameters that are nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def espnorm_value(n: int, alpha: float) -> FormulaValue:
     """Moment of the norm of a standard Gaussian vector in C^n.
 
     E ||v||^alpha = Gamma(n + alpha/2) / Gamma(n), for alpha > -2n.
     """
+    check_finite(alpha=alpha)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha <= -2 * n:
@@ -73,6 +81,7 @@ def espnormrest_value(n: int, alpha: int, beta: float) -> EspnormrestForms:
     where P projects onto the first n - 1 coordinates.  alpha must be a
     nonnegative integer; the parameters must satisfy 2 alpha + beta > 1 - 2n.
     """
+    check_finite(alpha=alpha, beta=beta)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if alpha < 0 or int(alpha) != alpha:
@@ -111,6 +120,7 @@ def invnor2mdet_value(r: int, k: float) -> FormulaValue:
 
     (r / k) * prod_{i=1..r} Gamma(k + i) / Gamma(i).
     """
+    check_finite(k=k)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if k <= 0:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -86,6 +87,15 @@ INVALID_EXPERIMENTS = {
                                  "holds only at alpha = 2.0"),
     "main-theorem-relative": ({**POLY, "params": {**POLY["params"], "relative": True}},
                               "holds only at relative = False"),
+    "espnorm-nan-alpha": ({"estimator_id": "espnorm", "params": {"n": 2, "alpha": math.nan},
+                           "closed_form_id": "espnorm_value"}, "alpha must be finite"),
+    "espnormrest-nan-beta": (
+        {"estimator_id": "espnormrest", "params": {"n": 3, "alpha": 1, "beta": math.nan},
+         "closed_form_id": "espnormrest_sum"}, "beta must be finite"),
+    "square-infinite-k": (
+        {"estimator_id": "detweighted_square",
+         "params": {"r": 2, "k": math.inf, "alpha": 2.0, "norm": "frobenius"},
+         "closed_form_id": "invnor2mdet_value"}, "k must be finite"),
 }
 
 
@@ -207,6 +217,16 @@ class TestMain:
     def test_verify_missing_file_exit_two(self):
         assert cli.main(["verify", "--config", "/nonexistent/x.json"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-5"),
+                                             ("--workers", "0")])
+    def test_verify_bad_override_exit_two_before_sampling(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "rep"
+        assert cli.main(["verify", flag, value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag[2:]} must be >= 1, got {value}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_estimate_prints_result(self, capsys):
         code = cli.main(["estimate", "--estimator", "pinv_moment", "--r", "1",
                          "--m", "3", "--samples", "2000", "--seed", "5"])
@@ -226,6 +246,26 @@ class TestMain:
                 "--samples", "10", flag, "0"]
         assert cli.main(argv) == 2
         assert "must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["espnorm", "--n", "2", "--alpha", "nan"], "alpha must be finite"),
+        (["espnorm", "--n", "2", "--alpha", "inf"], "alpha must be finite"),
+        (["espnormrest", "--n", "3", "--alpha", "inf", "--beta", "2"], "alpha must be finite"),
+        (["espnormrest", "--n", "3", "--alpha", "1", "--beta", "nan"], "beta must be finite"),
+        (["detweighted_square", "--r", "2", "--k", "inf"], "k must be finite"),
+    ])
+    def test_estimate_non_finite_param_exit_two(self, capsys, argv, message):
+        assert cli.main(["estimate", "--estimator", *argv, "--samples", "10"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["espnorm", "--n", "2", "--alpha", "nan"], "alpha must be finite"),
+        (["espnormrest", "--n", "3", "--alpha", "1", "--beta", "inf"], "beta must be finite"),
+        (["invnor2mdet", "--r", "2", "--k", "nan"], "k must be finite"),
+    ])
+    def test_formulas_non_finite_param_exit_two(self, capsys, argv, message):
+        assert cli.main(["formulas", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["espnormrest", "--n", "3", "--alpha", "1.5", "--beta", "2"], "nonnegative integer"),

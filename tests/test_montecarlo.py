@@ -5,7 +5,7 @@ import pytest
 
 from condmoments import bwspace, conditioning, formulas, montecarlo, roots
 from condmoments.montecarlo import EstimatorConfig
-from condmoments.randgeom import RngStream, gaussian_system
+from condmoments.randgeom import RngStream, complex_gaussian_array, gaussian_system
 
 
 def cfg(samples, seed, **kw):
@@ -76,6 +76,44 @@ class TestDetweightedSquare:
     def test_r3_k1(self):
         est = montecarlo.estimate_detweighted_square(3, 1.0, 2.0, "frobenius", cfg(100_000, 12))
         assert abs(z_against(est, 18.0)) < 4.0
+
+
+class TestGramEigenvalues:
+    # the matrix estimators take s^2 as the eigenvalues of A A*; the batched
+    # SVD of the same draws is the reference
+
+    @pytest.mark.parametrize("r, m", [(1, 3), (2, 3), (2, 4), (3, 5), (2, 5),
+                                      (1, 1), (2, 2), (3, 3), (4, 6)])
+    def test_log_values_match_svd(self, r, m):
+        a = complex_gaussian_array(RngStream(70, 10 * r + m), (4096, r, m))
+        s = np.linalg.svd(a, compute_uv=False)
+        lam = montecarlo._squared_singular_values(a)
+        assert np.all(np.diff(lam, axis=1) >= 0)
+        expected = {
+            "frobenius": 0.5 * np.log(np.sum(s**-2.0, axis=1)),
+            "operator": -np.log(s[:, -1]),
+        }
+        for norm, log_norm in expected.items():
+            np.testing.assert_allclose(montecarlo._log_pinv_norm(lam, norm), log_norm,
+                                       rtol=0, atol=1e-9)
+        np.testing.assert_allclose(montecarlo._log_det_gram(lam),
+                                   2.0 * np.sum(np.log(s), axis=1), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("r, m", [(2, 2), (2, 3), (3, 3), (3, 5), (4, 6)])
+    def test_singular_draws_give_no_nan(self, r, m):
+        # from r = 3 on, rounding makes about half of the repeated-row Gram
+        # matrices' smallest eigenvalue negative
+        a = complex_gaussian_array(RngStream(71, 10 * r + m), (4096, r, m))
+        zero_row, repeated_row = a.copy(), a.copy()
+        zero_row[:, 0] = 0
+        repeated_row[:, -1] = a[:, 0]
+        for singular in (zero_row, repeated_row):
+            lam = montecarlo._squared_singular_values(singular)
+            for norm in ("frobenius", "operator"):
+                log_norm = montecarlo._log_pinv_norm(lam, norm)
+                assert np.all(np.isfinite(log_norm) | (log_norm == math.inf))
+            log_det = montecarlo._log_det_gram(lam)
+            assert np.all(np.isfinite(log_det) | (log_det == -math.inf))
 
 
 class TestEspnorm:
