@@ -141,7 +141,7 @@ _CLOSED_FORMS = {
 }
 
 
-def _calls(exp: ExperimentConfig, samples: int, workers: int) -> list:
+def _calls(exp: ExperimentConfig, samples: int) -> list:
     """(estimator id, args, config) of each estimator call an experiment makes."""
     p = {**_DEFAULTS, **exp.params}
     pair = _PAIRS.get(exp.estimator_id)
@@ -156,7 +156,7 @@ def _calls(exp: ExperimentConfig, samples: int, workers: int) -> list:
     lines = 8 if exp.lines_per_system is None else exp.lines_per_system
     return [
         (est_id, [params[name] for name in _ESTIMATORS[est_id]],
-         EstimatorConfig(samples=n, seed=seed, workers=workers, lines_per_system=lines))
+         EstimatorConfig(samples=n, seed=seed, lines_per_system=lines))
         for est_id, params, seed, n in sides
     ]
 
@@ -180,7 +180,12 @@ def _validate_experiment(exp: ExperimentConfig) -> None:
     """Reject an experiment before sampling: every estimator call must pass its
     montecarlo domain check; a single estimate needs a closed form that applies."""
     try:
-        for est_id, args, _ in _calls(exp, exp.samples, 1):
+        if not isinstance(exp.probe, bool):
+            raise ValueError(f"probe must be true or false, got {exp.probe!r}")
+        montecarlo.check_tolerance(exp.tolerance_sigmas)
+        # a pair's estimators take seeds mixed from the experiment's, so check it here
+        EstimatorConfig(samples=exp.samples, seed=exp.seed)
+        for est_id, args, _ in _calls(exp, exp.samples):
             getattr(montecarlo, f"{est_id}_domain")(*args)
         if exp.estimator_id not in _PAIRS:
             _closed_form(exp)
@@ -191,13 +196,11 @@ def _validate_experiment(exp: ExperimentConfig) -> None:
         raise ValueError(f"{exp.experiment_id}: {err}") from err
 
 
-def run_experiment(
-    exp: ExperimentConfig, samples_override: int | None = None, workers: int = 1
-) -> Comparison:
+def run_experiment(exp: ExperimentConfig, samples_override: int | None = None) -> Comparison:
     """Execute one experiment and compare against its reference."""
     samples = samples_override if samples_override is not None else exp.samples
     estimates = [getattr(montecarlo, f"estimate_{est_id}")(*args, cfg)
-                 for est_id, args, cfg in _calls(exp, samples, workers)]
+                 for est_id, args, cfg in _calls(exp, samples)]
     pair = _PAIRS.get(exp.estimator_id)
     if pair is None:
         return montecarlo.compare(estimates[0], _closed_form(exp), exp.tolerance_sigmas)
@@ -319,7 +322,8 @@ def parse_config(obj: dict) -> list[ExperimentConfig]:
     version = obj.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version}")
-    base_seed = int(obj.get("seed", DEFAULT_SEED))
+    base_seed = obj.get("seed", DEFAULT_SEED)
+    EstimatorConfig(samples=1, seed=base_seed)  # seeds follow the estimator seed rules
     raw = obj.get("experiments")
     if not isinstance(raw, list) or not raw:
         raise ValueError("config must list at least one experiment")
@@ -330,12 +334,12 @@ def parse_config(obj: dict) -> list[ExperimentConfig]:
             experiment_id=str(e["experiment_id"]),
             estimator_id=str(e["estimator_id"]),
             params=dict(e["params"]),
-            samples=int(e["samples"]),
-            seed=int(e.get("seed", mix64(base_seed, i + 1))),
+            samples=e["samples"],
+            seed=e.get("seed", mix64(base_seed, i + 1)),
             tolerance_sigmas=float(e.get("tolerance_sigmas", 3.0)),
             closed_form_id=e.get("closed_form_id"),
             lines_per_system=e.get("lines_per_system"),
-            probe=bool(e.get("probe", False)),
+            probe=e.get("probe", False),
         )
         if exp.experiment_id in seen:
             raise ValueError(f"duplicate experiment_id {exp.experiment_id!r}")
@@ -371,7 +375,6 @@ def config_to_dict(exps: list[ExperimentConfig]) -> dict:
 def run_verify(
     experiments: list[ExperimentConfig],
     samples_override: int | None = None,
-    workers: int = 1,
     echo=None,
 ) -> Report:
     """Run every experiment; overall pass is the conjunction of non-probe rows."""
@@ -379,7 +382,7 @@ def run_verify(
     rows = []
     for exp in experiments:
         try:
-            row = _row(exp, run_experiment(exp, samples_override, workers))
+            row = _row(exp, run_experiment(exp, samples_override))
         except (cxla.NumericError, KeyError, ValueError) as err:
             row = _row(exp, None, err)
         rows.append(row)
@@ -581,18 +584,6 @@ def _suite_gamma_telescoping(seed: int) -> tuple[bool, str]:
     return worst < 1e-12, f"max telescoping residual {worst:.2e}"
 
 
-def _suite_determinism(seed: int, workers: int = 2) -> tuple[bool, str]:
-    runs = [
-        montecarlo.estimate_pinv_moment(
-            2, 4, 2.0, "frobenius",
-            EstimatorConfig(samples=3 * montecarlo.BLOCK_SAMPLES, seed=seed, workers=w),
-        )
-        for w in (1, workers)
-    ]
-    same = runs[0].mean == runs[1].mean and runs[0].stderr == runs[1].stderr
-    return same, f"means {runs[0].mean!r} vs {runs[1].mean!r}"
-
-
 def _suite_gaussian_convention(seed: int, variance_scale: float = 1.0) -> tuple[bool, str]:
     rng = RngStream(seed, 0)
     z = randgeom.complex_gaussian_array(rng, (100_000,)) * math.sqrt(variance_scale)
@@ -612,7 +603,6 @@ _SELFTEST_SUITES = [
     ("haar-unitarity", _suite_haar_unitarity),
     ("roots", _suite_roots),
     ("gamma-telescoping", _suite_gamma_telescoping),
-    ("determinism-parallel", _suite_determinism),
     ("gaussian-convention", _suite_gaussian_convention),
 ]
 
@@ -685,14 +675,12 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--config", help="JSON config path (default: bundled suite)")
     v.add_argument("--seed", type=int, help="override every experiment seed")
     v.add_argument("--samples", type=int, help="override every experiment's sample count")
-    v.add_argument("--workers", type=int, default=1)
     v.add_argument("--out", default="report", help="output directory for JSON/CSV reports")
 
     e = sub.add_parser("estimate", help="run a single estimator")
     e.add_argument("--estimator", required=True, choices=list(_ESTIMATORS))
     e.add_argument("--samples", type=int, default=100_000)
     e.add_argument("--seed", type=int, default=None)
-    e.add_argument("--workers", type=int, default=1)
     e.add_argument("--r", type=int)
     e.add_argument("--m", type=int)
     e.add_argument("--n", type=int)
@@ -728,7 +716,7 @@ def _env_seed() -> int | None:
     try:
         return int(raw)
     except ValueError:
-        return None
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _resolve_seed(cli_seed: int | None) -> int:
@@ -751,13 +739,11 @@ def _cmd_verify(args) -> int:
         else:
             exps = default_suite(_resolve_seed(args.seed))
         # the overrides reach every estimator call: reject them before sampling
-        EstimatorConfig(samples=1 if args.samples is None else args.samples, seed=0,
-                        workers=args.workers)
+        EstimatorConfig(samples=1 if args.samples is None else args.samples, seed=0)
     except (OSError, KeyError, TypeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    report = run_verify(exps, samples_override=args.samples, workers=args.workers,
-                        echo=print)
+    report = run_verify(exps, samples_override=args.samples, echo=print)
     json_path, csv_path = write_report(report, args.out)
     print(f"report: {json_path}")
     print(f"summary: {csv_path}")
@@ -770,7 +756,7 @@ def _cmd_estimate(args) -> int:
     estimate = getattr(montecarlo, f"estimate_{args.estimator}")
     try:
         cfg = EstimatorConfig(samples=args.samples, seed=_resolve_seed(args.seed),
-                              workers=args.workers, lines_per_system=args.lines)
+                              lines_per_system=args.lines)
         est = estimate(*(getattr(args, name) for name in _ESTIMATORS[args.estimator]), cfg)
     except (TypeError, ValueError) as err:
         print(f"parameter error: {err}", file=sys.stderr)
@@ -797,6 +783,15 @@ def _cmd_formulas(args) -> int:
     return 0
 
 
+def _cmd_selftest(args) -> int:
+    try:
+        seed = _resolve_seed(args.seed)
+    except ValueError as err:
+        print(f"parameter error: {err}", file=sys.stderr)
+        return 2
+    return 0 if run_selftest(seed) else 1
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "verify":
@@ -805,7 +800,7 @@ def main(argv=None) -> int:
         return _cmd_estimate(args)
     if args.command == "formulas":
         return _cmd_formulas(args)
-    return 0 if run_selftest(_resolve_seed(args.seed)) else 1
+    return _cmd_selftest(args)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Sampling discipline: draws happen in fixed blocks of BLOCK_SAMPLES, one
 counter-based substream per block (the polynomial estimator uses one
 substream per system instead, and runs chunks of systems as whole arrays).
-Values are reduced in block order with pairwise summation, so a result is a
-pure function of (estimator_id, params, seed, n_samples) regardless of the
-worker count.
+Blocks and chunks run one after another and values are reduced in block
+order with pairwise summation, so a result is a pure function of
+(estimator_id, params, seed, n_samples).
 
 Heavy tails: whenever the estimand's second moment is infinite or unproven
 the estimator switches to median-of-means over MOM_BUCKETS contiguous
@@ -21,7 +21,6 @@ the determinant powers span hundreds of orders of magnitude.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,16 +52,16 @@ class EstimatorConfig:
 
     samples: int
     seed: int
-    workers: int = 1
     lines_per_system: int = 8
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.lines_per_system < 1:
             raise ValueError(f"lines_per_system must be >= 1, got {self.lines_per_system}")
+        _check_integers(samples=self.samples, seed=self.seed,
+                        lines_per_system=self.lines_per_system)
+        RngStream(self.seed)  # rejects a seed that is not an unsigned 64-bit integer
 
 
 @dataclass(frozen=True)
@@ -121,13 +120,6 @@ def _blocks(n: int, block: int = BLOCK_SAMPLES):
         index += 1
 
 
-def _map_blocks(worker, tasks, workers: int) -> list[np.ndarray]:
-    if workers <= 1:
-        return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def _reduce_log_values(logv: np.ndarray, heavy: bool) -> tuple[float, float, str]:
     """Mean and dispersion from per-sample log-values.
 
@@ -172,13 +164,8 @@ def _run_matrix_estimator(
     log_values_fn,
     heavy: bool,
 ) -> EstimateResult:
-    def worker(task):
-        index, count = task
-        rng = RngStream(cfg.seed, index)
-        return log_values_fn(rng, count)
-
-    parts = _map_blocks(worker, list(_blocks(cfg.samples)), cfg.workers)
-    logv = np.concatenate(parts)
+    logv = np.concatenate([log_values_fn(RngStream(cfg.seed, index), count)
+                           for index, count in _blocks(cfg.samples)])
     mean, stderr, method = _reduce_log_values(logv, heavy)
     return EstimateResult(
         mean=mean,
@@ -436,12 +423,11 @@ def estimate_poly_moment(
     # restriction nodes, the most points per system of any evaluation pass
     chunk = max(1, CHUNK_POINTS // (lines * (d + 4)))
 
-    def worker(task) -> np.ndarray:
-        coeffs, pts, failed = roots.sample_zero_sets(cfg.seed, range(*task), n, d, lines)
-        return _poly_log_values(coeffs, d, pts, failed, alpha, relative)
-
-    tasks = [(s, min(s + chunk, cfg.samples)) for s in range(0, cfg.samples, chunk)]
-    parts = _map_blocks(worker, tasks, cfg.workers)
+    parts = []
+    for start in range(0, cfg.samples, chunk):
+        systems = range(start, min(start + chunk, cfg.samples))
+        coeffs, pts, failed = roots.sample_zero_sets(cfg.seed, systems, n, d, lines)
+        parts.append(_poly_log_values(coeffs, d, pts, failed, alpha, relative))
     logv = np.concatenate(parts)
 
     failed = int(np.count_nonzero(np.isnan(logv)))
@@ -481,10 +467,15 @@ def _z_score(delta: float, sigma: float, scale: float) -> float:
     return delta / max(sigma, floor)
 
 
+def check_tolerance(tolerance_sigmas: float) -> None:
+    """Reject an acceptance gate that is not a finite positive number of sigmas."""
+    if not (math.isfinite(tolerance_sigmas) and tolerance_sigmas > 0):
+        raise ValueError(f"tolerance_sigmas must be finite and positive, got {tolerance_sigmas}")
+
+
 def compare(est: EstimateResult, cf: FormulaValue, tolerance_sigmas: float) -> Comparison:
     """z-score of an estimate against a closed-form value."""
-    if tolerance_sigmas <= 0:
-        raise ValueError("tolerance_sigmas must be positive")
+    check_tolerance(tolerance_sigmas)
     z = _z_score(est.mean - cf.value, est.stderr, cf.value)
     return Comparison(
         estimate=est,
@@ -508,8 +499,7 @@ def compare_pair(
 
     Checks lhs_scale * lhs against rhs_scale * rhs.
     """
-    if tolerance_sigmas <= 0:
-        raise ValueError("tolerance_sigmas must be positive")
+    check_tolerance(tolerance_sigmas)
     ref = rhs_scale * rhs.mean
     sigma = math.hypot(lhs_scale * lhs.stderr, rhs_scale * rhs.stderr)
     z = _z_score(lhs_scale * lhs.mean - ref, sigma, ref)

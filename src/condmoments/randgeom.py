@@ -3,8 +3,7 @@
 Every sampler is a deterministic function of an RngStream, which couples a
 64-bit seed with a 64-bit stream index through the counter-based Philox
 generator.  Two streams built from the same (seed, stream_index) replay the
-same draws; parallel callers take distinct stream indices and the merged
-results cannot depend on scheduling.
+same draws, and draws under distinct stream indices are independent.
 
 Normal deviates come from Box-Muller applied to Philox uniforms rather than
 from the generator's own ziggurat, so the draw sequence is pinned down by

@@ -45,6 +45,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="2\\(n-r\\+2\\)"):
             cli.parse_config(doc)
 
+    def test_fractional_base_seed_rejected(self):
+        doc = tiny_config()
+        doc["seed"] = 2.5
+        del doc["experiments"][0]["seed"]
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+            cli.parse_config(doc)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="unknown estimator"):
             cli.parse_config(tiny_config(estimator_id="bogus"))
@@ -96,6 +103,20 @@ INVALID_EXPERIMENTS = {
         {"estimator_id": "detweighted_square",
          "params": {"r": 2, "k": math.inf, "alpha": 2.0, "norm": "frobenius"},
          "closed_form_id": "invnor2mdet_value"}, "k must be finite"),
+    "probe-string": ({"probe": "false"}, "probe must be true or false, got 'false'"),
+    "tol-inf": ({"tolerance_sigmas": math.inf}, "tolerance_sigmas must be finite and positive"),
+    "tol-nan": ({"tolerance_sigmas": math.nan}, "tolerance_sigmas must be finite and positive"),
+    "tol-zero": ({"tolerance_sigmas": 0}, "tolerance_sigmas must be finite and positive"),
+    "fractional-samples": ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+    "bool-samples": ({"samples": True}, "samples must be an integer, got True"),
+    "negative-seed": ({"seed": -1}, "unsigned 64-bit"),
+    "huge-seed": ({"seed": 2**70}, "unsigned 64-bit"),
+    "pair-negative-seed": ({**SCALING_PAIR, "seed": -1}, "unsigned 64-bit"),
+    "fractional-seed": ({"seed": 99.5}, "seed must be an integer, got 99.5"),
+    "fractional-lines": ({**POLY, "lines_per_system": 2.5},
+                         "lines_per_system must be an integer, got 2.5"),
+    "bool-lines": ({**POLY, "lines_per_system": True},
+                   "lines_per_system must be an integer, got True"),
 }
 
 
@@ -178,12 +199,6 @@ class TestRunVerify:
         report = cli.run_verify(exps, samples_override=2000)
         assert report.rows[0]["n_samples"] == 2000
 
-    def test_worker_count_leaves_report_identical(self):
-        exps = cli.parse_config(tiny_config(samples=9000))
-        single = cli.report_csv(cli.run_verify(exps, workers=1))
-        multi = cli.report_csv(cli.run_verify(exps, workers=3))
-        assert single == multi
-
 
 class TestMain:
     def test_verify_with_config_exit_zero(self, tmp_path, capsys):
@@ -217,8 +232,7 @@ class TestMain:
     def test_verify_missing_file_exit_two(self):
         assert cli.main(["verify", "--config", "/nonexistent/x.json"]) == 2
 
-    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-5"),
-                                             ("--workers", "0")])
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-5")])
     def test_verify_bad_override_exit_two_before_sampling(self, tmp_path, capsys, flag, value):
         out = tmp_path / "rep"
         assert cli.main(["verify", flag, value, "--out", str(out)]) == 2
@@ -240,7 +254,7 @@ class TestMain:
                          "--m", "2", "--samples", "10"])
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--samples", "--workers", "--lines"])
+    @pytest.mark.parametrize("flag", ["--samples", "--lines"])
     def test_estimate_zero_count_exit_two(self, capsys, flag):
         argv = ["estimate", "--estimator", "poly_moment", "--n", "2", "--degrees", "2",
                 "--samples", "10", flag, "0"]
@@ -308,6 +322,29 @@ class TestMain:
                   "--alpha", "2", "--samples", "1000"])
         out = json.loads(capsys.readouterr().out)
         assert out["seed"] == 777
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--samples", "10"],
+        ["estimate", "--estimator", "espnorm", "--n", "2", "--samples", "100"],
+        ["selftest"],
+    ])
+    def test_non_integer_env_seed_exit_two(self, monkeypatch, tmp_path, capsys, argv):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{cli.SEED_ENV_VAR} must be an integer, got 'abc'" in captured.err
+        assert not (tmp_path / "report").exists()
+
+    def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(samples=100)))
+        for argv in (["verify", "--config", str(cfg_path), "--out", str(tmp_path / "rep")],
+                     ["estimate", "--estimator", "espnorm", "--n", "2", "--samples", "100"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--workers", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestSelftest:
