@@ -17,21 +17,9 @@ from .bwspace import (
     kernel_poly,
     l0_matrix,
     make_system,
-    projective_point,
-    system_from_json,
-    system_to_json,
 )
-from .cxla import (
-    NumericError,
-    SvdFactors,
-    abs_det_gram,
-    frobenius_norm,
-    kernel_basis,
-    operator_norm,
-    pinv,
-    svd,
-)
-from .conditioning import ConditionValue, empirical_moment, mu_frobenius, mu_operator
+from .cxla import NumericError, kernel_basis
+from .conditioning import empirical_moment, mu
 from .formulas import (
     EspnormrestForms,
     FormulaValue,
@@ -60,13 +48,10 @@ from .montecarlo import (
 from .randgeom import (
     RngStream,
     complex_gaussian_vector,
-    gaussian_matrix,
     gaussian_system,
     haar_unitary,
     mix64,
-    random_projective_line,
     rotate_system,
-    sample_fiber,
 )
 from .roots import BinaryForm, binary_form_roots, restrict_to_line, sample_variety_points
 

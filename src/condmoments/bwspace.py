@@ -14,7 +14,7 @@ the norm of a system is the Euclidean norm of its flattened coordinates.
 
 Canonical monomial order: multi-indices of each degree are listed in
 lexicographic descending order on (j_0, ..., j_n), i.e. (d,0,...,0) first
-and (0,...,0,d) last.  All serialization uses this order.
+and (0,...,0,d) last.  Every coordinate vector uses this order.
 """
 
 from __future__ import annotations
@@ -178,17 +178,6 @@ def _point(x, n: int) -> np.ndarray:
     return v
 
 
-def projective_point(x) -> np.ndarray:
-    """Unit-norm representative of a nonzero vector."""
-    v = np.asarray(x, dtype=np.complex128).ravel()
-    nrm = np.linalg.norm(v)
-    if not np.isfinite(nrm) or nrm == 0.0:
-        raise ValueError("projective point needs a nonzero finite representative")
-    out = v / nrm
-    out.setflags(write=False)
-    return out
-
-
 def _power_table(points: np.ndarray, d: int) -> np.ndarray:
     # P[..., k, t] = x_k ** t, with 0**0 = 1
     return points[..., None] ** np.arange(d + 1)
@@ -305,23 +294,3 @@ def l0_matrix(h: SystemCoords) -> np.ndarray:
     jac = jacobian(h, e0)
     scale = 1.0 / np.sqrt(np.array(h.degrees, dtype=np.float64))
     return scale[:, None] * jac[:, 1:]
-
-
-def system_to_json(h: SystemCoords) -> dict:
-    """JSON-ready dict: {n, degrees, coords as [re, im] pairs in canonical order}."""
-    return {
-        "n": h.n,
-        "degrees": list(h.degrees),
-        "coords": [
-            [[float(z.real), float(z.imag)] for z in c] for c in h.coords
-        ],
-    }
-
-
-def system_from_json(obj: dict) -> SystemCoords:
-    """Inverse of system_to_json."""
-    coords = [
-        np.array([complex(re, im) for re, im in eq], dtype=np.complex128)
-        for eq in obj["coords"]
-    ]
-    return make_system(int(obj["n"]), obj["degrees"], coords)

@@ -336,7 +336,7 @@ def parse_config(obj: dict) -> list[ExperimentConfig]:
             params=dict(e["params"]),
             samples=e["samples"],
             seed=e.get("seed", mix64(base_seed, i + 1)),
-            tolerance_sigmas=float(e.get("tolerance_sigmas", 3.0)),
+            tolerance_sigmas=e.get("tolerance_sigmas", 3.0),
             closed_form_id=e.get("closed_form_id"),
             lines_per_system=e.get("lines_per_system"),
             probe=e.get("probe", False),
@@ -345,7 +345,7 @@ def parse_config(obj: dict) -> list[ExperimentConfig]:
             raise ValueError(f"duplicate experiment_id {exp.experiment_id!r}")
         seen.add(exp.experiment_id)
         _validate_experiment(exp)
-        exps.append(exp)
+        exps.append(dataclasses.replace(exp, tolerance_sigmas=float(exp.tolerance_sigmas)))
     return exps
 
 
@@ -451,38 +451,6 @@ def write_report(report: Report, out_dir: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # selftest property suites
 
-def _suite_penrose(seed: int) -> tuple[bool, str]:
-    rng = RngStream(seed, 0)
-    worst = 0.0
-    for r, m in ((1, 2), (2, 3), (3, 3), (4, 6), (2, 5)):
-        a = randgeom.gaussian_matrix(rng, r, m)
-        p = cxla.pinv(a)
-        scale = max(1.0, float(np.linalg.norm(a)))
-        worst = max(
-            worst,
-            float(np.linalg.norm(a @ p @ a - a)) / scale,
-            float(np.linalg.norm(p @ a @ p - p)) / max(1.0, float(np.linalg.norm(p))),
-            float(np.linalg.norm((a @ p).conj().T - a @ p)),
-            float(np.linalg.norm((p @ a).conj().T - p @ a)),
-        )
-    return worst < 1e-10, f"max Penrose residual {worst:.2e}"
-
-
-def _suite_svd_reconstruction(seed: int) -> tuple[bool, str]:
-    rng = RngStream(seed, 0)
-    worst = 0.0
-    for r, m in ((1, 1), (2, 3), (4, 4), (3, 6)):
-        a = randgeom.gaussian_matrix(rng, r, m)
-        f = cxla.svd(a)
-        worst = max(
-            worst,
-            float(np.linalg.norm(f.reconstruct() - a)) / float(np.linalg.norm(a)),
-            float(np.linalg.norm(f.u.conj().T @ f.u - np.eye(r))),
-            float(np.linalg.norm(f.v.conj().T @ f.v - np.eye(m))),
-        )
-    return worst < 1e-10, f"max SVD residual {worst:.2e}"
-
-
 def _suite_euler_identity(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, 0)
     worst = 0.0
@@ -507,7 +475,7 @@ def _suite_reproducing_kernel(seed: int) -> tuple[bool, str]:
         lhs = bwspace.bw_inner(h, k)
         rhs = bwspace.evaluate(h, x)[0]
         bound = bwspace.bw_norm(h) * np.linalg.norm(x) ** d
-        worst = max(worst, abs(lhs - rhs) / bound)
+        worst = max(worst, float(abs(lhs - rhs) / bound))
     return worst < 1e-10, f"max reproducing residual {worst:.2e}"
 
 
@@ -529,12 +497,12 @@ def _suite_mu_invariance(seed: int) -> tuple[bool, str]:
         h = randgeom.gaussian_system(rng, 2, (2,))
         pts = roots.sample_variety_points(h, rng, 1)
         x = pts[0]
-        mu = conditioning.mu_frobenius(h, x).value
+        mu = conditioning.mu(h, x)
         u = randgeom.haar_unitary(rng, 3)
-        mu_rot = conditioning.mu_frobenius(randgeom.rotate_system(h, u), u @ x).value
+        mu_rot = conditioning.mu(randgeom.rotate_system(h, u), u @ x)
         worst = max(worst, abs(mu_rot - mu) / mu)
         scaled = bwspace.make_system(h.n, h.degrees, [3.7 * c for c in h.coords])
-        worst = max(worst, abs(conditioning.mu_frobenius(scaled, x).value - mu) / mu)
+        worst = max(worst, abs(conditioning.mu(scaled, x) - mu) / mu)
     return worst < 1e-8, f"max mu drift {worst:.2e}"
 
 
@@ -594,8 +562,6 @@ def _suite_gaussian_convention(seed: int, variance_scale: float = 1.0) -> tuple[
 
 
 _SELFTEST_SUITES = [
-    ("penrose-conditions", _suite_penrose),
-    ("svd-reconstruction", _suite_svd_reconstruction),
     ("euler-identity", _suite_euler_identity),
     ("reproducing-kernel", _suite_reproducing_kernel),
     ("bw-unitary-invariance", _suite_bw_invariance),

@@ -6,16 +6,21 @@ The Frobenius condition number of a system h at a unit-norm zero x is
 
 with the Moore-Penrose pseudoinverse of the full r x (n+1) derivative; the
 operator-norm variant replaces the Frobenius norm of the scaled
-pseudoinverse by its largest singular value.  When Dh(x) has numerical rank
-below r the value is +infinity.  Both are scale invariant in h, invariant
-under a phase change of x, and invariant under simultaneous unitary
-rotation of system and point.
+pseudoinverse by its largest singular value (Buergisser and Cucker,
+*Condition*, ch. 16).  For a full-rank Dh(x) the scaled pseudoinverse is the
+pseudoinverse of the degree-scaled Jacobian diag(d_i^(-1/2)) Dh(x), so with
+s its singular values mu_F = ||h|| sqrt(sum s^-2) and mu_op = ||h|| / s_min.
+When s_min <= RANK_TOL * s_max the value is +infinity.  Both are scale
+invariant in h, invariant under a phase change of x, and invariant under
+simultaneous unitary rotation of system and point.
+
+This per-point SVD is the reference the estimators' batched fast path is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +32,6 @@ from .bwspace import SystemCoords
 ZERO_TOL = 1e-8
 
 _UNIT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ConditionValue:
-    """Condition number value; rank_deficient is true iff value is +inf."""
-
-    value: float
-    rank_deficient: bool
-
 
 def _checked_zero(h: SystemCoords, x) -> tuple[np.ndarray, float]:
     v = np.asarray(x, dtype=np.complex128).ravel()
@@ -55,36 +51,24 @@ def _checked_zero(h: SystemCoords, x) -> tuple[np.ndarray, float]:
     return v, hnorm
 
 
-def _scaled_pinv(h: SystemCoords, x: np.ndarray) -> np.ndarray | None:
-    """Dh(x)^+ diag(sqrt(d_i)), or None when Dh(x) is rank deficient."""
-    jac = bwspace.jacobian(h, x)
-    f = cxla.svd(jac)
-    k = cxla.numerical_rank(f.singular_values)
-    if k < h.r:
-        return None
-    pj = (f.v[:, :k] / f.singular_values[:k]) @ f.u[:, :k].conj().T
-    return pj * np.sqrt(np.array(h.degrees, dtype=np.float64))[None, :]
+def mu(h: SystemCoords, x, norm: str = "frobenius") -> float:
+    """Condition number of h at its unit-norm zero x; +inf when rank deficient.
 
-
-def mu_frobenius(h: SystemCoords, x) -> ConditionValue:
-    """Frobenius condition number at a unit-norm zero of h."""
-    v, hnorm = _checked_zero(h, x)
-    b = _scaled_pinv(h, v)
-    if b is None:
-        return ConditionValue(value=math.inf, rank_deficient=True)
-    return ConditionValue(value=hnorm * cxla.frobenius_norm(b), rank_deficient=False)
-
-
-def mu_operator(h: SystemCoords, x) -> ConditionValue:
-    """Operator-norm condition number at a unit-norm zero of h.
-
-    Satisfies mu_operator <= mu_frobenius <= sqrt(r) * mu_operator.
+    Satisfies mu(h, x, "operator") <= mu(h, x) <= sqrt(r) * mu(h, x, "operator").
     """
+    if norm not in ("frobenius", "operator"):
+        raise ValueError(f"unknown norm {norm!r}")
     v, hnorm = _checked_zero(h, x)
-    b = _scaled_pinv(h, v)
-    if b is None:
-        return ConditionValue(value=math.inf, rank_deficient=True)
-    return ConditionValue(value=hnorm * cxla.operator_norm(b), rank_deficient=False)
+    scale = np.sqrt(np.array(h.degrees, dtype=np.float64))
+    try:
+        s = np.linalg.svd(bwspace.jacobian(h, v) / scale[:, None], compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise cxla.NumericError(f"SVD did not converge at a zero of an r = {h.r} system") from exc
+    if s[-1] <= cxla.RANK_TOL * s[0]:
+        return math.inf
+    if norm == "operator":
+        return hnorm / float(s[-1])
+    return hnorm * math.sqrt(float(np.sum(s**-2.0)))
 
 
 def empirical_moment(
@@ -104,16 +88,13 @@ def empirical_moment(
         raise ValueError("empirical_moment needs at least one zero")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    mu = {"frobenius": mu_frobenius, "operator": mu_operator}.get(norm)
-    if mu is None:
-        raise ValueError(f"unknown norm {norm!r}")
     hnorm = bwspace.bw_norm(h)
     total = 0.0
     for x in zeros:
-        m = mu(h, x)
-        if m.rank_deficient:
+        m = mu(h, x, norm)
+        if math.isinf(m):
             return math.inf
-        term = m.value**alpha
+        term = m**alpha
         if relative:
             term /= hnorm**alpha
         total += term

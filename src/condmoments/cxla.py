@@ -1,13 +1,13 @@
-"""Dense complex linear algebra kernel.
+"""Dense complex linear algebra: the matrix contract, the rank rule and kernels.
 
-Small-matrix SVD, Moore-Penrose pseudoinverse, norms, Gram determinants and
-kernel bases, sized for desk-scale Monte Carlo work (matrices up to a few
-dozen rows/columns).  Everything is a pure function of immutable inputs.
+The estimators take every pseudoinverse norm and Gram determinant from
+squared singular values (montecarlo) and the per-point condition number from
+singular values (conditioning); what they share lives here: the error type
+for a routine that fails, the relative rank tolerance, the coercion of a
+matrix argument, and an orthonormal null-space basis.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,103 +35,19 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Full SVD of an r x m matrix: m = u @ diag(s) @ v*.
-
-    u is r x r unitary, v is m x m unitary, singular_values has
-    min(r, m) nonincreasing nonnegative entries.
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        r, m = self.u.shape[0], self.v.shape[0]
-        d = np.zeros((r, m), dtype=np.complex128)
-        k = len(self.singular_values)
-        d[:k, :k] = np.diag(self.singular_values)
-        return self.u @ d @ self.v.conj().T
-
-
-def svd(m) -> SvdFactors:
-    """Full singular value decomposition with unitary factors.
-
-    Raises NumericError if the underlying iteration does not converge.
-    """
-    a = as_complex_matrix(m)
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD did not converge for shape {a.shape}") from exc
-    return SvdFactors(u=u, singular_values=s, v=vh.conj().T)
-
-
-def numerical_rank(singular_values: np.ndarray, rank_tol: float = RANK_TOL) -> int:
-    """Count singular values above rank_tol times the largest one."""
-    s = np.asarray(singular_values, dtype=np.float64)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
-
-
-def pinv(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD with rank truncation.
-
-    Satisfies the four Penrose conditions to ~1e-10 relative for
-    well-scaled inputs.
-    """
-    a = as_complex_matrix(m)
-    f = svd(a)
-    k = numerical_rank(f.singular_values, rank_tol)
-    if k == 0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    u_k = f.u[:, :k]
-    v_k = f.v[:, :k]
-    inv_s = 1.0 / f.singular_values[:k]
-    return (v_k * inv_s) @ u_k.conj().T
-
-
-def frobenius_norm(m) -> float:
-    """sqrt of the sum of squared entry moduli."""
-    a = as_complex_matrix(m)
-    return float(np.linalg.norm(a.ravel()))
-
-
-def operator_norm(m) -> float:
-    """Largest singular value."""
-    a = as_complex_matrix(m)
-    f = svd(a)
-    return float(f.singular_values[0])
-
-
-def abs_det_gram(m) -> float:
-    """|det(M M*)| for a matrix with rows <= cols.
-
-    Equals the product of squared singular values.  Accumulated in log
-    space so that large-exponent determinant weights stay inside double
-    range; an exact zero singular value short-circuits to 0.
-    """
-    a = as_complex_matrix(m)
-    if a.shape[0] > a.shape[1]:
-        raise ValueError(f"abs_det_gram expects rows <= cols, got {a.shape}")
-    f = svd(a)
-    s = f.singular_values
-    if np.any(s == 0.0):
-        return 0.0
-    return float(np.exp(2.0 * np.sum(np.log(s))))
-
-
 def kernel_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the null space, as columns of a cols x k matrix.
 
-    k = cols - numerical_rank(m).  For the zero matrix this is the full
-    identity-column basis.
+    k = cols minus the number of singular values above rank_tol times the
+    largest one.  For the zero matrix this is the full identity-column basis.
+    Raises NumericError if the SVD does not converge.
     """
     a = as_complex_matrix(m)
     if a.shape[0] > a.shape[1]:
         raise ValueError(f"kernel_basis expects rows <= cols, got {a.shape}")
-    f = svd(a)
-    k = numerical_rank(f.singular_values, rank_tol)
-    return np.ascontiguousarray(f.v[:, k:])
+    try:
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD did not converge for shape {a.shape}") from exc
+    rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    return np.ascontiguousarray(vh[rank:].conj().T)

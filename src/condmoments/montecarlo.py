@@ -21,6 +21,7 @@ the determinant powers span hundreds of orders of magnitude.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,7 +364,8 @@ def _poly_log_values(
 
     Single-equation fast path: for r = 1 the Frobenius and operator values
     coincide and mu = ||h|| sqrt(d) / ||Dh(x)||, which agrees with
-    conditioning.empirical_moment (pinned by a consistency test).
+    conditioning.empirical_moment for both norms (pinned by
+    test_sample_variety_points_reproduces_system_values).
     """
     n = pts.shape[2] - 1
     hnorm = np.linalg.norm(coeffs, axis=1)[:, None]
@@ -469,6 +471,8 @@ def _z_score(delta: float, sigma: float, scale: float) -> float:
 
 def check_tolerance(tolerance_sigmas: float) -> None:
     """Reject an acceptance gate that is not a finite positive number of sigmas."""
+    if isinstance(tolerance_sigmas, bool) or not isinstance(tolerance_sigmas, numbers.Real):
+        raise ValueError(f"tolerance_sigmas must be a number, got {tolerance_sigmas!r}")
     if not (math.isfinite(tolerance_sigmas) and tolerance_sigmas > 0):
         raise ValueError(f"tolerance_sigmas must be finite and positive, got {tolerance_sigmas}")
 

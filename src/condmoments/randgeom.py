@@ -1,4 +1,4 @@
-"""Randomness: complex Gaussians, Haar unitaries, fibers, rotations.
+"""Randomness: complex Gaussians, Haar unitaries, line frames, rotations.
 
 Every sampler is a deterministic function of an RngStream, which couples a
 64-bit seed with a 64-bit stream index through the counter-based Philox
@@ -79,13 +79,6 @@ def complex_gaussian_vector(rng: RngStream, n: int) -> np.ndarray:
     return complex_gaussian_array(rng, (n,))
 
 
-def gaussian_matrix(rng: RngStream, r: int, m: int) -> np.ndarray:
-    """r x m matrix with i.i.d. standard complex Gaussian entries."""
-    if r < 1 or m < 1:
-        raise ValueError(f"matrix dimensions must be >= 1, got {r} x {m}")
-    return complex_gaussian_array(rng, (r, m))
-
-
 def gaussian_system(rng: RngStream, n: int, degrees) -> SystemCoords:
     """Standard Gaussian system: i.i.d. standard complex Gaussian coordinates.
 
@@ -116,26 +109,6 @@ def unitary_from_ginibre(a: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
-
-
-def sample_fiber(rng: RngStream, x, n: int, degrees) -> SystemCoords:
-    """Standard Gaussian draw conditioned on vanishing at a unit-norm point.
-
-    Draws a standard Gaussian system and removes, equation by equation, its
-    component along the reproducing kernel at x.  Since ||x|| = 1 the kernel
-    has unit norm and the projection is h_i - h_i(x) <., x>^{d_i}; the result
-    is standard Gaussian on the subspace of systems vanishing at x.
-    """
-    v = np.asarray(x, dtype=np.complex128).ravel()
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValueError("fiber point must have unit norm")
-    h = gaussian_system(rng, n, degrees)
-    values = bwspace.evaluate(h, v)
-    coords = []
-    for i, d in enumerate(h.degrees):
-        k = bwspace.kernel_poly(v, d)
-        coords.append(h.coords[i] - values[i] * k.coords[0])
-    return bwspace.make_system(n, h.degrees, coords)
 
 
 def rotate_system(h: SystemCoords, u) -> SystemCoords:
@@ -180,23 +153,6 @@ def rotate_system(h: SystemCoords, u) -> SystemCoords:
                 acc[index_of[mono]] += a * coef
         new_coords.append(acc / w)
     return bwspace.make_system(h.n, h.degrees, new_coords)
-
-
-def random_projective_line(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal pair (u, v) in C^{n+1} spanning a uniform 2-plane.
-
-    Gaussian pair followed by Gram-Schmidt; the law of the span is invariant
-    under the unitary group.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    while True:
-        g1 = complex_gaussian_vector(rng, n + 1)
-        g2 = complex_gaussian_vector(rng, n + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u, v = orthonormal_pair(g1, g2)
-        if np.all(np.isfinite(u)) and np.all(np.isfinite(v)):  # else measure zero, retry
-            return u, v
 
 
 def orthonormal_pair(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

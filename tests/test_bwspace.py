@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -266,26 +265,6 @@ class TestL0Matrix:
         )
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        h = gaussian_system(RngStream(34, 0), 2, (1, 3))
-        doc = bwspace.system_to_json(h)
-        text = json.dumps(doc)
-        back = bwspace.system_from_json(json.loads(text))
-        assert back.n == h.n
-        assert back.degrees == h.degrees
-        for a, b in zip(back.coords, h.coords):
-            assert np.array_equal(a, b)
-
-    def test_schema_fields(self):
-        h = gaussian_system(RngStream(35, 0), 1, (2,))
-        doc = bwspace.system_to_json(h)
-        assert set(doc) == {"n", "degrees", "coords"}
-        assert doc["degrees"] == [2]
-        assert len(doc["coords"][0]) == 3
-        assert all(len(pair) == 2 for pair in doc["coords"][0])
-
-
 class TestValidation:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="coordinates"):
@@ -295,9 +274,3 @@ class TestValidation:
         c = np.array([np.inf, 0.0, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="finite"):
             bwspace.make_system(1, (2,), [c])
-
-    def test_projective_point(self):
-        p = bwspace.projective_point(np.array([3.0, 4.0j]))
-        assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            bwspace.projective_point(np.zeros(3))

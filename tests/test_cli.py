@@ -21,6 +21,10 @@ def tiny_config(**overrides):
 
 
 class TestConfigParsing:
+    def test_integer_tolerance_is_stored_as_float(self):
+        tol = cli.parse_config(tiny_config(tolerance_sigmas=4))[0].tolerance_sigmas
+        assert type(tol) is float and tol == 4.0
+
     def test_round_trip_is_idempotent(self):
         exps = cli.parse_config(tiny_config())
         doc = cli.config_to_dict(exps)
@@ -107,6 +111,10 @@ INVALID_EXPERIMENTS = {
     "tol-inf": ({"tolerance_sigmas": math.inf}, "tolerance_sigmas must be finite and positive"),
     "tol-nan": ({"tolerance_sigmas": math.nan}, "tolerance_sigmas must be finite and positive"),
     "tol-zero": ({"tolerance_sigmas": 0}, "tolerance_sigmas must be finite and positive"),
+    "tol-bool": ({"tolerance_sigmas": True},
+                 "pinv-small: tolerance_sigmas must be a number, got True"),
+    "tol-string": ({"tolerance_sigmas": "3"},
+                   "pinv-small: tolerance_sigmas must be a number, got '3'"),
     "fractional-samples": ({"samples": 2.5}, "samples must be an integer, got 2.5"),
     "bool-samples": ({"samples": True}, "samples must be an integer, got True"),
     "negative-seed": ({"seed": -1}, "unsigned 64-bit"),
@@ -360,6 +368,12 @@ class TestSelftest:
         assert not ok
         ok, _ = cli._suite_gaussian_convention(12345, variance_scale=1.0)
         assert ok
+
+    def test_every_suite_returns_a_python_bool(self):
+        assert len(cli._SELFTEST_SUITES) == 8
+        for index, (name, fn) in enumerate(cli._SELFTEST_SUITES):
+            ok, _ = fn(cli.mix64(cli.DEFAULT_SEED, index + 1))
+            assert type(ok) is bool, name
 
     def test_selftest_exit_code(self):
         assert cli.main(["selftest"]) == 0

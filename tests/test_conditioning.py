@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from condmoments import bwspace, conditioning, cxla, randgeom, roots
-from condmoments.randgeom import RngStream, complex_gaussian_vector, gaussian_system
+from condmoments.randgeom import (
+    RngStream,
+    complex_gaussian_array,
+    complex_gaussian_vector,
+    gaussian_system,
+)
 
 
 def make_linear_system(m):
@@ -22,18 +27,16 @@ class TestMuFrobenius:
         # h = x_1 (n = r = 1, d = 1), zero at e_0: Dh = (0, 1), mu = 1
         h = bwspace.make_system(1, (1,), [np.array([0.0, 1.0], dtype=complex)])
         x = np.array([1.0, 0.0], dtype=complex)
-        out = conditioning.mu_frobenius(h, x)
-        assert not out.rank_deficient
-        assert out.value == pytest.approx(1.0, rel=1e-12)
+        assert conditioning.mu(h, x) == pytest.approx(1.0, rel=1e-12)
 
     def test_scale_invariance(self):
         rng = RngStream(41, 0)
         h = gaussian_system(rng, 2, (2,))
         x = roots.sample_variety_points(h, rng, 1)[0]
-        base = conditioning.mu_frobenius(h, x).value
+        base = conditioning.mu(h, x)
         for lam in (0.1, 3.0, 10.0, 0.5 - 2.0j):
             scaled = bwspace.make_system(h.n, h.degrees, [lam * c for c in h.coords])
-            assert conditioning.mu_frobenius(scaled, x).value == pytest.approx(
+            assert conditioning.mu(scaled, x) == pytest.approx(
                 base, rel=1e-12
             )
 
@@ -45,28 +48,27 @@ class TestMuFrobenius:
             m = u[:r, :]
             h = make_linear_system(m)
             x = cxla.kernel_basis(m)[:, 0]
-            out = conditioning.mu_frobenius(h, x)
-            assert out.value == pytest.approx(float(r), rel=1e-10)
+            assert conditioning.mu(h, x) == pytest.approx(float(r), rel=1e-10)
 
     def test_rejects_non_zero_point(self):
         h = bwspace.make_system(1, (2,), [np.array([1.0, 0.0, 0.0], dtype=complex)])
         x = np.array([1.0, 0.0], dtype=complex)  # h(e_0) = 1 != 0
         with pytest.raises(ValueError, match="not a zero"):
-            conditioning.mu_frobenius(h, x)
+            conditioning.mu(h, x)
 
     def test_rejects_non_unit_point(self):
         h = bwspace.make_system(1, (1,), [np.array([0.0, 1.0], dtype=complex)])
         with pytest.raises(ValueError, match="unit"):
-            conditioning.mu_frobenius(h, np.array([2.0, 0.0], dtype=complex))
+            conditioning.mu(h, np.array([2.0, 0.0], dtype=complex))
 
     def test_phase_change_of_representative(self):
         rng = RngStream(43, 0)
         h = gaussian_system(rng, 2, (3,))
         x = roots.sample_variety_points(h, rng, 1)[0]
-        base = conditioning.mu_frobenius(h, x).value
+        base = conditioning.mu(h, x)
         for theta in (0.3, 1.2, 2.9):
             y = np.exp(1j * theta) * x
-            assert conditioning.mu_frobenius(h, y).value == pytest.approx(
+            assert conditioning.mu(h, y) == pytest.approx(
                 base, rel=1e-10
             )
 
@@ -82,11 +84,11 @@ class TestMuFrobenius:
             # Hermitian complement of x is the kernel of the row vector x*
             basis = cxla.kernel_basis(np.conj(x)[None, :])
             restricted = jac @ basis
-            full_norm = cxla.frobenius_norm(
-                cxla.pinv(jac) * np.sqrt(np.array(h.degrees))
+            full_norm = np.linalg.norm(
+                np.linalg.pinv(jac) * np.sqrt(np.array(h.degrees))
             )
-            restricted_norm = cxla.frobenius_norm(
-                cxla.pinv(restricted) * np.sqrt(np.array(h.degrees))
+            restricted_norm = np.linalg.norm(
+                np.linalg.pinv(restricted) * np.sqrt(np.array(h.degrees))
             )
             assert restricted_norm == pytest.approx(full_norm, rel=1e-10)
 
@@ -95,16 +97,16 @@ class TestMuOperator:
     def test_rank_one_coincides_with_frobenius(self):
         h = bwspace.make_system(1, (1,), [np.array([0.0, 1.0], dtype=complex)])
         x = np.array([1.0, 0.0], dtype=complex)
-        assert conditioning.mu_operator(h, x).value == pytest.approx(1.0, rel=1e-12)
+        assert conditioning.mu(h, x, "operator") == pytest.approx(1.0, rel=1e-12)
 
     def test_sandwich_inequality(self):
         rng = RngStream(45, 0)
         for r, n in ((2, 3), (3, 4)):
-            m = randgeom.gaussian_matrix(rng, r, n + 1)
+            m = complex_gaussian_array(rng, (r, n + 1))
             h = make_linear_system(m)
             x = cxla.kernel_basis(m)[:, 0]
-            mf = conditioning.mu_frobenius(h, x).value
-            mo = conditioning.mu_operator(h, x).value
+            mf = conditioning.mu(h, x)
+            mo = conditioning.mu(h, x, "operator")
             assert mo <= mf * (1 + 1e-12)
             assert mf <= math.sqrt(r) * mo * (1 + 1e-12)
 
@@ -113,10 +115,60 @@ class TestMuOperator:
         row = complex_gaussian_vector(rng, 4)
         x = unit(cxla.kernel_basis(row[None, :])[:, 0])
         h = make_linear_system(np.array([row, row]))
-        out = conditioning.mu_operator(h, x)
-        assert out.rank_deficient
-        assert math.isinf(out.value)
-        assert math.isinf(conditioning.mu_frobenius(h, x).value)
+        assert math.isinf(conditioning.mu(h, x, "operator"))
+        assert math.isinf(conditioning.mu(h, x))
+
+
+def system_through(rng, x, n, degrees):
+    """Gaussian system with each equation's component along the kernel at x removed."""
+    h = gaussian_system(rng, n, degrees)
+    values = bwspace.evaluate(h, x)
+    coords = [c - v * bwspace.kernel_poly(x, d).coords[0]
+              for c, v, d in zip(h.coords, values, h.degrees)]
+    return bwspace.make_system(n, h.degrees, coords)
+
+
+def pinv_reference(h, x, norm):
+    """||h|| * ||Dh(x)^+ diag(sqrt(d_i))|| straight from the definition."""
+    scaled = np.linalg.pinv(bwspace.jacobian(h, x)) * np.sqrt(np.array(h.degrees))
+    return bwspace.bw_norm(h) * np.linalg.norm(scaled, "fro" if norm == "frobenius" else 2)
+
+
+class TestRankRule:
+    @pytest.mark.parametrize("norm", ["frobenius", "operator"])
+    def test_singular_value_ratio_threshold(self, norm):
+        # linear systems (degree scaling is the identity) whose Jacobian has
+        # singular values 1 and ratio: finite at 1e-10, rank deficient at 1e-14
+        rng = RngStream(50, 0)
+        for ratio, finite in ((1e-10, True), (1e-14, False)):
+            u = randgeom.haar_unitary(rng, 2)
+            v = randgeom.haar_unitary(rng, 4)
+            m = u @ np.diag([1.0, ratio]) @ v[:2]
+            h = make_linear_system(m)
+            x = v[3].conj()  # orthogonal to both rows of v[:2]
+            value = conditioning.mu(h, x, norm)
+            if finite:
+                expected = 1.0 / ratio if norm == "operator" else math.hypot(1.0, 1.0 / ratio)
+                assert value == pytest.approx(bwspace.bw_norm(h) * expected, rel=1e-4)
+            else:
+                assert math.isinf(value)
+
+    @pytest.mark.parametrize("norm", ["frobenius", "operator"])
+    @pytest.mark.parametrize("n, degrees", [(2, (1, 2)), (3, (3, 1)), (3, (1, 2, 3)),
+                                            (4, (2, 3, 1))])
+    def test_matches_pinv_definition_on_mixed_degrees(self, norm, n, degrees):
+        rng = RngStream(51, len(degrees))
+        for _ in range(10):
+            x = unit(complex_gaussian_vector(rng, n + 1))
+            h = system_through(rng, x, n, degrees)
+            assert conditioning.mu(h, x, norm) == pytest.approx(
+                pinv_reference(h, x, norm), rel=1e-12
+            )
+
+    def test_rejects_unknown_norm(self):
+        h = bwspace.make_system(1, (1,), [np.array([0.0, 1.0], dtype=complex)])
+        with pytest.raises(ValueError, match="unknown norm"):
+            conditioning.mu(h, np.array([1.0, 0.0], dtype=complex), "spectral")
 
 
 class TestUnitaryInvariance:
@@ -125,10 +177,10 @@ class TestUnitaryInvariance:
         for _ in range(100):
             h = gaussian_system(rng, 2, (2,))
             x = roots.sample_variety_points(h, rng, 1)[0]
-            mu = conditioning.mu_frobenius(h, x).value
+            mu = conditioning.mu(h, x)
             u = randgeom.haar_unitary(rng, 3)
             rotated = randgeom.rotate_system(h, u)
-            mu_rot = conditioning.mu_frobenius(rotated, u @ x).value
+            mu_rot = conditioning.mu(rotated, u @ x)
             assert mu_rot == pytest.approx(mu, rel=1e-8)
 
 

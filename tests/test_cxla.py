@@ -2,157 +2,11 @@ import numpy as np
 import pytest
 
 from condmoments import cxla
-from condmoments.randgeom import RngStream, complex_gaussian_array, haar_unitary
+from condmoments.randgeom import RngStream, complex_gaussian_array
 
 
 def random_matrix(seed, r, m):
     return complex_gaussian_array(RngStream(seed, 0), (r, m))
-
-
-def eig_2x2_hermitian(a):
-    """Eigenvalues of a 2x2 Hermitian matrix from its characteristic polynomial."""
-    tr = a[0, 0].real + a[1, 1].real
-    det = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real
-    disc = np.sqrt(tr * tr - 4.0 * det)
-    return sorted([(tr + disc) / 2.0, (tr - disc) / 2.0], reverse=True)
-
-
-def penrose_residuals(a, p):
-    """Max residual of the four Penrose conditions, scaled."""
-    na = max(1.0, np.linalg.norm(a))
-    np_ = max(1.0, np.linalg.norm(p))
-    return max(
-        np.linalg.norm(a @ p @ a - a) / na,
-        np.linalg.norm(p @ a @ p - p) / np_,
-        np.linalg.norm((a @ p).conj().T - a @ p),
-        np.linalg.norm((p @ a).conj().T - p @ a),
-    )
-
-
-class TestSvd:
-    def test_identity(self):
-        f = cxla.svd(np.eye(2))
-        assert f.singular_values == pytest.approx([1.0, 1.0])
-
-    def test_diagonal_absolute_values(self):
-        f = cxla.svd(np.array([[3.0, 0.0], [0.0, 4.0j]]))
-        assert f.singular_values == pytest.approx([4.0, 3.0])
-
-    def test_against_characteristic_polynomial_oracle(self):
-        m = random_matrix(101, 2, 3)
-        expected = eig_2x2_hermitian(m @ m.conj().T)
-        f = cxla.svd(m)
-        assert f.singular_values**2 == pytest.approx(expected, rel=1e-10)
-
-    def test_factors_unitary_and_reconstruct(self):
-        for seed, (r, c) in enumerate([(1, 4), (3, 3), (4, 2), (5, 7)]):
-            m = random_matrix(200 + seed, r, c)
-            f = cxla.svd(m)
-            assert np.linalg.norm(f.u.conj().T @ f.u - np.eye(r)) < 1e-10
-            assert np.linalg.norm(f.v.conj().T @ f.v - np.eye(c)) < 1e-10
-            assert np.linalg.norm(f.reconstruct() - m) < 1e-10 * np.linalg.norm(m)
-            assert np.all(np.diff(f.singular_values) <= 0)
-            assert np.all(f.singular_values >= 0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="finite"):
-            cxla.svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            cxla.svd(np.array([1.0, 2.0]))
-
-
-class TestPinv:
-    def test_invertible_square(self):
-        m = random_matrix(7, 3, 3)
-        p = cxla.pinv(m)
-        assert np.linalg.norm(p @ m - np.eye(3)) < 1e-10
-
-    def test_zero_matrix(self):
-        p = cxla.pinv(np.zeros((2, 3)))
-        assert p.shape == (3, 2)
-        assert np.all(p == 0)
-
-    def test_zero_block_stack(self):
-        b = random_matrix(8, 3, 3)
-        m = np.hstack([np.zeros((3, 1)), b])
-        p = cxla.pinv(m)
-        assert penrose_residuals(m, p) < 1e-10
-        assert np.linalg.norm(p[0]) < 1e-10
-        assert np.linalg.norm(p[1:] - np.linalg.inv(b)) < 1e-10 * np.linalg.norm(p)
-
-    def test_penrose_on_random_shapes(self):
-        for seed, (r, c) in enumerate([(2, 2), (2, 5), (4, 6), (1, 3), (5, 5)]):
-            m = random_matrix(300 + seed, r, c)
-            assert penrose_residuals(m, cxla.pinv(m)) < 1e-10
-
-    def test_involution(self):
-        # pinv(pinv(M)) = M over seeded draws up to 6x8
-        rng = RngStream(424242, 0)
-        for _ in range(100):
-            r = int(rng.uniforms(()) * 6) + 1
-            c = int(rng.uniforms(()) * 8) + 1
-            m = complex_gaussian_array(rng, (r, c))
-            back = cxla.pinv(cxla.pinv(m))
-            assert np.linalg.norm(back - m) < 1e-8 * np.linalg.norm(m)
-
-    def test_frobenius_norm_of_pinv_from_singular_values(self):
-        m = random_matrix(9, 3, 5)
-        s = cxla.svd(m).singular_values
-        expected = np.sqrt(np.sum(s**-2.0))
-        assert cxla.frobenius_norm(cxla.pinv(m)) == pytest.approx(expected, rel=1e-10)
-
-
-class TestNorms:
-    def test_identity(self):
-        assert cxla.frobenius_norm(np.eye(4)) == pytest.approx(2.0)
-        assert cxla.operator_norm(np.eye(4)) == pytest.approx(1.0)
-
-    def test_rank_one(self):
-        u = random_matrix(10, 3, 1)
-        v = random_matrix(11, 4, 1)
-        m = u @ v.conj().T
-        expected = np.linalg.norm(u) * np.linalg.norm(v)
-        assert cxla.frobenius_norm(m) == pytest.approx(expected, rel=1e-12)
-        assert cxla.operator_norm(m) == pytest.approx(expected, rel=1e-12)
-
-    def test_frobenius_direct_sum_oracle(self):
-        m = random_matrix(12, 3, 4)
-        direct = np.sqrt(sum(abs(z) ** 2 for z in m.ravel()))
-        assert cxla.frobenius_norm(m) == pytest.approx(direct, rel=1e-12)
-
-    def test_norm_sandwich(self):
-        for seed, (r, c) in enumerate([(2, 3), (3, 3), (4, 6)]):
-            m = random_matrix(400 + seed, r, c)
-            op, fro = cxla.operator_norm(m), cxla.frobenius_norm(m)
-            assert op <= fro * (1 + 1e-12)
-            assert fro <= np.sqrt(min(r, c)) * op * (1 + 1e-12)
-
-
-class TestAbsDetGram:
-    def test_orthonormal_rows(self):
-        u = haar_unitary(RngStream(13, 0), 4)
-        assert cxla.abs_det_gram(u[:2]) == pytest.approx(1.0, rel=1e-10)
-
-    def test_square_against_direct_2x2_determinant(self):
-        m = random_matrix(14, 2, 2)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        assert cxla.abs_det_gram(m) == pytest.approx(abs(det) ** 2, rel=1e-10)
-
-    def test_zero_row(self):
-        m = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        assert cxla.abs_det_gram(m) == 0.0
-
-    def test_unitary_invariance(self):
-        rng = RngStream(15, 0)
-        for _ in range(20):
-            m = complex_gaussian_array(rng, (2, 4))
-            u = haar_unitary(rng, 4)
-            lhs = cxla.abs_det_gram(m @ u.conj().T)
-            assert lhs == pytest.approx(cxla.abs_det_gram(m), rel=1e-8)
-
-    def test_rejects_tall(self):
-        with pytest.raises(ValueError, match="rows <= cols"):
-            cxla.abs_det_gram(np.zeros((3, 2)))
 
 
 class TestKernelBasis:
@@ -176,3 +30,27 @@ class TestKernelBasis:
         k = cxla.kernel_basis(np.zeros((2, 4)))
         assert k.shape == (4, 4)
         assert np.linalg.norm(k - np.eye(4)) < 1e-12
+
+    def test_rank_tolerance_drops_tiny_singular_values(self):
+        # rows with singular values 1 and 1e-14: the second counts as zero
+        u = np.linalg.qr(random_matrix(18, 2, 2))[0]
+        v = np.linalg.qr(random_matrix(19, 4, 4))[0]
+        m = u @ np.diag([1.0, 1e-14]) @ v[:, :2].conj().T
+        assert cxla.kernel_basis(m).shape == (4, 3)
+        assert cxla.kernel_basis(m, rank_tol=1e-16).shape == (4, 2)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            cxla.kernel_basis(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="2-D"):
+            cxla.kernel_basis(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="rows <= cols"):
+            cxla.kernel_basis(np.zeros((3, 2)))
+
+    def test_svd_failure_is_a_numeric_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(cxla.NumericError, match="did not converge"):
+            cxla.kernel_basis(np.eye(2))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from condmoments import bwspace, conditioning, formulas, montecarlo, roots
+from condmoments import conditioning, formulas, montecarlo, roots
 from condmoments.montecarlo import EstimatorConfig
 from condmoments.randgeom import RngStream, complex_gaussian_array, gaussian_system
 
@@ -254,17 +254,15 @@ class TestPolyBatching:
     def test_sample_variety_points_reproduces_system_values(self, monkeypatch, n, d, lines,
                                                              relative):
         seed, alpha = 41, 1.5
-        logv = poly_log_values(monkeypatch, montecarlo.CHUNK_POINTS, n, (d,), alpha, relative,
-                               "frobenius", cfg(6, seed, lines_per_system=lines))
-        for j in range(6):
-            rng = RngStream(seed, j)
-            h = gaussian_system(rng, n, (d,))
-            pts = roots.sample_variety_points(h, rng, lines)
-            hnorm = bwspace.bw_norm(h)
-            assert np.all(np.abs(bwspace.evaluate_at(h, pts)) <= conditioning.ZERO_TOL * hnorm)
-            sigma = np.linalg.norm(bwspace.jacobian_at(h, pts)[:, 0, :], axis=1)
-            mu = math.sqrt(d) / sigma if relative else hnorm * math.sqrt(d) / sigma
-            assert math.log(np.mean(mu**alpha)) == pytest.approx(logv[j], abs=1e-12)
+        for norm in ("frobenius", "operator"):
+            logv = poly_log_values(monkeypatch, montecarlo.CHUNK_POINTS, n, (d,), alpha,
+                                   relative, norm, cfg(6, seed, lines_per_system=lines))
+            for j in range(6):
+                rng = RngStream(seed, j)
+                h = gaussian_system(rng, n, (d,))
+                pts = roots.sample_variety_points(h, rng, lines)
+                expected = conditioning.empirical_moment(h, pts, alpha, relative, norm)
+                assert math.log(expected) == pytest.approx(logv[j], abs=1e-12)
 
 
 class TestDeterminism:

@@ -74,9 +74,10 @@ class TestComplexGaussian:
 class TestGaussianMatrix:
     def test_frobenius_second_moment(self):
         rng = RngStream(6, 0)
-        sq = np.array(
-            [np.sum(np.abs(randgeom.gaussian_matrix(rng, 2, 3)) ** 2) for _ in range(20_000)]
-        )
+        sq = np.array([
+            np.sum(np.abs(randgeom.complex_gaussian_array(rng, (2, 3))) ** 2)
+            for _ in range(20_000)
+        ])
         ok, mean, se = mean_within(sq, 6.0)
         assert ok, (mean, se)
 
@@ -88,7 +89,7 @@ class TestGaussianMatrix:
         assert ok, (mean, se)
 
     def test_1x1_singular_value_is_modulus(self):
-        m = randgeom.gaussian_matrix(RngStream(8, 0), 1, 1)
+        m = randgeom.complex_gaussian_array(RngStream(8, 0), (1, 1))
         s = np.linalg.svd(m, compute_uv=False)
         assert s[0] == pytest.approx(abs(m[0, 0]))
 
@@ -141,63 +142,6 @@ class TestHaarUnitary:
         assert ok_re and ok_im, (mean_re, se_re, mean_im, se_im)
 
 
-class TestSampleFiber:
-    def test_e0_zeroes_leading_coordinate_only(self):
-        rng = RngStream(15, 0)
-        e0 = np.zeros(3, dtype=complex)
-        e0[0] = 1.0
-        h = randgeom.sample_fiber(rng, e0, 2, (3,))
-        # leading coordinate killed...
-        assert abs(h.coords[0][0]) < 1e-14
-        # ...and the projection only touches that coordinate: replaying the
-        # same stream without projection matches elsewhere
-        raw = randgeom.gaussian_system(RngStream(15, 0), 2, (3,))
-        assert np.allclose(h.coords[0][1:], raw.coords[0][1:])
-
-    def test_residual_at_sampled_point(self):
-        rng = RngStream(16, 0)
-        for _ in range(100):
-            x = randgeom.complex_gaussian_vector(rng, 3)
-            x = x / np.linalg.norm(x)
-            h = randgeom.sample_fiber(rng, x, 2, (2, 3))
-            res = np.linalg.norm(bwspace.evaluate(h, x))
-            assert res < 1e-10 * bwspace.bw_norm(h)
-
-    def test_orthogonal_coordinate_variance_untouched(self):
-        # a coordinate orthogonal to the kernel polynomial stays variance 1
-        rng = RngStream(17, 0)
-        e0 = np.zeros(2, dtype=complex)
-        e0[0] = 1.0
-        vals = np.array(
-            [randgeom.sample_fiber(rng, e0, 1, (2,)).coords[0][1] for _ in range(50_000)]
-        )
-        ok, mean, se = mean_within(np.abs(vals) ** 2, 1.0)
-        assert ok, (mean, se)
-
-    def test_rejects_non_unit_point(self):
-        with pytest.raises(ValueError, match="unit"):
-            randgeom.sample_fiber(RngStream(18, 0), np.array([2.0, 0.0]), 1, (2,))
-
-    def test_rescaled_derivative_at_e0_is_entrywise_gaussian(self):
-        # the degree-rescaled derivative of a fiber draw at e_0 reads off the
-        # x_0^(d_i - 1) x_k coordinates untouched, so it is exactly an
-        # i.i.d. complex Gaussian (Ginibre) matrix; check one entry exactly
-        # and the ensemble second moment statistically
-        rng = RngStream(88, 0)
-        e0 = np.zeros(3, dtype=complex)
-        e0[0] = 1.0
-        degrees = (2, 3)
-        idx2 = bwspace.monomial_indices(2, 2)
-        sq = []
-        for _ in range(5_000):
-            h = randgeom.sample_fiber(rng, e0, 2, degrees)
-            l0 = bwspace.l0_matrix(h)
-            assert l0[0, 0] == pytest.approx(h.coords[0][idx2.index((1, 1, 0))])
-            sq.append(np.sum(np.abs(l0) ** 2))
-        ok, mean, se = mean_within(sq, 4.0)  # matrix is r x n = 2 x 2
-        assert ok, (mean, se)
-
-
 class TestRotateSystem:
     def test_identity_rotation(self):
         h = randgeom.gaussian_system(RngStream(19, 0), 2, (2, 3))
@@ -230,11 +174,18 @@ class TestRotateSystem:
             randgeom.rotate_system(h, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def random_line(rng, n):
+    """Orthonormal frame of a uniform line in P^n, drawn as the estimator draws it."""
+    g1 = randgeom.complex_gaussian_vector(rng, n + 1)
+    g2 = randgeom.complex_gaussian_vector(rng, n + 1)
+    return randgeom.orthonormal_pair(g1, g2)
+
+
 class TestRandomProjectiveLine:
     def test_orthonormality(self):
         rng = RngStream(23, 0)
         for _ in range(20):
-            u, v = randgeom.random_projective_line(rng, 3)
+            u, v = random_line(rng, 3)
             assert abs(np.linalg.norm(u) - 1.0) < 1e-12
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
             assert abs(np.vdot(u, v)) < 1e-12
@@ -246,7 +197,7 @@ class TestRandomProjectiveLine:
         plain = []
         rotated = []
         for _ in range(20_000):
-            u, _ = randgeom.random_projective_line(rng, 3)
+            u, _ = random_line(rng, 3)
             plain.append(abs(u[0]) ** 2)
             rotated.append(abs((rot @ u)[0]) ** 2)
         plain = np.asarray(plain)
@@ -255,7 +206,7 @@ class TestRandomProjectiveLine:
         assert abs(plain.mean() - rotated.mean()) <= 4 * se
 
     def test_n1_spans_all_of_c2(self):
-        u, v = randgeom.random_projective_line(RngStream(26, 0), 1)
+        u, v = random_line(RngStream(26, 0), 1)
         basis = np.stack([u, v])
         assert np.linalg.norm(basis.conj().T @ basis - np.eye(2)) < 1e-12
 

@@ -60,9 +60,8 @@ class TestRestrictToLine:
     def test_pointwise_residual_random(self):
         rng = RngStream(62, 0)
         h = gaussian_system(rng, 2, (3,))
-        from condmoments.randgeom import random_projective_line
-
-        u, v = random_projective_line(rng, 2)
+        u, v = randgeom.orthonormal_pair(complex_gaussian_vector(rng, 3),
+                                         complex_gaussian_vector(rng, 3))
         g = roots.restrict_to_line(h, u, v)
         for _ in range(10):
             st = complex_gaussian_vector(rng, 2)
