@@ -315,6 +315,32 @@ def default_suite(seed: int = DEFAULT_SEED) -> list[ExperimentConfig]:
 # ---------------------------------------------------------------------------
 # config parsing
 
+_REQUIRED_FIELDS = ("experiment_id", "estimator_id", "params", "samples")
+
+
+def _experiment_config(e, index: int, base_seed: int) -> ExperimentConfig:
+    """Experiment `index` of a config; an error names it by id, else by #index."""
+    if not isinstance(e, dict):
+        raise ValueError(f"#{index}: experiment must be a JSON object, got {e!r}")
+    name = e.get("experiment_id", f"#{index}")
+    missing = [f for f in _REQUIRED_FIELDS if f not in e]
+    if missing:
+        raise ValueError(f"{name}: missing field {', '.join(map(repr, missing))}")
+    if not isinstance(e["params"], dict):
+        raise ValueError(f"{name}: params must be a JSON object, got {e['params']!r}")
+    return ExperimentConfig(
+        experiment_id=str(e["experiment_id"]),
+        estimator_id=str(e["estimator_id"]),
+        params=dict(e["params"]),
+        samples=e["samples"],
+        seed=e.get("seed", mix64(base_seed, index + 1)),
+        tolerance_sigmas=e.get("tolerance_sigmas", 3.0),
+        closed_form_id=e.get("closed_form_id"),
+        lines_per_system=e.get("lines_per_system"),
+        probe=e.get("probe", False),
+    )
+
+
 def parse_config(obj: dict) -> list[ExperimentConfig]:
     """Validate a config dict and return the experiment list."""
     if not isinstance(obj, dict):
@@ -330,17 +356,7 @@ def parse_config(obj: dict) -> list[ExperimentConfig]:
     exps = []
     seen = set()
     for i, e in enumerate(raw):
-        exp = ExperimentConfig(
-            experiment_id=str(e["experiment_id"]),
-            estimator_id=str(e["estimator_id"]),
-            params=dict(e["params"]),
-            samples=e["samples"],
-            seed=e.get("seed", mix64(base_seed, i + 1)),
-            tolerance_sigmas=e.get("tolerance_sigmas", 3.0),
-            closed_form_id=e.get("closed_form_id"),
-            lines_per_system=e.get("lines_per_system"),
-            probe=e.get("probe", False),
-        )
+        exp = _experiment_config(e, i, base_seed)
         if exp.experiment_id in seen:
             raise ValueError(f"duplicate experiment_id {exp.experiment_id!r}")
         seen.add(exp.experiment_id)

@@ -59,6 +59,54 @@ class RngStream:
         return self.generator().random(shape)
 
 
+# Philox-4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC 2011): round multipliers and the Weyl increments of the key schedule
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products a * m, a uint64 array, m a
+    64-bit constant; the high word is built from 32-bit halves."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a0, a1 = a & _LO32, a >> _S32
+    t = a1 * m0 + ((a0 * m0) >> _S32)
+    w = (t & _LO32) + a0 * m1
+    return a * np.uint64(m), a1 * m1 + (t >> _S32) + (w >> _S32)
+
+
+def uniforms_for_streams(seed: int, indices, count: int) -> np.ndarray:
+    """U[0, 1) deviates (len(indices), count): row i equals
+    RngStream(seed, indices[i]).uniforms(count) bit for bit.
+
+    Philox is counter-based, so block c of key (seed, j) is a pure function of
+    (seed, j, c), and every stream's blocks come from one array pass.  numpy's
+    Philox starts at counter (1, 0, 0, 0), uses the 4 words of a block in
+    order, and Generator.random maps a word x to (x >> 11) * 2**-53.  The
+    arithmetic stays on uint64 arrays, where overflow wraps without a warning.
+    """
+    keys = [seed, *indices]
+    if not all(0 <= j <= _MASK64 for j in keys):
+        raise ValueError("seed and stream_index must be unsigned 64-bit integers")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    k = np.array(keys, dtype=np.uint64)
+    k0, k1 = k[:1, None], k[1:, None]
+    blocks = -(-count // 4)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(k1), blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
+        lo0, hi0 = _mulhilo(c0, _PHILOX_M[0])
+        lo1, hi1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(k1), 4 * blocks)[:, :count]
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
 def complex_gaussians(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Standard complex Gaussians from two equal-shape arrays of U[0, 1) deviates."""
     # polar Box-Muller: radius^2 ~ Exp(1), uniform phase

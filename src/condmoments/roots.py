@@ -13,9 +13,13 @@ the zero set.
 One path, batched over systems and lines (a single form is a batch of one).
 System j draws from RngStream(seed, j): its coordinates, its line pairs
 (n >= 2; for n = 1 the line is (e_0, e_1)), a Ginibre chart matrix per line,
-then the Aberth start phases.  Stall nudges and the charts of a retried line
-come from that line's own substream, RngStream(mix64(seed, j), line), made
-on first use, so a line's roots never depend on the batch it is solved in.
+then the Aberth start phases.  The streams of a chunk's systems are drawn
+together by randgeom.uniforms_for_streams, in one array pass that equals
+RngStream(seed, j).uniforms bit for bit.  Stall nudges and the charts of a
+retried line come from that line's own substream, RngStream(mix64(seed, j),
+line), made on first use, so a line's roots never depend on the batch it is
+solved in; these few substreams stay on RngStream, whose C Philox is cheaper
+per uniform than the array pass.
 """
 
 from __future__ import annotations
@@ -291,13 +295,15 @@ def _line_points(coeffs: np.ndarray, d: int, sections, row_rng) -> tuple[np.ndar
 def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     """Gaussian degree-d equations j in systems and their zero-set points.
 
-    Each system draws its coordinates and sections from RngStream(seed, j) in
-    one call.  Returns the coordinates (S, K), the points (S, lines * d, n+1)
-    and the systems whose root search failed.  Pass lines = 1 for n = 1.
+    System j's uniforms (coordinates, then sections) are the first ones of
+    RngStream(seed, j), bit for bit; one randgeom.uniforms_for_streams pass
+    draws them for every system in systems.  Returns the coordinates (S, K),
+    the points (S, lines * d, n+1) and the systems whose root search failed.
+    Pass lines = 1 for n = 1.
     """
     k = math.comb(n + d, n)
     size = 2 * k + sum(_section_sizes(n, lines)) + lines * d
-    x = np.stack([RngStream(seed, j).uniforms(size) for j in systems])
+    x = randgeom.uniforms_for_streams(seed, systems, size)
     coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k : 2 * k])
     points, failed = _line_points(
         coeffs, d, _sections(x[:, 2 * k :], n, d, lines), _row_streams(seed, systems.start, lines)

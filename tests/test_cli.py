@@ -6,6 +6,9 @@ import pytest
 from condmoments import cli
 
 
+DROP = object()  # an override that removes the field
+
+
 def tiny_config(**overrides):
     experiment = {
         "experiment_id": "pinv-small",
@@ -17,6 +20,7 @@ def tiny_config(**overrides):
         "closed_form_id": "pinv_moment_value",
     }
     experiment.update(overrides)
+    experiment = {k: v for k, v in experiment.items() if v is not DROP}
     return {"version": 1, "experiments": [experiment]}
 
 
@@ -125,14 +129,22 @@ INVALID_EXPERIMENTS = {
                          "lines_per_system must be an integer, got 2.5"),
     "bool-lines": ({**POLY, "lines_per_system": True},
                    "lines_per_system must be an integer, got True"),
+    "missing-samples": ({"samples": DROP}, "pinv-small: missing field 'samples'"),
+    "missing-id-and-params": ({"experiment_id": DROP, "params": DROP},
+                              "#0: missing field 'experiment_id', 'params'"),
+    "params-not-object": ({"params": 5}, "pinv-small: params must be a JSON object, got 5"),
+    # not a dict of overrides: the experiment itself
+    "experiment-not-object": (7, "#0: experiment must be a JSON object, got 7"),
 }
 
 
 @pytest.mark.parametrize("overrides, message", INVALID_EXPERIMENTS.values(),
                          ids=INVALID_EXPERIMENTS.keys())
 def test_invalid_config_rejected_at_parse_exit_two(tmp_path, capsys, overrides, message):
+    doc = (tiny_config(**overrides) if isinstance(overrides, dict)
+           else {"version": 1, "experiments": [overrides]})
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(tiny_config(**overrides)))
+    cfg_path.write_text(json.dumps(doc))
     assert cli.main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "rep")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()

@@ -37,6 +37,38 @@ class TestRngStream:
         assert 0 <= randgeom.mix64(20260809, 7) < 2**64
 
 
+_EDGE_KEYS = [0, 1, 2**64 - 1]
+
+
+class TestUniformsForStreams:
+    # numpy's own Philox is the reference; the key goes in as a uint64 array,
+    # as RngStream passes it
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 16, 17, 188])
+    def test_bitwise_equal_to_numpy_philox(self, count):
+        rng = np.random.default_rng(count)
+        seeds = _EDGE_KEYS + [int(s) for s in rng.integers(0, 2**64, 3, dtype=np.uint64)]
+        indices = _EDGE_KEYS + [int(j) for j in rng.integers(0, 2**64, 5, dtype=np.uint64)]
+        for seed in seeds:
+            out = randgeom.uniforms_for_streams(seed, indices, count)
+            assert out.shape == (len(indices), count)
+            for row, j in zip(out, indices):
+                key = np.array([seed, j], dtype=np.uint64)
+                ref = np.random.Generator(np.random.Philox(key=key)).random(count)
+                assert np.array_equal(row, ref), (seed, j, count)
+
+    def test_no_indices_gives_empty_rows(self):
+        assert randgeom.uniforms_for_streams(5, [], 17).shape == (0, 17)
+        assert randgeom.uniforms_for_streams(5, range(3, 3), 4).shape == (0, 4)
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_rejects_out_of_range_like_rng_stream(self, seed, index):
+        with pytest.raises(ValueError) as stream_err:
+            RngStream(seed, index)
+        with pytest.raises(ValueError) as batch_err:
+            randgeom.uniforms_for_streams(seed, [3, index], 4)
+        assert str(batch_err.value) == str(stream_err.value)
+
+
 class TestComplexGaussian:
     def test_second_moment_per_coordinate(self):
         v = randgeom.complex_gaussian_array(RngStream(1, 0), (100_000,))

@@ -201,6 +201,17 @@ class TestSampleVarietyPoints:
             roots.sample_variety_points(z, RngStream(81, 0), 1)
 
 
+@pytest.mark.parametrize("n, d, lines", [(1, 2, 1), (2, 2, 8), (3, 3, 1)])
+def test_sample_zero_sets_reads_each_systems_own_stream(n, d, lines):
+    # a chunk that starts away from system 0 still gives system j the
+    # coordinates that gaussian_system draws from RngStream(seed, j)
+    seed = 20260809
+    coeffs, _, _ = roots.sample_zero_sets(seed, range(7, 19), n, d, lines)
+    assert coeffs.shape[0] == 12
+    for row, j in zip(coeffs, range(7, 19)):
+        assert np.array_equal(row, gaussian_system(RngStream(seed, j), n, (d,)).coords[0])
+
+
 class TestRowSubstreams:
     # a row's nudges and retry charts come from the substream of its
     # (system, line), so the row solves the same way at any batch position
