@@ -153,7 +153,9 @@ def _calls(exp: ExperimentConfig, samples: int) -> list:
         sides = [(exp.estimator_id, p, exp.seed, samples)]
     else:
         raise ValueError(f"unknown estimator_id {exp.estimator_id!r}")
-    lines = 8 if exp.lines_per_system is None else exp.lines_per_system
+    lines = exp.lines_per_system
+    if lines is None:
+        lines = EstimatorConfig.lines_per_system
     return [
         (est_id, [params[name] for name in _ESTIMATORS[est_id]],
          EstimatorConfig(samples=n, seed=seed, lines_per_system=lines))
@@ -672,7 +674,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--norm", choices=("frobenius", "operator"), default="frobenius")
     e.add_argument("--degrees", type=_parse_degrees)
     e.add_argument("--relative", action="store_true")
-    e.add_argument("--lines", type=int, default=8)
+    e.add_argument("--lines", type=int, default=EstimatorConfig.lines_per_system)
 
     f = sub.add_parser("formulas", help="print a closed-form value as JSON")
     f.add_argument("name", choices=("espnorm", "espnormrest", "invnor2mdet",
@@ -691,21 +693,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _resolve_seed(cli_seed: int | None) -> int:
+    """--seed, else CONDMOMENTS_SEED, else DEFAULT_SEED; a ValueError naming
+    the flag or the variable if that seed is not an integer in [0, 2^64)."""
     if cli_seed is not None:
-        return cli_seed
-    env = _env_seed()
-    return env if env is not None else DEFAULT_SEED
+        seed, source = cli_seed, "--seed"
+    elif (raw := os.environ.get(SEED_ENV_VAR)) is not None:
+        try:
+            seed, source = int(raw), SEED_ENV_VAR
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    else:
+        return DEFAULT_SEED
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{source} must be in [0, 2^64), got {seed}")
+    return seed
 
 
 def _cmd_verify(args) -> int:
@@ -714,8 +716,9 @@ def _cmd_verify(args) -> int:
             with open(args.config) as fh:
                 exps = parse_config(json.load(fh))
             if args.seed is not None:
+                seed = _resolve_seed(args.seed)
                 exps = [
-                    dataclasses.replace(e, seed=mix64(args.seed, i + 1))
+                    dataclasses.replace(e, seed=mix64(seed, i + 1))
                     for i, e in enumerate(exps)
                 ]
         else:

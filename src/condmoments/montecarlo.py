@@ -360,7 +360,8 @@ def estimate_espnormrest(
 def _poly_log_values(
     coeffs: np.ndarray, d: int, pts: np.ndarray, failed: np.ndarray, alpha: float, relative: bool
 ) -> np.ndarray:
-    """log of each system's zero-set average of mu^alpha; nan for failed systems.
+    """log of each system's zero-set average of mu^alpha; nan for failed systems
+    and for systems with a point that fails the zero-residual precondition.
 
     Single-equation fast path: for r = 1 the Frobenius and operator values
     coincide and mu = ||h|| sqrt(d) / ||Dh(x)||, which agrees with
@@ -371,8 +372,7 @@ def _poly_log_values(
     hnorm = np.linalg.norm(coeffs, axis=1)[:, None]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         residuals = np.abs(bwspace.evaluate_forms(n, d, coeffs, pts))
-        if np.any(residuals[~failed] > conditioning.ZERO_TOL * hnorm[~failed]):
-            raise ValueError("sampled point failed the zero-residual precondition")
+        failed = failed | np.any(residuals > conditioning.ZERO_TOL * hnorm, axis=1)
         sigma = np.linalg.norm(bwspace.gradient_forms(n, d, coeffs, pts), axis=2)
         mu = hnorm * math.sqrt(d) / sigma
         if relative:
@@ -435,7 +435,7 @@ def estimate_poly_moment(
     failed = int(np.count_nonzero(np.isnan(logv)))
     if failed > _MAX_FAILURE_RATE * cfg.samples:
         raise NumericError(
-            f"root finding failed for {failed} of {cfg.samples} systems; "
+            f"zero-set sampling failed for {failed} of {cfg.samples} systems; "
             f"system failure rate exceeds {_MAX_FAILURE_RATE:.1%}"
         )
     if failed:

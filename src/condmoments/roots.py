@@ -1,25 +1,23 @@
 """Zero-set sampling for single-equation systems.
 
-Two building blocks: restriction of a hypersurface equation to a projective
-line (giving a binary form), and simultaneous root finding of binary forms
-with the Aberth-Ehrlich iteration.  Together they sample the zero set of a
-single equation uniformly: every uniform line meets a degree-d hypersurface
-in exactly d points (with multiplicity), and in complex projective space
-the tangent space of a hypersurface at any smooth point is a complex
-hyperplane, all of which are unitarily equivalent, so the line-section
-point process has constant density with respect to the volume measure of
-the zero set.
+Every uniform projective line meets a degree-d hypersurface in exactly d
+points (with multiplicity), and in complex projective space the tangent
+space of a hypersurface at any smooth point is a complex hyperplane, all of
+which are unitarily equivalent, so the line-section point process has
+constant density with respect to the volume measure of the zero set.
 
 One path, batched over systems and lines (a single form is a batch of one).
-System j draws from RngStream(seed, j): its coordinates, its line pairs
-(n >= 2; for n = 1 the line is (e_0, e_1)), a Ginibre chart matrix per line,
-then the Aberth start phases.  The streams of a chunk's systems are drawn
-together by randgeom.uniforms_for_streams, in one array pass that equals
-RngStream(seed, j).uniforms bit for bit.  Stall nudges and the charts of a
-retried line come from that line's own substream, RngStream(mix64(seed, j),
-line), made on first use, so a line's roots never depend on the batch it is
-solved in; these few substreams stay on RngStream, whose C Philox is cheaper
-per uniform than the array pass.
+Each line (u, v) is turned by its Haar chart q, the equation is restricted
+straight to the turned frame (u', v') = (u, v) q by one DFT, and
+Aberth-Ehrlich finds the roots c of that binary form, the points
+c0 u' + c1 v'.  System j draws from RngStream(seed, j): its coordinates, its
+line pairs (n >= 2; for n = 1 the line is (e_0, e_1)), a Ginibre chart
+matrix per line, then the Aberth start phases, all in one
+randgeom.uniforms_for_streams pass per chunk.  Stall nudges and the charts
+of a retried line come from that line's own substream, RngStream(mix64(seed,
+j), line), made on first use, so a line's roots never depend on the batch
+it is solved in; these few substreams stay on RngStream, whose C Philox is
+cheaper per uniform than the array pass.
 """
 
 from __future__ import annotations
@@ -79,9 +77,10 @@ def _binary_form_values(coeffs: np.ndarray, st: np.ndarray) -> np.ndarray:
     return np.matmul(powers, coeffs[..., :, None])[..., 0]
 
 
-def _restrict(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _restrict(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
     """Binary forms g(s, t) = h(s u + t v), (S, L, d+1), of S equations (S, K)
-    on L orthonormal line pairs u, v (S, L, n+1) each.
+    on L orthonormal line pairs u, v (S, L, n+1) each, and the (S, L) lines
+    whose form failed its residual check.
 
     The values g(1, w^k) at the (d+1)-th roots of unity w^k determine the
     coefficients exactly through one DFT; a residual check at fixed chart
@@ -96,9 +95,7 @@ def _restrict(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray) -> np.nd
     forms = np.fft.fft(values[..., : d + 1], axis=-1) / (d + 1)
     hnorm = np.linalg.norm(coeffs, axis=1)
     residuals = np.abs(_binary_form_values(forms, _CHECKS) - values[..., d + 1 :])
-    if np.any(residuals > _RESIDUAL_TOL * hnorm[:, None, None]):
-        raise NumericError("line restriction failed its residual check")
-    return forms
+    return forms, np.any(residuals > _RESIDUAL_TOL * hnorm[:, None, None], axis=2)
 
 
 def restrict_to_line(h: SystemCoords, u, v) -> BinaryForm:
@@ -114,31 +111,10 @@ def restrict_to_line(h: SystemCoords, u, v) -> BinaryForm:
     if np.linalg.norm(pair.conj() @ pair.T - np.eye(2)) > 1e-8:
         raise ValueError("line vectors must be orthonormal")
     d = h.degrees[0]
-    coeffs = _restrict(h.coords[0][None], d, uu[None, None], vv[None, None])
-    return BinaryForm(degree=d, coeffs=coeffs[0, 0])
-
-
-def _bconv_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise polynomial coefficient convolution of (L, la) with (L, lb)."""
-    la, lb = a.shape[1], b.shape[1]
-    out = np.zeros((a.shape[0], la + lb - 1), dtype=np.complex128)
-    for j in range(lb):
-        out[:, j : j + la] += a * b[:, j : j + 1]
-    return out
-
-
-def _compose_unitary_batch(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise chart rotation: coefficients of g_l(q_l @ (s', t'))."""
-    d = coeffs.shape[1] - 1
-    s_pows = [np.ones((coeffs.shape[0], 1), dtype=np.complex128)]
-    t_pows = [np.ones((coeffs.shape[0], 1), dtype=np.complex128)]
-    for _ in range(d):
-        s_pows.append(_bconv_pair(s_pows[-1], q[:, 0, :]))
-        t_pows.append(_bconv_pair(t_pows[-1], q[:, 1, :]))
-    out = np.zeros_like(coeffs)
-    for k in range(d + 1):
-        out += coeffs[:, k : k + 1] * _bconv_pair(s_pows[d - k], t_pows[k])
-    return out
+    forms, failed = _restrict(h.coords[0][None], d, uu[None, None], vv[None, None])
+    if failed[0, 0]:
+        raise NumericError("line restriction failed its residual check")
+    return BinaryForm(degree=d, coeffs=forms[0, 0])
 
 
 def _aberth_batch(coeffs_asc: np.ndarray, phases: np.ndarray, row_rng):
@@ -193,53 +169,76 @@ def _aberth_batch(coeffs_asc: np.ndarray, phases: np.ndarray, row_rng):
     return z, failed
 
 
-def _solve_in_charts(forms: np.ndarray, ginibre: np.ndarray, phases: np.ndarray, row_rng):
-    """Unit roots (R, d, 2) of R binary forms, each in its own Haar chart, and
-    the failed rows: no convergence or a residual >= _RESIDUAL_TOL * max|coeff|."""
-    q = randgeom.unitary_from_ginibre(ginibre)
-    w, failed = _aberth_batch(_compose_unitary_batch(forms, q), phases, row_rng)
+def _solve_in_charts(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
+                     ginibre: np.ndarray, phases: np.ndarray, row_rng):
+    """Zero-set points (R, d, n+1) of the R = S * L rows, row s * L + l being
+    equation s of coeffs (S, K) on line l of u, v (S, L, n+1), and the failed rows.
+
+    Each row is restricted straight to its line's frame turned by its Haar
+    chart q: u' = q00 u + q10 v, v' = q01 u + q11 v.  A unit root c of that
+    form is the point c0 u' + c1 v'.  A row fails on its restriction residual,
+    on no convergence, or on a root residual >= _RESIDUAL_TOL * max|coeff|.
+    """
+    n_sys, n_lines, dim = u.shape
+    q = randgeom.unitary_from_ginibre(ginibre).reshape(n_sys, n_lines, 2, 2, 1)
+    frame = q[:, :, 0] * u[:, :, None, :] + q[:, :, 1] * v[:, :, None, :]  # (S, L, 2, n+1)
+    forms, failed = _restrict(coeffs, d, frame[:, :, 0], frame[:, :, 1])
+    forms, failed = forms.reshape(-1, d + 1), failed.ravel()
+    w, unsolved = _aberth_batch(forms, phases, row_rng)
     with np.errstate(invalid="ignore"):  # rows that failed may hold inf or nan
         chart = np.stack([np.ones_like(w), w], axis=2)
         chart /= np.linalg.norm(chart, axis=2)[:, :, None]
-        pts = np.einsum("rjk,rik->rij", q, chart)  # back through the chart unitary
-        residuals = np.abs(_binary_form_values(forms, pts))
+        residuals = np.abs(_binary_form_values(forms, chart))
         scale = np.max(np.abs(forms), axis=1)
-        failed |= np.any(residuals >= _RESIDUAL_TOL * scale[:, None], axis=1)
+        failed |= unsolved | np.any(residuals >= _RESIDUAL_TOL * scale[:, None], axis=1)
+        pts = chart @ frame.reshape(-1, 2, dim)
     return pts, failed
 
 
-def _solve(forms: np.ndarray, ginibre: np.ndarray, phases: np.ndarray, row_rng):
-    """_solve_in_charts, then up to CHART_RETRIES fresh charts and start
-    phases, drawn from row_rng(row), for each row that failed."""
-    pts, failed = _solve_in_charts(forms, ginibre, phases, row_rng)
+def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
+           ginibre: np.ndarray, phases: np.ndarray, row_rng):
+    """Zero-set points (S, L*d, n+1) of S equations on their L lines each, and
+    the systems with a line that failed in every chart: _solve_in_charts, then
+    up to CHART_RETRIES fresh charts and start phases, drawn from row_rng(row),
+    for each row that failed.  A retry restricts the row again, to its freshly
+    turned frame."""
+    n_sys, n_lines, dim = u.shape
+    pts, failed = _solve_in_charts(coeffs, d, u, v, ginibre, phases, row_rng)
     for _ in range(CHART_RETRIES):
         rows = np.flatnonzero(failed)
         if rows.size == 0:
             break
+        system, line = np.divmod(rows, n_lines)
         streams = [row_rng(row) for row in rows]
         retry_ginibre = np.stack([randgeom.complex_gaussian_array(s, (2, 2)) for s in streams])
-        retry_phases = np.stack([s.uniforms(forms.shape[1] - 1) for s in streams])
+        retry_phases = np.stack([s.uniforms(d) for s in streams])
         pts[rows], failed[rows] = _solve_in_charts(
-            forms[rows], retry_ginibre, retry_phases, lambda k: streams[k]
+            coeffs[system], d, u[system, line, None], v[system, line, None],
+            retry_ginibre, retry_phases, lambda k: streams[k],
         )
-    return pts, failed
+    return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)
 
 
 def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
     """The d projective roots of a binary form, as unit vectors in C^2.
 
-    A random Haar unitary change of chart makes a root at the chart
-    boundary almost surely absent; the rotated form is dehomogenized,
-    solved by Aberth-Ehrlich, and the roots are mapped back.  Clustered
-    (multiple) roots are returned as nearby simple roots.  A batch of one of
-    _solve that draws everything from rng.
+    The form is the n = 1 equation with coordinates coeffs[k] / sqrt(binom(d, k))
+    on the line (e_0, e_1), solved by _solve like any row: restricted to a
+    random Haar chart, which makes a root at the chart boundary almost surely
+    absent, and dehomogenized and solved by Aberth-Ehrlich.  Clustered
+    (multiple) roots are returned as nearby simple roots.  Everything is
+    drawn from rng.
     """
-    if g.degree < 1:
+    d = g.degree
+    if d < 1:
         raise ValueError("root extraction needs degree >= 1")
     if np.all(g.coeffs == 0):
         raise ValueError("cannot extract roots of the zero form")
+    coords = g.coeffs / np.sqrt([math.comb(d, k) for k in range(d + 1)])
+    e = np.eye(2)[:, None, None, :]
     ginibre = randgeom.complex_gaussian_array(rng, (1, 2, 2))
-    pts, failed = _solve(g.coeffs[None], ginibre, rng.uniforms((1, g.degree)), lambda row: rng)
+    pts, failed = _solve(coords[None], d, e[0], e[1], ginibre, rng.uniforms((1, d)),
+                         lambda row: rng)
     if failed[0]:
         raise RootFindingError(f"root finding failed in {1 + CHART_RETRIES} charts")
     return pts[0]
@@ -280,18 +279,6 @@ def _sections(x: np.ndarray, n: int, d: int, lines: int):
     return u, v, ginibre, phases.reshape(n_sys * lines, d)
 
 
-def _line_points(coeffs: np.ndarray, d: int, sections, row_rng) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-set points (S, L*d, n+1) of S equations on their L lines each, and
-    the systems with a line whose roots failed after every chart retry."""
-    u, v, ginibre, phases = sections
-    n_sys, n_lines, dim = u.shape
-    forms = _restrict(coeffs, d, u, v).reshape(n_sys * n_lines, d + 1)
-    st, failed = _solve(forms, ginibre, phases, row_rng)
-    st = st.reshape(n_sys, n_lines, d, 2)
-    pts = st[..., 0:1] * u[:, :, None, :] + st[..., 1:2] * v[:, :, None, :]
-    return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)
-
-
 def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     """Gaussian degree-d equations j in systems and their zero-set points.
 
@@ -305,9 +292,8 @@ def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     size = 2 * k + sum(_section_sizes(n, lines)) + lines * d
     x = randgeom.uniforms_for_streams(seed, systems, size)
     coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k : 2 * k])
-    points, failed = _line_points(
-        coeffs, d, _sections(x[:, 2 * k :], n, d, lines), _row_streams(seed, systems.start, lines)
-    )
+    points, failed = _solve(coeffs, d, *_sections(x[:, 2 * k :], n, d, lines),
+                            _row_streams(seed, systems.start, lines))
     return coeffs, points, failed
 
 
@@ -332,10 +318,8 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
     n, d = h.n, h.degrees[0]
     lines = 1 if n == 1 else lines
     x = rng.uniforms((1, sum(_section_sizes(n, lines)) + lines * d))
-    points, failed = _line_points(
-        h.coords[0][None], d, _sections(x, n, d, lines),
-        _row_streams(rng.seed, rng.stream_index, lines),
-    )
+    points, failed = _solve(h.coords[0][None], d, *_sections(x, n, d, lines),
+                            _row_streams(rng.seed, rng.stream_index, lines))
     if failed[0]:
         raise RootFindingError(f"root finding failed on a line in {1 + CHART_RETRIES} charts")
     return points[0]

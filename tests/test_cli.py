@@ -356,6 +356,30 @@ class TestMain:
         assert f"{cli.SEED_ENV_VAR} must be an integer, got 'abc'" in captured.err
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("argv, env, message", [
+        (["verify", "--seed", "-1", "--samples", "10"], None, "--seed must be in [0, 2^64), got -1"),
+        (["verify", "--config", "cfg.json", "--seed", str(2**64)], None,
+         f"--seed must be in [0, 2^64), got {2**64}"),
+        (["estimate", "--estimator", "espnorm", "--n", "2", "--samples", "10", "--seed", "-1"],
+         None, "--seed must be in [0, 2^64), got -1"),
+        (["selftest", "--seed", "-1"], None, "--seed must be in [0, 2^64), got -1"),
+        (["verify", "--samples", "10"], "-7", f"{cli.SEED_ENV_VAR} must be in [0, 2^64), got -7"),
+        (["estimate", "--estimator", "espnorm", "--n", "2", "--samples", "10"], str(2**64),
+         f"{cli.SEED_ENV_VAR} must be in [0, 2^64), got {2**64}"),
+        (["selftest"], "-7", f"{cli.SEED_ENV_VAR} must be in [0, 2^64), got -7"),
+    ])
+    def test_out_of_range_seed_exit_two(self, monkeypatch, tmp_path, capsys, argv, env, message):
+        # a seed outside [0, 2^64) is rejected, not masked by mix64 into another seed
+        if env is not None:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(tiny_config(samples=100)))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "report").exists()
+
     def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(samples=100)))

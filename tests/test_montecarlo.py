@@ -1,9 +1,10 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
-from condmoments import conditioning, formulas, montecarlo, roots
+from condmoments import bwspace, conditioning, formulas, montecarlo, roots
 from condmoments.montecarlo import EstimatorConfig
 from condmoments.randgeom import RngStream, complex_gaussian_array, gaussian_system
 
@@ -227,6 +228,40 @@ class TestPolyMoment:
             montecarlo.estimate_poly_moment(
                 2, (2,), 2.0, False, "frobenius", cfg(1000, 26, lines_per_system=8)
             )
+
+    def test_restriction_residual_fails_one_system(self, monkeypatch):
+        # system 500's restriction values are off by 1 at every node, which the
+        # check nodes see: its lines fail in every chart, and the system is
+        # counted as one failure instead of aborting the run
+        seed = 26
+        bad = gaussian_system(RngStream(seed, 500), 2, (2,)).coords[0]
+        real = bwspace.evaluate_forms
+
+        def corrupt(n, d, coeffs, points):
+            return real(n, d, coeffs, points) + np.all(coeffs == bad, axis=1)[:, None]
+
+        monkeypatch.setattr(roots, "bwspace", types.SimpleNamespace(evaluate_forms=corrupt))
+        est = montecarlo.estimate_poly_moment(
+            2, (2,), 2.0, False, "frobenius", cfg(1000, seed, lines_per_system=8)
+        )
+        assert est.n_samples == 999
+
+    def test_zero_residual_precondition_fails_one_system(self, monkeypatch):
+        # a point of system 500 is moved off the zero set, to e_0: the system is
+        # counted as one failure instead of a ValueError aborting the run
+        real = roots.sample_zero_sets
+
+        def move_a_point(seed, systems, n, d, lines):
+            coeffs, pts, failed = real(seed, systems, n, d, lines)
+            if 500 in systems:
+                pts[systems.index(500), 0] = np.eye(n + 1)[0]
+            return coeffs, pts, failed
+
+        monkeypatch.setattr(montecarlo.roots, "sample_zero_sets", move_a_point)
+        est = montecarlo.estimate_poly_moment(
+            2, (2,), 2.0, False, "frobenius", cfg(1000, 26, lines_per_system=8)
+        )
+        assert est.n_samples == 999
 
 
 def poly_log_values(monkeypatch, chunk_points, *args):

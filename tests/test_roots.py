@@ -1,9 +1,11 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
 from condmoments import bwspace, randgeom, roots
+from condmoments.cxla import NumericError
 from condmoments.randgeom import RngStream, complex_gaussian_vector, gaussian_system
 from condmoments.roots import BinaryForm
 
@@ -201,6 +203,31 @@ class TestSampleVarietyPoints:
             roots.sample_variety_points(z, RngStream(81, 0), 1)
 
 
+class TestRestrictionFailure:
+    # the single-system entry points raise where the estimator fails one system
+    @pytest.fixture(autouse=True)
+    def corrupt_evaluation(self, monkeypatch):
+        real = bwspace.evaluate_forms
+        monkeypatch.setattr(roots, "bwspace", types.SimpleNamespace(
+            evaluate_forms=lambda n, d, coeffs, points: real(n, d, coeffs, points) + 1.0))
+
+    def test_restrict_to_line_raises(self):
+        h = gaussian_system(RngStream(82, 0), 2, (2,))
+        e = np.eye(3, dtype=complex)
+        with pytest.raises(NumericError, match="residual check"):
+            roots.restrict_to_line(h, e[0], e[1])
+
+    def test_sample_variety_points_raises(self):
+        h = gaussian_system(RngStream(83, 0), 2, (2,))
+        with pytest.raises(roots.RootFindingError):
+            roots.sample_variety_points(h, RngStream(83, 1), 2)
+
+    def test_binary_form_roots_raises(self):
+        g = BinaryForm(3, complex_gaussian_vector(RngStream(84, 0), 4))
+        with pytest.raises(roots.RootFindingError):
+            roots.binary_form_roots(g, RngStream(84, 1))
+
+
 @pytest.mark.parametrize("n, d, lines", [(1, 2, 1), (2, 2, 8), (3, 3, 1)])
 def test_sample_zero_sets_reads_each_systems_own_stream(n, d, lines):
     # a chunk that starts away from system 0 still gives system j the
@@ -216,35 +243,72 @@ class TestRowSubstreams:
     # a row's nudges and retry charts come from the substream of its
     # (system, line), so the row solves the same way at any batch position
     RADIUS = 9.0 ** 0.5 * (1.0 + 1e-3)  # the Aberth start radius of the stall form
-    ROWS = {
-        # w^2 - 2 RADIUS w + 9: the start point at phase 0 is the critical
-        # point, so the first Newton step divides by zero and is nudged
-        "stall": (np.array([9.0, -2.0 * RADIUS, 1.0]), np.eye(2), np.array([0.0, 0.5])),
-        # s t in the identity chart has its leading coefficient at zero, so
-        # the first chart fails and the row is retried
-        "retry": (np.array([0.0, 1.0, 0.0]), np.eye(2), np.array([0.1, 0.6])),
-    }
+    # w^2 - 2 RADIUS w + 9: the start point at phase 0 is the critical point,
+    # so the first Newton step divides by zero and is nudged.  Aberth gets
+    # these exact coefficients: a DFT restriction would round them off the stall
+    STALL = (np.array([9.0, -2.0 * RADIUS, 1.0]), np.array([0.0, 0.5]))
+    # the n = 1 equation whose form on (e_0, e_1) is s t: in the identity chart
+    # its leading coefficient is at zero, so the first chart fails and the row
+    # is restricted again to a fresh chart
+    RETRY = (np.array([0.0, 2.0 ** -0.5, 0.0]), np.eye(2), np.array([0.1, 0.6]))
 
-    def solve_at(self, kind, position, size, lines=2, system=10):
-        rng = RngStream(90, position)  # filler rows
-        forms = randgeom.complex_gaussian_array(rng, (size, 3))
+    def batch(self, position, size, lines=2, system=10):
+        """Filler rows, and a row_rng that records its rows and keeps the row
+        at position at (system, position % lines)."""
+        rng = RngStream(90, position)
+        coeffs = randgeom.complex_gaussian_array(rng, (size, 3))
         ginibre = randgeom.complex_gaussian_array(rng, (size, 2, 2))
         phases = rng.uniforms((size, 2))
-        forms[position], ginibre[position], phases[position] = self.ROWS[kind]
-        first = system - position // lines  # keeps the row at (system, position % lines)
-        streams = roots._row_streams(91, first, lines)
+        streams = roots._row_streams(91, system - position // lines, lines)
         used = []
-        pts, failed = roots._solve(forms, ginibre, phases,
-                                   lambda row: used.append(row) or streams(row))
+        return coeffs, ginibre, phases, used, lambda row: used.append(row) or streams(row)
+
+    def solve_at(self, kind, position, size):
+        coeffs, ginibre, phases, used, row_rng = self.batch(position, size)
+        if kind == "stall":
+            coeffs[position], phases[position] = self.STALL
+            w, failed = roots._aberth_batch(coeffs, phases, row_rng)
+            root = np.stack([np.ones(2), w[position]], axis=1)
+            root /= np.linalg.norm(root, axis=1)[:, None]
+        else:
+            coeffs[position], ginibre[position], phases[position] = self.RETRY
+            e = np.broadcast_to(np.eye(2)[:, None, None, :], (2, size, 1, 2))
+            pts, failed = roots._solve(coeffs, 2, e[0], e[1], ginibre, phases, row_rng)
+            root = pts[position]
         assert not failed.any()
         assert used and set(used) == {position}
-        return pts[position]
+        return root
 
     @pytest.mark.parametrize("kind", ["stall", "retry"])
     def test_same_roots_at_any_batch_position(self, kind):
         alone = self.solve_at(kind, 1, 2)
         for position, size in ((3, 4), (5, 12), (11, 12)):
             assert np.allclose(self.solve_at(kind, position, size), alone, rtol=0, atol=1e-14)
-        form = BinaryForm(2, self.ROWS[kind][0])
+        form = BinaryForm(2, self.STALL[0] if kind == "stall" else np.array([0.0, 1.0, 0.0]))
         for s, t in alone:
             assert abs(roots.binary_form_value(form, s, t)) < 1e-9 * np.max(np.abs(form.coeffs))
+
+
+@pytest.mark.parametrize("n, d, lines", [(2, 3, 4), (3, 2, 3)])
+def test_line_points_are_the_roots_of_each_lines_restriction(n, d, lines):
+    # each line's d points lie in span(u, v) and are, projectively, the roots
+    # of h restricted to (u, v): a point in the span that is not a root
+    # would pass membership alone
+    seed, systems = 92, range(6)
+    coeffs, points, failed = roots.sample_zero_sets(seed, systems, n, d, lines)
+    assert not failed.any()
+    k = math.comb(n + d, n)
+    size = 2 * k + sum(roots._section_sizes(n, lines)) + lines * d
+    x = randgeom.uniforms_for_streams(seed, systems, size)
+    u, v, _, _ = roots._sections(x[:, 2 * k:], n, d, lines)
+    for j in systems:
+        h = bwspace.make_system(n, (d,), [coeffs[j]])
+        for line in range(lines):
+            pts = points[j, line * d:(line + 1) * d]
+            frame = np.stack([u[j, line], v[j, line]])
+            st = pts @ frame.conj().T
+            np.testing.assert_allclose(st @ frame, pts, rtol=0, atol=1e-12)
+            g = roots.restrict_to_line(h, u[j, line], v[j, line])
+            w = np.roots(g.coeffs[::-1])  # g(1, w) = sum_k coeffs[k] w^k
+            expected = [np.array([1.0, z]) / math.hypot(1.0, abs(z)) for z in w]
+            assert projective_match(st, expected)
