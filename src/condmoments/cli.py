@@ -214,11 +214,16 @@ def run_experiment(exp: ExperimentConfig, samples_override: int | None = None) -
 def _row(exp: ExperimentConfig, comp: Comparison | None, err: Exception | None = None) -> dict:
     """One report row: the comparison, or the error that stopped the experiment."""
     est = comp.estimate if comp else None
+    ref = getattr(comp, "reference_estimate", None)
     return {
         "experiment_id": exp.experiment_id,
         "estimator_id": exp.estimator_id,
         "params": exp.params,
         "n_samples": getattr(est, "n_samples", 0),
+        "attempted": getattr(est, "attempted", None),
+        "dropped": getattr(est, "dropped", None),
+        "reference_attempted": getattr(ref, "attempted", None),
+        "reference_dropped": getattr(ref, "dropped", None),
         "seed": exp.seed,
         "method": getattr(est, "method", None),
         "mean": getattr(est, "mean", None),

@@ -67,7 +67,11 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """A reproducible Monte Carlo estimate."""
+    """A reproducible Monte Carlo estimate.
+
+    n_samples counts the draws or systems in the mean; attempted (n_samples
+    when not given) also counts those dropped from it.
+    """
 
     mean: float
     stderr: float
@@ -76,6 +80,15 @@ class EstimateResult:
     seed: int
     estimator_id: str
     params: dict = field(default_factory=dict)
+    attempted: int | None = None
+
+    def __post_init__(self):
+        if self.attempted is None:
+            object.__setattr__(self, "attempted", self.n_samples)
+
+    @property
+    def dropped(self) -> int:
+        return self.attempted - self.n_samples
 
 
 @dataclass(frozen=True)
@@ -84,7 +97,8 @@ class Comparison:
 
     For closed-form references reference_stderr is 0 and the z-score is
     (mean - reference) / stderr; for estimated references the dispersion is
-    combined in quadrature.  passed is |z| <= tolerance_sigmas.
+    combined in quadrature and reference_estimate is the estimate compared
+    against.  passed is |z| <= tolerance_sigmas.
     """
 
     estimate: EstimateResult
@@ -95,6 +109,7 @@ class Comparison:
     passed: bool
     tolerance_sigmas: float
     lhs_scale: float = 1.0
+    reference_estimate: EstimateResult | None = None
 
 
 def _check_norm(norm: str) -> str:
@@ -167,6 +182,9 @@ def _run_matrix_estimator(
 ) -> EstimateResult:
     logv = np.concatenate([log_values_fn(RngStream(cfg.seed, index), count)
                            for index, count in _blocks(cfg.samples)])
+    nan = int(np.count_nonzero(np.isnan(logv)))
+    if nan:
+        raise NumericError(f"{estimator_id}: {nan} of {cfg.samples} draws gave a NaN log-value")
     mean, stderr, method = _reduce_log_values(logv, heavy)
     return EstimateResult(
         mean=mean,
@@ -182,13 +200,126 @@ def _run_matrix_estimator(
 def _squared_singular_values(a: np.ndarray) -> np.ndarray:
     """Squared singular values of each r x m matrix (r <= m) in a stack, ascending.
 
-    They are the eigenvalues of the r x r Gram matrix A A*, which eigvalsh
-    finds faster than a batched SVD finds the singular values of A.
-    Eigenvalues of a singular draw that rounding pushes below 0 are clamped
-    to 0.
+    They are the eigenvalues of the r x r Gram matrix G = A A*.  For r <= 3
+    they come from closed forms, as array arithmetic over the whole stack:
+    the squared row norm at r = 1; at r = 2 the larger root of the
+    characteristic quadratic, and det G divided by it, which avoids the
+    cancellation of subtracting nearly equal terms; at r = 3 the eigenvalue
+    that lies apart by the trigonometric method (Smith, CACM 4(4), 1961),
+    and the other two by the r = 2 form on the block that deflating it
+    leaves.  For r >= 4 no closed form applies and eigvalsh runs on each
+    Gram matrix.  Eigenvalues of a singular draw that rounding pushes below
+    0 are clamped to 0, and every 0/0 (a zero draw, three equal eigenvalues)
+    gives 0, so a finite draw never gives NaN.
     """
-    gram = np.einsum("nij,nkj->nik", a, a.conj())
-    return np.maximum(np.linalg.eigvalsh(gram), 0.0)
+    r = a.shape[1]
+    if r >= 4:
+        gram = np.einsum("nij,nkj->nik", a, a.conj())
+        return np.maximum(np.linalg.eigvalsh(gram), 0.0)
+    rows = [a[:, i] for i in range(r)]
+    diag = [np.einsum("nj,nj->n", x.real, x.real) + np.einsum("nj,nj->n", x.imag, x.imag)
+            for x in rows]
+    if r == 1:
+        return diag[0][:, None]
+    # divide by the power of two just above the trace: exact, and it keeps
+    # products of three entries from overflowing or underflowing
+    scale = np.ldexp(1.0, np.frexp(sum(diag))[1])
+    g = [d / scale for d in diag]
+    off = {(i, k): np.einsum("nj,nj->n", rows[i], rows[k].conj()) / scale
+           for i in range(r) for k in range(i + 1, r)}
+    if r == 2:
+        low, high = _gram_eigenvalues_2(g[0], g[1], off[0, 1])
+        lam = np.stack([low, high], axis=1)
+    else:
+        lam = _gram_eigenvalues_3(g, off)
+    return lam * scale[:, None]
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 without the square root."""
+    return (z * z.conj()).real
+
+
+def _gram_eigenvalues_2(g00, g11, g01) -> tuple[np.ndarray, np.ndarray]:
+    """Smaller and larger eigenvalues of 2 x 2 Hermitian PSD matrices, entries at most 1.
+
+    The larger is (g00 + g11 + hypot(g00 - g11, 2|g01|)) / 2, the smaller the
+    determinant divided by it.  Entries at most 1 cannot overflow the squares
+    in the hypot.
+    """
+    diff = g00 - g11
+    high = 0.5 * (g00 + g11 + np.sqrt(diff * diff + 4.0 * _abs2(g01)))
+    det = np.maximum(g00 * g11 - _abs2(g01), 0.0)
+    return np.minimum(_ratio(det, high), high), high
+
+
+def _gram_eigenvalues_3(g: list, off: dict) -> np.ndarray:
+    """Ascending eigenvalues of 3 x 3 Hermitian PSD matrices, entries at most 1.
+
+    The trigonometric method gives the eigenvalue farthest from the other
+    two: with q = tr G / 3 and p^2 = |G - q I|_F^2 / 6, the eigenvalues are
+    q + 2p cos(phi + 2 pi j / 3), j = 0, 1, 2, where cos(3 phi) =
+    det(G - q I) / (2 p^3), and the largest (j = 0) lies apart when
+    cos(3 phi) >= 0, else the smallest (j = 1).  That one is well conditioned
+    in phi; the other two are not when they nearly coincide, so they come
+    from the 2 x 2 block that a Householder reflection H, sending the lone
+    eigenvector v to e_0, leaves in H G H.  With mu the lone eigenvalue,
+    adj(G - mu I) has rank one and v is one of its columns.  Every
+    eigenvalue is then within a small multiple of eps * lambda_max of
+    exact, as with eigvalsh.
+    """
+    g00, g11, g22 = g
+    g01, g02, g12 = off[0, 1], off[0, 2], off[1, 2]
+    a2, b2, c2 = _abs2(g01), _abs2(g02), _abs2(g12)
+    t = g01 * g12
+    q = (g00 + g11 + g22) / 3.0
+    d0, d1, d2 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (a2 + b2 + c2)) / 6.0)
+    # det(G - q I), with 2 Re(g01 g12 conj(g02)) for the two off-diagonal products
+    det = (d0 * d1 * d2 + 2.0 * (t.real * g02.real + t.imag * g02.imag)
+           - d0 * c2 - d1 * b2 - d2 * a2)
+    cos3phi = np.clip(_ratio(det, 2.0 * p**3), -1.0, 1.0)
+    top_apart = cos3phi >= 0.0
+    phi = np.arccos(cos3phi) / 3.0 + np.where(top_apart, 0.0, 2.0 * math.pi / 3.0)
+    mu = q + 2.0 * p * np.cos(phi)
+
+    # adj(G - mu I) = (lambda_a - mu)(lambda_b - mu) v v*: take its column
+    # with the largest diagonal entry
+    m0, m1, m2 = g00 - mu, g11 - mu, g22 - mu
+    adj00, adj11, adj22 = m1 * m2 - c2, m0 * m2 - b2, m0 * m1 - a2
+    adj01 = g02 * g12.conj() - g01 * m2
+    adj02 = t - g02 * m1
+    adj12 = g02 * g01.conj() - m0 * g12
+    col0 = (adj00 >= adj11) & (adj00 >= adj22)
+    col1 = ~col0 & (adj11 >= adj22)
+    v = [np.where(col0, adj00, np.where(col1, adj01, adj02)),
+         np.where(col0, adj01.conj(), np.where(col1, adj11, adj12)),
+         np.where(col0, adj02.conj(), np.where(col1, adj12.conj(), adj22))]
+    norm = np.sqrt(_abs2(v[0]) + _abs2(v[1]) + _abs2(v[2]))
+    v = [x * _ratio(np.ones_like(norm), norm) for x in v]
+    v[0] = np.where(norm > 0, v[0], 1.0)  # G = mu I: any unit vector
+
+    # H = I - beta w w*, w = v + e^{i arg v0} e_0, beta = 1 / (1 + |v0|); u = G w
+    v0_abs = np.abs(v[0])
+    w0 = v[0] + np.divide(v[0], v0_abs, out=np.ones_like(v[0]), where=v0_abs > 0)
+    beta = 1.0 / (1.0 + v0_abs)
+    u0 = g00 * w0 + g01 * v[1] + g02 * v[2]
+    u1 = g01.conj() * w0 + g11 * v[1] + g12 * v[2]
+    u2 = g02.conj() * w0 + g12.conj() * v[1] + g22 * v[2]
+    k = beta * beta * (w0.conj() * u0 + v[1].conj() * u1 + v[2].conj() * u2).real
+    h11 = g11 - 2.0 * beta * (v[1] * u1.conj()).real + k * _abs2(v[1])
+    h22 = g22 - 2.0 * beta * (v[2] * u2.conj()).real + k * _abs2(v[2])
+    h12 = g12 - beta * (v[1] * u2.conj() + u1 * v[2].conj()) + k * v[1] * v[2].conj()
+    low, high = _gram_eigenvalues_2(h11, h22, h12)
+
+    mu = np.maximum(mu, 0.0)
+    return np.stack([np.minimum(low, mu), np.maximum(low, np.minimum(high, mu)),
+                     np.maximum(high, mu)], axis=1)
 
 
 def _log_pinv_norm(lam: np.ndarray, norm: str) -> np.ndarray:
@@ -459,6 +590,7 @@ def estimate_poly_moment(
         seed=cfg.seed,
         estimator_id="poly_moment",
         params=params,
+        attempted=cfg.samples,
     )
 
 
@@ -516,4 +648,5 @@ def compare_pair(
         passed=bool(abs(z) <= tolerance_sigmas),
         tolerance_sigmas=tolerance_sigmas,
         lhs_scale=lhs_scale,
+        reference_estimate=rhs,
     )

@@ -220,6 +220,35 @@ class TestRunVerify:
         assert report.rows[0]["n_samples"] == 2000
 
 
+class TestDroppedSystems:
+    def test_json_row_counts_dropped_systems_on_both_sides(self, monkeypatch):
+        # a point of system 500 is moved off the zero set, to e_0, on both
+        # sides of the pair: each side drops that one system of 1,000
+        import numpy as np
+
+        from condmoments import montecarlo
+
+        real = montecarlo.roots.sample_zero_sets
+
+        def move_a_point(seed, systems, n, d, lines):
+            coeffs, pts, failed = real(seed, systems, n, d, lines)
+            if 500 in systems:
+                pts[systems.index(500), 0] = np.eye(n + 1)[0]
+            return coeffs, pts, failed
+
+        monkeypatch.setattr(montecarlo.roots, "sample_zero_sets", move_a_point)
+        doc = tiny_config(experiment_id="scaling", estimator_id="poly_scaling_pair",
+                          params={"n": 1, "degrees": [2], "alpha": 2.0, "norm": "frobenius"},
+                          samples=1000, closed_form_id=DROP, lines_per_system=1)
+        doc["experiments"].append(tiny_config(samples=1000)["experiments"][0])
+        rows = cli.report_json(cli.run_verify(cli.parse_config(doc)))["comparisons"]
+        assert rows[0]["n_samples"] == 999
+        assert (rows[0]["attempted"], rows[0]["dropped"]) == (1000, 1)
+        assert (rows[0]["reference_attempted"], rows[0]["reference_dropped"]) == (1000, 1)
+        assert (rows[1]["attempted"], rows[1]["dropped"]) == (1000, 0)
+        assert rows[1]["reference_attempted"] is None
+
+
 class TestMain:
     def test_verify_with_config_exit_zero(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

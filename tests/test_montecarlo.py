@@ -6,7 +6,8 @@ import pytest
 
 from condmoments import bwspace, conditioning, formulas, montecarlo, roots
 from condmoments.montecarlo import EstimatorConfig
-from condmoments.randgeom import RngStream, complex_gaussian_array, gaussian_system
+from condmoments.randgeom import (RngStream, complex_gaussian_array, gaussian_system,
+                                  unitary_from_ginibre)
 
 
 def cfg(samples, seed, **kw):
@@ -115,6 +116,81 @@ class TestGramEigenvalues:
                 assert np.all(np.isfinite(log_norm) | (log_norm == math.inf))
             log_det = montecarlo._log_det_gram(lam)
             assert np.all(np.isfinite(log_det) | (log_det == -math.inf))
+
+
+class TestClosedFormGramEigenvalues:
+    # for r <= 3 the eigenvalues of A A* come from closed forms; eigvalsh of
+    # the Gram matrix and the batched SVD of the same draws are the references
+
+    @pytest.mark.parametrize("r, m", [(1, 3), (2, 2), (2, 5), (3, 3), (3, 5), (4, 6)])
+    def test_matches_eigvalsh_and_svd(self, r, m):
+        a = complex_gaussian_array(RngStream(72, 10 * r + m), (4096, r, m))
+        lam = montecarlo._squared_singular_values(a)
+        assert lam.shape == (4096, r)
+        assert np.all(np.diff(lam, axis=1) >= 0)
+        gram = np.einsum("nij,nkj->nik", a, a.conj())
+        np.testing.assert_allclose(np.log(lam), np.log(np.linalg.eigvalsh(gram)),
+                                   rtol=0, atol=1e-9)
+        s = np.linalg.svd(a, compute_uv=False)[:, ::-1]
+        np.testing.assert_allclose(np.log(lam), 2.0 * np.log(s), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("r, m", [(2, 2), (2, 4), (3, 3), (3, 5)])
+    def test_zero_draw_gives_zero_not_nan(self, r, m):
+        lam = montecarlo._squared_singular_values(np.zeros((3, r, m), dtype=complex))
+        assert np.all(lam == 0.0)
+        for norm in ("frobenius", "operator"):
+            assert np.all(montecarlo._log_pinv_norm(lam, norm) == math.inf)
+        assert np.all(montecarlo._log_det_gram(lam) == -math.inf)
+
+    @pytest.mark.parametrize("r, m", [(2, 2), (2, 4), (3, 3), (3, 5)])
+    def test_repeated_eigenvalues(self, r, m):
+        # A = c [I | 0]: every eigenvalue is |c|^2, which the trigonometric
+        # method meets as p = 0
+        for c in (1.0, 0.1, 3.7, 2.3j, 1e-150, 1e150):
+            a = np.zeros((1, r, m), dtype=complex)
+            a[0, :, :r] = c * np.eye(r)
+            lam = montecarlo._squared_singular_values(a)
+            np.testing.assert_allclose(lam, np.full((1, r), abs(c) ** 2), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("m_extra", [0, 2])
+    @pytest.mark.parametrize("sv", [(1.0, 1e-6), (1.0, 1e-3, 1e-6), (1.0, 1.0, 1e-6),
+                                    (1.0, 1e-6, 1e-6), (1.0, 1e-2, 1.0001e-2)])
+    def test_ill_conditioned_draws_match_svd(self, sv, m_extra):
+        # kappa(A) = 1e6 with the small singular values spread, paired or
+        # alone, and two nearly equal ones; at scales 1e-150 and 1e150 the
+        # products of Gram entries would underflow or overflow unscaled
+        r = len(sv)
+        m = r + m_extra
+        rng = RngStream(73, 10 * r + m)
+        u = unitary_from_ginibre(complex_gaussian_array(rng, (512, r, r)))
+        v = unitary_from_ginibre(complex_gaussian_array(rng, (512, m, m)))[:, :r]
+        a = np.einsum("nij,j,njk->nik", u, np.array(sv), v)
+        for scale in (1e-150, 1.0, 1e150):
+            lam = montecarlo._squared_singular_values(scale * a)
+            assert np.all(np.diff(lam, axis=1) >= 0)
+            # each eigenvalue within a few eps * lambda_max, as with eigvalsh ...
+            s2 = np.linalg.svd(scale * a, compute_uv=False)[:, ::-1] ** 2
+            assert np.all(np.abs(lam - s2) <= 32 * np.finfo(float).eps * s2[:, -1:])
+            # ... so the smallest is good to 32 eps kappa^2 = 7e-3 relative
+            np.testing.assert_allclose(lam[:, 0], (scale * sv[-1]) ** 2, rtol=1e-2)
+
+
+class TestMatrixNumericFailure:
+    def test_nan_log_value_raises(self, monkeypatch):
+        # a NaN draw must stop the estimate with its count, not reach the
+        # reduction as a mean of NaN
+        from condmoments.cxla import NumericError
+
+        real = montecarlo._squared_singular_values
+
+        def one_nan_row(a):
+            lam = real(a)
+            lam[7] = math.nan
+            return lam
+
+        monkeypatch.setattr(montecarlo, "_squared_singular_values", one_nan_row)
+        with pytest.raises(NumericError, match="pinv_moment: 2 of 5000 draws"):
+            montecarlo.estimate_pinv_moment(2, 4, 2.0, "frobenius", cfg(5_000, 3))
 
 
 class TestEspnorm:
