@@ -459,13 +459,29 @@ def report_json(report: Report) -> dict:
     }
 
 
+def _finite_json(obj):
+    """obj with every non-finite float replaced by the string the CSV prints
+    for it ("inf", "-inf", "nan"), since RFC 8259 JSON has no such numbers."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
+def _json_text(obj) -> str:
+    """Standard JSON for a report or result; finite values print as json.dumps would."""
+    return json.dumps(_finite_json(obj), indent=2, allow_nan=False)
+
+
 def write_report(report: Report, out_dir: str) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "verify-report.json")
     csv_path = os.path.join(out_dir, "verify-report.csv")
     with open(json_path, "w") as f:
-        json.dump(report_json(report), f, indent=2)
-        f.write("\n")
+        f.write(_json_text(report_json(report)) + "\n")
     with open(csv_path, "w") as f:
         f.write(report_csv(report))
     return json_path, csv_path
@@ -754,7 +770,7 @@ def _cmd_estimate(args) -> int:
     except cxla.NumericError as err:
         print(f"estimator failure: {err}", file=sys.stderr)
         return 1
-    print(json.dumps(est.__dict__, indent=2))
+    print(_json_text(est.__dict__))
     return 0
 
 
@@ -769,7 +785,7 @@ def _cmd_formulas(args) -> int:
     except ValueError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return 2
-    print(json.dumps(out, indent=2))
+    print(_json_text(out))
     return 0
 
 

@@ -5,7 +5,11 @@ counter-based substream per block (the polynomial estimator uses one
 substream per system instead, and runs chunks of systems as whole arrays).
 Blocks and chunks run one after another and values are reduced in block
 order with pairwise summation, so a result is a pure function of
-(estimator_id, params, seed, n_samples).
+(estimator_id, params, seed, n_samples).  Every matrix-side integrand is
+unitarily invariant, so the matrix estimators draw with
+randgeom.gauge_fixed_gaussian_array: the same per-sample values as the full
+Gaussian draws up to rounding, with phases only off the first row and
+column, and for vectors and single rows no phase uniforms at all.
 
 Heavy tails: whenever the estimand's second moment is infinite or unproven
 the estimator switches to median-of-means over MOM_BUCKETS contiguous
@@ -365,7 +369,7 @@ def estimate_pinv_moment(
     heavy = pinv_moment_domain(r, m, alpha, norm)
 
     def log_values(rng: RngStream, count: int) -> np.ndarray:
-        lam = _squared_singular_values(randgeom.complex_gaussian_array(rng, (count, r, m)))
+        lam = _squared_singular_values(randgeom.gauge_fixed_gaussian_array(rng, (count, r, m)))
         return alpha * _log_pinv_norm(lam, norm)
 
     params = {"r": r, "m": m, "alpha": alpha, "norm": norm}
@@ -393,7 +397,7 @@ def estimate_detweighted_rect(
     heavy = detweighted_rect_domain(r, n, alpha, norm)
 
     def log_values(rng: RngStream, count: int) -> np.ndarray:
-        lam = _squared_singular_values(randgeom.complex_gaussian_array(rng, (count, r, n)))
+        lam = _squared_singular_values(randgeom.gauge_fixed_gaussian_array(rng, (count, r, n)))
         return alpha * _log_pinv_norm(lam, norm) + _log_det_gram(lam)
 
     params = {"r": r, "n": n, "alpha": alpha, "norm": norm}
@@ -427,7 +431,7 @@ def estimate_detweighted_square(
     heavy = detweighted_square_domain(r, k, alpha, norm)
 
     def log_values(rng: RngStream, count: int) -> np.ndarray:
-        lam = _squared_singular_values(randgeom.complex_gaussian_array(rng, (count, r, r)))
+        lam = _squared_singular_values(randgeom.gauge_fixed_gaussian_array(rng, (count, r, r)))
         return alpha * _log_pinv_norm(lam, norm) + k * _log_det_gram(lam)
 
     params = {"r": r, "k": k, "alpha": alpha, "norm": norm}
@@ -450,7 +454,7 @@ def estimate_espnorm(n: int, alpha: float, cfg: EstimatorConfig) -> EstimateResu
     heavy = espnorm_domain(n, alpha)
 
     def log_values(rng: RngStream, count: int) -> np.ndarray:
-        v = randgeom.complex_gaussian_array(rng, (count, n))
+        v = randgeom.gauge_fixed_gaussian_array(rng, (count, 1, n))[:, 0]
         with np.errstate(divide="ignore"):
             return alpha * np.log(np.linalg.norm(v, axis=1))
 
@@ -478,7 +482,7 @@ def estimate_espnormrest(
     heavy = espnormrest_domain(n, alpha, beta)
 
     def log_values(rng: RngStream, count: int) -> np.ndarray:
-        v = randgeom.complex_gaussian_array(rng, (count, n))
+        v = randgeom.gauge_fixed_gaussian_array(rng, (count, 1, n))[:, 0]
         with np.errstate(divide="ignore"):
             return 2.0 * alpha * np.log(np.linalg.norm(v, axis=1)) + beta * np.log(
                 np.linalg.norm(v[:, : n - 1], axis=1)

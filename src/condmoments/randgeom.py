@@ -10,6 +10,14 @@ from the generator's own ziggurat, so the draw sequence is pinned down by
 the uniform stream alone.  Complex standard Gaussians follow the
 E|z|^2 = 1 convention: z = (g1 + i g2)/sqrt(2) with g1, g2 independent
 standard real normals, equivalently |z|^2 ~ Exp(1) with uniform phase.
+
+gauge_fixed_gaussian_array returns such a Gaussian stack only up to
+diagonal unitaries on either side, D1 A D2, with row 0 and column 0 made
+real and non-negative.  It is for unitarily invariant functionals alone
+(singular values, determinants, the norm of a vector or of some of its
+coordinates): for those it gives, draw for draw, the value of
+complex_gaussian_array's A up to rounding, and it evaluates a phase only for
+the (r - 1)(m - 1) interior entries, none at all for a single row or column.
 """
 
 from __future__ import annotations
@@ -118,6 +126,28 @@ def complex_gaussian_array(rng: RngStream, shape) -> np.ndarray:
     u = rng.uniforms(shape)
     v = rng.uniforms(shape)
     return complex_gaussians(u, v)
+
+
+def gauge_fixed_gaussian_array(rng: RngStream, shape) -> np.ndarray:
+    """D1 A D2 for the stack A = complex_gaussian_array(rng, shape) of r x m
+    matrices (shape (..., r, m)), with diagonal unitaries D1, D2 chosen so
+    that row 0 and column 0 become their moduli.
+
+    Entry (i, j) is rho_ij exp(2 pi i ((v_ij - v_0j) - (v_i0 - v_00))) for
+    A_ij = rho_ij exp(2 pi i v_ij), so only the interior entries need a
+    phase.  When r = 1 or m = 1 (a vector is a 1 x n matrix) every entry is
+    a modulus: the phase uniforms v, drawn after the radius uniforms u, are
+    not drawn at all and the stream advances by prod(shape) uniforms only.
+    Valid only for functionals invariant under A -> D1 A D2.
+    """
+    u = rng.uniforms(shape)
+    a = np.sqrt(-np.log1p(-u)).astype(np.complex128)
+    if shape[-2] == 1 or shape[-1] == 1:
+        return a
+    v = rng.uniforms(shape)
+    theta = (v[..., 1:, 1:] - v[..., :1, 1:]) - (v[..., 1:, :1] - v[..., :1, :1])
+    a[..., 1:, 1:] *= np.exp(2j * np.pi * theta)
+    return a
 
 
 def complex_gaussian_vector(rng: RngStream, n: int) -> np.ndarray:

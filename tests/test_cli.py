@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from condmoments import cli
@@ -418,6 +420,42 @@ class TestMain:
                 cli.main([*argv, "--workers", "2"])
             assert exc.value.code == 2
             assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+class TestStandardJson:
+    def test_one_sample_report_parses_as_standard_json(self, tmp_path):
+        # one sample gives zero-dispersion rows, whose z is infinite
+        cli.main(["verify", "--samples", "1", "--out", str(tmp_path)])
+        text = (tmp_path / "verify-report.json").read_text()
+        rows = json.loads(text, parse_constant=_reject_constant)["comparisons"]
+        with open(tmp_path / "verify-report.csv") as f:
+            csv_z = {r["experiment_id"]: r["z"] for r in csv.DictReader(f)}
+        infinite = [row for row in rows if row["z"] in ("inf", "-inf")]
+        assert infinite
+        for row in infinite:
+            assert csv_z[row["experiment_id"]] == row["z"]
+
+    def test_non_finite_floats_print_as_csv_strings(self):
+        obj = {"a": math.inf, "b": [-math.inf, math.nan, 1.5], "c": (np.float64(-np.inf),)}
+        out = json.loads(cli._json_text(obj), parse_constant=_reject_constant)
+        assert out == {"a": "inf", "b": ["-inf", "nan", 1.5], "c": ["-inf"]}
+
+    def test_finite_values_print_as_json_dumps(self):
+        obj = {"mean": 0.1 + 0.2, "n": 3, "ok": True, "none": None, "rows": [{"z": -1e-300}]}
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+    def test_estimate_prints_standard_json(self, monkeypatch, capsys):
+        # a singular draw makes the pseudoinverse moment infinite
+        monkeypatch.setattr(cli.montecarlo, "_squared_singular_values",
+                            lambda a: np.zeros((a.shape[0], a.shape[1])))
+        assert cli.main(["estimate", "--estimator", "pinv_moment", "--r", "1", "--m", "3",
+                         "--samples", "10", "--seed", "5"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert out["mean"] == "inf" and out["stderr"] == "inf"
 
 
 class TestSelftest:

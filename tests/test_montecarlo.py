@@ -7,7 +7,7 @@ import pytest
 from condmoments import bwspace, conditioning, formulas, montecarlo, roots
 from condmoments.montecarlo import EstimatorConfig
 from condmoments.randgeom import (RngStream, complex_gaussian_array, gaussian_system,
-                                  unitary_from_ginibre)
+                                  gauge_fixed_gaussian_array, unitary_from_ginibre)
 
 
 def cfg(samples, seed, **kw):
@@ -173,6 +173,50 @@ class TestClosedFormGramEigenvalues:
             assert np.all(np.abs(lam - s2) <= 32 * np.finfo(float).eps * s2[:, -1:])
             # ... so the smallest is good to 32 eps kappa^2 = 7e-3 relative
             np.testing.assert_allclose(lam[:, 0], (scale * sv[-1]) ** 2, rtol=1e-2)
+
+
+class TestGaugeFixedDraws:
+    # the matrix estimators draw D1 A D2 in place of A; every log-value they
+    # take is unitarily invariant, so it matches the full draw of the same
+    # stream up to rounding
+
+    @pytest.mark.parametrize("r, m", [(1, 1), (1, 3), (2, 2), (2, 3), (2, 4), (2, 5),
+                                      (3, 3), (3, 5), (4, 4), (4, 6)])
+    def test_gram_log_values_match_full_draws(self, r, m):
+        full = complex_gaussian_array(RngStream(74, 10 * r + m), (4096, r, m))
+        fixed = gauge_fixed_gaussian_array(RngStream(74, 10 * r + m), (4096, r, m))
+        lam_full = montecarlo._squared_singular_values(full)
+        lam_fixed = montecarlo._squared_singular_values(fixed)
+        for norm in ("frobenius", "operator"):
+            np.testing.assert_allclose(montecarlo._log_pinv_norm(lam_fixed, norm),
+                                       montecarlo._log_pinv_norm(lam_full, norm),
+                                       rtol=0, atol=1e-9)
+        np.testing.assert_allclose(montecarlo._log_det_gram(lam_fixed),
+                                   montecarlo._log_det_gram(lam_full), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_vector_norms_match_full_draws(self, n):
+        full = complex_gaussian_array(RngStream(75, n), (4096, n))
+        fixed = gauge_fixed_gaussian_array(RngStream(75, n), (4096, 1, n))[:, 0]
+        for k in (n, n - 1):
+            np.testing.assert_allclose(np.linalg.norm(fixed[:, :k], axis=1),
+                                       np.linalg.norm(full[:, :k], axis=1), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("estimate, params", [
+        (montecarlo.estimate_pinv_moment, (3, 5, 2.0, "operator")),
+        (montecarlo.estimate_detweighted_rect, (2, 3, 2.0, "frobenius")),
+        (montecarlo.estimate_detweighted_square, (2, 1.0, 2.0, "frobenius")),
+        (montecarlo.estimate_espnorm, (2, -2.0)),
+        (montecarlo.estimate_espnormrest, (3, 1, 2.0)),
+    ])
+    def test_estimates_match_full_draws(self, monkeypatch, estimate, params):
+        fixed = estimate(*params, cfg(5_000, 76))
+        monkeypatch.setattr(montecarlo.randgeom, "gauge_fixed_gaussian_array",
+                            complex_gaussian_array)
+        full = estimate(*params, cfg(5_000, 76))
+        assert fixed.method == full.method
+        assert fixed.mean == pytest.approx(full.mean, rel=1e-12, abs=0)
+        assert fixed.stderr == pytest.approx(full.stderr, rel=1e-12, abs=0)
 
 
 class TestMatrixNumericFailure:

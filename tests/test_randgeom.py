@@ -252,3 +252,55 @@ class TestDeterminism:
         u1 = randgeom.haar_unitary(RngStream(28, 1), 4)
         u2 = randgeom.haar_unitary(RngStream(28, 1), 4)
         assert np.array_equal(u1, u2)
+
+
+class _ZeroRadiusStream(RngStream):
+    """A stream whose first draw (the radius uniforms u) is all zeros."""
+
+    def uniforms(self, shape):
+        out = super().uniforms(shape)
+        if not getattr(self, "_zeroed", False):
+            self._zeroed = True
+            out[...] = 0.0
+        return out
+
+
+class TestGaugeFixedGaussianArray:
+    # D1 A D2 of the full draw A of the same stream: the reference is
+    # complex_gaussian_array on a replay of the stream
+
+    @pytest.mark.parametrize("shape", [(64, 2, 2), (64, 3, 5), (8, 4, 6), (2, 7, 3, 4)])
+    def test_is_full_draw_up_to_diagonal_unitaries(self, shape):
+        a = randgeom.complex_gaussian_array(RngStream(30, 1), shape)
+        g = randgeom.gauge_fixed_gaussian_array(RngStream(30, 1), shape)
+        d2 = np.conj(a[..., :1, :]) / np.abs(a[..., :1, :])
+        col = a[..., :, :1] * d2[..., :, :1]
+        d1 = np.conj(col) / np.abs(col)
+        np.testing.assert_allclose(g, d1 * a * d2, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.abs(g), np.abs(a), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("shape", [(64, 2, 2), (64, 3, 5), (64, 1, 3), (64, 4, 1), (5, 1, 1)])
+    def test_first_row_and_column_real_nonnegative(self, shape):
+        g = randgeom.gauge_fixed_gaussian_array(RngStream(31, 2), shape)
+        for edge in (g[..., 0, :], g[..., :, 0]):
+            assert np.all(edge.imag == 0.0)
+            assert np.all(edge.real >= 0.0)
+
+    @pytest.mark.parametrize("shape", [(5, 1, 3), (4, 3, 1), (7, 1, 1), (3, 2, 1, 4)])
+    def test_moduli_only_shape_draws_radius_uniforms_only(self, shape):
+        rng = RngStream(32, 3)
+        g = randgeom.gauge_fixed_gaussian_array(rng, shape)
+        size = math.prod(shape)
+        u = RngStream(32, 3).uniforms(size + 1)
+        assert rng.uniforms(1)[0] == u[-1]
+        np.testing.assert_array_equal(g, np.sqrt(-np.log1p(-u[:-1])).reshape(shape))
+
+    def test_matrix_shape_draws_both_halves(self):
+        rng = RngStream(33, 4)
+        randgeom.gauge_fixed_gaussian_array(rng, (6, 2, 3))
+        assert rng.uniforms(1)[0] == RngStream(33, 4).uniforms(2 * 36 + 1)[-1]
+
+    @pytest.mark.parametrize("shape", [(16, 3, 5), (16, 1, 4), (16, 2, 2)])
+    def test_zero_radius_uniforms_give_zeros_not_nan(self, shape):
+        g = randgeom.gauge_fixed_gaussian_array(_ZeroRadiusStream(34, 5), shape)
+        assert np.all(g == 0.0)
