@@ -20,6 +20,7 @@ and (0,...,0,d) last.  Every coordinate vector uses this order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,11 +38,21 @@ def _check_scale(n: int, d: int) -> None:
         )
 
 
+def check_integers(**counts) -> None:
+    """Reject counts (or degree lists) that are not integers, 1.0 and True included."""
+    for name, value in counts.items():
+        values = value if isinstance(value, (list, tuple)) else np.ravel(value)
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_degrees(n: int, degrees) -> tuple[int, ...]:
     """Validate an ambient dimension and degree list, returning the tuple."""
+    degs = tuple(degrees)
+    check_integers(n=n, degrees=degs)
     if n < 1:
         raise ValueError(f"ambient n must be >= 1, got {n}")
-    degs = tuple(int(d) for d in degrees)
+    degs = tuple(int(d) for d in degs)
     if len(degs) < 1:
         raise ValueError("degree list must be nonempty")
     if any(d < 1 for d in degs):
@@ -104,13 +115,11 @@ def dim_space(n: int, degrees) -> int:
 
 def bezout(degrees) -> int:
     """Product of the degrees."""
-    degs = tuple(int(d) for d in degrees)
+    degs = tuple(degrees)
+    check_integers(degrees=degs)
     if any(d < 1 for d in degs) or not degs:
         raise ValueError(f"degrees must be positive, got {degs}")
-    out = 1
-    for d in degs:
-        out *= d
-    return out
+    return math.prod(int(d) for d in degs)
 
 
 @dataclass(frozen=True)

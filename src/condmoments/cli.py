@@ -274,7 +274,7 @@ def default_suite(seed: int = DEFAULT_SEED) -> list[ExperimentConfig]:
             {"r": r, "k": float(k), "alpha": 2.0, "norm": "frobenius"},
             100_000, 3.0, "invnor2mdet_value")
 
-    for norm in ("frobenius", "operator"):
+    for norm in conditioning.NORMS:
         add(f"rect-identity-{norm}", "detweighted_rect_pair",
             {"r": 2, "n": 3, "alpha": 2.0, "norm": norm}, 100_000, 3.0)
 
@@ -692,7 +692,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k", type=float)
     e.add_argument("--alpha", type=float, default=2.0)
     e.add_argument("--beta", type=float)
-    e.add_argument("--norm", choices=("frobenius", "operator"), default="frobenius")
+    e.add_argument("--norm", choices=conditioning.NORMS, default="frobenius")
     e.add_argument("--degrees", type=_parse_degrees)
     e.add_argument("--relative", action="store_true")
     e.add_argument("--lines", type=int, default=EstimatorConfig.lines_per_system)

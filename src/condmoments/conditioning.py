@@ -31,6 +31,9 @@ from .bwspace import SystemCoords
 # delivers ~1e-12 so the slack decouples mu from the root finder.
 ZERO_TOL = 1e-8
 
+# the norms of the scaled pseudoinverse that a condition number can take
+NORMS = ("frobenius", "operator")
+
 _UNIT_TOL = 1e-6
 
 def _checked_zero(h: SystemCoords, x) -> tuple[np.ndarray, float]:
@@ -56,7 +59,7 @@ def mu(h: SystemCoords, x, norm: str = "frobenius") -> float:
 
     Satisfies mu(h, x, "operator") <= mu(h, x) <= sqrt(r) * mu(h, x, "operator").
     """
-    if norm not in ("frobenius", "operator"):
+    if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}")
     v, hnorm = _checked_zero(h, x)
     scale = np.sqrt(np.array(h.degrees, dtype=np.float64))

@@ -9,6 +9,7 @@ exact factorial arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from . import bwspace
@@ -38,11 +39,31 @@ def _lgamma(x: float, what: str) -> float:
     return math.lgamma(x)
 
 
-def check_finite(**values) -> None:
-    """Reject real parameters that are nan or infinite."""
+def check_finite(positive: bool = False, **values) -> None:
+    """Reject real parameters that are not numbers (True included), nan or
+    infinite, or, when positive is set, not above 0.
+    """
+    need = "finite and positive" if positive else "finite"
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            raise ValueError(f"{name} must be {need}, got {value!r}")
+
+
+def check_rect_alpha(n: int, r: int, alpha: float) -> bool:
+    """Reject alpha outside 0 < alpha < 2(n - r + 2); True if alpha >= n - r + 2.
+
+    The alpha-th polynomial moment and ||A^+||^alpha |det A A*| over r x n
+    matrices have a finite mean in that range, and infinite variance from n - r + 2.
+    """
+    check_finite(alpha=alpha)
+    if not (0 < alpha < 2 * (n - r + 2)):
+        raise ValueError(
+            f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)} "
+            f"for a finite mean, got {alpha}"
+        )
+    return not (alpha < n - r + 2)
 
 
 def espnorm_value(n: int, alpha: float) -> FormulaValue:
@@ -120,11 +141,10 @@ def invnor2mdet_value(r: int, k: float) -> FormulaValue:
 
     (r / k) * prod_{i=1..r} Gamma(k + i) / Gamma(i).
     """
-    check_finite(k=k)
+    check_finite(positive=True, k=k)
+    bwspace.check_integers(r=r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
     log_value = math.log(r) - math.log(k)
     for i in range(1, r + 1):
         log_value += _lgamma(k + i, "invnor2mdet") - _lgamma(float(i), "invnor2mdet")
@@ -179,15 +199,12 @@ def exmualpha_constant(n: int, r: int, degrees, alpha: float) -> FormulaValue:
 
         Gamma(N) / Gamma(N - alpha/2) * prod_{i=1..n-r+1} Gamma(i)/Gamma(r+i),
 
-    valid for 0 < alpha < 2 (n - r + 2) and alpha/2 < N.
+    valid for 0 < alpha < 2 (n - r + 2) (check_rect_alpha) and alpha/2 < N.
     """
     degs = bwspace.check_degrees(n, degrees)
     if r != len(degs):
         raise ValueError(f"r = {r} does not match len(degrees) = {len(degs)}")
-    if not (0 < alpha < 2 * (n - r + 2)):
-        raise ValueError(
-            f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)}, got {alpha}"
-        )
+    check_rect_alpha(n, r, alpha)
     scaling = scaling_constant(n, degs, alpha)
     return _from_log(
         scaling.log_value + kernel_constant(r, n - r + 1).log_value,
@@ -227,6 +244,8 @@ def volumes(n: int, k: int, l: int, degrees) -> Volumes:
     """
     degs = bwspace.check_degrees(n, degrees)
     r = len(degs)
+    bwspace.check_integers(l=l)
+    check_finite(k=k)
     if not (1 <= k < l):
         raise ValueError(f"need 1 <= k < l, got k = {k}, l = {l}")
     if int(k) != k:

@@ -11,33 +11,35 @@ randgeom.gauge_fixed_gaussian_array: the same per-sample values as the full
 Gaussian draws up to rounding, with phases only off the first row and
 column, and for vectors and single rows no phase uniforms at all.
 
-Heavy tails: whenever the estimand's second moment is infinite or unproven
-the estimator switches to median-of-means over MOM_BUCKETS contiguous
-buckets and reports the bucket-mean spread (sample std of bucket means
-divided by sqrt(buckets)) as the dispersion; z-scores against that
-dispersion are approximate and the acceptance tolerances account for it.
+Domains and heavy tails: each <id>_domain checks the estimator's own rules
+(norm name, integer counts) and takes the identity's rule from the one place
+in formulas that states it.  It returns True whenever the estimand's second
+moment is infinite or unproven, and the estimator then switches to
+median-of-means over MOM_BUCKETS contiguous buckets, reporting the bucket-mean
+spread (sample std of bucket means divided by sqrt(buckets)) as the
+dispersion; z-scores against that dispersion are approximate and the
+acceptance tolerances account for it.
 
-Integrands that mix pseudoinverse norms with determinant weights are
-assembled in log space and exponentiated against the running maximum, since
-the determinant powers span hundreds of orders of magnitude.
+The Gram integrands alpha log ||A^+|| + w log det(A A*) are assembled in log
+space and exponentiated against the running maximum, since the determinant
+powers span hundreds of orders of magnitude.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bwspace, conditioning, randgeom, roots
+from . import bwspace, conditioning, formulas, randgeom, roots
+from .bwspace import check_integers
 from .cxla import NumericError
 from .formulas import FormulaValue, check_finite
 from .randgeom import RngStream
 
 BLOCK_SAMPLES = 4096
 MOM_BUCKETS = 32
-_NORMS = ("frobenius", "operator")
 
 # share of systems whose root search may fail before the polynomial estimator aborts
 _MAX_FAILURE_RATE = 1e-3
@@ -64,8 +66,8 @@ class EstimatorConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.lines_per_system < 1:
             raise ValueError(f"lines_per_system must be >= 1, got {self.lines_per_system}")
-        _check_integers(samples=self.samples, seed=self.seed,
-                        lines_per_system=self.lines_per_system)
+        check_integers(samples=self.samples, seed=self.seed,
+                       lines_per_system=self.lines_per_system)
         RngStream(self.seed)  # rejects a seed that is not an unsigned 64-bit integer
 
 
@@ -116,18 +118,9 @@ class Comparison:
     reference_estimate: EstimateResult | None = None
 
 
-def _check_norm(norm: str) -> str:
-    if norm not in _NORMS:
-        raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
-    return norm
-
-
-def _check_integers(**counts) -> None:
-    """Reject counts (or degree lists) that are not integers, 1.0 included."""
-    for name, value in counts.items():
-        values = np.atleast_1d(value).tolist()
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_norm(norm: str) -> None:
+    if norm not in conditioning.NORMS:
+        raise ValueError(f"norm must be one of {conditioning.NORMS}, got {norm!r}")
 
 
 def _blocks(n: int, block: int = BLOCK_SAMPLES):
@@ -143,11 +136,10 @@ def _blocks(n: int, block: int = BLOCK_SAMPLES):
 def _reduce_log_values(logv: np.ndarray, heavy: bool) -> tuple[float, float, str]:
     """Mean and dispersion from per-sample log-values.
 
-    Plain path: arithmetic mean and standard error.  Heavy path:
-    median-of-means over MOM_BUCKETS contiguous buckets.  All sums are
-    pairwise (numpy reduction) over the fixed sample order.
+    The plain mean reduces the samples; heavy (the domain's flag) reduces the
+    means of MOM_BUCKETS contiguous buckets and takes their median.  Both then
+    take one spread.  All sums are pairwise over the fixed sample order.
     """
-    n = logv.size
     m = float(np.max(logv))
     if math.isnan(m):
         return math.nan, math.nan, "plain-mean"
@@ -156,25 +148,32 @@ def _reduce_log_values(logv: np.ndarray, heavy: bool) -> tuple[float, float, str
     if m == math.inf:
         return math.inf, math.inf, "plain-mean"
     ex = np.exp(logv - m)
-    if not heavy:
-        mean_scaled = float(np.mean(ex))
-        sd_scaled = float(np.std(ex, ddof=1)) if n > 1 else 0.0
-        mean = math.exp(m + math.log(mean_scaled)) if mean_scaled > 0 else 0.0
-        stderr = (
-            math.exp(m + math.log(sd_scaled) - 0.5 * math.log(n)) if sd_scaled > 0 else 0.0
-        )
-        return mean, stderr, "plain-mean"
-    buckets = np.array_split(ex, min(MOM_BUCKETS, n))
-    bucket_means = np.array([float(np.mean(b)) for b in buckets])
-    med_scaled = float(np.median(bucket_means))
-    spread_scaled = float(np.std(bucket_means, ddof=1)) if len(bucket_means) > 1 else 0.0
-    mean = math.exp(m + math.log(med_scaled)) if med_scaled > 0 else 0.0
-    stderr = (
-        math.exp(m + math.log(spread_scaled) - 0.5 * math.log(len(bucket_means)))
-        if spread_scaled > 0
-        else 0.0
+    if heavy:
+        ex = np.array([float(np.mean(b)) for b in np.array_split(ex, min(MOM_BUCKETS, ex.size))])
+        center, method = float(np.median(ex)), f"median-of-means({ex.size})"
+    else:
+        center, method = float(np.mean(ex)), "plain-mean"
+    spread = float(np.std(ex, ddof=1)) if ex.size > 1 else 0.0
+    mean = math.exp(m + math.log(center)) if center > 0 else 0.0
+    stderr = math.exp(m + math.log(spread) - 0.5 * math.log(ex.size)) if spread > 0 else 0.0
+    return mean, stderr, method
+
+
+def _estimate_result(
+    estimator_id: str, params: dict, cfg: EstimatorConfig, logv: np.ndarray, heavy: bool
+) -> EstimateResult:
+    """The result of the log-values an estimator's failure policy kept of cfg.samples."""
+    mean, stderr, method = _reduce_log_values(logv, heavy)
+    return EstimateResult(
+        mean=mean,
+        stderr=stderr,
+        n_samples=int(logv.size),
+        method=method,
+        seed=cfg.seed,
+        estimator_id=estimator_id,
+        params=params,
+        attempted=cfg.samples,
     )
-    return mean, stderr, f"median-of-means({len(bucket_means)})"
 
 
 def _run_matrix_estimator(
@@ -184,21 +183,13 @@ def _run_matrix_estimator(
     log_values_fn,
     heavy: bool,
 ) -> EstimateResult:
+    """Draw cfg.samples log-values block by block; any NaN draw raises."""
     logv = np.concatenate([log_values_fn(RngStream(cfg.seed, index), count)
                            for index, count in _blocks(cfg.samples)])
     nan = int(np.count_nonzero(np.isnan(logv)))
     if nan:
         raise NumericError(f"{estimator_id}: {nan} of {cfg.samples} draws gave a NaN log-value")
-    mean, stderr, method = _reduce_log_values(logv, heavy)
-    return EstimateResult(
-        mean=mean,
-        stderr=stderr,
-        n_samples=cfg.samples,
-        method=method,
-        seed=cfg.seed,
-        estimator_id=estimator_id,
-        params=params,
-    )
+    return _estimate_result(estimator_id, params, cfg, logv, heavy)
 
 
 def _squared_singular_values(a: np.ndarray) -> np.ndarray:
@@ -343,22 +334,37 @@ def _log_det_gram(lam: np.ndarray) -> np.ndarray:
         return np.sum(np.log(lam), axis=1)
 
 
+def _gram_log_values(r: int, m: int, alpha: float, norm: str, weight: float = 0):
+    """log_values_fn of ||A^+||^alpha det(A A*)^weight over Gaussian r x m matrices.
+
+    The det term is skipped at weight 0, where 0 * log det is NaN on a singular draw.
+    """
+
+    def log_values(rng: RngStream, count: int) -> np.ndarray:
+        lam = _squared_singular_values(randgeom.gauge_fixed_gaussian_array(rng, (count, r, m)))
+        logv = alpha * _log_pinv_norm(lam, norm)
+        return logv + weight * _log_det_gram(lam) if weight else logv
+
+    return log_values
+
+
 def pinv_moment_domain(r: int, m: int, alpha: float, norm: str) -> bool:
     """Check the parameters of estimate_pinv_moment; True if the tail is heavy.
 
     The mean is finite iff alpha < 2(m - r + 1); outside that range the
     estimator refuses to run.  The variance is finite iff alpha < m - r + 1,
-    otherwise median-of-means is used.
+    otherwise median-of-means is used.  No closed form covers general alpha.
     """
     _check_norm(norm)
     if not (1 <= r <= m):
         raise ValueError(f"need 1 <= r <= m, got r = {r}, m = {m}")
+    check_finite(alpha=alpha)
     if not (0 < alpha < 2 * (m - r + 1)):
         raise ValueError(
             f"alpha must satisfy 0 < alpha < 2(m-r+1) = {2 * (m - r + 1)} "
             f"for a finite mean, got {alpha}"
         )
-    _check_integers(r=r, m=m)
+    check_integers(r=r, m=m)
     return not (alpha < m - r + 1)
 
 
@@ -367,27 +373,21 @@ def estimate_pinv_moment(
 ) -> EstimateResult:
     """MC mean of ||M^+||^alpha over standard Gaussian r x m complex matrices."""
     heavy = pinv_moment_domain(r, m, alpha, norm)
-
-    def log_values(rng: RngStream, count: int) -> np.ndarray:
-        lam = _squared_singular_values(randgeom.gauge_fixed_gaussian_array(rng, (count, r, m)))
-        return alpha * _log_pinv_norm(lam, norm)
-
     params = {"r": r, "m": m, "alpha": alpha, "norm": norm}
-    return _run_matrix_estimator("pinv_moment", params, cfg, log_values, heavy)
+    return _run_matrix_estimator("pinv_moment", params, cfg,
+                                 _gram_log_values(r, m, alpha, norm), heavy)
 
 
 def detweighted_rect_domain(r: int, n: int, alpha: float, norm: str) -> bool:
-    """Check the parameters of estimate_detweighted_rect; True if the tail is heavy."""
+    """Check the parameters of estimate_detweighted_rect; True if the tail is heavy.
+
+    The alpha range and heavy flag are formulas.check_rect_alpha's.
+    """
     _check_norm(norm)
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n, got r = {r}, n = {n}")
-    if not (0 < alpha < 2 * (n - r + 2)):
-        raise ValueError(
-            f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)} "
-            f"for a finite mean, got {alpha}"
-        )
-    _check_integers(r=r, n=n)
-    return not (alpha < n - r + 2)
+    check_integers(r=r, n=n)
+    return formulas.check_rect_alpha(n, r, alpha)
 
 
 def estimate_detweighted_rect(
@@ -395,28 +395,23 @@ def estimate_detweighted_rect(
 ) -> EstimateResult:
     """MC mean of ||A^+||^alpha |det A A*| over Gaussian r x n matrices."""
     heavy = detweighted_rect_domain(r, n, alpha, norm)
-
-    def log_values(rng: RngStream, count: int) -> np.ndarray:
-        lam = _squared_singular_values(randgeom.gauge_fixed_gaussian_array(rng, (count, r, n)))
-        return alpha * _log_pinv_norm(lam, norm) + _log_det_gram(lam)
-
     params = {"r": r, "n": n, "alpha": alpha, "norm": norm}
-    return _run_matrix_estimator("detweighted_rect", params, cfg, log_values, heavy)
+    return _run_matrix_estimator("detweighted_rect", params, cfg,
+                                 _gram_log_values(r, n, alpha, norm, 1), heavy)
 
 
 def detweighted_square_domain(r: int, k: float, alpha: float, norm: str) -> bool:
-    """Check the parameters of estimate_detweighted_square; True if the tail is heavy."""
+    """Check the parameters of estimate_detweighted_square; True if the tail is heavy.
+
+    r and k follow formulas.invnor2mdet_value; the alpha range is this estimator's.
+    """
     _check_norm(norm)
-    check_finite(k=k)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    formulas.invnor2mdet_value(r, k)
+    check_finite(alpha=alpha)
     if not (0 < alpha < 4 * k + 2):
         raise ValueError(
             f"alpha must satisfy 0 < alpha < 4k+2 = {4 * k + 2} for a finite mean, got {alpha}"
         )
-    _check_integers(r=r)
     return not (alpha < 2 * k + 1)
 
 
@@ -429,24 +424,19 @@ def estimate_detweighted_square(
     k = n - r + 1 and the kernel-variety identity uses k = n - r.
     """
     heavy = detweighted_square_domain(r, k, alpha, norm)
-
-    def log_values(rng: RngStream, count: int) -> np.ndarray:
-        lam = _squared_singular_values(randgeom.gauge_fixed_gaussian_array(rng, (count, r, r)))
-        return alpha * _log_pinv_norm(lam, norm) + k * _log_det_gram(lam)
-
     params = {"r": r, "k": k, "alpha": alpha, "norm": norm}
-    return _run_matrix_estimator("detweighted_square", params, cfg, log_values, heavy)
+    return _run_matrix_estimator("detweighted_square", params, cfg,
+                                 _gram_log_values(r, r, alpha, norm, k), heavy)
 
 
 def espnorm_domain(n: int, alpha: float) -> bool:
-    """Check the parameters of estimate_espnorm; True if the tail is heavy."""
-    check_finite(alpha=alpha)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if alpha <= -2 * n:
-        raise ValueError(f"alpha must exceed -2n = {-2 * n} for a finite mean, got {alpha}")
-    _check_integers(n=n)
-    return not (2 * alpha > -2 * n)
+    """Check the parameters of estimate_espnorm; True if the tail is heavy.
+
+    The range alpha > -2n is formulas.espnorm_value's.
+    """
+    formulas.espnorm_value(n, alpha)
+    check_integers(n=n)
+    return alpha <= -n
 
 
 def estimate_espnorm(n: int, alpha: float, cfg: EstimatorConfig) -> EstimateResult:
@@ -463,15 +453,12 @@ def estimate_espnorm(n: int, alpha: float, cfg: EstimatorConfig) -> EstimateResu
 
 
 def espnormrest_domain(n: int, alpha: int, beta: float) -> bool:
-    """Check the parameters of estimate_espnormrest; True if the tail is heavy."""
-    check_finite(alpha=alpha, beta=beta)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if alpha < 0 or int(alpha) != alpha:
-        raise ValueError(f"alpha must be a nonnegative integer, got {alpha}")
-    if 2 * alpha + beta <= 1 - 2 * n:
-        raise ValueError(f"need 2*alpha + beta > 1 - 2n = {1 - 2 * n}")
-    _check_integers(n=n)
+    """Check the parameters of estimate_espnormrest; True if the tail is heavy.
+
+    The preconditions are formulas.espnormrest_value's, both forms' poles included.
+    """
+    formulas.espnormrest_value(n, alpha, beta)
+    check_integers(n=n)
     return not (4 * alpha + 2 * beta > 1 - 2 * n)
 
 
@@ -518,22 +505,18 @@ def _poly_log_values(
 
 
 def poly_moment_domain(n: int, degrees, alpha: float, relative: bool, norm: str) -> bool:
-    """Check the parameters of estimate_poly_moment; True if the tail is heavy."""
+    """Check the parameters of estimate_poly_moment; True if the tail is heavy.
+
+    The own rules are a bool relative and r = 1; n and the degrees follow
+    bwspace.check_degrees, alpha formulas.check_rect_alpha.
+    """
     _check_norm(norm)
     if not isinstance(relative, bool):
         raise ValueError(f"relative must be true or false, got {relative!r}")
-    degs = bwspace.check_degrees(n, degrees)
-    if len(degs) != 1:
-        raise ValueError(
-            f"polynomial sampling supports a single equation (r = 1), got r = {len(degs)}"
-        )
-    r = len(degs)
-    if not (0 < alpha < 2 * (n - r + 2)):
-        raise ValueError(
-            f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)}, got {alpha}"
-        )
-    _check_integers(n=n, degrees=degrees)
-    return not (alpha < n - r + 2)
+    r = len(bwspace.check_degrees(n, degrees))
+    if r != 1:
+        raise ValueError(f"polynomial sampling supports a single equation (r = 1), got r = {r}")
+    return formulas.check_rect_alpha(n, r, alpha)
 
 
 def estimate_poly_moment(
@@ -554,8 +537,7 @@ def estimate_poly_moment(
     n = 1 slice).
     """
     heavy = poly_moment_domain(n, degrees, alpha, relative, norm)
-    degs = bwspace.check_degrees(n, degrees)
-    d = degs[0]
+    d = int(degrees[0])
     lines = 1 if n == 1 else cfg.lines_per_system
     # restriction nodes, the most points per system of any evaluation pass
     chunk = max(1, CHUNK_POINTS // (lines * (d + 4)))
@@ -573,29 +555,18 @@ def estimate_poly_moment(
             f"zero-set sampling failed for {failed} of {cfg.samples} systems; "
             f"system failure rate exceeds {_MAX_FAILURE_RATE:.1%}"
         )
-    if failed:
-        logv = logv[~np.isnan(logv)]
+    logv = logv[~np.isnan(logv)]
 
-    mean, stderr, method = _reduce_log_values(logv, heavy)
     params = {
         "n": n,
-        "degrees": list(degs),
+        "degrees": [d],
         "alpha": alpha,
         "relative": relative,
         "norm": norm,
         "systems": cfg.samples,
         "lines_per_system": lines,
     }
-    return EstimateResult(
-        mean=mean,
-        stderr=stderr,
-        n_samples=int(logv.size),
-        method=method,
-        seed=cfg.seed,
-        estimator_id="poly_moment",
-        params=params,
-        attempted=cfg.samples,
-    )
+    return _estimate_result("poly_moment", params, cfg, logv, heavy)
 
 
 def _z_score(delta: float, sigma: float, scale: float) -> float:
@@ -607,10 +578,7 @@ def _z_score(delta: float, sigma: float, scale: float) -> float:
 
 def check_tolerance(tolerance_sigmas: float) -> None:
     """Reject an acceptance gate that is not a finite positive number of sigmas."""
-    if isinstance(tolerance_sigmas, bool) or not isinstance(tolerance_sigmas, numbers.Real):
-        raise ValueError(f"tolerance_sigmas must be a number, got {tolerance_sigmas!r}")
-    if not (math.isfinite(tolerance_sigmas) and tolerance_sigmas > 0):
-        raise ValueError(f"tolerance_sigmas must be finite and positive, got {tolerance_sigmas}")
+    check_finite(positive=True, tolerance_sigmas=tolerance_sigmas)
 
 
 def compare(est: EstimateResult, cf: FormulaValue, tolerance_sigmas: float) -> Comparison:

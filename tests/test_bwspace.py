@@ -46,6 +46,33 @@ class TestDimensionsAndCounting:
         with pytest.raises(ValueError):
             bwspace.check_degrees(1, (2, 2))
 
+    @pytest.mark.parametrize("n, degrees, message", [
+        (2, [2.9], "degrees must be an integer"),
+        (2, [2.0], "degrees must be an integer"),
+        (2, [2, 2.5], "degrees must be an integer"),
+        (2, [True], "degrees must be an integer"),
+        (2, [1, True], "degrees must be an integer"),
+        (2, np.array([2.0]), "degrees must be an integer"),
+        (2.0, [2], "n must be an integer"),
+        (True, [1], "n must be an integer"),
+    ])
+    def test_non_integer_dimension_or_degree_rejected(self, n, degrees, message):
+        with pytest.raises(ValueError, match=message):
+            bwspace.check_degrees(n, degrees)
+
+    def test_fractional_degree_not_truncated(self):
+        # each of these used to run as degree 2
+        with pytest.raises(ValueError, match="degrees must be an integer"):
+            bwspace.dim_space(2, [2.9])
+        with pytest.raises(ValueError, match="degrees must be an integer"):
+            bwspace.bezout([2.5])
+        with pytest.raises(ValueError, match="degrees must be an integer"):
+            gaussian_system(RngStream(1), 2, [2.5])
+
+    def test_numpy_integer_degrees_accepted(self):
+        assert bwspace.check_degrees(np.int64(2), np.array([2, 3])) == (2, 3)
+        assert type(bwspace.check_degrees(2, np.array([2]))[0]) is int
+
 
 class TestCanonicalOrder:
     def test_descending_lex(self):

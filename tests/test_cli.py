@@ -113,6 +113,26 @@ INVALID_EXPERIMENTS = {
         {"estimator_id": "detweighted_square",
          "params": {"r": 2, "k": math.inf, "alpha": 2.0, "norm": "frobenius"},
          "closed_form_id": "invnor2mdet_value"}, "k must be finite"),
+    # a bool is not a real parameter: each of these ran at value 1
+    "rect-pair-bool-alpha": (
+        {"experiment_id": "rect-small", "estimator_id": "detweighted_rect_pair",
+         "params": {"r": 2, "n": 3, "alpha": True, "norm": "frobenius"}, "closed_form_id": None},
+        "rect-small: alpha must be a number, got True"),
+    "scaling-pair-bool-alpha": (
+        {**SCALING_PAIR, "params": {**SCALING_PAIR["params"], "alpha": True},
+         "closed_form_id": None}, "scaling-small: alpha must be a number, got True"),
+    "espnorm-bool-alpha": (
+        {"experiment_id": "espnorm-small", "estimator_id": "espnorm",
+         "params": {"n": 2, "alpha": True}, "closed_form_id": "espnorm_value"},
+        "espnorm-small: alpha must be a number, got True"),
+    "espnormrest-bool-beta": (
+        {"experiment_id": "espnormrest-small", "estimator_id": "espnormrest",
+         "params": {"n": 3, "alpha": 1, "beta": True}, "closed_form_id": "espnormrest_sum"},
+        "espnormrest-small: beta must be a number, got True"),
+    "square-bool-k": (
+        {"experiment_id": "square-small", "estimator_id": "detweighted_square",
+         "params": {"r": 2, "k": True, "alpha": 2.0, "norm": "frobenius"},
+         "closed_form_id": "invnor2mdet_value"}, "square-small: k must be a number, got True"),
     "probe-string": ({"probe": "false"}, "probe must be true or false, got 'false'"),
     "tol-inf": ({"tolerance_sigmas": math.inf}, "tolerance_sigmas must be finite and positive"),
     "tol-nan": ({"tolerance_sigmas": math.nan}, "tolerance_sigmas must be finite and positive"),

@@ -99,6 +99,11 @@ class TestMainTheorem:
         assert formulas.main_theorem_value(1, (2,)).value == pytest.approx(2.0)
         assert formulas.main_theorem_value(2, (2,)).value == pytest.approx(2.5)
 
+    def test_fractional_degree_rejected(self):
+        # used to return the degree-2 value
+        with pytest.raises(ValueError, match="degrees must be an integer"):
+            formulas.main_theorem_value(2, [2.5])
+
     def test_determined_case(self):
         # n = r: (N - 1) r
         for r, degrees in ((1, (3,)), (2, (2, 2))):
@@ -207,6 +212,14 @@ class TestPinvMomentValue:
 
 
 class TestVolumes:
+    def test_fractional_l_rejected(self):
+        with pytest.raises(ValueError, match="l must be an integer"):
+            formulas.volumes(2, 1, 2.5, (1,))
+
+    def test_bool_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be a number, got True"):
+            formulas.volumes(2, True, 2, (1,))
+
     def test_projective_line_is_smallest_grassmannian(self):
         v = formulas.volumes(1, 1, 2, (1,))
         assert v.vol_grassmann.value == pytest.approx(math.pi, rel=1e-13)

@@ -522,3 +522,62 @@ class TestPairIdentities:
         rhs = montecarlo.estimate_poly_moment(1, (2,), 2.0, True, "frobenius", cfg(4_000, 61))
         comp = montecarlo.compare_pair(lhs, rhs, 4.0, rhs_scale=2.0)
         assert comp.passed, comp.z_score
+
+
+def _raises(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+class TestDomainsMatchClosedForms:
+    """Each estimator's domain raises exactly where the closed form it checks raises."""
+
+    @staticmethod
+    def _agree(pairs):
+        outcomes = [(_raises(*domain), _raises(*closed)) for domain, closed in pairs]
+        assert all(d == c for d, c in outcomes), [
+            (domain[1:], d, c) for (domain, _), (d, c) in zip(pairs, outcomes) if d != c]
+        # the grid reaches both sides of every rule it tests
+        assert {d for d, _ in outcomes} == {True, False}
+
+    def test_espnorm(self):
+        self._agree([
+            ((montecarlo.espnorm_domain, n, alpha), (formulas.espnorm_value, n, alpha))
+            for n in (0, 1, 2, 3)
+            for alpha in (-7.0, -6.0, -4.0, -2.5, -2.0, 0.0, 2.0, 5.5,
+                          math.inf, math.nan, True, "2")
+        ])
+
+    def test_espnormrest(self):
+        self._agree([
+            ((montecarlo.espnormrest_domain, n, alpha, beta),
+             (formulas.espnormrest_value, n, alpha, beta))
+            for n in (1, 2, 3, 4)
+            for alpha in (-1, 0, 1, 2, 1.5, True)
+            for beta in (-6.5, -4.5, -3.0, -2.5, -2.0, -1.0, 0.0, 2.0, math.inf, math.nan, True)
+        ])
+
+    def test_detweighted_square_at_alpha_two(self):
+        self._agree([
+            ((montecarlo.detweighted_square_domain, r, k, 2.0, "frobenius"),
+             (formulas.invnor2mdet_value, r, k))
+            for r in (0, 1, 2, 3, 1.5, True)
+            for k in (-1.0, 0.0, 0.5, 1.0, 2.0, math.inf, math.nan, True)
+        ])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_poly_and_rect_alpha_range(self, n):
+        alphas = (-1.0, 0.0, 0.5, 2.0, n + 1.0, n + 1.5, 2.0 * n + 1.9, 2.0 * n + 2.0,
+                  2.0 * n + 3.0, math.inf, math.nan, True)
+        poly = [(montecarlo.poly_moment_domain, n, (2,), a, False, "frobenius") for a in alphas]
+        rect = [(montecarlo.detweighted_rect_domain, 1, n, a, "frobenius") for a in alphas]
+        exmu = [(formulas.exmualpha_constant, n, 1, (2,), a) for a in alphas]
+        self._agree(list(zip(poly, exmu)))
+        self._agree(list(zip(rect, exmu)))
+        # where both run, they agree on the heavy tail too
+        for p, q in zip(poly, rect):
+            if not _raises(*p):
+                assert p[0](*p[1:]) == q[0](*q[1:])
