@@ -188,8 +188,13 @@ def _point(x, n: int) -> np.ndarray:
 
 
 def _power_table(points: np.ndarray, d: int) -> np.ndarray:
-    # P[..., k, t] = x_k ** t, with 0**0 = 1
-    return points[..., None] ** np.arange(d + 1)
+    # P[..., k, t] = x_k ** t, with 0**0 = 1, by repeated multiplication
+    ptab = np.empty(points.shape + (d + 1,), dtype=np.complex128)
+    ptab[..., 0] = 1.0
+    ptab[..., 1] = points
+    for t in range(2, d + 1):
+        np.multiply(ptab[..., t - 1], points, out=ptab[..., t])
+    return ptab
 
 
 def _forms_at(ptab: np.ndarray, expo: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -100,7 +100,8 @@ def espnormrest_value(n: int, alpha: int, beta: float) -> EspnormrestForms:
     """E( ||v||^(2 alpha) ||P v||^beta ) for v standard Gaussian in C^n,
 
     where P projects onto the first n - 1 coordinates.  alpha must be a
-    nonnegative integer; the parameters must satisfy 2 alpha + beta > 1 - 2n.
+    nonnegative integer and beta > 2 - 2n, where ||P v||^beta, P v Gaussian
+    in C^(n-1), has a finite mean.
     """
     check_finite(alpha=alpha, beta=beta)
     if n < 2:
@@ -108,8 +109,8 @@ def espnormrest_value(n: int, alpha: int, beta: float) -> EspnormrestForms:
     if alpha < 0 or int(alpha) != alpha:
         raise ValueError(f"alpha must be a nonnegative integer, got {alpha}")
     alpha = int(alpha)
-    if 2 * alpha + beta <= 1 - 2 * n:
-        raise ValueError(f"need 2*alpha + beta > 1 - 2n = {1 - 2 * n}")
+    if beta <= 2 - 2 * n:
+        raise ValueError(f"beta must exceed 2 - 2n = {2 - 2 * n} for a finite mean, got {beta}")
 
     params = {"n": n, "alpha": alpha, "beta": beta}
     log_closed = (

@@ -455,11 +455,13 @@ def estimate_espnorm(n: int, alpha: float, cfg: EstimatorConfig) -> EstimateResu
 def espnormrest_domain(n: int, alpha: int, beta: float) -> bool:
     """Check the parameters of estimate_espnormrest; True if the tail is heavy.
 
-    The preconditions are formulas.espnormrest_value's, both forms' poles included.
+    The preconditions are formulas.espnormrest_value's, both forms' poles
+    included.  The variance, the mean at (2 alpha, 2 beta), is infinite from
+    beta <= 1 - n, the ||P v|| singularity in C^(n-1).
     """
     formulas.espnormrest_value(n, alpha, beta)
     check_integers(n=n)
-    return not (4 * alpha + 2 * beta > 1 - 2 * n)
+    return beta <= 1 - n
 
 
 def estimate_espnormrest(

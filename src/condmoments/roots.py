@@ -7,12 +7,15 @@ which are unitarily equivalent, so the line-section point process has
 constant density with respect to the volume measure of the zero set.
 
 One path, batched over systems and lines (a single form is a batch of one).
-Each line (u, v) is turned by its Haar chart q, the equation is restricted
-straight to the turned frame (u', v') = (u, v) q by one DFT, and
-Aberth-Ehrlich finds the roots c of that binary form, the points
-c0 u' + c1 v'.  System j draws from RngStream(seed, j): its coordinates, its
-line pairs (n >= 2; for n = 1 the line is (e_0, e_1)), a Ginibre chart
-matrix per line, then the Aberth start phases, all in one
+Each line (u, v) is turned by its Haar chart q (Gram-Schmidt on a 2 x 2
+Ginibre matrix), the equation is restricted straight to the turned frame
+(u', v') = (u, v) q by one DFT, and Aberth-Ehrlich finds the roots c of that
+binary form, the points c0 u' + c1 v'.  At d <= 2 Aberth starts at the
+closed-form roots, which its first convergence test accepts, so it only
+refines a row that misses that test.  System j draws from RngStream(seed,
+j): its coordinates, its line pairs (n >= 2; for n = 1 the line is
+(e_0, e_1)), a Ginibre chart matrix per line, then the Aberth start phases
+(drawn at every degree, unused at d <= 2), all in one
 randgeom.uniforms_for_streams pass per chunk.  Stall nudges and the charts
 of a retried line come from that line's own substream, RngStream(mix64(seed,
 j), line), made on first use, so a line's roots never depend on the batch
@@ -117,10 +120,28 @@ def restrict_to_line(h: SystemCoords, u, v) -> BinaryForm:
     return BinaryForm(degree=d, coeffs=forms[0, 0])
 
 
+def _start_roots(coeffs_asc: np.ndarray) -> np.ndarray:
+    """Exact roots (R, d) of rows of degree d <= 2, coefficients of w^k.
+
+    d = 2 takes q = -(c1 + s sqrt(c1^2 - 4 c0 c2)) / 2 with the sign s that
+    avoids cancellation, Re(conj(c1) s sqrt(...)) >= 0, and the roots q / c2
+    and c0 / q (both 0 when q = 0).  Rows with c_d = 0 give inf or nan.
+    """
+    c0, c1 = coeffs_asc[:, 0], coeffs_asc[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if coeffs_asc.shape[1] == 2:
+            return (-c0 / c1)[:, None]
+        c2 = coeffs_asc[:, 2]
+        sq = np.sqrt(c1 * c1 - 4.0 * c0 * c2)
+        q = -0.5 * (c1 + np.where((c1.conj() * sq).real >= 0, sq, -sq))
+        return np.stack([q / c2, np.where(q == 0, 0.0, c0 / q)], axis=1)
+
+
 def _aberth_batch(coeffs_asc: np.ndarray, phases: np.ndarray, row_rng):
     """Row-wise Aberth-Ehrlich on coefficients of w^k; returns (roots (R, d), failed).
 
-    Row i starts at angles 2 pi phases[i] on a circle and leaves the batch once
+    Row i starts at its exact roots (_start_roots) for d <= 2, else at angles
+    2 pi phases[i] on a circle, and leaves the batch once
     |p(z)| / (1 + |z|^2)^(d/2) <= ABERTH_TOL * max|coeff| at all its roots.  A
     vanishing leading coefficient (a root at infinity) fails the row at once; a
     stalled iterate is nudged with uniforms drawn from row_rng(i).
@@ -131,7 +152,7 @@ def _aberth_batch(coeffs_asc: np.ndarray, phases: np.ndarray, row_rng):
     failed = mag[:, -1] < 1e-14 * np.max(mag, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = np.where(inner > 0, (inner / mag[:, -1]) ** (1.0 / d) * (1.0 + 1e-3), 0.0)
-    z = radius[:, None] * np.exp(2j * np.pi * phases)
+    z = _start_roots(coeffs_asc) if d <= 2 else radius[:, None] * np.exp(2j * np.pi * phases)
     # pure-leading rows keep all their roots at the origin, which is exact
     active = np.flatnonzero((inner > 0) & ~failed)
     za, desc = z[active], coeffs_asc[active, ::-1]
@@ -169,6 +190,21 @@ def _aberth_batch(coeffs_asc: np.ndarray, phases: np.ndarray, row_rng):
     return z, failed
 
 
+def _haar_charts(ginibre: np.ndarray) -> np.ndarray:
+    """Haar unitaries (R, 2, 2) from Ginibre matrices (R, 2, 2) by Gram-Schmidt
+    on the columns a0, a1, written out for C^2: q0 = a0 / |a0|, and a1 minus
+    its q0 part is <p, a1> p for the unit p = (-conj(q0[1]), conj(q0[0])), so
+    q1 is p times the phase of <p, a1>.  This is QR with R's diagonal made
+    positive real, the Q of randgeom.unitary_from_ginibre, and it stays
+    unitary to rounding however close a0 and a1 are.
+    """
+    a0, a1 = ginibre[..., 0], ginibre[..., 1]
+    q0 = a0 / np.linalg.norm(a0, axis=-1, keepdims=True)
+    t = q0[..., 0] * a1[..., 1] - q0[..., 1] * a1[..., 0]  # <p, a1>
+    p = np.stack([-q0[..., 1].conj(), q0[..., 0].conj()], axis=-1)
+    return np.stack([q0, (t / np.abs(t))[..., None] * p], axis=-1)
+
+
 def _solve_in_charts(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
                      ginibre: np.ndarray, phases: np.ndarray, row_rng):
     """Zero-set points (R, d, n+1) of the R = S * L rows, row s * L + l being
@@ -180,7 +216,7 @@ def _solve_in_charts(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
     on no convergence, or on a root residual >= _RESIDUAL_TOL * max|coeff|.
     """
     n_sys, n_lines, dim = u.shape
-    q = randgeom.unitary_from_ginibre(ginibre).reshape(n_sys, n_lines, 2, 2, 1)
+    q = _haar_charts(ginibre).reshape(n_sys, n_lines, 2, 2, 1)
     frame = q[:, :, 0] * u[:, :, None, :] + q[:, :, 1] * v[:, :, None, :]  # (S, L, 2, n+1)
     forms, failed = _restrict(coeffs, d, frame[:, :, 0], frame[:, :, 1])
     forms, failed = forms.reshape(-1, d + 1), failed.ravel()

@@ -132,6 +132,17 @@ class TestEvaluate:
             assert batch[i] == pytest.approx(bwspace.evaluate(h, pts[i]))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_power_table_matches_numpy_power(d):
+    x = np.stack([complex_gaussian_vector(RngStream(45, k), 3) for k in range(40)])
+    x[0, 1] = 0.0
+    table = bwspace._power_table(x, d)
+    expected = x[..., None] ** np.arange(d + 1)
+    assert table.shape == x.shape + (d + 1,)
+    assert np.all(table[..., 0] == 1.0)  # 0 ** 0 = 1
+    np.testing.assert_allclose(table, expected, rtol=4 * np.finfo(float).eps, atol=0)
+
+
 class TestJacobian:
     def test_coordinate_functions(self):
         # h_i = x_i for i = 1..r with degrees all 1 -> rows of (0 | I)

@@ -71,6 +71,16 @@ class TestEspnormrest:
         with pytest.raises(ValueError):
             formulas.espnormrest_value(2, 0, -4.0)
 
+    @pytest.mark.parametrize("n, alpha, beta",
+                             [(2, 0, -2.5), (2, 0, -2.0), (2, 3, -2.0), (4, 1, -6.0)])
+    def test_rejects_beta_outside_the_finite_range(self, n, alpha, beta):
+        # ||P v||^beta, P v Gaussian in C^(n-1), has a finite mean only for beta > 2 - 2n
+        with pytest.raises(ValueError, match=f"beta must exceed 2 - 2n = {2 - 2 * n}"):
+            formulas.espnormrest_value(n, alpha, beta)
+
+    def test_accepts_beta_just_inside_the_range(self):
+        assert formulas.espnormrest_value(3, 0, -3.9).sum_form.value > 0
+
 
 class TestInvnor2mdet:
     def test_small_cases(self):

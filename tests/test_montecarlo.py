@@ -271,6 +271,13 @@ class TestEspnormrest:
         assert abs(z_against(est, forms.sum_form.value)) < 4.0
         assert abs(z_against(est, forms.closed_form.value)) > 5.0
 
+    def test_projected_norm_singularity_switches_to_median_of_means(self):
+        # E(||v||^4 ||P v||^-5) is infinite in C^3: beta <= 1 - n
+        assert montecarlo.espnormrest_domain(3, 1, -2.5)
+        assert not montecarlo.espnormrest_domain(3, 1, -1.5)
+        est = montecarlo.estimate_espnormrest(3, 1, -2.5, cfg(20_000, 24))
+        assert est.method.startswith("median-of-means")
+
 
 class TestPolyMoment:
     def test_determined_d1_is_exactly_one(self):

@@ -239,36 +239,113 @@ def test_sample_zero_sets_reads_each_systems_own_stream(n, d, lines):
         assert np.array_equal(row, gaussian_system(RngStream(seed, j), n, (d,)).coords[0])
 
 
+def no_stream(row):
+    raise AssertionError(f"row {row} drew a nudge or a retry chart")
+
+
+def aberth_accepts(coeffs, w):
+    """Aberth's stopping rule at the roots w (R, d) of the rows coeffs (R, d+1)."""
+    d = coeffs.shape[1] - 1
+    p = sum(coeffs[:, k, None] * w ** k for k in range(d + 1))
+    scale = np.max(np.abs(coeffs), axis=1)[:, None] * (1.0 + np.abs(w) ** 2) ** (d / 2)
+    return np.all(np.abs(p) <= roots.ABERTH_TOL * scale, axis=1)
+
+
+class TestClosedFormStarts:
+    # rows of degree d <= 2 start at their exact roots, which the step-0
+    # test of Aberth's loop accepts without an iteration or a draw
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_random_forms_match_numpy_roots(self, d):
+        rng = RngStream(95, d)
+        coeffs = randgeom.complex_gaussian_array(rng, (500, d + 1))
+        start = roots._start_roots(coeffs)
+        w, failed = roots._aberth_batch(coeffs, rng.uniforms((500, d)), no_stream)
+        assert not failed.any()
+        assert np.array_equal(w, start)
+        for row, z in zip(coeffs, start):
+            expected = np.roots(row[::-1])
+            for root in z:
+                assert np.min(np.abs(expected - root)) <= 1e-13 * max(1.0, abs(root))
+
+    @pytest.mark.parametrize("coeffs, expected", [
+        ([0.0, 2.0 - 1.0j, 1.0 + 1.0j], [0.0, -(2.0 - 1.0j) / (1.0 + 1.0j)]),  # c0 = 0
+        ([-4.0j, 0.0, 1.0], [2.0 ** 0.5 * (1.0 + 1.0j), -(2.0 ** 0.5) * (1.0 + 1.0j)]),  # c1 = 0
+        ([0.0, 0.0, 3.0 - 2.0j], [0.0, 0.0]),  # double root at 0
+        ([0.0, 1.5j], [0.0]),  # d = 1, root at 0
+    ])
+    def test_edge_cases(self, coeffs, expected):
+        c = np.array([coeffs], dtype=complex)
+        start = roots._start_roots(c)
+        assert np.all(np.isfinite(start))
+        np.testing.assert_allclose(np.sort_complex(start[0]), np.sort_complex(expected),
+                                   rtol=0, atol=1e-15)
+        w, failed = roots._aberth_batch(c, np.array([[0.25] * (c.shape[1] - 1)]), no_stream)
+        assert not failed[0]
+        assert np.array_equal(w, start)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12, 0.0])
+    def test_near_double_root_still_converges(self, eps):
+        a = 0.7 - 1.3j
+        c = np.array([[a * (a + eps), -(2 * a + eps), 1.0]])
+        w, failed = roots._aberth_batch(c, np.array([[0.1, 0.6]]), lambda row: RngStream(96, row))
+        assert not failed[0]
+        assert aberth_accepts(c, w)[0]
+        np.testing.assert_allclose(np.sort_complex(w[0]), np.sort_complex([a, a + eps]),
+                                   rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("lead", [0.0, 1e-15])
+    def test_vanishing_leading_coefficient_fails_the_row(self, lead):
+        c = np.array([[1.0, 2.0 - 1.0j, lead], [1.0, 2.0, 1.0]], dtype=complex)
+        _, failed = roots._aberth_batch(c, np.full((2, 2), 0.3), no_stream)
+        assert failed.tolist() == [True, False]
+        # _solve then retries the row in a fresh chart: TestRowSubstreams' retry case
+
+
+def test_haar_charts_are_the_unitaries_of_qr():
+    g = randgeom.complex_gaussian_array(RngStream(98, 0), (1000, 2, 2))
+    q = roots._haar_charts(g)
+    np.testing.assert_allclose(q.conj().transpose(0, 2, 1) @ q,
+                               np.broadcast_to(np.eye(2), q.shape), rtol=0, atol=1e-14)
+    # both sides round at the condition number of the draw (up to ~160 here)
+    s = np.linalg.svd(g, compute_uv=False)
+    gap = np.max(np.abs(q - randgeom.unitary_from_ginibre(g)), axis=(1, 2))
+    assert np.all(gap <= 8 * np.finfo(float).eps * s[:, 0] / s[:, 1])
+    assert np.median(gap) < 1e-15
+
+
 class TestRowSubstreams:
     # a row's nudges and retry charts come from the substream of its
     # (system, line), so the row solves the same way at any batch position
-    RADIUS = 9.0 ** 0.5 * (1.0 + 1e-3)  # the Aberth start radius of the stall form
-    # w^2 - 2 RADIUS w + 9: the start point at phase 0 is the critical point,
-    # so the first Newton step divides by zero and is nudged.  Aberth gets
-    # these exact coefficients: a DFT restriction would round them off the stall
-    STALL = (np.array([9.0, -2.0 * RADIUS, 1.0]), np.array([0.0, 0.5]))
+    RADIUS = 216.0 ** (1.0 / 3) * (1.0 + 1e-3)  # the Aberth start radius of the stall form
+    # w^3 - 3 RADIUS^2 w + 216: the start point at phase 0 is the critical
+    # point, where Horner's p' is exactly 0, so the first Newton step divides
+    # by zero and is nudged.  A d <= 2 row starts at its exact roots and never
+    # stalls, hence d = 3.  Aberth gets these exact coefficients: a DFT
+    # restriction would round them off the stall
+    STALL = (np.array([216.0, -3.0 * (RADIUS * RADIUS), 0.0, 1.0]), np.array([0.0, 0.3, 0.7]))
     # the n = 1 equation whose form on (e_0, e_1) is s t: in the identity chart
     # its leading coefficient is at zero, so the first chart fails and the row
     # is restricted again to a fresh chart
     RETRY = (np.array([0.0, 2.0 ** -0.5, 0.0]), np.eye(2), np.array([0.1, 0.6]))
 
-    def batch(self, position, size, lines=2, system=10):
-        """Filler rows, and a row_rng that records its rows and keeps the row
-        at position at (system, position % lines)."""
+    def batch(self, position, size, d, lines=2, system=10):
+        """Filler rows of degree d, and a row_rng that records its rows and
+        keeps the row at position at (system, position % lines)."""
         rng = RngStream(90, position)
-        coeffs = randgeom.complex_gaussian_array(rng, (size, 3))
+        coeffs = randgeom.complex_gaussian_array(rng, (size, d + 1))
         ginibre = randgeom.complex_gaussian_array(rng, (size, 2, 2))
-        phases = rng.uniforms((size, 2))
+        phases = rng.uniforms((size, d))
         streams = roots._row_streams(91, system - position // lines, lines)
         used = []
         return coeffs, ginibre, phases, used, lambda row: used.append(row) or streams(row)
 
     def solve_at(self, kind, position, size):
-        coeffs, ginibre, phases, used, row_rng = self.batch(position, size)
+        d = 3 if kind == "stall" else 2
+        coeffs, ginibre, phases, used, row_rng = self.batch(position, size, d)
         if kind == "stall":
             coeffs[position], phases[position] = self.STALL
             w, failed = roots._aberth_batch(coeffs, phases, row_rng)
-            root = np.stack([np.ones(2), w[position]], axis=1)
+            root = np.stack([np.ones(3), w[position]], axis=1)
             root /= np.linalg.norm(root, axis=1)[:, None]
         else:
             coeffs[position], ginibre[position], phases[position] = self.RETRY
@@ -284,7 +361,7 @@ class TestRowSubstreams:
         alone = self.solve_at(kind, 1, 2)
         for position, size in ((3, 4), (5, 12), (11, 12)):
             assert np.allclose(self.solve_at(kind, position, size), alone, rtol=0, atol=1e-14)
-        form = BinaryForm(2, self.STALL[0] if kind == "stall" else np.array([0.0, 1.0, 0.0]))
+        form = BinaryForm(3, self.STALL[0]) if kind == "stall" else BinaryForm(2, [0.0, 1.0, 0.0])
         for s, t in alone:
             assert abs(roots.binary_form_value(form, s, t)) < 1e-9 * np.max(np.abs(form.coeffs))
 
