@@ -245,24 +245,16 @@ def _row(exp: ExperimentConfig, comp: Comparison | None, err: Exception | None =
 # bundled default suite (the acceptance experiments)
 
 def default_suite(seed: int = DEFAULT_SEED) -> list[ExperimentConfig]:
-    """The bundled verification suite; seeds derive from one base seed."""
-    exps: list[ExperimentConfig] = []
+    """The bundled verification suite, a config with base seed `seed` run
+    through parse_config like any other."""
+    exps: list[dict] = []
 
     def add(experiment_id, estimator_id, params, samples, tolerance_sigmas,
             closed_form_id=None, lines_per_system=None, probe=False):
-        exps.append(
-            ExperimentConfig(
-                experiment_id=experiment_id,
-                estimator_id=estimator_id,
-                params=params,
-                samples=samples,
-                seed=mix64(seed, len(exps) + 1),
-                tolerance_sigmas=tolerance_sigmas,
-                closed_form_id=closed_form_id,
-                lines_per_system=lines_per_system,
-                probe=probe,
-            )
-        )
+        exps.append({"experiment_id": experiment_id, "estimator_id": estimator_id,
+                     "params": params, "samples": samples, "tolerance_sigmas": tolerance_sigmas,
+                     "closed_form_id": closed_form_id, "lines_per_system": lines_per_system,
+                     "probe": probe})
 
     for r, m in ((1, 3), (2, 4), (3, 5), (2, 5)):
         add(f"pinv-r{r}m{m}", "pinv_moment",
@@ -316,7 +308,7 @@ def default_suite(seed: int = DEFAULT_SEED) -> list[ExperimentConfig]:
         {"n": 3, "alpha": 1, "beta": 0.0}, 100_000, 5.0, "espnormrest_closed",
         probe=True)
 
-    return exps
+    return parse_config({"seed": seed, "experiments": exps})
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +317,9 @@ def default_suite(seed: int = DEFAULT_SEED) -> list[ExperimentConfig]:
 _REQUIRED_FIELDS = ("experiment_id", "estimator_id", "params", "samples")
 
 
-def _experiment_config(e, index: int, base_seed: int) -> ExperimentConfig:
-    """Experiment `index` of a config; an error names it by id, else by #index."""
+def _experiment_config(e, index: int, seed: int) -> ExperimentConfig:
+    """Experiment `index` of a config, seeded `seed` unless it has its own; an
+    error names it by id, else by #index."""
     if not isinstance(e, dict):
         raise ValueError(f"#{index}: experiment must be a JSON object, got {e!r}")
     name = e.get("experiment_id", f"#{index}")
@@ -340,7 +333,7 @@ def _experiment_config(e, index: int, base_seed: int) -> ExperimentConfig:
         estimator_id=str(e["estimator_id"]),
         params=dict(e["params"]),
         samples=e["samples"],
-        seed=e.get("seed", mix64(base_seed, index + 1)),
+        seed=e.get("seed", seed),
         tolerance_sigmas=e.get("tolerance_sigmas", 3.0),
         closed_form_id=e.get("closed_form_id"),
         lines_per_system=e.get("lines_per_system"),
@@ -348,8 +341,13 @@ def _experiment_config(e, index: int, base_seed: int) -> ExperimentConfig:
     )
 
 
-def parse_config(obj: dict) -> list[ExperimentConfig]:
-    """Validate a config dict and return the experiment list."""
+def parse_config(obj: dict, seed: int | None = None) -> list[ExperimentConfig]:
+    """Validate a config dict and return the experiment list.
+
+    Experiment i without a seed of its own gets mix64(base, i + 1), where base
+    is the config's seed (DEFAULT_SEED when it has none).  A seed given here
+    replaces that base and every experiment's own seed, which is still checked.
+    """
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
     version = obj.get("version", CONFIG_VERSION)
@@ -357,18 +355,23 @@ def parse_config(obj: dict) -> list[ExperimentConfig]:
         raise ValueError(f"unsupported config version {version}")
     base_seed = obj.get("seed", DEFAULT_SEED)
     EstimatorConfig(samples=1, seed=base_seed)  # seeds follow the estimator seed rules
+    if seed is not None:
+        EstimatorConfig(samples=1, seed=seed)
+        base_seed = seed
     raw = obj.get("experiments")
     if not isinstance(raw, list) or not raw:
         raise ValueError("config must list at least one experiment")
     exps = []
     seen = set()
     for i, e in enumerate(raw):
-        exp = _experiment_config(e, i, base_seed)
+        derived = mix64(base_seed, i + 1)
+        exp = _experiment_config(e, i, derived)
         if exp.experiment_id in seen:
             raise ValueError(f"duplicate experiment_id {exp.experiment_id!r}")
         seen.add(exp.experiment_id)
         _validate_experiment(exp)
-        exps.append(dataclasses.replace(exp, tolerance_sigmas=float(exp.tolerance_sigmas)))
+        exps.append(dataclasses.replace(exp, tolerance_sigmas=float(exp.tolerance_sigmas),
+                                        seed=exp.seed if seed is None else derived))
     return exps
 
 
@@ -626,38 +629,26 @@ def run_selftest(seed: int = DEFAULT_SEED, echo=print) -> bool:
 # ---------------------------------------------------------------------------
 # formulas subcommand
 
+# formula name -> its closed form from the parsed arguments; the one list of
+# names the formulas subcommand accepts
+_FORMULAS = {
+    "espnorm": lambda a: formulas.espnorm_value(a["n"], a["alpha"]),
+    "espnormrest": lambda a: formulas.espnormrest_value(a["n"], a["alpha"], a["beta"]),
+    "invnor2mdet": lambda a: formulas.invnor2mdet_value(a["r"], a["k"]),
+    "main_theorem": lambda a: formulas.main_theorem_value(a["n"], a["degrees"]),
+    "exmualpha": lambda a: formulas.exmualpha_constant(a["n"], a["r"], a["degrees"], a["alpha"]),
+    "pinv_moment": lambda a: formulas.pinv_moment_value(a["r"], a["m"]),
+    "volumes": lambda a: formulas.volumes(a["n"], a["k"], a["l"], a["degrees"]),
+}
+
+
 def run_formulas(name: str, args: dict) -> dict:
-    """Evaluate a named closed form and return a JSON-ready dict."""
-
-    def fv(v: formulas.FormulaValue) -> dict:
-        return {"value": v.value, "log_value": v.log_value,
-                "formula_id": v.formula_id, "params": v.params}
-
-    if name == "espnorm":
-        return fv(formulas.espnorm_value(args["n"], args["alpha"]))
-    if name == "espnormrest":
-        forms = formulas.espnormrest_value(args["n"], args["alpha"], args["beta"])
-        return {
-            "closed_form": fv(forms.closed_form),
-            "sum_form": fv(forms.sum_form),
-            "forms_agree": forms.forms_agree,
-        }
-    if name == "invnor2mdet":
-        return fv(formulas.invnor2mdet_value(args["r"], args["k"]))
-    if name == "main_theorem":
-        return fv(formulas.main_theorem_value(args["n"], args["degrees"]))
-    if name == "exmualpha":
-        return fv(formulas.exmualpha_constant(args["n"], args["r"], args["degrees"], args["alpha"]))
-    if name == "pinv_moment":
-        return fv(formulas.pinv_moment_value(args["r"], args["m"]))
-    if name == "volumes":
-        vols = formulas.volumes(args["n"], args["k"], args["l"], args["degrees"])
-        return {
-            "vol_projective": fv(vols.vol_projective),
-            "vol_grassmann": fv(vols.vol_grassmann),
-            "vol_Vh": fv(vols.vol_vh),
-        }
-    raise ValueError(f"unknown formula {name!r}")
+    """Evaluate a named closed form and return its fields as a JSON-ready dict
+    (the zero-variety volume under the key vol_Vh)."""
+    if name not in _FORMULAS:
+        raise ValueError(f"unknown formula {name!r}")
+    out = dataclasses.asdict(_FORMULAS[name](args))
+    return {"vol_Vh" if key == "vol_vh" else key: value for key, value in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +689,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--lines", type=int, default=EstimatorConfig.lines_per_system)
 
     f = sub.add_parser("formulas", help="print a closed-form value as JSON")
-    f.add_argument("name", choices=("espnorm", "espnormrest", "invnor2mdet",
-                                    "main_theorem", "exmualpha", "pinv_moment", "volumes"))
+    f.add_argument("name", choices=list(_FORMULAS))
     f.add_argument("--n", type=int)
     f.add_argument("--r", type=int)
     f.add_argument("--m", type=int)
@@ -735,13 +725,8 @@ def _cmd_verify(args) -> int:
     try:
         if args.config:
             with open(args.config) as fh:
-                exps = parse_config(json.load(fh))
-            if args.seed is not None:
-                seed = _resolve_seed(args.seed)
-                exps = [
-                    dataclasses.replace(e, seed=mix64(seed, i + 1))
-                    for i, e in enumerate(exps)
-                ]
+                exps = parse_config(json.load(fh),
+                                    None if args.seed is None else _resolve_seed(args.seed))
         else:
             exps = default_suite(_resolve_seed(args.seed))
         # the overrides reach every estimator call: reject them before sampling

@@ -1,11 +1,16 @@
 """Monte Carlo estimators for the moment identities, with comparisons.
 
-Sampling discipline: draws happen in fixed blocks of BLOCK_SAMPLES, one
-counter-based substream per block (the polynomial estimator uses one
-substream per system instead, and runs chunks of systems as whole arrays).
-Blocks and chunks run one after another and values are reduced in block
-order with pairwise summation, so a result is a pure function of
-(estimator_id, params, seed, n_samples).  Every matrix-side integrand is
+Sampling discipline: one driver, _sample, runs every estimator.  It asks
+the estimator's log-values for consecutive ranges of sample indices, in order
+(BLOCK_SAMPLES draws at a time on the matrix side, block i drawing from the
+counter-based substream RngStream(seed, i); on the polynomial side chunks of
+systems of about CHUNK_POINTS evaluation points, system j drawing from
+RngStream(seed, j) as whole arrays), and reduces them in sample order with
+pairwise summation, so a result is a pure function of (estimator_id,
+params, seed, n_samples).  It states the one failure rule: a NaN log-value is
+a failed sample; more failures than the estimator allows (none for a matrix
+draw, _MAX_FAILURE_RATE of the systems) raise NumericError, and fewer are
+dropped from the mean and counted.  Every matrix-side integrand is
 unitarily invariant, so the matrix estimators draw with
 randgeom.gauge_fixed_gaussian_array: the same per-sample values as the full
 Gaussian draws up to rounding, with phases only off the first row and
@@ -123,16 +128,6 @@ def _check_norm(norm: str) -> None:
         raise ValueError(f"norm must be one of {conditioning.NORMS}, got {norm!r}")
 
 
-def _blocks(n: int, block: int = BLOCK_SAMPLES):
-    start = 0
-    index = 0
-    while start < n:
-        count = min(block, n - start)
-        yield index, count
-        start += count
-        index += 1
-
-
 def _reduce_log_values(logv: np.ndarray, heavy: bool) -> tuple[float, float, str]:
     """Mean and dispersion from per-sample log-values.
 
@@ -159,15 +154,34 @@ def _reduce_log_values(logv: np.ndarray, heavy: bool) -> tuple[float, float, str
     return mean, stderr, method
 
 
-def _estimate_result(
-    estimator_id: str, params: dict, cfg: EstimatorConfig, logv: np.ndarray, heavy: bool
+def _sample(
+    estimator_id: str,
+    params: dict,
+    cfg: EstimatorConfig,
+    heavy: bool,
+    log_values,
+    step: int = BLOCK_SAMPLES,
+    allowed: float = 0.0,
+    unit: str = "draws",
 ) -> EstimateResult:
-    """The result of the log-values an estimator's failure policy kept of cfg.samples."""
-    mean, stderr, method = _reduce_log_values(logv, heavy)
+    """Reduce log_values(seed, samples) over cfg.samples in ranges of step samples.
+
+    A NaN log-value is a failed sample.  More than allowed * cfg.samples of
+    them raise NumericError; fewer are dropped from the mean and counted.
+    """
+    logv = np.concatenate([log_values(cfg.seed, range(start, min(start + step, cfg.samples)))
+                           for start in range(0, cfg.samples, step)])
+    nan = np.isnan(logv)
+    failed = int(np.count_nonzero(nan))
+    if failed > allowed * cfg.samples:
+        raise NumericError(f"{estimator_id}: {failed} of {cfg.samples} {unit} gave a NaN "
+                           f"log-value; the failure rate exceeds {allowed:.1%}")
+    kept = logv[~nan] if failed else logv
+    mean, stderr, method = _reduce_log_values(kept, heavy)
     return EstimateResult(
         mean=mean,
         stderr=stderr,
-        n_samples=int(logv.size),
+        n_samples=int(kept.size),
         method=method,
         seed=cfg.seed,
         estimator_id=estimator_id,
@@ -176,20 +190,11 @@ def _estimate_result(
     )
 
 
-def _run_matrix_estimator(
-    estimator_id: str,
-    params: dict,
-    cfg: EstimatorConfig,
-    log_values_fn,
-    heavy: bool,
-) -> EstimateResult:
-    """Draw cfg.samples log-values block by block; any NaN draw raises."""
-    logv = np.concatenate([log_values_fn(RngStream(cfg.seed, index), count)
-                           for index, count in _blocks(cfg.samples)])
-    nan = int(np.count_nonzero(np.isnan(logv)))
-    if nan:
-        raise NumericError(f"{estimator_id}: {nan} of {cfg.samples} draws gave a NaN log-value")
-    return _estimate_result(estimator_id, params, cfg, logv, heavy)
+def _draws(seed: int, samples: range, r: int, m: int) -> np.ndarray:
+    """Gaussian r x m draws of one matrix-side block, gauge fixed; block i is
+    samples BLOCK_SAMPLES * i onwards and draws from RngStream(seed, i)."""
+    rng = RngStream(seed, samples.start // BLOCK_SAMPLES)
+    return randgeom.gauge_fixed_gaussian_array(rng, (len(samples), r, m))
 
 
 def _squared_singular_values(a: np.ndarray) -> np.ndarray:
@@ -335,13 +340,13 @@ def _log_det_gram(lam: np.ndarray) -> np.ndarray:
 
 
 def _gram_log_values(r: int, m: int, alpha: float, norm: str, weight: float = 0):
-    """log_values_fn of ||A^+||^alpha det(A A*)^weight over Gaussian r x m matrices.
+    """_sample's log_values of ||A^+||^alpha det(A A*)^weight over Gaussian r x m matrices.
 
     The det term is skipped at weight 0, where 0 * log det is NaN on a singular draw.
     """
 
-    def log_values(rng: RngStream, count: int) -> np.ndarray:
-        lam = _squared_singular_values(randgeom.gauge_fixed_gaussian_array(rng, (count, r, m)))
+    def log_values(seed: int, samples: range) -> np.ndarray:
+        lam = _squared_singular_values(_draws(seed, samples, r, m))
         logv = alpha * _log_pinv_norm(lam, norm)
         return logv + weight * _log_det_gram(lam) if weight else logv
 
@@ -374,8 +379,7 @@ def estimate_pinv_moment(
     """MC mean of ||M^+||^alpha over standard Gaussian r x m complex matrices."""
     heavy = pinv_moment_domain(r, m, alpha, norm)
     params = {"r": r, "m": m, "alpha": alpha, "norm": norm}
-    return _run_matrix_estimator("pinv_moment", params, cfg,
-                                 _gram_log_values(r, m, alpha, norm), heavy)
+    return _sample("pinv_moment", params, cfg, heavy, _gram_log_values(r, m, alpha, norm))
 
 
 def detweighted_rect_domain(r: int, n: int, alpha: float, norm: str) -> bool:
@@ -396,8 +400,8 @@ def estimate_detweighted_rect(
     """MC mean of ||A^+||^alpha |det A A*| over Gaussian r x n matrices."""
     heavy = detweighted_rect_domain(r, n, alpha, norm)
     params = {"r": r, "n": n, "alpha": alpha, "norm": norm}
-    return _run_matrix_estimator("detweighted_rect", params, cfg,
-                                 _gram_log_values(r, n, alpha, norm, 1), heavy)
+    return _sample("detweighted_rect", params, cfg, heavy,
+                   _gram_log_values(r, n, alpha, norm, 1))
 
 
 def detweighted_square_domain(r: int, k: float, alpha: float, norm: str) -> bool:
@@ -425,8 +429,8 @@ def estimate_detweighted_square(
     """
     heavy = detweighted_square_domain(r, k, alpha, norm)
     params = {"r": r, "k": k, "alpha": alpha, "norm": norm}
-    return _run_matrix_estimator("detweighted_square", params, cfg,
-                                 _gram_log_values(r, r, alpha, norm, k), heavy)
+    return _sample("detweighted_square", params, cfg, heavy,
+                   _gram_log_values(r, r, alpha, norm, k))
 
 
 def espnorm_domain(n: int, alpha: float) -> bool:
@@ -443,13 +447,13 @@ def estimate_espnorm(n: int, alpha: float, cfg: EstimatorConfig) -> EstimateResu
     """MC mean of ||v||^alpha over standard Gaussian vectors in C^n."""
     heavy = espnorm_domain(n, alpha)
 
-    def log_values(rng: RngStream, count: int) -> np.ndarray:
-        v = randgeom.gauge_fixed_gaussian_array(rng, (count, 1, n))[:, 0]
+    def log_values(seed: int, samples: range) -> np.ndarray:
+        v = _draws(seed, samples, 1, n)[:, 0]
         with np.errstate(divide="ignore"):
             return alpha * np.log(np.linalg.norm(v, axis=1))
 
     params = {"n": n, "alpha": alpha}
-    return _run_matrix_estimator("espnorm", params, cfg, log_values, heavy)
+    return _sample("espnorm", params, cfg, heavy, log_values)
 
 
 def espnormrest_domain(n: int, alpha: int, beta: float) -> bool:
@@ -470,40 +474,43 @@ def estimate_espnormrest(
     """MC mean of ||v||^(2 alpha) ||P v||^beta, P dropping the last coordinate."""
     heavy = espnormrest_domain(n, alpha, beta)
 
-    def log_values(rng: RngStream, count: int) -> np.ndarray:
-        v = randgeom.gauge_fixed_gaussian_array(rng, (count, 1, n))[:, 0]
+    def log_values(seed: int, samples: range) -> np.ndarray:
+        v = _draws(seed, samples, 1, n)[:, 0]
         with np.errstate(divide="ignore"):
             return 2.0 * alpha * np.log(np.linalg.norm(v, axis=1)) + beta * np.log(
                 np.linalg.norm(v[:, : n - 1], axis=1)
             )
 
     params = {"n": n, "alpha": int(alpha), "beta": beta}
-    return _run_matrix_estimator("espnormrest", params, cfg, log_values, heavy)
+    return _sample("espnormrest", params, cfg, heavy, log_values)
 
 
-def _poly_log_values(
-    coeffs: np.ndarray, d: int, pts: np.ndarray, failed: np.ndarray, alpha: float, relative: bool
-) -> np.ndarray:
-    """log of each system's zero-set average of mu^alpha; nan for failed systems
-    and for systems with a point that fails the zero-residual precondition.
+def _poly_log_values(n: int, d: int, lines: int, alpha: float, relative: bool):
+    """_sample's log_values of each system's zero-set average of mu^alpha; nan
+    for a system whose root search failed or with a point that fails the
+    zero-residual precondition.
 
     Single-equation fast path: for r = 1 the Frobenius and operator values
     coincide and mu = ||h|| sqrt(d) / ||Dh(x)||, which agrees with
     conditioning.empirical_moment for both norms (pinned by
     test_sample_variety_points_reproduces_system_values).
     """
-    n = pts.shape[2] - 1
-    hnorm = np.linalg.norm(coeffs, axis=1)[:, None]
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        residuals = np.abs(bwspace.evaluate_forms(n, d, coeffs, pts))
-        failed = failed | np.any(residuals > conditioning.ZERO_TOL * hnorm, axis=1)
-        sigma = np.linalg.norm(bwspace.gradient_forms(n, d, coeffs, pts), axis=2)
-        mu = hnorm * math.sqrt(d) / sigma
-        if relative:
-            mu = mu / hnorm
-        logv = np.log(np.mean(mu**alpha, axis=1))
-    logv[failed] = math.nan
-    return logv
+
+    def log_values(seed: int, systems: range) -> np.ndarray:
+        coeffs, pts, failed = roots.sample_zero_sets(seed, systems, n, d, lines)
+        hnorm = np.linalg.norm(coeffs, axis=1)[:, None]
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            residuals = np.abs(bwspace.evaluate_forms(n, d, coeffs, pts))
+            failed = failed | np.any(residuals > conditioning.ZERO_TOL * hnorm, axis=1)
+            sigma = np.linalg.norm(bwspace.gradient_forms(n, d, coeffs, pts), axis=2)
+            mu = hnorm * math.sqrt(d) / sigma
+            if relative:
+                mu = mu / hnorm
+            logv = np.log(np.mean(mu**alpha, axis=1))
+        logv[failed] = math.nan
+        return logv
+
+    return log_values
 
 
 def poly_moment_domain(n: int, degrees, alpha: float, relative: bool, norm: str) -> bool:
@@ -541,24 +548,6 @@ def estimate_poly_moment(
     heavy = poly_moment_domain(n, degrees, alpha, relative, norm)
     d = int(degrees[0])
     lines = 1 if n == 1 else cfg.lines_per_system
-    # restriction nodes, the most points per system of any evaluation pass
-    chunk = max(1, CHUNK_POINTS // (lines * (d + 4)))
-
-    parts = []
-    for start in range(0, cfg.samples, chunk):
-        systems = range(start, min(start + chunk, cfg.samples))
-        coeffs, pts, failed = roots.sample_zero_sets(cfg.seed, systems, n, d, lines)
-        parts.append(_poly_log_values(coeffs, d, pts, failed, alpha, relative))
-    logv = np.concatenate(parts)
-
-    failed = int(np.count_nonzero(np.isnan(logv)))
-    if failed > _MAX_FAILURE_RATE * cfg.samples:
-        raise NumericError(
-            f"zero-set sampling failed for {failed} of {cfg.samples} systems; "
-            f"system failure rate exceeds {_MAX_FAILURE_RATE:.1%}"
-        )
-    logv = logv[~np.isnan(logv)]
-
     params = {
         "n": n,
         "degrees": [d],
@@ -568,14 +557,11 @@ def estimate_poly_moment(
         "systems": cfg.samples,
         "lines_per_system": lines,
     }
-    return _estimate_result("poly_moment", params, cfg, logv, heavy)
-
-
-def _z_score(delta: float, sigma: float, scale: float) -> float:
-    floor = 1e-13 * max(1.0, abs(scale))
-    if sigma == 0.0 and abs(delta) > floor:
-        return math.inf if delta > 0 else -math.inf
-    return delta / max(sigma, floor)
+    # restriction nodes, the most points per system of any evaluation pass
+    chunk = max(1, CHUNK_POINTS // (lines * (d + 4)))
+    return _sample("poly_moment", params, cfg, heavy,
+                   _poly_log_values(n, d, lines, alpha, relative),
+                   step=chunk, allowed=_MAX_FAILURE_RATE, unit="systems")
 
 
 def check_tolerance(tolerance_sigmas: float) -> None:
@@ -583,19 +569,34 @@ def check_tolerance(tolerance_sigmas: float) -> None:
     check_finite(positive=True, tolerance_sigmas=tolerance_sigmas)
 
 
-def compare(est: EstimateResult, cf: FormulaValue, tolerance_sigmas: float) -> Comparison:
-    """z-score of an estimate against a closed-form value."""
+def _comparison(value: float, sigma: float, reference_value: float, reference_stderr: float,
+                tolerance_sigmas: float, **fields) -> Comparison:
+    """value against reference_value, z-scored against the dispersion sigma.
+
+    A zero sigma gives z = 0 or +-inf, with differences below 1e-13 of the
+    reference counted as zero.
+    """
     check_tolerance(tolerance_sigmas)
-    z = _z_score(est.mean - cf.value, est.stderr, cf.value)
+    delta = value - reference_value
+    floor = 1e-13 * max(1.0, abs(reference_value))
+    if sigma == 0.0 and abs(delta) > floor:
+        z = math.inf if delta > 0 else -math.inf
+    else:
+        z = delta / max(sigma, floor)
     return Comparison(
-        estimate=est,
-        closed_form=cf,
-        reference_value=cf.value,
-        reference_stderr=0.0,
+        reference_value=reference_value,
+        reference_stderr=reference_stderr,
         z_score=z,
         passed=bool(abs(z) <= tolerance_sigmas),
         tolerance_sigmas=tolerance_sigmas,
+        **fields,
     )
+
+
+def compare(est: EstimateResult, cf: FormulaValue, tolerance_sigmas: float) -> Comparison:
+    """z-score of an estimate against a closed-form value."""
+    return _comparison(est.mean, est.stderr, cf.value, 0.0, tolerance_sigmas,
+                       estimate=est, closed_form=cf)
 
 
 def compare_pair(
@@ -609,18 +610,8 @@ def compare_pair(
 
     Checks lhs_scale * lhs against rhs_scale * rhs.
     """
-    check_tolerance(tolerance_sigmas)
-    ref = rhs_scale * rhs.mean
-    sigma = math.hypot(lhs_scale * lhs.stderr, rhs_scale * rhs.stderr)
-    z = _z_score(lhs_scale * lhs.mean - ref, sigma, ref)
-    return Comparison(
-        estimate=lhs,
-        closed_form=None,
-        reference_value=ref,
-        reference_stderr=rhs_scale * rhs.stderr,
-        z_score=z,
-        passed=bool(abs(z) <= tolerance_sigmas),
-        tolerance_sigmas=tolerance_sigmas,
-        lhs_scale=lhs_scale,
-        reference_estimate=rhs,
-    )
+    return _comparison(lhs_scale * lhs.mean,
+                       math.hypot(lhs_scale * lhs.stderr, rhs_scale * rhs.stderr),
+                       rhs_scale * rhs.mean, rhs_scale * rhs.stderr, tolerance_sigmas,
+                       estimate=lhs, closed_form=None, lhs_scale=lhs_scale,
+                       reference_estimate=rhs)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bwspace, randgeom
-from .bwspace import SystemCoords
+from .bwspace import SystemCoords, _power_table
 from .cxla import NumericError
 from .randgeom import RngStream, mix64
 
@@ -69,14 +69,11 @@ class BinaryForm:
         object.__setattr__(self, "coeffs", c)
 
 
-def binary_form_value(g: BinaryForm, s: complex, t: complex) -> complex:
-    return complex(_binary_form_values(g.coeffs, np.array([[s, t]], dtype=np.complex128))[0])
-
-
 def _binary_form_values(coeffs: np.ndarray, st: np.ndarray) -> np.ndarray:
     """Forms (..., d+1) at points st (..., m, 2), broadcast; returns (..., m)."""
     d = coeffs.shape[-1] - 1
-    powers = st[..., 0:1] ** np.arange(d, -1, -1) * st[..., 1:2] ** np.arange(d + 1)
+    ptab = _power_table(st, d)  # (..., m, 2, d+1)
+    powers = ptab[..., 0, ::-1] * ptab[..., 1, :]
     return np.matmul(powers, coeffs[..., :, None])[..., 0]
 
 

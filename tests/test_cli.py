@@ -295,6 +295,20 @@ class TestMain:
         assert row_b["seed"] != 99
         assert row_a["mean"] != row_b["mean"]
 
+    def test_seed_flag_on_dumped_suite_matches_suite_seed(self, tmp_path, capsys):
+        # --seed 7 on a dump of the suite reseeds experiment i to mix64(7, i + 1),
+        # the seed default_suite(7) gives it
+        cfg_path = tmp_path / "suite.json"
+        cfg_path.write_text(json.dumps(cli.config_to_dict(cli.default_suite())))
+        common = ["--seed", "7", "--samples", "1000"]
+        cli.main(["verify", "--config", str(cfg_path), *common, "--out", str(tmp_path / "a")])
+        cli.main(["verify", *common, "--out", str(tmp_path / "b")])
+        csv_a = (tmp_path / "a" / "verify-report.csv").read_bytes()
+        assert csv_a == (tmp_path / "b" / "verify-report.csv").read_bytes()
+        seeds = [row["seed"] for row in json.loads(
+            (tmp_path / "a" / "verify-report.json").read_text())["comparisons"]]
+        assert seeds == [cli.mix64(7, i + 1) for i in range(len(seeds))]
+
     def test_verify_bad_config_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{\"version\": 1, \"experiments\": []}")

@@ -447,6 +447,23 @@ class TestDeterminism:
         b = montecarlo.estimate_pinv_moment(2, 4, 2.0, "frobenius", cfg(5_000, 34))
         assert a.mean != b.mean
 
+    @pytest.mark.parametrize("m", [4, 3])  # plain mean, median-of-means
+    def test_matrix_block_i_draws_from_stream_i(self, m):
+        # two full blocks and a partial one: the estimate is the reduction of
+        # the log-values of RngStream(seed, i), block by block, bit for bit
+        seed, block = 36, montecarlo.BLOCK_SAMPLES
+        samples = 2 * block + 5
+        est = montecarlo.estimate_pinv_moment(2, m, 2.0, "frobenius", cfg(samples, seed))
+        logv = np.concatenate([
+            2.0 * montecarlo._log_pinv_norm(montecarlo._squared_singular_values(
+                gauge_fixed_gaussian_array(RngStream(seed, i), (count, 2, m))), "frobenius")
+            for i, count in enumerate((block, block, 5))
+        ])
+        heavy = montecarlo.pinv_moment_domain(2, m, 2.0, "frobenius")
+        mean, stderr, method = montecarlo._reduce_log_values(logv, heavy)
+        assert (est.mean, est.stderr, est.method) == (mean, stderr, method)
+        assert est.n_samples == est.attempted == samples
+
 
 class TestCompare:
     @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.inf, math.nan])

@@ -69,7 +69,7 @@ class TestRestrictToLine:
             st = complex_gaussian_vector(rng, 2)
             st = st / np.linalg.norm(st)
             direct = bwspace.evaluate(h, st[0] * u + st[1] * v)[0]
-            value = roots.binary_form_value(g, st[0], st[1])
+            value = roots._binary_form_values(g.coeffs, st[None])[0]
             assert abs(value - direct) <= 1e-9 * bwspace.bw_norm(h)
 
     def test_rejects_non_orthonormal(self):
@@ -122,7 +122,8 @@ class TestBinaryFormRoots:
             pts = roots.binary_form_roots(g, rng)
             assert len(pts) == d
             for s, t in pts:
-                assert abs(roots.binary_form_value(g, s, t)) < 1e-9 * np.max(np.abs(b))
+                value = roots._binary_form_values(g.coeffs, np.array([[s, t]]))[0]
+                assert abs(value) < 1e-9 * np.max(np.abs(b))
 
     def test_reconstruction_from_roots(self):
         rng = RngStream(69, 0)
@@ -363,7 +364,8 @@ class TestRowSubstreams:
             assert np.allclose(self.solve_at(kind, position, size), alone, rtol=0, atol=1e-14)
         form = BinaryForm(3, self.STALL[0]) if kind == "stall" else BinaryForm(2, [0.0, 1.0, 0.0])
         for s, t in alone:
-            assert abs(roots.binary_form_value(form, s, t)) < 1e-9 * np.max(np.abs(form.coeffs))
+            value = roots._binary_form_values(form.coeffs, np.array([[s, t]]))[0]
+            assert abs(value) < 1e-9 * np.max(np.abs(form.coeffs))
 
 
 @pytest.mark.parametrize("n, d, lines", [(2, 3, 4), (3, 2, 3)])
