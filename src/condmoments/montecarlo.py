@@ -10,11 +10,14 @@ pairwise summation, so a result is a pure function of (estimator_id,
 params, seed, n_samples).  It states the one failure rule: a NaN log-value is
 a failed sample; more failures than the estimator allows (none for a matrix
 draw, _MAX_FAILURE_RATE of the systems) raise NumericError, and fewer are
-dropped from the mean and counted.  Every matrix-side integrand is
-unitarily invariant, so the matrix estimators draw with
-randgeom.gauge_fixed_gaussian_array: the same per-sample values as the full
-Gaussian draws up to rounding, with phases only off the first row and
-column, and for vectors and single rows no phase uniforms at all.
+dropped from the mean and counted.  Every matrix-side integrand is a
+function of the eigenvalues of the Gram matrix G = A A* of the Gaussian
+r x m draw A, or of a Gaussian vector's squared moduli, so the estimators
+draw those and not A: G by randgeom.gaussian_gram's Bartlett factor, equal
+to A A* in law, and the moduli by randgeom.gaussian_squared_moduli, equal
+to the full draw's up to rounding.  Both take only radius uniforms at r = 1
+and for vectors, and the Gram matrices' eigenvalues all come from
+_gram_eigenvalues.
 
 Domains and heavy tails: each <id>_domain checks the estimator's own rules
 (norm name, integer counts) and takes the identity's rule from the one place
@@ -190,43 +193,70 @@ def _sample(
     )
 
 
-def _draws(seed: int, samples: range, r: int, m: int) -> np.ndarray:
-    """Gaussian r x m draws of one matrix-side block, gauge fixed; block i is
-    samples BLOCK_SAMPLES * i onwards and draws from RngStream(seed, i)."""
-    rng = RngStream(seed, samples.start // BLOCK_SAMPLES)
-    return randgeom.gauge_fixed_gaussian_array(rng, (len(samples), r, m))
+def _block_rng(seed: int, samples: range) -> RngStream:
+    """The stream of a matrix-side block: block i is samples
+    BLOCK_SAMPLES * i onwards and draws from RngStream(seed, i)."""
+    return RngStream(seed, samples.start // BLOCK_SAMPLES)
+
+
+def _draws(seed: int, samples: range, r: int, m: int) -> tuple[list, dict]:
+    """Gram matrices A A* of one matrix-side block of Gaussian r x m draws,
+    as randgeom.gaussian_gram's entries (diag, off)."""
+    return randgeom.gaussian_gram(_block_rng(seed, samples), len(samples), r, m)
+
+
+def _vector_draws(seed: int, samples: range, n: int) -> np.ndarray:
+    """Squared moduli (len(samples), n) of one block of Gaussian vectors in C^n."""
+    return randgeom.gaussian_squared_moduli(_block_rng(seed, samples), (len(samples), n))
+
+
+def _gram_entries(a: np.ndarray) -> tuple[list, dict]:
+    """The Gram matrices A A* of a stack of r x m matrices, as _gram_eigenvalues takes them."""
+    rows = [a[:, i] for i in range(a.shape[1])]
+    diag = [np.einsum("nj,nj->n", x.real, x.real) + np.einsum("nj,nj->n", x.imag, x.imag)
+            for x in rows]
+    off = {(i, k): np.einsum("nj,nj->n", rows[i], rows[k].conj())
+           for i in range(len(rows)) for k in range(i + 1, len(rows))}
+    return diag, off
 
 
 def _squared_singular_values(a: np.ndarray) -> np.ndarray:
-    """Squared singular values of each r x m matrix (r <= m) in a stack, ascending.
+    """Squared singular values of each r x m matrix (r <= m) in a stack, ascending."""
+    return _gram_eigenvalues(*_gram_entries(a))
 
-    They are the eigenvalues of the r x r Gram matrix G = A A*.  For r <= 3
-    they come from closed forms, as array arithmetic over the whole stack:
-    the squared row norm at r = 1; at r = 2 the larger root of the
+
+def _gram_eigenvalues(diag: list, off: dict) -> np.ndarray:
+    """Eigenvalues, ascending, of a stack of r x r Hermitian PSD matrices G
+    given by their entries: diag[i] the real arrays G_ii, off[i, k] (i < k)
+    the arrays G_ik, complex or real.
+
+    For r <= 3 they come from closed forms, as array arithmetic over the
+    whole stack: G itself at r = 1; at r = 2 the larger root of the
     characteristic quadratic, and det G divided by it, which avoids the
     cancellation of subtracting nearly equal terms; at r = 3 the eigenvalue
     that lies apart by the trigonometric method (Smith, CACM 4(4), 1961),
     and the other two by the r = 2 form on the block that deflating it
     leaves.  For r >= 4 no closed form applies and eigvalsh runs on each
-    Gram matrix.  Eigenvalues of a singular draw that rounding pushes below
-    0 are clamped to 0, and every 0/0 (a zero draw, three equal eigenvalues)
-    gives 0, so a finite draw never gives NaN.
+    matrix.  Eigenvalues of a singular matrix that rounding pushes below 0
+    are clamped to 0, and every 0/0 (a zero matrix, three equal
+    eigenvalues) gives 0, so finite entries never give NaN.
     """
-    r = a.shape[1]
-    if r >= 4:
-        gram = np.einsum("nij,nkj->nik", a, a.conj())
-        return np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    rows = [a[:, i] for i in range(r)]
-    diag = [np.einsum("nj,nj->n", x.real, x.real) + np.einsum("nj,nj->n", x.imag, x.imag)
-            for x in rows]
+    r = len(diag)
     if r == 1:
         return diag[0][:, None]
+    if r >= 4:
+        gram = np.empty((len(diag[0]), r, r), dtype=np.complex128)
+        for i, x in enumerate(diag):
+            gram[:, i, i] = x
+        for (i, k), x in off.items():
+            gram[:, i, k] = x
+            gram[:, k, i] = np.conj(x)
+        return np.maximum(np.linalg.eigvalsh(gram), 0.0)
     # divide by the power of two just above the trace: exact, and it keeps
     # products of three entries from overflowing or underflowing
     scale = np.ldexp(1.0, np.frexp(sum(diag))[1])
     g = [d / scale for d in diag]
-    off = {(i, k): np.einsum("nj,nj->n", rows[i], rows[k].conj()) / scale
-           for i in range(r) for k in range(i + 1, r)}
+    off = {key: x / scale for key, x in off.items()}
     if r == 2:
         low, high = _gram_eigenvalues_2(g[0], g[1], off[0, 1])
         lam = np.stack([low, high], axis=1)
@@ -346,7 +376,7 @@ def _gram_log_values(r: int, m: int, alpha: float, norm: str, weight: float = 0)
     """
 
     def log_values(seed: int, samples: range) -> np.ndarray:
-        lam = _squared_singular_values(_draws(seed, samples, r, m))
+        lam = _gram_eigenvalues(*_draws(seed, samples, r, m))
         logv = alpha * _log_pinv_norm(lam, norm)
         return logv + weight * _log_det_gram(lam) if weight else logv
 
@@ -433,6 +463,12 @@ def estimate_detweighted_square(
                    _gram_log_values(r, r, alpha, norm, k))
 
 
+def _log_norm(sq: np.ndarray) -> np.ndarray:
+    """log ||v|| from the squared moduli (count, n) of vectors v; -inf for v = 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.sqrt(np.sum(sq, axis=1)))
+
+
 def espnorm_domain(n: int, alpha: float) -> bool:
     """Check the parameters of estimate_espnorm; True if the tail is heavy.
 
@@ -448,9 +484,7 @@ def estimate_espnorm(n: int, alpha: float, cfg: EstimatorConfig) -> EstimateResu
     heavy = espnorm_domain(n, alpha)
 
     def log_values(seed: int, samples: range) -> np.ndarray:
-        v = _draws(seed, samples, 1, n)[:, 0]
-        with np.errstate(divide="ignore"):
-            return alpha * np.log(np.linalg.norm(v, axis=1))
+        return alpha * _log_norm(_vector_draws(seed, samples, n))
 
     params = {"n": n, "alpha": alpha}
     return _sample("espnorm", params, cfg, heavy, log_values)
@@ -475,11 +509,8 @@ def estimate_espnormrest(
     heavy = espnormrest_domain(n, alpha, beta)
 
     def log_values(seed: int, samples: range) -> np.ndarray:
-        v = _draws(seed, samples, 1, n)[:, 0]
-        with np.errstate(divide="ignore"):
-            return 2.0 * alpha * np.log(np.linalg.norm(v, axis=1)) + beta * np.log(
-                np.linalg.norm(v[:, : n - 1], axis=1)
-            )
+        sq = _vector_draws(seed, samples, n)
+        return 2.0 * alpha * _log_norm(sq) + beta * _log_norm(sq[:, : n - 1])
 
     params = {"n": n, "alpha": int(alpha), "beta": beta}
     return _sample("espnormrest", params, cfg, heavy, log_values)

@@ -11,13 +11,13 @@ the uniform stream alone.  Complex standard Gaussians follow the
 E|z|^2 = 1 convention: z = (g1 + i g2)/sqrt(2) with g1, g2 independent
 standard real normals, equivalently |z|^2 ~ Exp(1) with uniform phase.
 
-gauge_fixed_gaussian_array returns such a Gaussian stack only up to
-diagonal unitaries on either side, D1 A D2, with row 0 and column 0 made
-real and non-negative.  It is for unitarily invariant functionals alone
-(singular values, determinants, the norm of a vector or of some of its
-coordinates): for those it gives, draw for draw, the value of
-complex_gaussian_array's A up to rounding, and it evaluates a phase only for
-the (r - 1)(m - 1) interior entries, none at all for a single row or column.
+The matrix-side estimators need only the law of the Gram matrix G = A A*
+of a Gaussian r x m matrix A, and of the squared moduli of a Gaussian
+vector.  gaussian_squared_moduli draws the latter from the radius uniforms
+alone.  gaussian_gram draws G by the complex Bartlett decomposition
+(Goodman, Ann. Math. Stat. 34, 1963; Edelman, MIT thesis, 1989): from r m
+unit exponentials and (r - 1)(r - 2)/2 phase uniforms per matrix, against
+the 2 r m uniforms of A itself, and with no phase at all for r <= 2.
 """
 
 from __future__ import annotations
@@ -128,26 +128,55 @@ def complex_gaussian_array(rng: RngStream, shape) -> np.ndarray:
     return complex_gaussians(u, v)
 
 
-def gauge_fixed_gaussian_array(rng: RngStream, shape) -> np.ndarray:
-    """D1 A D2 for the stack A = complex_gaussian_array(rng, shape) of r x m
-    matrices (shape (..., r, m)), with diagonal unitaries D1, D2 chosen so
-    that row 0 and column 0 become their moduli.
+def gaussian_squared_moduli(rng: RngStream, shape) -> np.ndarray:
+    """|z|^2 for the entries z of complex_gaussian_array(rng, shape), up to
+    rounding: the unit exponentials -log(1 - u) of its radius uniforms u.
 
-    Entry (i, j) is rho_ij exp(2 pi i ((v_ij - v_0j) - (v_i0 - v_00))) for
-    A_ij = rho_ij exp(2 pi i v_ij), so only the interior entries need a
-    phase.  When r = 1 or m = 1 (a vector is a 1 x n matrix) every entry is
-    a modulus: the phase uniforms v, drawn after the radius uniforms u, are
-    not drawn at all and the stream advances by prod(shape) uniforms only.
-    Valid only for functionals invariant under A -> D1 A D2.
+    The phase uniforms, drawn after them, are not drawn at all: the stream
+    advances by prod(shape) uniforms.
     """
-    u = rng.uniforms(shape)
-    a = np.sqrt(-np.log1p(-u)).astype(np.complex128)
-    if shape[-2] == 1 or shape[-1] == 1:
-        return a
-    v = rng.uniforms(shape)
-    theta = (v[..., 1:, 1:] - v[..., :1, 1:]) - (v[..., 1:, :1] - v[..., :1, :1])
-    a[..., 1:, 1:] *= np.exp(2j * np.pi * theta)
-    return a
+    return -np.log1p(-rng.uniforms(shape))
+
+
+def gaussian_gram(rng: RngStream, count: int, r: int, m: int) -> tuple[list, dict]:
+    """The Gram matrices G = A A* of count Gaussian r x m matrices A
+    (1 <= r <= m), equal to them in law.
+
+    G is drawn as L L* (Bartlett): L is r x r lower triangular with
+    independent entries, L_ii^2 ~ Gamma(m - i), the squared norm of the part
+    of row i of A orthogonal to rows 0..i-1, and L_ik ~ CN(0, 1) for i > k.
+    L -> D L D* for a diagonal unitary D leaves G's eigenvalues unchanged, so
+    column 0 of L is taken real and non-negative; the other entries below
+    the diagonal keep a phase.  Each matrix takes one row of a
+    (count, T) uniform array, T = sum_{i<r} (m - i) + r(r - 1)/2
+    + (r - 1)(r - 2)/2, whose columns are, in order: the m - i exponentials
+    summed into L_ii^2, row by row; the squared moduli |L_ik|^2, i > k, row
+    major; one phase uniform for each L_ik with k >= 1, in the same order.
+    At r = 1 that is gaussian_squared_moduli(rng, (count, m)), summed.
+
+    Returns (diag, off): diag[i] is the real array of the G_ii, off[i, k]
+    (i < k) the array of the G_ik, real where i = 0.
+    """
+    if not 1 <= r <= m:
+        raise ValueError(f"need 1 <= r <= m, got r = {r}, m = {m}")
+    below = [(i, k) for i in range(1, r) for k in range(i)]
+    phased = [(i, k) for i, k in below if k]
+    n_diag = r * m - r * (r - 1) // 2
+    n_exp = n_diag + len(below)
+    # one column per uniform, so every slice below is contiguous
+    u = np.ascontiguousarray(rng.uniforms((count, n_exp + len(phased))).T)
+    e = -np.log1p(-u[:n_exp])
+    ends = np.cumsum([m - i for i in range(r)])
+    sq = {(i, i): e[end - (m - i):end].sum(axis=0) for i, end in enumerate(ends)}
+    sq.update(zip(below, e[n_diag:]))
+    ell = {key: np.sqrt(x) for key, x in sq.items()}
+    for key, v in zip(phased, u[n_exp:]):
+        ell[key] = ell[key] * np.exp(2j * np.pi * v)
+    # G_ik = sum_{j <= min(i, k)} L_ij conj(L_kj)
+    diag = [sum((sq[i, j] for j in range(i)), sq[i, i]) for i in range(r)]
+    off = {(i, k): sum(ell[i, j] * ell[k, j].conj() for j in range(i + 1))
+           for i in range(r) for k in range(i + 1, r)}
+    return diag, off
 
 
 def complex_gaussian_vector(rng: RngStream, n: int) -> np.ndarray:

@@ -484,8 +484,8 @@ class TestStandardJson:
 
     def test_estimate_prints_standard_json(self, monkeypatch, capsys):
         # a singular draw makes the pseudoinverse moment infinite
-        monkeypatch.setattr(cli.montecarlo, "_squared_singular_values",
-                            lambda a: np.zeros((a.shape[0], a.shape[1])))
+        monkeypatch.setattr(cli.montecarlo, "_gram_eigenvalues",
+                            lambda diag, off: np.zeros((diag[0].shape[0], len(diag))))
         assert cli.main(["estimate", "--estimator", "pinv_moment", "--r", "1", "--m", "3",
                          "--samples", "10", "--seed", "5"]) == 0
         out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)

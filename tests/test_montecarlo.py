@@ -4,10 +4,10 @@ import types
 import numpy as np
 import pytest
 
-from condmoments import bwspace, conditioning, formulas, montecarlo, roots
+from condmoments import bwspace, conditioning, formulas, montecarlo, randgeom, roots
 from condmoments.montecarlo import EstimatorConfig
-from condmoments.randgeom import (RngStream, complex_gaussian_array, gaussian_system,
-                                  gauge_fixed_gaussian_array, unitary_from_ginibre)
+from condmoments.randgeom import (RngStream, complex_gaussian_array, gaussian_gram,
+                                  gaussian_system, unitary_from_ginibre)
 
 
 def cfg(samples, seed, **kw):
@@ -16,6 +16,10 @@ def cfg(samples, seed, **kw):
 
 def z_against(est, value):
     return (est.mean - value) / est.stderr
+
+
+def two_sample_z(x, y):
+    return (x.mean() - y.mean()) / math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
 
 
 class TestPinvMoment:
@@ -175,31 +179,50 @@ class TestClosedFormGramEigenvalues:
             np.testing.assert_allclose(lam[:, 0], (scale * sv[-1]) ** 2, rtol=1e-2)
 
 
+def _full_gram_draws(seed, samples, r, m):
+    """montecarlo._draws from the full Gaussian draws A of the block's stream."""
+    a = complex_gaussian_array(montecarlo._block_rng(seed, samples), (len(samples), r, m))
+    return montecarlo._gram_entries(a)
+
+
+def _full_vector_draws(seed, samples, n):
+    """montecarlo._vector_draws from the full Gaussian draws of the block's stream."""
+    v = complex_gaussian_array(montecarlo._block_rng(seed, samples), (len(samples), n))
+    return np.abs(v) ** 2
+
+
 class TestGaugeFixedDraws:
-    # the matrix estimators draw D1 A D2 in place of A; every log-value they
-    # take is unitarily invariant, so it matches the full draw of the same
-    # stream up to rounding
+    # the matrix estimators draw the Gram matrix A A* through the Bartlett
+    # factor L, with L's column 0 made real (L -> D L D*), and vectors as
+    # their squared moduli.  Vectors and single rows match the full draw of
+    # the same stream up to rounding; from r = 2 on the draws match the full
+    # draws in law, checked by a two-sample z on independent streams
 
     @pytest.mark.parametrize("r, m", [(1, 1), (1, 3), (2, 2), (2, 3), (2, 4), (2, 5),
                                       (3, 3), (3, 5), (4, 4), (4, 6)])
     def test_gram_log_values_match_full_draws(self, r, m):
-        full = complex_gaussian_array(RngStream(74, 10 * r + m), (4096, r, m))
-        fixed = gauge_fixed_gaussian_array(RngStream(74, 10 * r + m), (4096, r, m))
+        count = 8192
+        full = complex_gaussian_array(RngStream(74, 10 * r + m), (count, r, m))
         lam_full = montecarlo._squared_singular_values(full)
-        lam_fixed = montecarlo._squared_singular_values(fixed)
-        for norm in ("frobenius", "operator"):
-            np.testing.assert_allclose(montecarlo._log_pinv_norm(lam_fixed, norm),
-                                       montecarlo._log_pinv_norm(lam_full, norm),
-                                       rtol=0, atol=1e-9)
-        np.testing.assert_allclose(montecarlo._log_det_gram(lam_fixed),
-                                   montecarlo._log_det_gram(lam_full), rtol=0, atol=1e-9)
+        stream = 74 if r == 1 else 75
+        lam_fixed = montecarlo._gram_eigenvalues(*gaussian_gram(RngStream(stream, 10 * r + m),
+                                                                count, r, m))
+        # log tr G^-1, log lambda_min and log det G: all of finite variance
+        pairs = [(montecarlo._log_pinv_norm(lam_fixed, norm),
+                  montecarlo._log_pinv_norm(lam_full, norm)) for norm in ("frobenius", "operator")]
+        pairs.append((montecarlo._log_det_gram(lam_fixed), montecarlo._log_det_gram(lam_full)))
+        for fixed, ref in pairs:
+            if r == 1:
+                np.testing.assert_allclose(fixed, ref, rtol=0, atol=1e-9)
+            else:
+                assert abs(two_sample_z(fixed, ref)) < 4.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_vector_norms_match_full_draws(self, n):
         full = complex_gaussian_array(RngStream(75, n), (4096, n))
-        fixed = gauge_fixed_gaussian_array(RngStream(75, n), (4096, 1, n))[:, 0]
+        sq = randgeom.gaussian_squared_moduli(RngStream(75, n), (4096, n))
         for k in (n, n - 1):
-            np.testing.assert_allclose(np.linalg.norm(fixed[:, :k], axis=1),
+            np.testing.assert_allclose(np.sqrt(np.sum(sq[:, :k], axis=1)),
                                        np.linalg.norm(full[:, :k], axis=1), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("estimate, params", [
@@ -210,13 +233,17 @@ class TestGaugeFixedDraws:
         (montecarlo.estimate_espnormrest, (3, 1, 2.0)),
     ])
     def test_estimates_match_full_draws(self, monkeypatch, estimate, params):
+        vector = estimate in (montecarlo.estimate_espnorm, montecarlo.estimate_espnormrest)
         fixed = estimate(*params, cfg(5_000, 76))
-        monkeypatch.setattr(montecarlo.randgeom, "gauge_fixed_gaussian_array",
-                            complex_gaussian_array)
-        full = estimate(*params, cfg(5_000, 76))
+        monkeypatch.setattr(montecarlo, "_draws", _full_gram_draws)
+        monkeypatch.setattr(montecarlo, "_vector_draws", _full_vector_draws)
+        full = estimate(*params, cfg(5_000, 76 if vector else 77))
         assert fixed.method == full.method
-        assert fixed.mean == pytest.approx(full.mean, rel=1e-12, abs=0)
-        assert fixed.stderr == pytest.approx(full.stderr, rel=1e-12, abs=0)
+        if vector:
+            assert fixed.mean == pytest.approx(full.mean, rel=1e-12, abs=0)
+            assert fixed.stderr == pytest.approx(full.stderr, rel=1e-12, abs=0)
+        else:
+            assert abs(fixed.mean - full.mean) < 4.0 * math.hypot(fixed.stderr, full.stderr)
 
 
 class TestMatrixNumericFailure:
@@ -225,14 +252,14 @@ class TestMatrixNumericFailure:
         # reduction as a mean of NaN
         from condmoments.cxla import NumericError
 
-        real = montecarlo._squared_singular_values
+        real = montecarlo._gram_eigenvalues
 
-        def one_nan_row(a):
-            lam = real(a)
+        def one_nan_row(diag, off):
+            lam = real(diag, off)
             lam[7] = math.nan
             return lam
 
-        monkeypatch.setattr(montecarlo, "_squared_singular_values", one_nan_row)
+        monkeypatch.setattr(montecarlo, "_gram_eigenvalues", one_nan_row)
         with pytest.raises(NumericError, match="pinv_moment: 2 of 5000 draws"):
             montecarlo.estimate_pinv_moment(2, 4, 2.0, "frobenius", cfg(5_000, 3))
 
@@ -450,19 +477,56 @@ class TestDeterminism:
     @pytest.mark.parametrize("m", [4, 3])  # plain mean, median-of-means
     def test_matrix_block_i_draws_from_stream_i(self, m):
         # two full blocks and a partial one: the estimate is the reduction of
-        # the log-values of RngStream(seed, i), block by block, bit for bit
+        # the log-values of RngStream(seed, i), block by block, bit for bit.
+        # At r = 2 a draw takes 2m uniforms: the m and m - 1 exponentials
+        # summed into L_00^2 and L_11^2, then |L_10|^2
         seed, block = 36, montecarlo.BLOCK_SAMPLES
         samples = 2 * block + 5
         est = montecarlo.estimate_pinv_moment(2, m, 2.0, "frobenius", cfg(samples, seed))
-        logv = np.concatenate([
-            2.0 * montecarlo._log_pinv_norm(montecarlo._squared_singular_values(
-                gauge_fixed_gaussian_array(RngStream(seed, i), (count, 2, m))), "frobenius")
-            for i, count in enumerate((block, block, 5))
-        ])
+        logv = []
+        for i, count in enumerate((block, block, 5)):
+            e = -np.log1p(-RngStream(seed, i).uniforms((count, 2 * m)))
+            l00_sq = sum(e[:, j] for j in range(m))
+            l11_sq = sum(e[:, j] for j in range(m, 2 * m - 1))
+            l10_sq = e[:, 2 * m - 1]
+            diag = [l00_sq, l11_sq + l10_sq]
+            off = {(0, 1): np.sqrt(l00_sq) * np.sqrt(l10_sq)}
+            logv.append(2.0 * montecarlo._log_pinv_norm(montecarlo._gram_eigenvalues(diag, off),
+                                                        "frobenius"))
         heavy = montecarlo.pinv_moment_domain(2, m, 2.0, "frobenius")
-        mean, stderr, method = montecarlo._reduce_log_values(logv, heavy)
+        mean, stderr, method = montecarlo._reduce_log_values(np.concatenate(logv), heavy)
         assert (est.mean, est.stderr, est.method) == (mean, stderr, method)
         assert est.n_samples == est.attempted == samples
+
+    @pytest.mark.parametrize("estimate, params, m", [
+        (montecarlo.estimate_pinv_moment, (1, 3, 2.0, "frobenius"), 3),
+        (montecarlo.estimate_detweighted_square, (1, 1.0, 2.0, "operator"), 1),
+        (montecarlo.estimate_espnorm, (4, 2.0), 4),
+        (montecarlo.estimate_espnormrest, (3, 1, 2.0), 3),
+    ])
+    def test_single_row_and_vector_draws_take_radius_uniforms_only(self, monkeypatch,
+                                                                   estimate, params, m):
+        # block i draws exactly RngStream(seed, i).uniforms((count, m)), the
+        # radius half of the full r = 1 draw, and nothing else, so the
+        # estimate is the full draws' up to rounding
+        seed, block = 37, montecarlo.BLOCK_SAMPLES
+        calls = []
+
+        class Recording(RngStream):
+            def uniforms(self, shape):
+                calls.append((self.seed, self.stream_index, shape))
+                return super().uniforms(shape)
+
+        monkeypatch.setattr(montecarlo, "RngStream", Recording)
+        est = estimate(*params, cfg(2 * block + 5, seed))
+        assert calls == [(seed, 0, (block, m)), (seed, 1, (block, m)), (seed, 2, (5, m))]
+        assert est.n_samples == 2 * block + 5
+        monkeypatch.undo()
+        monkeypatch.setattr(montecarlo, "_draws", _full_gram_draws)
+        monkeypatch.setattr(montecarlo, "_vector_draws", _full_vector_draws)
+        full = estimate(*params, cfg(2 * block + 5, seed))
+        assert est.mean == pytest.approx(full.mean, rel=1e-12, abs=0)
+        assert est.stderr == pytest.approx(full.stderr, rel=1e-9, abs=1e-15)
 
 
 class TestCompare:

@@ -254,8 +254,8 @@ class TestDeterminism:
         assert np.array_equal(u1, u2)
 
 
-class _ZeroRadiusStream(RngStream):
-    """A stream whose first draw (the radius uniforms u) is all zeros."""
+class _ZeroStream(RngStream):
+    """A stream whose first draw is all zeros."""
 
     def uniforms(self, shape):
         out = super().uniforms(shape)
@@ -265,42 +265,126 @@ class _ZeroRadiusStream(RngStream):
         return out
 
 
-class TestGaugeFixedGaussianArray:
-    # D1 A D2 of the full draw A of the same stream: the reference is
-    # complex_gaussian_array on a replay of the stream
+def ks_statistic(x, cdf):
+    """Kolmogorov-Smirnov distance between the sample x and a continuous cdf."""
+    f = cdf(np.sort(x))
+    n = f.size
+    return max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
 
-    @pytest.mark.parametrize("shape", [(64, 2, 2), (64, 3, 5), (8, 4, 6), (2, 7, 3, 4)])
-    def test_is_full_draw_up_to_diagonal_unitaries(self, shape):
-        a = randgeom.complex_gaussian_array(RngStream(30, 1), shape)
-        g = randgeom.gauge_fixed_gaussian_array(RngStream(30, 1), shape)
-        d2 = np.conj(a[..., :1, :]) / np.abs(a[..., :1, :])
-        col = a[..., :, :1] * d2[..., :, :1]
-        d1 = np.conj(col) / np.abs(col)
-        np.testing.assert_allclose(g, d1 * a * d2, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(np.abs(g), np.abs(a), rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("shape", [(64, 2, 2), (64, 3, 5), (64, 1, 3), (64, 4, 1), (5, 1, 1)])
-    def test_first_row_and_column_real_nonnegative(self, shape):
-        g = randgeom.gauge_fixed_gaussian_array(RngStream(31, 2), shape)
-        for edge in (g[..., 0, :], g[..., :, 0]):
-            assert np.all(edge.imag == 0.0)
-            assert np.all(edge.real >= 0.0)
+def gamma_cdf(k):
+    """CDF of Gamma(k, 1) for an integer shape k: 1 - e^-x sum_{j<k} x^j / j!."""
 
+    def cdf(x):
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        for j in range(1, k):
+            term = term * x / j
+            total = total + term
+        return 1.0 - np.exp(-x) * total
+
+    return cdf
+
+
+# sqrt(n) * KS distance stays below this with probability 0.999
+KS_LIMIT = 1.95
+
+
+class TestGaussianSquaredModuli:
     @pytest.mark.parametrize("shape", [(5, 1, 3), (4, 3, 1), (7, 1, 1), (3, 2, 1, 4)])
-    def test_moduli_only_shape_draws_radius_uniforms_only(self, shape):
+    def test_draws_radius_uniforms_only(self, shape):
         rng = RngStream(32, 3)
-        g = randgeom.gauge_fixed_gaussian_array(rng, shape)
+        sq = randgeom.gaussian_squared_moduli(rng, shape)
         size = math.prod(shape)
         u = RngStream(32, 3).uniforms(size + 1)
         assert rng.uniforms(1)[0] == u[-1]
-        np.testing.assert_array_equal(g, np.sqrt(-np.log1p(-u[:-1])).reshape(shape))
+        np.testing.assert_array_equal(sq, -np.log1p(-u[:-1]).reshape(shape))
+        full = randgeom.complex_gaussian_array(RngStream(32, 3), shape)
+        np.testing.assert_allclose(sq, np.abs(full) ** 2, rtol=1e-14, atol=0)
 
-    def test_matrix_shape_draws_both_halves(self):
+
+class TestBartlettLaw:
+    # A A* = L L* with L = R* for the QR factorization A* = QR, phases moved
+    # so that L's diagonal is positive: the complex Bartlett decomposition
+    # that gaussian_gram draws from, checked on direct Gaussian draws
+
+    @pytest.mark.parametrize("r, m", [(2, 4), (3, 3), (3, 5), (4, 6)])
+    def test_factor_of_direct_draws(self, r, m):
+        a = randgeom.complex_gaussian_array(RngStream(35, 10 * r + m), (4096, r, m))
+        _, rr = np.linalg.qr(np.conj(np.swapaxes(a, -1, -2)))
+        d = np.diagonal(rr, axis1=-2, axis2=-1)
+        ell = np.conj(np.swapaxes(rr * (np.conj(d) / np.abs(d))[..., :, None], -1, -2))
+        np.testing.assert_allclose(ell @ np.conj(np.swapaxes(ell, -1, -2)),
+                                   a @ np.conj(np.swapaxes(a, -1, -2)), rtol=0, atol=1e-12)
+        assert np.all(np.diagonal(ell, axis1=-2, axis2=-1).real > 0)
+        root_n = math.sqrt(a.shape[0])
+        for i in range(r):
+            assert root_n * ks_statistic(np.abs(ell[:, i, i]) ** 2, gamma_cdf(m - i)) < KS_LIMIT
+            for k in range(i):
+                sq = np.abs(ell[:, i, k]) ** 2
+                assert root_n * ks_statistic(sq, gamma_cdf(1)) < KS_LIMIT
+
+    @pytest.mark.parametrize("r, m", [(1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (4, 6)])
+    def test_gram_moments(self, r, m):
+        # E tr G = r m and E det G = m! / (m - r)!
+        diag, off = randgeom.gaussian_gram(RngStream(36, 10 * r + m), 16384, r, m)
+        ok, mean, se = mean_within(sum(diag), r * m)
+        assert ok, (mean, se)
+        gram = np.zeros((16384, r, r), dtype=complex)
+        for i, x in enumerate(diag):
+            gram[:, i, i] = x
+        for (i, k), x in off.items():
+            gram[:, i, k], gram[:, k, i] = x, np.conj(x)
+        ok, mean, se = mean_within(np.linalg.det(gram).real, math.perm(m, r))
+        assert ok, (mean, se)
+
+
+class TestGaussianGram:
+    def test_draws_bartlett_layout(self):
+        # (3, 5) takes 16 uniforms a matrix: the 5, 4 and 3 exponentials of
+        # L_00^2, L_11^2 and L_22^2, then |L_10|^2, |L_20|^2, |L_21|^2, and
+        # the phase of L_21
         rng = RngStream(33, 4)
-        randgeom.gauge_fixed_gaussian_array(rng, (6, 2, 3))
-        assert rng.uniforms(1)[0] == RngStream(33, 4).uniforms(2 * 36 + 1)[-1]
+        diag, off = randgeom.gaussian_gram(rng, 6, 3, 5)
+        u = RngStream(33, 4).uniforms(6 * 16 + 1)
+        assert rng.uniforms(1)[0] == u[-1]
+        u = u[:-1].reshape(6, 16)
+        e = -np.log1p(-u[:, :15])
+        ell = np.zeros((6, 3, 3), dtype=complex)
+        for i, (lo, hi) in enumerate([(0, 5), (5, 9), (9, 12)]):
+            ell[:, i, i] = np.sqrt(e[:, lo:hi].sum(axis=1))
+        ell[:, 1, 0], ell[:, 2, 0] = np.sqrt(e[:, 12]), np.sqrt(e[:, 13])
+        ell[:, 2, 1] = np.sqrt(e[:, 14]) * np.exp(2j * np.pi * u[:, 15])
+        gram = ell @ np.conj(np.swapaxes(ell, -1, -2))
+        for i in range(3):
+            np.testing.assert_allclose(diag[i], gram[:, i, i].real, rtol=1e-14, atol=0)
+        assert sorted(off) == [(0, 1), (0, 2), (1, 2)]
+        for (i, k), x in off.items():
+            np.testing.assert_allclose(x, gram[:, i, k], rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_single_row_is_squared_norm(self, m):
+        diag, off = randgeom.gaussian_gram(RngStream(37, m), 64, 1, m)
+        sq = randgeom.gaussian_squared_moduli(RngStream(37, m), (64, m))
+        assert off == {}
+        np.testing.assert_allclose(diag[0], sq.sum(axis=1), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("shape", [(64, 2, 2), (64, 3, 5), (64, 1, 3), (64, 4, 6), (5, 1, 1)])
+    def test_row_0_real_nonnegative(self, shape):
+        # L's column 0 is real and non-negative, so is G_0k = L_00 L_k0
+        diag, off = randgeom.gaussian_gram(RngStream(31, 2), *shape)
+        assert all(np.all(x >= 0.0) for x in diag)
+        for k in range(1, shape[1]):
+            assert np.isrealobj(off[0, k])
+            assert np.all(off[0, k] >= 0.0)
 
     @pytest.mark.parametrize("shape", [(16, 3, 5), (16, 1, 4), (16, 2, 2)])
-    def test_zero_radius_uniforms_give_zeros_not_nan(self, shape):
-        g = randgeom.gauge_fixed_gaussian_array(_ZeroRadiusStream(34, 5), shape)
-        assert np.all(g == 0.0)
+    def test_zero_uniforms_give_zeros_not_nan(self, shape):
+        diag, off = randgeom.gaussian_gram(_ZeroStream(34, 5), *shape)
+        for x in [*diag, *off.values()]:
+            assert np.all(x == 0.0)
+
+    @pytest.mark.parametrize("r, m", [(0, 3), (3, 2)])
+    def test_rejects_more_rows_than_columns(self, r, m):
+        with pytest.raises(ValueError, match="1 <= r <= m"):
+            randgeom.gaussian_gram(RngStream(38, 0), 4, r, m)
