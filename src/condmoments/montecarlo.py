@@ -5,19 +5,23 @@ the estimator's log-values for consecutive ranges of sample indices, in order
 (BLOCK_SAMPLES draws at a time on the matrix side, block i drawing from the
 counter-based substream RngStream(seed, i); on the polynomial side chunks of
 systems of about CHUNK_POINTS evaluation points, system j drawing from
-RngStream(seed, j) as whole arrays), and reduces them in sample order with
-pairwise summation, so a result is a pure function of (estimator_id,
-params, seed, n_samples).  It states the one failure rule: a NaN log-value is
-a failed sample; more failures than the estimator allows (none for a matrix
-draw, _MAX_FAILURE_RATE of the systems) raise NumericError, and fewer are
-dropped from the mean and counted.  Every matrix-side integrand is a
-function of the eigenvalues of the Gram matrix G = A A* of the Gaussian
-r x m draw A, or of a Gaussian vector's squared moduli, so the estimators
-draw those and not A: G by randgeom.gaussian_gram's Bartlett factor, equal
-to A A* in law, and the moduli by randgeom.gaussian_squared_moduli, equal
-to the full draw's up to rounding.  Both take only radius uniforms at r = 1
-and for vectors, and the Gram matrices' eigenvalues all come from
-_gram_eigenvalues.
+RngStream(seed, j) as whole arrays: its coordinates, then the line frames
+and Aberth phases that roots.sample_zero_sets reads, nothing more), and
+reduces them in sample order with pairwise summation, so a result is a pure
+function of (estimator_id, params, seed, n_samples).  Before the first
+range it raises the allocator's thresholds once per process
+(_keep_freed_memory_mapped), so a chunk reuses the pages its predecessor
+freed instead of faulting fresh ones in.  It states the one failure rule: a
+NaN log-value is a failed sample; more failures than the estimator allows
+(none for a matrix draw, _MAX_FAILURE_RATE of the systems) raise
+NumericError, and fewer are dropped from the mean and counted.  Every
+matrix-side integrand is a function of the eigenvalues of the Gram matrix
+G = A A* of the Gaussian r x m draw A, or of a Gaussian vector's squared
+moduli, so the estimators draw those and not A: G by randgeom.gaussian_gram's
+Bartlett factor, equal to A A* in law, and the moduli by
+randgeom.gaussian_squared_moduli, equal to the full draw's up to rounding.
+Both take only radius uniforms at r = 1 and for vectors, and the Gram
+matrices' eigenvalues all come from _gram_eigenvalues.
 
 Domains and heavy tails: each <id>_domain checks the estimator's own rules
 (norm name, integer counts) and takes the identity's rule from the one place
@@ -35,7 +39,10 @@ powers span hundreds of orders of magnitude.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +164,25 @@ def _reduce_log_values(logv: np.ndarray, heavy: bool) -> tuple[float, float, str
     return mean, stderr, method
 
 
+@functools.cache
+def _keep_freed_memory_mapped() -> bool:
+    """Keep freed working memory mapped for reuse; True if the allocator took it.
+
+    glibc serves blocks above its mmap threshold with fresh mappings and
+    returns a freed heap top above its trim threshold to the kernel, so every
+    chunk of a run (arrays of 0.2-0.6 MB) would fault its working memory in
+    again.  Both are raised: M_MMAP_THRESHOLD (-3) to 32 MiB, then
+    M_TRIM_THRESHOLD (-1) to 128 MiB, never the latter alone, which would
+    turn off glibc's dynamic mmap threshold.  Without glibc (macOS, musl,
+    Windows) nothing is changed.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 128 << 20) == 1
+
+
 def _sample(
     estimator_id: str,
     params: dict,
@@ -172,6 +198,7 @@ def _sample(
     A NaN log-value is a failed sample.  More than allowed * cfg.samples of
     them raise NumericError; fewer are dropped from the mean and counted.
     """
+    _keep_freed_memory_mapped()
     logv = np.concatenate([log_values(cfg.seed, range(start, min(start + step, cfg.samples)))
                            for start in range(0, cfg.samples, step)])
     nan = np.isnan(logv)

@@ -7,20 +7,21 @@ which are unitarily equivalent, so the line-section point process has
 constant density with respect to the volume measure of the zero set.
 
 One path, batched over systems and lines (a single form is a batch of one).
-Each line (u, v) is turned by its Haar chart q (Gram-Schmidt on a 2 x 2
-Ginibre matrix), the equation is restricted straight to the turned frame
-(u', v') = (u, v) q by one DFT, and Aberth-Ehrlich finds the roots c of that
-binary form, the points c0 u' + c1 v'.  At d <= 2 Aberth starts at the
-closed-form roots, which its first convergence test accepts, so it only
-refines a row that misses that test.  System j draws from RngStream(seed,
-j): its coordinates, its line pairs (n >= 2; for n = 1 the line is
-(e_0, e_1)), a Ginibre chart matrix per line, then the Aberth start phases
-(drawn at every degree, unused at d <= 2), all in one
+Each equation is restricted straight to its line's frame (u, v) by one DFT,
+and Aberth-Ehrlich finds the roots c of that binary form, the points
+c0 u + c1 v.  At n >= 2 the frame is Gram-Schmidt on a Gaussian pair, which
+is already Haar among orthonormal pairs, so turning it by a further Haar
+chart would leave its law unchanged and is not done; at n = 1 the frame is
+the Haar chart of (e_0, e_1).  At d <= 2 Aberth starts at the closed-form
+roots, which its first convergence test accepts, so it only refines a row
+that misses that test.  System j draws from RngStream(seed, j): its
+coordinates, its line pairs (n >= 2) or its chart matrix (n = 1), then the
+Aberth start phases at d >= 3 only, all in one
 randgeom.uniforms_for_streams pass per chunk.  Stall nudges and the charts
-of a retried line come from that line's own substream, RngStream(mix64(seed,
-j), line), made on first use, so a line's roots never depend on the batch
-it is solved in; these few substreams stay on RngStream, whose C Philox is
-cheaper per uniform than the array pass.
+that turn the frame of a retried line come from that line's own substream,
+RngStream(mix64(seed, j), line), made on first use, so a line's roots never
+depend on the batch it is solved in; these few substreams stay on
+RngStream, whose C Philox is cheaper per uniform than the array pass.
 """
 
 from __future__ import annotations
@@ -202,20 +203,17 @@ def _haar_charts(ginibre: np.ndarray) -> np.ndarray:
     return np.stack([q0, (t / np.abs(t))[..., None] * p], axis=-1)
 
 
-def _solve_in_charts(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
-                     ginibre: np.ndarray, phases: np.ndarray, row_rng):
+def _solve_in_frames(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
+                     phases: np.ndarray, row_rng):
     """Zero-set points (R, d, n+1) of the R = S * L rows, row s * L + l being
     equation s of coeffs (S, K) on line l of u, v (S, L, n+1), and the failed rows.
 
-    Each row is restricted straight to its line's frame turned by its Haar
-    chart q: u' = q00 u + q10 v, v' = q01 u + q11 v.  A unit root c of that
-    form is the point c0 u' + c1 v'.  A row fails on its restriction residual,
-    on no convergence, or on a root residual >= _RESIDUAL_TOL * max|coeff|.
+    Each row is restricted straight to its line's frame (u, v).  A unit root
+    c of that form is the point c0 u + c1 v.  A row fails on its restriction
+    residual, on no convergence, or on a root residual >= _RESIDUAL_TOL * max|coeff|.
     """
-    n_sys, n_lines, dim = u.shape
-    q = _haar_charts(ginibre).reshape(n_sys, n_lines, 2, 2, 1)
-    frame = q[:, :, 0] * u[:, :, None, :] + q[:, :, 1] * v[:, :, None, :]  # (S, L, 2, n+1)
-    forms, failed = _restrict(coeffs, d, frame[:, :, 0], frame[:, :, 1])
+    dim = u.shape[2]
+    forms, failed = _restrict(coeffs, d, u, v)
     forms, failed = forms.reshape(-1, d + 1), failed.ravel()
     w, unsolved = _aberth_batch(forms, phases, row_rng)
     with np.errstate(invalid="ignore"):  # rows that failed may hold inf or nan
@@ -224,30 +222,36 @@ def _solve_in_charts(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
         residuals = np.abs(_binary_form_values(forms, chart))
         scale = np.max(np.abs(forms), axis=1)
         failed |= unsolved | np.any(residuals >= _RESIDUAL_TOL * scale[:, None], axis=1)
-        pts = chart @ frame.reshape(-1, 2, dim)
+        pts = chart @ np.stack([u, v], axis=2).reshape(-1, 2, dim)
     return pts, failed
 
 
+def _phase_count(d: int) -> int:
+    """Aberth start phases a line takes: none at d <= 2, which starts at its exact roots."""
+    return d if d >= 3 else 0
+
+
 def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
-           ginibre: np.ndarray, phases: np.ndarray, row_rng):
+           phases: np.ndarray, row_rng):
     """Zero-set points (S, L*d, n+1) of S equations on their L lines each, and
-    the systems with a line that failed in every chart: _solve_in_charts, then
-    up to CHART_RETRIES fresh charts and start phases, drawn from row_rng(row),
-    for each row that failed.  A retry restricts the row again, to its freshly
-    turned frame."""
+    the systems with a line that failed in every frame: _solve_in_frames, then
+    up to CHART_RETRIES fresh Haar charts q and start phases, drawn from
+    row_rng(row), for each row that failed.  A retry restricts the row again,
+    to its drawn frame turned by q: u' = q00 u + q10 v, v' = q01 u + q11 v."""
     n_sys, n_lines, dim = u.shape
-    pts, failed = _solve_in_charts(coeffs, d, u, v, ginibre, phases, row_rng)
+    pts, failed = _solve_in_frames(coeffs, d, u, v, phases, row_rng)
     for _ in range(CHART_RETRIES):
         rows = np.flatnonzero(failed)
         if rows.size == 0:
             break
         system, line = np.divmod(rows, n_lines)
         streams = [row_rng(row) for row in rows]
-        retry_ginibre = np.stack([randgeom.complex_gaussian_array(s, (2, 2)) for s in streams])
-        retry_phases = np.stack([s.uniforms(d) for s in streams])
-        pts[rows], failed[rows] = _solve_in_charts(
-            coeffs[system], d, u[system, line, None], v[system, line, None],
-            retry_ginibre, retry_phases, lambda k: streams[k],
+        q = _haar_charts(np.stack([randgeom.complex_gaussian_array(s, (2, 2)) for s in streams]))
+        retry_phases = np.stack([s.uniforms(_phase_count(d)) for s in streams])
+        frame = q[:, 0, :, None] * u[system, line, None] + q[:, 1, :, None] * v[system, line, None]
+        pts[rows], failed[rows] = _solve_in_frames(
+            coeffs[system], d, frame[:, None, 0], frame[:, None, 1],
+            retry_phases, lambda k: streams[k],
         )
     return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)
 
@@ -257,10 +261,10 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
 
     The form is the n = 1 equation with coordinates coeffs[k] / sqrt(binom(d, k))
     on the line (e_0, e_1), solved by _solve like any row: restricted to a
-    random Haar chart, which makes a root at the chart boundary almost surely
-    absent, and dehomogenized and solved by Aberth-Ehrlich.  Clustered
-    (multiple) roots are returned as nearby simple roots.  Everything is
-    drawn from rng.
+    random Haar frame of that line, which makes a root at the chart boundary
+    almost surely absent, and dehomogenized and solved by Aberth-Ehrlich.
+    Clustered (multiple) roots are returned as nearby simple roots.
+    Everything is drawn from rng.
     """
     d = g.degree
     if d < 1:
@@ -268,10 +272,8 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
     if np.all(g.coeffs == 0):
         raise ValueError("cannot extract roots of the zero form")
     coords = g.coeffs / np.sqrt([math.comb(d, k) for k in range(d + 1)])
-    e = np.eye(2)[:, None, None, :]
-    ginibre = randgeom.complex_gaussian_array(rng, (1, 2, 2))
-    pts, failed = _solve(coords[None], d, e[0], e[1], ginibre, rng.uniforms((1, d)),
-                         lambda row: rng)
+    x = rng.uniforms((1, sum(_section_sizes(1, d, 1))))
+    pts, failed = _solve(coords[None], d, *_sections(x, 1, d, 1), lambda row: rng)
     if failed[0]:
         raise RootFindingError(f"root finding failed in {1 + CHART_RETRIES} charts")
     return pts[0]
@@ -289,27 +291,32 @@ def _row_streams(seed: int, first_system: int, lines: int):
     return get
 
 
-def _section_sizes(n: int, lines: int) -> list[int]:
-    """Uniforms of a system's line pairs (0 for n = 1) and its chart matrices,
-    each complex Gaussian array as its radius uniforms then its phase uniforms."""
-    pair = 2 * lines * (n + 1) if n >= 2 else 0
-    return [pair, pair, 4 * lines, 4 * lines]
+def _section_sizes(n: int, d: int, lines: int) -> list[int]:
+    """Uniforms of a system's line frames, a complex Gaussian array as its
+    radius uniforms then its phase uniforms, and of its Aberth start phases.
+    The array is the (lines, 2, n+1) line pairs at n >= 2 and the 2 x 2 chart
+    matrix at n = 1 (lines = 1): 2 lines (n+1) entries either way."""
+    frame = 2 * lines * (n + 1)
+    return [frame, frame, lines * _phase_count(d)]
 
 
 def _sections(x: np.ndarray, n: int, d: int, lines: int):
-    """Lines (u, v), chart Ginibre matrices and Aberth start phases of S systems
-    from their uniforms x (S, T) in stream order; for n = 1 the line is (e_0, e_1)."""
+    """Line frames (u, v) (S, lines, n+1) and Aberth start phases of S systems
+    from their uniforms x (S, T) in stream order.
+
+    At n >= 2 the frame is Gram-Schmidt on a Gaussian pair, already Haar
+    among orthonormal pairs; at n = 1 it is the Haar chart of (e_0, e_1),
+    the columns of _haar_charts.
+    """
     n_sys = x.shape[0]
-    a_pair, b_pair, a_chart, b_chart, phases = np.split(
-        x, np.cumsum(_section_sizes(n, lines)), axis=1
-    )
+    a, b, phases = np.split(x, np.cumsum(_section_sizes(n, d, lines))[:2], axis=1)
+    g = randgeom.complex_gaussians(a, b).reshape(n_sys, lines, 2, n + 1)
     if n >= 2:
-        g = randgeom.complex_gaussians(a_pair, b_pair).reshape(n_sys, lines, 2, n + 1)
         u, v = randgeom.orthonormal_pair(g[:, :, 0], g[:, :, 1])
     else:
-        u, v = np.broadcast_to(np.eye(2)[:, None, None, :], (2, n_sys, lines, 2))
-    ginibre = randgeom.complex_gaussians(a_chart, b_chart).reshape(n_sys * lines, 2, 2)
-    return u, v, ginibre, phases.reshape(n_sys * lines, d)
+        q = _haar_charts(g)
+        u, v = q[..., 0], q[..., 1]
+    return u, v, phases.reshape(n_sys * lines, _phase_count(d))
 
 
 def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
@@ -322,7 +329,7 @@ def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     Pass lines = 1 for n = 1.
     """
     k = math.comb(n + d, n)
-    size = 2 * k + sum(_section_sizes(n, lines)) + lines * d
+    size = 2 * k + sum(_section_sizes(n, d, lines))
     x = randgeom.uniforms_for_streams(seed, systems, size)
     coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k : 2 * k])
     points, failed = _solve(coeffs, d, *_sections(x[:, 2 * k :], n, d, lines),
@@ -350,7 +357,7 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
         raise ValueError(f"lines must be >= 1, got {lines}")
     n, d = h.n, h.degrees[0]
     lines = 1 if n == 1 else lines
-    x = rng.uniforms((1, sum(_section_sizes(n, lines)) + lines * d))
+    x = rng.uniforms((1, sum(_section_sizes(n, d, lines))))
     points, failed = _solve(h.coords[0][None], d, *_sections(x, n, d, lines),
                             _row_streams(rng.seed, rng.stream_index, lines))
     if failed[0]:

@@ -1,4 +1,5 @@
 import math
+import platform
 import types
 
 import numpy as np
@@ -452,6 +453,26 @@ class TestPolyBatching:
                 pts = roots.sample_variety_points(h, rng, lines)
                 expected = conditioning.empirical_moment(h, pts, alpha, relative, norm)
                 assert math.log(expected) == pytest.approx(logv[j], abs=1e-12)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc's mallopt parameters")
+class TestWorkingMemory:
+    # freed chunk arrays stay mapped, so a repeat of an estimate reuses the
+    # pages of the first run instead of faulting fresh ones in
+    @pytest.mark.parametrize("estimate", [
+        lambda: montecarlo.estimate_poly_moment(2, [2], 1.0, False, "frobenius",
+                                                cfg(1_000, 50)),
+        lambda: montecarlo.estimate_pinv_moment(3, 5, 1.0, "frobenius", cfg(20_000, 51)),
+    ], ids=["poly-n2d2", "pinv-r3m5"])
+    def test_a_repeated_estimate_faults_in_no_memory(self, estimate):
+        import resource
+
+        assert montecarlo._keep_freed_memory_mapped()
+        estimate()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        estimate()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 class TestDeterminism:

@@ -10,15 +10,23 @@ from condmoments.randgeom import RngStream, complex_gaussian_vector, gaussian_sy
 from condmoments.roots import BinaryForm
 
 
-def projective_match(points, expected, tol=1e-6):
-    """Greedy matching of projective points up to phase and permutation.
+def chordal(p, q):
+    """sqrt(1 - |<p, q>|^2), which cannot resolve angles below ~1e-8 in
+    double precision, so its tolerances sit well above that floor."""
+    return math.sqrt(max(0.0, 1.0 - abs(np.vdot(p, q)) ** 2))
 
-    The chordal distance sqrt(1 - |<p, q>|^2) cannot resolve angles below
-    ~1e-8 in double precision, so tolerances sit well above that floor.
-    """
+
+def up_to_phase(p, q):
+    """|p - c q| for the unit c that turns q onto p, which resolves down to rounding."""
+    ip = np.vdot(q, p)
+    return np.linalg.norm(p - ip / abs(ip) * q) if ip else math.inf
+
+
+def projective_match(points, expected, tol=1e-6, distance=chordal):
+    """Greedy matching of unit vectors up to phase and permutation."""
     remaining = list(expected)
     for p in points:
-        dists = [math.sqrt(max(0.0, 1.0 - abs(np.vdot(p, q)) ** 2)) for q in remaining]
+        dists = [distance(p, q) for q in remaining]
         best = int(np.argmin(dists))
         if dists[best] > tol:
             return False
@@ -240,6 +248,27 @@ def test_sample_zero_sets_reads_each_systems_own_stream(n, d, lines):
         assert np.array_equal(row, gaussian_system(RngStream(seed, j), n, (d,)).coords[0])
 
 
+@pytest.mark.parametrize("n, d, lines", [(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 2, 8),
+                                         (2, 3, 4), (3, 4, 2)])
+def test_each_system_draws_only_what_it_reads(n, d, lines, monkeypatch):
+    # coordinates, then the line pairs (n >= 2) or the 2 x 2 chart (n = 1),
+    # then Aberth start phases at d >= 3 only: no chart turns a drawn frame
+    counts = []
+    real = randgeom.uniforms_for_streams
+
+    def record(seed, indices, count):
+        counts.append(count)
+        return real(seed, indices, count)
+
+    monkeypatch.setattr(roots.randgeom, "uniforms_for_streams", record)
+    roots.sample_zero_sets(94, range(5), n, d, lines)
+    k = math.comb(n + d, n)
+    frames = 4 * lines * (n + 1) if n >= 2 else 8
+    assert counts == [2 * k + frames + (lines * d if d >= 3 else 0)]
+    if (n, d, lines) == (2, 2, 8):
+        assert counts == [108]
+
+
 def no_stream(row):
     raise AssertionError(f"row {row} drew a nudge or a retry chart")
 
@@ -324,10 +353,10 @@ class TestRowSubstreams:
     # stalls, hence d = 3.  Aberth gets these exact coefficients: a DFT
     # restriction would round them off the stall
     STALL = (np.array([216.0, -3.0 * (RADIUS * RADIUS), 0.0, 1.0]), np.array([0.0, 0.3, 0.7]))
-    # the n = 1 equation whose form on (e_0, e_1) is s t: in the identity chart
-    # its leading coefficient is at zero, so the first chart fails and the row
-    # is restricted again to a fresh chart
-    RETRY = (np.array([0.0, 2.0 ** -0.5, 0.0]), np.eye(2), np.array([0.1, 0.6]))
+    # the n = 1 equation whose form on (e_0, e_1) is s t: in the identity frame
+    # its leading coefficient is at zero, so the first attempt fails and the
+    # row is restricted again to its frame turned by a fresh chart
+    RETRY = (np.array([0.0, 2.0 ** -0.5, 0.0]), np.eye(2))
 
     def batch(self, position, size, d, lines=2, system=10):
         """Filler rows of degree d, and a row_rng that records its rows and
@@ -349,9 +378,9 @@ class TestRowSubstreams:
             root = np.stack([np.ones(3), w[position]], axis=1)
             root /= np.linalg.norm(root, axis=1)[:, None]
         else:
-            coeffs[position], ginibre[position], phases[position] = self.RETRY
-            e = np.broadcast_to(np.eye(2)[:, None, None, :], (2, size, 1, 2))
-            pts, failed = roots._solve(coeffs, 2, e[0], e[1], ginibre, phases, row_rng)
+            coeffs[position], ginibre[position] = self.RETRY
+            q = roots._haar_charts(ginibre)[:, None]  # each row's n = 1 frame, (size, 1, 2, 2)
+            pts, failed = roots._solve(coeffs, 2, q[..., 0], q[..., 1], phases[:, :0], row_rng)
             root = pts[position]
         assert not failed.any()
         assert used and set(used) == {position}
@@ -377,9 +406,9 @@ def test_line_points_are_the_roots_of_each_lines_restriction(n, d, lines):
     coeffs, points, failed = roots.sample_zero_sets(seed, systems, n, d, lines)
     assert not failed.any()
     k = math.comb(n + d, n)
-    size = 2 * k + sum(roots._section_sizes(n, lines)) + lines * d
+    size = 2 * k + sum(roots._section_sizes(n, d, lines))
     x = randgeom.uniforms_for_streams(seed, systems, size)
-    u, v, _, _ = roots._sections(x[:, 2 * k:], n, d, lines)
+    u, v, _ = roots._sections(x[:, 2 * k:], n, d, lines)
     for j in systems:
         h = bwspace.make_system(n, (d,), [coeffs[j]])
         for line in range(lines):
@@ -391,3 +420,23 @@ def test_line_points_are_the_roots_of_each_lines_restriction(n, d, lines):
             w = np.roots(g.coeffs[::-1])  # g(1, w) = sum_k coeffs[k] w^k
             expected = [np.array([1.0, z]) / math.hypot(1.0, abs(z)) for z in w]
             assert projective_match(st, expected)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2), (3, 4)])
+def test_a_turned_frame_gives_each_line_the_same_points(n, d):
+    # a line's points depend on the line alone, not on the orthonormal frame
+    # it is solved in, so a Haar chart turning the drawn frame is not needed
+    rng = RngStream(97, 10 * n + d)
+    n_sys, lines = 8, 4
+    coeffs = randgeom.complex_gaussian_array(rng, (n_sys, math.comb(n + d, n)))
+    g = randgeom.complex_gaussian_array(rng, (n_sys, lines, 2, n + 1))
+    u, v = randgeom.orthonormal_pair(g[:, :, 0], g[:, :, 1])
+    q = roots._haar_charts(randgeom.complex_gaussian_array(rng, (n_sys, lines, 2, 2)))
+    turned_u = q[..., 0, 0, None] * u + q[..., 1, 0, None] * v
+    turned_v = q[..., 0, 1, None] * u + q[..., 1, 1, None] * v
+    phases = rng.uniforms((n_sys * lines, roots._phase_count(d)))
+    pts, failed = roots._solve(coeffs, d, u, v, phases, no_stream)
+    again, failed_again = roots._solve(coeffs, d, turned_u, turned_v, phases, no_stream)
+    assert not failed.any() and not failed_again.any()
+    for a, b in zip(pts.reshape(-1, d, n + 1), again.reshape(-1, d, n + 1)):
+        assert projective_match(a, b, tol=1e-12, distance=up_to_phase)
