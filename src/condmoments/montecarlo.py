@@ -15,13 +15,16 @@ freed instead of faulting fresh ones in.  It states the one failure rule: a
 NaN log-value is a failed sample; more failures than the estimator allows
 (none for a matrix draw, _MAX_FAILURE_RATE of the systems) raise
 NumericError, and fewer are dropped from the mean and counted.  Every
-matrix-side integrand is a function of the eigenvalues of the Gram matrix
-G = A A* of the Gaussian r x m draw A, or of a Gaussian vector's squared
-moduli, so the estimators draw those and not A: G by randgeom.gaussian_gram's
-Bartlett factor, equal to A A* in law, and the moduli by
+matrix-side integrand is a function of the Gram matrix G = A A* of the
+Gaussian r x m draw A, or of a Gaussian vector's squared moduli, so the
+estimators draw those and not A: G as its Bartlett factor L, G = L L*, by
+randgeom.gaussian_gram, equal to A A* in law, and the moduli by
 randgeom.gaussian_squared_moduli, equal to the full draw's up to rounding.
-Both take only radius uniforms at r = 1 and for vectors, and the Gram
-matrices' eigenvalues all come from _gram_eigenvalues.
+Both take only radius uniforms at r = 1 and for vectors.  The integrands
+are read off L: log det G = sum log |L_ii|^2, and at the Frobenius norm
+log tr G^-1 = log ||L^-1||_F^2 by forward substitution (_log_trace_inverse).
+Only the operator norm assembles G's entries from L and takes an
+eigenvalue, lambda_min(G), from _gram_eigenvalues.
 
 Domains and heavy tails: each <id>_domain checks the estimator's own rules
 (norm name, integer counts) and takes the identity's rule from the one place
@@ -226,9 +229,9 @@ def _block_rng(seed: int, samples: range) -> RngStream:
     return RngStream(seed, samples.start // BLOCK_SAMPLES)
 
 
-def _draws(seed: int, samples: range, r: int, m: int) -> tuple[list, dict]:
-    """Gram matrices A A* of one matrix-side block of Gaussian r x m draws,
-    as randgeom.gaussian_gram's entries (diag, off)."""
+def _draws(seed: int, samples: range, r: int, m: int) -> tuple[dict, dict]:
+    """Bartlett factors L of the Gram matrices A A* = L L* of one matrix-side
+    block of Gaussian r x m draws, as randgeom.gaussian_gram's (sq, phased)."""
     return randgeom.gaussian_gram(_block_rng(seed, samples), len(samples), r, m)
 
 
@@ -244,6 +247,28 @@ def _gram_entries(a: np.ndarray) -> tuple[list, dict]:
             for x in rows]
     off = {(i, k): np.einsum("nj,nj->n", rows[i], rows[k].conj())
            for i in range(len(rows)) for k in range(i + 1, len(rows))}
+    return diag, off
+
+
+def _factor_rank(sq: dict) -> int:
+    """r for a Bartlett factor's squared moduli, which hold r (r + 1) / 2 entries."""
+    return math.isqrt(2 * len(sq))
+
+
+def _factor_entries(sq: dict, phased: dict) -> dict:
+    """L's entries L_ik, k <= i: the phased ones as drawn, the real ones
+    (the diagonal and column 0) as square roots of their squared moduli."""
+    return {key: phased[key] if key in phased else np.sqrt(x) for key, x in sq.items()}
+
+
+def _gram_from_factor(sq: dict, phased: dict) -> tuple[list, dict]:
+    """The entries G_ik = sum_{j <= min(i, k)} L_ij conj(L_kj) of G = L L*,
+    as _gram_eigenvalues takes them."""
+    r = _factor_rank(sq)
+    ell = _factor_entries(sq, phased)
+    diag = [sum((sq[i, j] for j in range(i)), sq[i, i]) for i in range(r)]
+    off = {(i, k): sum(ell[i, j] * ell[k, j].conj() for j in range(i + 1))
+           for i in range(r) for k in range(i + 1, r)}
     return diag, off
 
 
@@ -379,21 +404,56 @@ def _gram_eigenvalues_3(g: list, off: dict) -> np.ndarray:
                      np.maximum(high, mu)], axis=1)
 
 
-def _log_pinv_norm(lam: np.ndarray, norm: str) -> np.ndarray:
-    """log of the pseudoinverse norm from batched squared singular values, ascending.
+def _log_trace_inverse(sq: dict, phased: dict) -> np.ndarray:
+    """log tr G^-1 = log ||L^-1||_F^2 for a stack of Bartlett factors L of
+    G = L L* (randgeom.gaussian_gram's (sq, phased)), by forward substitution
+    over the stack; +inf where a diagonal entry of L is 0, never NaN.
 
-    +inf for a singular draw.
+    At r <= 2 only squared moduli enter: 1/a at r = 1 and, with a, b, c =
+    |L_00|^2, |L_10|^2, |L_11|^2, 1/a + (1 + b/a)/c at r = 2.  From r = 3 on,
+    column j of L^-1 is x_j = 1/L_jj, x_i = -(sum_{j<=k<i} L_ik x_k)/L_ii.
+    No product of two diagonal entries is formed, so draws scaled by
+    1e+-100 neither overflow nor underflow where tr G^-1 itself does not.
     """
+    r = _factor_rank(sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if r == 1:
+            tr = 1.0 / sq[0, 0]
+        elif r == 2:
+            a = sq[0, 0]
+            tr = 1.0 / a + (1.0 + sq[1, 0] / a) / sq[1, 1]
+        else:
+            ell = _factor_entries(sq, phased)
+            tr = 0.0
+            for j in range(r):
+                x = {j: 1.0 / ell[j, j]}
+                for i in range(j + 1, r):
+                    x[i] = -sum(ell[i, k] * x[k] for k in range(j, i)) / ell[i, i]
+                tr = tr + sum(_abs2(v) for v in x.values())
+        # tr G^-1 >= 1/|L_ii|^2, so it is infinite where L_ii = 0, which the
+        # 0/0 and inf - inf of the substitution would turn into NaN
+        singular = np.any([sq[i, i] == 0.0 for i in range(r)], axis=0)
+        return np.log(np.where(singular, np.inf, tr))
+
+
+def _log_det(sq: dict) -> np.ndarray:
+    """log det G = sum log |L_ii|^2 for a stack of Bartlett factors L of G = L L*;
+    -inf for a singular draw."""
     with np.errstate(divide="ignore"):
-        if norm == "frobenius":
-            return 0.5 * np.log(np.sum(1.0 / lam, axis=1))
+        return sum(np.log(sq[i, i]) for i in range(_factor_rank(sq)))
+
+
+def _log_pinv_norm(sq: dict, phased: dict, norm: str) -> np.ndarray:
+    """log ||A^+|| for a stack of Bartlett factors L of G = A A*: half of
+    log tr G^-1 (Frobenius), or of -log lambda_min(G) (operator), the one
+    integrand that needs G's entries and an eigenvalue.  +inf for a
+    singular draw.
+    """
+    if norm == "frobenius":
+        return 0.5 * _log_trace_inverse(sq, phased)
+    lam = _gram_eigenvalues(*_gram_from_factor(sq, phased))
+    with np.errstate(divide="ignore"):
         return -0.5 * np.log(lam[:, 0])
-
-
-def _log_det_gram(lam: np.ndarray) -> np.ndarray:
-    """log det(A A*) from batched squared singular values; -inf for a singular draw."""
-    with np.errstate(divide="ignore"):
-        return np.sum(np.log(lam), axis=1)
 
 
 def _gram_log_values(r: int, m: int, alpha: float, norm: str, weight: float = 0):
@@ -403,9 +463,9 @@ def _gram_log_values(r: int, m: int, alpha: float, norm: str, weight: float = 0)
     """
 
     def log_values(seed: int, samples: range) -> np.ndarray:
-        lam = _gram_eigenvalues(*_draws(seed, samples, r, m))
-        logv = alpha * _log_pinv_norm(lam, norm)
-        return logv + weight * _log_det_gram(lam) if weight else logv
+        sq, phased = _draws(seed, samples, r, m)
+        logv = alpha * _log_pinv_norm(sq, phased, norm)
+        return logv + weight * _log_det(sq) if weight else logv
 
     return log_values
 

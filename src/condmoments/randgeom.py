@@ -14,10 +14,12 @@ standard real normals, equivalently |z|^2 ~ Exp(1) with uniform phase.
 The matrix-side estimators need only the law of the Gram matrix G = A A*
 of a Gaussian r x m matrix A, and of the squared moduli of a Gaussian
 vector.  gaussian_squared_moduli draws the latter from the radius uniforms
-alone.  gaussian_gram draws G by the complex Bartlett decomposition
-(Goodman, Ann. Math. Stat. 34, 1963; Edelman, MIT thesis, 1989): from r m
-unit exponentials and (r - 1)(r - 2)/2 phase uniforms per matrix, against
-the 2 r m uniforms of A itself, and with no phase at all for r <= 2.
+alone.  gaussian_gram draws G's factor L in G = L L* by the complex
+Bartlett decomposition (Goodman, Ann. Math. Stat. 34, 1963; Edelman, MIT
+thesis, 1989): from r m unit exponentials and (r - 1)(r - 2)/2 phase
+uniforms per matrix, against the 2 r m uniforms of A itself, and with no
+phase at all for r <= 2.  It returns L, not G: tr G^-1 and det G are read
+off L directly, and only the operator norm needs G's entries.
 """
 
 from __future__ import annotations
@@ -138,24 +140,26 @@ def gaussian_squared_moduli(rng: RngStream, shape) -> np.ndarray:
     return -np.log1p(-rng.uniforms(shape))
 
 
-def gaussian_gram(rng: RngStream, count: int, r: int, m: int) -> tuple[list, dict]:
-    """The Gram matrices G = A A* of count Gaussian r x m matrices A
-    (1 <= r <= m), equal to them in law.
+def gaussian_gram(rng: RngStream, count: int, r: int, m: int) -> tuple[dict, dict]:
+    """Bartlett factors L of the Gram matrices G = A A* = L L* of count
+    Gaussian r x m matrices A (1 <= r <= m), equal to A A* in law.
 
-    G is drawn as L L* (Bartlett): L is r x r lower triangular with
-    independent entries, L_ii^2 ~ Gamma(m - i), the squared norm of the part
-    of row i of A orthogonal to rows 0..i-1, and L_ik ~ CN(0, 1) for i > k.
-    L -> D L D* for a diagonal unitary D leaves G's eigenvalues unchanged, so
-    column 0 of L is taken real and non-negative; the other entries below
-    the diagonal keep a phase.  Each matrix takes one row of a
-    (count, T) uniform array, T = sum_{i<r} (m - i) + r(r - 1)/2
-    + (r - 1)(r - 2)/2, whose columns are, in order: the m - i exponentials
-    summed into L_ii^2, row by row; the squared moduli |L_ik|^2, i > k, row
-    major; one phase uniform for each L_ik with k >= 1, in the same order.
-    At r = 1 that is gaussian_squared_moduli(rng, (count, m)), summed.
+    L is r x r lower triangular with independent entries, L_ii^2 ~
+    Gamma(m - i), the squared norm of the part of row i of A orthogonal to
+    rows 0..i-1, and L_ik ~ CN(0, 1) for i > k.  L -> D L D* for a diagonal
+    unitary D leaves G's eigenvalues unchanged, so column 0 of L is taken
+    real and non-negative; the other entries below the diagonal keep a
+    phase.  Each matrix takes one row of a (count, T) uniform array, T =
+    sum_{i<r} (m - i) + r(r - 1)/2 + (r - 1)(r - 2)/2, whose columns are, in
+    order: the m - i exponentials summed into L_ii^2, row by row; the
+    squared moduli |L_ik|^2, i > k, row major; one phase uniform for each
+    L_ik with k >= 1, in the same order.  At r = 1 that is
+    gaussian_squared_moduli(rng, (count, m)), summed.
 
-    Returns (diag, off): diag[i] is the real array of the G_ii, off[i, k]
-    (i < k) the array of the G_ik, real where i = 0.
+    Returns (sq, phased): sq[i, k] (k <= i) is the real array of |L_ik|^2,
+    and phased[i, k] (1 <= k < i) the complex array of L_ik.  The real
+    entries L_ii and L_i0 are the square roots of sq, taken only where a
+    caller needs them; no square root is taken at r <= 2.
     """
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r = {r}, m = {m}")
@@ -169,14 +173,8 @@ def gaussian_gram(rng: RngStream, count: int, r: int, m: int) -> tuple[list, dic
     ends = np.cumsum([m - i for i in range(r)])
     sq = {(i, i): e[end - (m - i):end].sum(axis=0) for i, end in enumerate(ends)}
     sq.update(zip(below, e[n_diag:]))
-    ell = {key: np.sqrt(x) for key, x in sq.items()}
-    for key, v in zip(phased, u[n_exp:]):
-        ell[key] = ell[key] * np.exp(2j * np.pi * v)
-    # G_ik = sum_{j <= min(i, k)} L_ij conj(L_kj)
-    diag = [sum((sq[i, j] for j in range(i)), sq[i, i]) for i in range(r)]
-    off = {(i, k): sum(ell[i, j] * ell[k, j].conj() for j in range(i + 1))
-           for i in range(r) for k in range(i + 1, r)}
-    return diag, off
+    return sq, {key: np.sqrt(sq[key]) * np.exp(2j * np.pi * v)
+                for key, v in zip(phased, u[n_exp:])}
 
 
 def complex_gaussian_vector(rng: RngStream, n: int) -> np.ndarray:

@@ -483,9 +483,10 @@ class TestStandardJson:
         assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
     def test_estimate_prints_standard_json(self, monkeypatch, capsys):
-        # a singular draw makes the pseudoinverse moment infinite
-        monkeypatch.setattr(cli.montecarlo, "_gram_eigenvalues",
-                            lambda diag, off: np.zeros((diag[0].shape[0], len(diag))))
+        # a singular draw makes the pseudoinverse moment infinite: a zero
+        # Bartlett factor, as randgeom.gaussian_gram returns it (sq, phased)
+        monkeypatch.setattr(cli.montecarlo, "_draws", lambda seed, samples, r, m: (
+            {(i, k): np.zeros(len(samples)) for i in range(r) for k in range(i + 1)}, {}))
         assert cli.main(["estimate", "--estimator", "pinv_moment", "--r", "1", "--m", "3",
                          "--samples", "10", "--seed", "5"]) == 0
         out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)

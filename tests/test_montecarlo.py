@@ -1,6 +1,7 @@
 import math
 import platform
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,40 @@ def z_against(est, value):
 
 def two_sample_z(x, y):
     return (x.mean() - y.mean()) / math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+
+
+def lam_log_values(lam):
+    """log ||A^+||_F, log ||A^+||_op and log det(A A*) from the squared
+    singular values lam of A, ascending."""
+    with np.errstate(divide="ignore"):
+        return {"frobenius": 0.5 * np.log(np.sum(1.0 / lam, axis=1)),
+                "operator": -0.5 * np.log(lam[:, 0]),
+                "det": np.sum(np.log(lam), axis=1)}
+
+
+def _phase(z):
+    """z / |z|, and 1 where z = 0."""
+    mod = np.abs(z)
+    return np.divide(z, mod, out=np.ones_like(z), where=mod > 0)
+
+
+def factor_of(a):
+    """The Bartlett factor of A A* for a stack of r x m matrices A, as
+    randgeom.gaussian_gram returns it (sq, phased).
+
+    L = R* for the QR factorization A* = QR, with the phases of its diagonal
+    moved into Q (L -> L D) and those of its column 0 moved out (L -> D L D*),
+    as TestBartlettLaw does: A A* keeps its eigenvalues, tr (A A*)^-1 and det.
+    """
+    _, rr = np.linalg.qr(np.conj(np.swapaxes(a, -1, -2)))
+    ell = np.conj(np.swapaxes(rr, -1, -2))
+    ell = ell * np.conj(_phase(np.diagonal(ell, axis1=-2, axis2=-1)))[:, None, :]
+    d = np.conj(_phase(ell[:, :, 0]))
+    ell = d[:, :, None] * ell * np.conj(d)[:, None, :]
+    r = a.shape[1]
+    sq = {(i, k): np.abs(ell[:, i, k]) ** 2 for i in range(r) for k in range(i + 1)}
+    phased = {(i, k): ell[:, i, k] for i in range(r) for k in range(1, i)}
+    return sq, phased
 
 
 class TestPinvMoment:
@@ -100,10 +135,10 @@ class TestGramEigenvalues:
             "frobenius": 0.5 * np.log(np.sum(s**-2.0, axis=1)),
             "operator": -np.log(s[:, -1]),
         }
+        log_values = lam_log_values(lam)
         for norm, log_norm in expected.items():
-            np.testing.assert_allclose(montecarlo._log_pinv_norm(lam, norm), log_norm,
-                                       rtol=0, atol=1e-9)
-        np.testing.assert_allclose(montecarlo._log_det_gram(lam),
+            np.testing.assert_allclose(log_values[norm], log_norm, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(log_values["det"],
                                    2.0 * np.sum(np.log(s), axis=1), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("r, m", [(2, 2), (2, 3), (3, 3), (3, 5), (4, 6)])
@@ -114,13 +149,15 @@ class TestGramEigenvalues:
         zero_row, repeated_row = a.copy(), a.copy()
         zero_row[:, 0] = 0
         repeated_row[:, -1] = a[:, 0]
+        # the same through the Bartlett factor the estimators read
         for singular in (zero_row, repeated_row):
-            lam = montecarlo._squared_singular_values(singular)
+            log_values = lam_log_values(montecarlo._squared_singular_values(singular))
+            sq, phased = factor_of(singular)
             for norm in ("frobenius", "operator"):
-                log_norm = montecarlo._log_pinv_norm(lam, norm)
-                assert np.all(np.isfinite(log_norm) | (log_norm == math.inf))
-            log_det = montecarlo._log_det_gram(lam)
-            assert np.all(np.isfinite(log_det) | (log_det == -math.inf))
+                for log_norm in (log_values[norm], montecarlo._log_pinv_norm(sq, phased, norm)):
+                    assert np.all(np.isfinite(log_norm) | (log_norm == math.inf))
+            for log_det in (log_values["det"], montecarlo._log_det(sq)):
+                assert np.all(np.isfinite(log_det) | (log_det == -math.inf))
 
 
 class TestClosedFormGramEigenvalues:
@@ -143,9 +180,10 @@ class TestClosedFormGramEigenvalues:
     def test_zero_draw_gives_zero_not_nan(self, r, m):
         lam = montecarlo._squared_singular_values(np.zeros((3, r, m), dtype=complex))
         assert np.all(lam == 0.0)
+        log_values = lam_log_values(lam)
         for norm in ("frobenius", "operator"):
-            assert np.all(montecarlo._log_pinv_norm(lam, norm) == math.inf)
-        assert np.all(montecarlo._log_det_gram(lam) == -math.inf)
+            assert np.all(log_values[norm] == math.inf)
+        assert np.all(log_values["det"] == -math.inf)
 
     @pytest.mark.parametrize("r, m", [(2, 2), (2, 4), (3, 3), (3, 5)])
     def test_repeated_eigenvalues(self, r, m):
@@ -181,15 +219,114 @@ class TestClosedFormGramEigenvalues:
 
 
 def _full_gram_draws(seed, samples, r, m):
-    """montecarlo._draws from the full Gaussian draws A of the block's stream."""
+    """montecarlo._draws from the full Gaussian draws A of the block's stream:
+    the Bartlett factor of A A* by QR."""
     a = complex_gaussian_array(montecarlo._block_rng(seed, samples), (len(samples), r, m))
-    return montecarlo._gram_entries(a)
+    return factor_of(a)
 
 
 def _full_vector_draws(seed, samples, n):
     """montecarlo._vector_draws from the full Gaussian draws of the block's stream."""
     v = complex_gaussian_array(montecarlo._block_rng(seed, samples), (len(samples), n))
     return np.abs(v) ** 2
+
+
+def _exact_trace_inverse(ell):
+    """||L^-1||_F^2 of one lower-triangular complex matrix L, in exact rational
+    arithmetic on its float entries (forward substitution, complex numbers as
+    pairs of fractions)."""
+    r = ell.shape[0]
+    entry = [[(Fraction(ell[i, k].real), Fraction(ell[i, k].imag)) for k in range(r)]
+             for i in range(r)]
+
+    def div(x, y):
+        den = y[0] ** 2 + y[1] ** 2
+        return (x[0] * y[0] + x[1] * y[1]) / den, (x[1] * y[0] - x[0] * y[1]) / den
+
+    total = Fraction(0)
+    for j in range(r):
+        x = {j: div((Fraction(1), Fraction(0)), entry[j][j])}
+        for i in range(j + 1, r):
+            re = -sum(entry[i][k][0] * x[k][0] - entry[i][k][1] * x[k][1] for k in range(j, i))
+            im = -sum(entry[i][k][0] * x[k][1] + entry[i][k][1] * x[k][0] for k in range(j, i))
+            x[i] = div((re, im), entry[i][i])
+        total += sum(re * re + im * im for re, im in x.values())
+    return total
+
+
+def _exact_log(q):
+    """log of a positive fraction, without rounding it to a float first."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+class TestFactorPath:
+    # the estimators read log tr G^-1 (forward substitution) and log det G
+    # (sum log |L_ii|^2) off the Bartlett factor L of G = A A*, not off G's
+    # eigenvalues.  Products of two diagonal entries, (a + b + c) / (a c) at
+    # r = 2, would overflow or underflow at scales 1e+-100
+
+    SCALES = (1e-100, 1.0, 1e100)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("r, m", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5),
+                                      (4, 4), (4, 6)])
+    def test_matches_svd_of_full_draws(self, r, m, scale):
+        a = scale * complex_gaussian_array(RngStream(81, 10 * r + m), (1024, r, m))
+        s2 = np.linalg.svd(a, compute_uv=False) ** 2
+        sq, phased = factor_of(a)
+        np.testing.assert_allclose(montecarlo._log_trace_inverse(sq, phased),
+                                   np.log(np.sum(1.0 / s2, axis=1)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(montecarlo._log_det(sq), np.sum(np.log(s2), axis=1),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("sv", [(1.0, 1e-6), (1.0, 1e-3, 1e-6), (1.0, 1.0, 1e-6),
+                                    (1.0, 1e-6, 1e-6), (1.0, 1e-2, 1e-4, 1e-6),
+                                    (1.0, 1.0, 1.0, 1e-6)])
+    def test_ill_conditioned_draws(self, sv, scale):
+        # kappa(A) = 1e6.  The full draw's SVD is then itself only good to
+        # about eps kappa relative (5e-10 measured), so it is held to that,
+        # and the 1e-12 reference is the exact value for the factor read
+        r, count = len(sv), 16
+        m = r + 1
+        rng = RngStream(82, 10 * r + len(set(sv)))
+        u = unitary_from_ginibre(complex_gaussian_array(rng, (count, r, r)))
+        v = unitary_from_ginibre(complex_gaussian_array(rng, (count, m, m)))[:, :r]
+        a = scale * np.einsum("nij,j,njk->nik", u, np.array(sv), v)
+        sq, phased = factor_of(a)
+        log_tr, log_det = montecarlo._log_trace_inverse(sq, phased), montecarlo._log_det(sq)
+        ell = np.zeros((count, r, r), dtype=complex)
+        for (i, k), x in sq.items():
+            ell[:, i, k] = phased[i, k] if (i, k) in phased else np.sqrt(x)
+        exact_tr = [_exact_log(_exact_trace_inverse(ell[n])) for n in range(count)]
+        exact_det = [_exact_log(math.prod(Fraction(sq[i, i][n]) for i in range(r)))
+                     for n in range(count)]
+        np.testing.assert_allclose(log_tr, exact_tr, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_det, exact_det, rtol=0, atol=1e-12)
+        s2 = np.linalg.svd(a, compute_uv=False) ** 2
+        svd_accuracy = 64 * np.finfo(float).eps * max(sv) / min(sv)
+        assert np.all(np.abs(log_tr - np.log(np.sum(1.0 / s2, axis=1))) <= svd_accuracy)
+        assert np.all(np.abs(log_det - np.sum(np.log(s2), axis=1)) <= svd_accuracy)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_zero_diagonal_gives_inf_not_nan(self, r):
+        # the singular-draw rule: tr G^-1 = +inf and log det G = -inf, never
+        # NaN, whichever L_ii is 0, and for the all-zero factor, where the
+        # r = 2 form meets 0/0
+        sq, phased = gaussian_gram(RngStream(83, r), 64, r, r + 1)
+        even = np.arange(64) % 2 == 0
+        factors = [({**sq, (i, i): np.where(even, 0.0, sq[i, i])}, phased) for i in range(r)]
+        zero = ({key: np.zeros(64) for key in sq},
+                {key: np.zeros(64, dtype=complex) for key in phased})
+        cases = [*((factor, even) for factor in factors), (zero, np.full(64, True))]
+        for (sq_i, phased_i), singular in cases:
+            log_tr = montecarlo._log_trace_inverse(sq_i, phased_i)
+            log_det = montecarlo._log_det(sq_i)
+            assert np.all(log_tr[singular] == math.inf)
+            assert np.all(log_det[singular] == -math.inf)
+            assert np.all(np.isfinite(log_tr[~singular]))
+            assert np.all(np.isfinite(log_det[~singular]))
+        assert np.all(np.isfinite(montecarlo._log_trace_inverse(sq, phased)))
 
 
 class TestGaugeFixedDraws:
@@ -204,14 +341,13 @@ class TestGaugeFixedDraws:
     def test_gram_log_values_match_full_draws(self, r, m):
         count = 8192
         full = complex_gaussian_array(RngStream(74, 10 * r + m), (count, r, m))
-        lam_full = montecarlo._squared_singular_values(full)
+        lam_full = lam_log_values(montecarlo._squared_singular_values(full))
         stream = 74 if r == 1 else 75
-        lam_fixed = montecarlo._gram_eigenvalues(*gaussian_gram(RngStream(stream, 10 * r + m),
-                                                                count, r, m))
+        sq, phased = gaussian_gram(RngStream(stream, 10 * r + m), count, r, m)
         # log tr G^-1, log lambda_min and log det G: all of finite variance
-        pairs = [(montecarlo._log_pinv_norm(lam_fixed, norm),
-                  montecarlo._log_pinv_norm(lam_full, norm)) for norm in ("frobenius", "operator")]
-        pairs.append((montecarlo._log_det_gram(lam_fixed), montecarlo._log_det_gram(lam_full)))
+        pairs = [(montecarlo._log_pinv_norm(sq, phased, norm), lam_full[norm])
+                 for norm in ("frobenius", "operator")]
+        pairs.append((montecarlo._log_det(sq), lam_full["det"]))
         for fixed, ref in pairs:
             if r == 1:
                 np.testing.assert_allclose(fixed, ref, rtol=0, atol=1e-9)
@@ -236,9 +372,19 @@ class TestGaugeFixedDraws:
     def test_estimates_match_full_draws(self, monkeypatch, estimate, params):
         vector = estimate in (montecarlo.estimate_espnorm, montecarlo.estimate_espnormrest)
         fixed = estimate(*params, cfg(5_000, 76))
-        monkeypatch.setattr(montecarlo, "_draws", _full_gram_draws)
-        monkeypatch.setattr(montecarlo, "_vector_draws", _full_vector_draws)
+        calls = []
+
+        def recorded(draws):
+            def wrapper(*args):
+                calls.append(draws.__name__)
+                return draws(*args)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "_draws", recorded(_full_gram_draws))
+        monkeypatch.setattr(montecarlo, "_vector_draws", recorded(_full_vector_draws))
         full = estimate(*params, cfg(5_000, 76 if vector else 77))
+        # two blocks, both from the patched full draws
+        assert calls == 2 * ["_full_vector_draws" if vector else "_full_gram_draws"]
         assert fixed.method == full.method
         if vector:
             assert fixed.mean == pytest.approx(full.mean, rel=1e-12, abs=0)
@@ -253,14 +399,14 @@ class TestMatrixNumericFailure:
         # reduction as a mean of NaN
         from condmoments.cxla import NumericError
 
-        real = montecarlo._gram_eigenvalues
+        real = montecarlo._draws
 
-        def one_nan_row(diag, off):
-            lam = real(diag, off)
-            lam[7] = math.nan
-            return lam
+        def one_nan_row(seed, samples, r, m):
+            sq, phased = real(seed, samples, r, m)
+            sq[1, 1][7] = math.nan
+            return sq, phased
 
-        monkeypatch.setattr(montecarlo, "_gram_eigenvalues", one_nan_row)
+        monkeypatch.setattr(montecarlo, "_draws", one_nan_row)
         with pytest.raises(NumericError, match="pinv_moment: 2 of 5000 draws"):
             montecarlo.estimate_pinv_moment(2, 4, 2.0, "frobenius", cfg(5_000, 3))
 
@@ -500,7 +646,8 @@ class TestDeterminism:
         # two full blocks and a partial one: the estimate is the reduction of
         # the log-values of RngStream(seed, i), block by block, bit for bit.
         # At r = 2 a draw takes 2m uniforms: the m and m - 1 exponentials
-        # summed into L_00^2 and L_11^2, then |L_10|^2
+        # summed into L_00^2 and L_11^2, then |L_10|^2.  tr G^-1 is
+        # ||L^-1||_F^2 = 1/|L_00|^2 + (1 + |L_10|^2/|L_00|^2)/|L_11|^2
         seed, block = 36, montecarlo.BLOCK_SAMPLES
         samples = 2 * block + 5
         est = montecarlo.estimate_pinv_moment(2, m, 2.0, "frobenius", cfg(samples, seed))
@@ -510,10 +657,8 @@ class TestDeterminism:
             l00_sq = sum(e[:, j] for j in range(m))
             l11_sq = sum(e[:, j] for j in range(m, 2 * m - 1))
             l10_sq = e[:, 2 * m - 1]
-            diag = [l00_sq, l11_sq + l10_sq]
-            off = {(0, 1): np.sqrt(l00_sq) * np.sqrt(l10_sq)}
-            logv.append(2.0 * montecarlo._log_pinv_norm(montecarlo._gram_eigenvalues(diag, off),
-                                                        "frobenius"))
+            trace_inverse = 1.0 / l00_sq + (1.0 + l10_sq / l00_sq) / l11_sq
+            logv.append(2.0 * (0.5 * np.log(trace_inverse)))
         heavy = montecarlo.pinv_moment_domain(2, m, 2.0, "frobenius")
         mean, stderr, method = montecarlo._reduce_log_values(np.concatenate(logv), heavy)
         assert (est.mean, est.stderr, est.method) == (mean, stderr, method)

@@ -265,6 +265,22 @@ class _ZeroStream(RngStream):
         return out
 
 
+def factor_matrix(sq, phased):
+    """The stack of lower-triangular L from gaussian_gram's (sq, phased):
+    column 0 and the diagonal real, the square roots of sq."""
+    r = math.isqrt(2 * len(sq))
+    ell = np.zeros((len(sq[0, 0]), r, r), dtype=complex)
+    for (i, k), x in sq.items():
+        ell[:, i, k] = phased[i, k] if (i, k) in phased else np.sqrt(x)
+    return ell
+
+
+def gram_of(sq, phased):
+    """G = L L* for gaussian_gram's factors (sq, phased)."""
+    ell = factor_matrix(sq, phased)
+    return ell @ np.conj(np.swapaxes(ell, -1, -2))
+
+
 def ks_statistic(x, cdf):
     """Kolmogorov-Smirnov distance between the sample x and a continuous cdf."""
     f = cdf(np.sort(x))
@@ -327,14 +343,9 @@ class TestBartlettLaw:
     @pytest.mark.parametrize("r, m", [(1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (4, 6)])
     def test_gram_moments(self, r, m):
         # E tr G = r m and E det G = m! / (m - r)!
-        diag, off = randgeom.gaussian_gram(RngStream(36, 10 * r + m), 16384, r, m)
-        ok, mean, se = mean_within(sum(diag), r * m)
+        gram = gram_of(*randgeom.gaussian_gram(RngStream(36, 10 * r + m), 16384, r, m))
+        ok, mean, se = mean_within(np.trace(gram, axis1=1, axis2=2).real, r * m)
         assert ok, (mean, se)
-        gram = np.zeros((16384, r, r), dtype=complex)
-        for i, x in enumerate(diag):
-            gram[:, i, i] = x
-        for (i, k), x in off.items():
-            gram[:, i, k], gram[:, k, i] = x, np.conj(x)
         ok, mean, se = mean_within(np.linalg.det(gram).real, math.perm(m, r))
         assert ok, (mean, se)
 
@@ -343,9 +354,9 @@ class TestGaussianGram:
     def test_draws_bartlett_layout(self):
         # (3, 5) takes 16 uniforms a matrix: the 5, 4 and 3 exponentials of
         # L_00^2, L_11^2 and L_22^2, then |L_10|^2, |L_20|^2, |L_21|^2, and
-        # the phase of L_21
+        # the phase of L_21; the factor comes back as drawn, and L L* is G
         rng = RngStream(33, 4)
-        diag, off = randgeom.gaussian_gram(rng, 6, 3, 5)
+        sq, phased = randgeom.gaussian_gram(rng, 6, 3, 5)
         u = RngStream(33, 4).uniforms(6 * 16 + 1)
         assert rng.uniforms(1)[0] == u[-1]
         u = u[:-1].reshape(6, 16)
@@ -355,33 +366,41 @@ class TestGaussianGram:
             ell[:, i, i] = np.sqrt(e[:, lo:hi].sum(axis=1))
         ell[:, 1, 0], ell[:, 2, 0] = np.sqrt(e[:, 12]), np.sqrt(e[:, 13])
         ell[:, 2, 1] = np.sqrt(e[:, 14]) * np.exp(2j * np.pi * u[:, 15])
+        assert sorted(sq) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+        assert sorted(phased) == [(2, 1)]
+        for (i, k), x in sq.items():
+            np.testing.assert_allclose(x, np.abs(ell[:, i, k]) ** 2, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(phased[2, 1], ell[:, 2, 1], rtol=1e-14, atol=1e-14)
         gram = ell @ np.conj(np.swapaxes(ell, -1, -2))
+        drawn = gram_of(sq, phased)
         for i in range(3):
-            np.testing.assert_allclose(diag[i], gram[:, i, i].real, rtol=1e-14, atol=0)
-        assert sorted(off) == [(0, 1), (0, 2), (1, 2)]
-        for (i, k), x in off.items():
-            np.testing.assert_allclose(x, gram[:, i, k], rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(drawn[:, i, i].real, gram[:, i, i].real,
+                                       rtol=1e-14, atol=0)
+        for i, k in [(0, 1), (0, 2), (1, 2)]:
+            np.testing.assert_allclose(drawn[:, i, k], gram[:, i, k], rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_single_row_is_squared_norm(self, m):
-        diag, off = randgeom.gaussian_gram(RngStream(37, m), 64, 1, m)
-        sq = randgeom.gaussian_squared_moduli(RngStream(37, m), (64, m))
-        assert off == {}
-        np.testing.assert_allclose(diag[0], sq.sum(axis=1), rtol=1e-15, atol=0)
+        sq, phased = randgeom.gaussian_gram(RngStream(37, m), 64, 1, m)
+        moduli = randgeom.gaussian_squared_moduli(RngStream(37, m), (64, m))
+        assert phased == {} and list(sq) == [(0, 0)]
+        np.testing.assert_allclose(sq[0, 0], moduli.sum(axis=1), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("shape", [(64, 2, 2), (64, 3, 5), (64, 1, 3), (64, 4, 6), (5, 1, 1)])
     def test_row_0_real_nonnegative(self, shape):
         # L's column 0 is real and non-negative, so is G_0k = L_00 L_k0
-        diag, off = randgeom.gaussian_gram(RngStream(31, 2), *shape)
-        assert all(np.all(x >= 0.0) for x in diag)
+        sq, phased = randgeom.gaussian_gram(RngStream(31, 2), *shape)
+        assert all(np.all(x >= 0.0) for x in sq.values())
+        assert all(k >= 1 for _, k in phased)
+        gram = gram_of(sq, phased)
         for k in range(1, shape[1]):
-            assert np.isrealobj(off[0, k])
-            assert np.all(off[0, k] >= 0.0)
+            assert np.all(gram[:, 0, k].imag == 0.0)
+            assert np.all(gram[:, 0, k].real >= 0.0)
 
     @pytest.mark.parametrize("shape", [(16, 3, 5), (16, 1, 4), (16, 2, 2)])
     def test_zero_uniforms_give_zeros_not_nan(self, shape):
-        diag, off = randgeom.gaussian_gram(_ZeroStream(34, 5), *shape)
-        for x in [*diag, *off.values()]:
+        sq, phased = randgeom.gaussian_gram(_ZeroStream(34, 5), *shape)
+        for x in [*sq.values(), *phased.values()]:
             assert np.all(x == 0.0)
 
     @pytest.mark.parametrize("r, m", [(0, 3), (3, 2)])
