@@ -15,6 +15,13 @@ the norm of a system is the Euclidean norm of its flattened coordinates.
 Canonical monomial order: multi-indices of each degree are listed in
 lexicographic descending order on (j_0, ..., j_n), i.e. (d,0,...,0) first
 and (0,...,0,d) last.  Every coordinate vector uses this order.
+
+Forms are evaluated at many points from one power table laid out
+variable-major, P[k, t] = x_k^t of shape (n+1, d+1, *point axes), so each
+P[k, t] is a contiguous array over the points.  A value is summed monomial
+by monomial, a_j P[k1, j_k1] P[k2, j_k2] ..., into one accumulator over the
+points; factors with j_k = 0 are skipped, and a partial derivative d_k
+skips the monomials with j_k = 0, both read off cached exponent tables.
 """
 
 from __future__ import annotations
@@ -188,45 +195,69 @@ def _point(x, n: int) -> np.ndarray:
 
 
 def _power_table(points: np.ndarray, d: int) -> np.ndarray:
-    # P[..., k, t] = x_k ** t, with 0**0 = 1, by repeated multiplication
-    ptab = np.empty(points.shape + (d + 1,), dtype=np.complex128)
-    ptab[..., 0] = 1.0
-    ptab[..., 1] = points
+    """P[k, t] = x_k ** t, shape (n+1, d+1, *point axes), contiguous, for
+    points (*point axes, n+1); 0 ** 0 = 1, by repeated multiplication.
+
+    Variable-major, so every P[k, t] is one contiguous array over the points.
+    """
+    x = np.moveaxis(points, -1, 0)
+    ptab = np.empty((x.shape[0], d + 1) + x.shape[1:], dtype=np.complex128)
+    ptab[:, 0] = 1.0
+    ptab[:, 1] = x
     for t in range(2, d + 1):
-        np.multiply(ptab[..., t - 1], points, out=ptab[..., t])
+        np.multiply(ptab[:, t - 1], x, out=ptab[:, t])
     return ptab
 
 
-def _forms_at(ptab: np.ndarray, expo: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[s, j] x^(expo[j]) at each point of a (S, m, n+1, d+1) power table."""
-    monos = ptab[..., 0, expo[:, 0]]  # (S, m, K), built one variable at a time
-    for k in range(1, ptab.shape[-2]):
-        monos = monos * ptab[..., k, expo[:, k]]
-    return np.matmul(monos, coeffs[:, :, None])[..., 0]
+def _sum_terms(ptab: np.ndarray, coeffs: np.ndarray, terms, out: np.ndarray) -> None:
+    """out = sum_t coeffs[:, t] prod_{(k, e) in terms[t]} P[k, e], over the
+    point axes of a power table; out (S, m), coeffs (S, T), one term a row
+    of coeffs, added in order."""
+    buf = np.empty_like(out)
+    for t, factors in enumerate(terms):
+        term = out if t == 0 else buf
+        if factors:
+            np.multiply(ptab[factors[0]], coeffs[:, t, None], out=term)
+            for f in factors[1:]:
+                term *= ptab[f]
+        else:
+            term[...] = coeffs[:, t, None]
+        if t:
+            out += buf
+
+
+@lru_cache(maxsize=None)
+def _form_terms(n: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Factors (k, e_jk) with e_jk > 0 of each monomial j, in canonical order."""
+    return tuple(tuple((k, e) for k, e in enumerate(j) if e) for j in monomial_indices(n, d))
 
 
 def evaluate_forms(n: int, d: int, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Values of S degree-d forms, each at its own m points.
 
     coeffs (S, K) holds one form's coordinates per row and points
-    (S, m, n+1) the points of each form; returns an (S, m) array.
+    (S, m, n+1) the points of each form; returns an (S, m) array, summed
+    monomial by monomial from one power table.
     """
-    expo, w = monomial_basis(n, d)
-    return _forms_at(_power_table(points, d), expo, w * coeffs)
+    _, w = monomial_basis(n, d)
+    out = np.empty(points.shape[:-1], dtype=np.complex128)
+    _sum_terms(_power_table(points, d), w * coeffs, _form_terms(n, d), out)
+    return out
 
 
 def gradient_forms(n: int, d: int, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Gradients of S degree-d forms, each at its own m points; (S, m, n+1).
 
-    Exact term-wise differentiation, shapes as in evaluate_forms.
+    Exact term-wise differentiation from one power table, shapes as in
+    evaluate_forms; partial k sums only the monomials with e_jk > 0.
     """
     _, w = monomial_basis(n, d)
     a = w * coeffs
     ptab = _power_table(points, d)
-    out = np.empty(points.shape, dtype=np.complex128)
-    for k, (lowered, factor) in enumerate(_jacobian_tables(n, d)):
-        out[..., k] = _forms_at(ptab, lowered, a * factor)
-    return out
+    out = np.empty((n + 1,) + points.shape[:-1], dtype=np.complex128)
+    for k, (cols, factor, terms) in enumerate(_jacobian_tables(n, d)):
+        _sum_terms(ptab, a[:, cols] * factor, terms, out[k])
+    return np.moveaxis(out, 0, -1)
 
 
 def _points(h: SystemCoords, points) -> np.ndarray:
@@ -250,17 +281,21 @@ def evaluate_at(h: SystemCoords, points) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _jacobian_tables(n: int, d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per-variable lowered exponent matrices and degree factors, cached."""
+def _jacobian_tables(n: int, d: int):
+    """Per variable k, the monomials j with e_jk > 0, their degree factors e_jk
+    and the factors of x^(j - e_k) as in _form_terms, cached."""
     expo, _ = monomial_basis(n, d)
     tables = []
     for k in range(n + 1):
-        lowered = expo.copy()
-        lowered[:, k] = np.maximum(expo[:, k] - 1, 0)
-        lowered.setflags(write=False)
-        factor = expo[:, k].astype(np.float64)
+        cols = np.flatnonzero(expo[:, k])
+        factor = expo[cols, k].astype(np.float64)
+        cols.setflags(write=False)
         factor.setflags(write=False)
-        tables.append((lowered, factor))
+        terms = tuple(
+            tuple((v, e - (v == k)) for v, e in enumerate(expo[j].tolist()) if e - (v == k))
+            for j in cols
+        )
+        tables.append((cols, factor, terms))
     return tuple(tables)
 
 

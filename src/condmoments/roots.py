@@ -71,10 +71,15 @@ class BinaryForm:
 
 
 def _binary_form_values(coeffs: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Forms (..., d+1) at points st (..., m, 2), broadcast; returns (..., m)."""
+    """Forms (..., d+1) at points st (..., m, 2), broadcast; returns (..., m).
+
+    The power table P (2, d+1, ..., m) of the points gives the monomials
+    s^(d-k) t^k = P[0, d-k] P[1, k], which one matmul contracts with the
+    coefficients.
+    """
     d = coeffs.shape[-1] - 1
-    ptab = _power_table(st, d)  # (..., m, 2, d+1)
-    powers = ptab[..., 0, ::-1] * ptab[..., 1, :]
+    ptab = _power_table(st, d)
+    powers = np.moveaxis(ptab[0, ::-1] * ptab[1], 0, -1)  # (..., m, d+1)
     return np.matmul(powers, coeffs[..., :, None])[..., 0]
 
 

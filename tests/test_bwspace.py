@@ -137,10 +137,67 @@ def test_power_table_matches_numpy_power(d):
     x = np.stack([complex_gaussian_vector(RngStream(45, k), 3) for k in range(40)])
     x[0, 1] = 0.0
     table = bwspace._power_table(x, d)
-    expected = x[..., None] ** np.arange(d + 1)
-    assert table.shape == x.shape + (d + 1,)
-    assert np.all(table[..., 0] == 1.0)  # 0 ** 0 = 1
+    # variable-major: table[k, t] = x[:, k] ** t, one contiguous array per (k, t)
+    expected = x.T[:, None, :] ** np.arange(d + 1)[None, :, None]
+    assert table.shape == (3, d + 1, 40)
+    assert table.flags.c_contiguous
+    assert np.all(table[:, 0] == 1.0)  # 0 ** 0 = 1
+    assert table[1, 0, 0] == 1.0 and np.all(table[1, 1:, 0] == 0.0)
     np.testing.assert_allclose(table, expected, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def reference_forms(n, d, coeffs, points):
+    """Plain-Python sum_j a_j prod_k x_k^(j_k) and its partials, a_j the
+    coordinates c_j scaled by sqrt(d! / prod_k j_k!), with 0 ** 0 = 1.
+
+    Returns the values (S, m), the partials (S, m, n+1), and the sums of the
+    moduli of the terms of each, which scale their rounding errors.
+    """
+    monomials = bwspace.monomial_indices(n, d)
+    values = np.zeros(points.shape[:2], dtype=complex)
+    partials = np.zeros(points.shape, dtype=complex)
+    value_scale = np.zeros(values.shape)
+    partial_scale = np.zeros(partials.shape)
+    for s, (row, pts) in enumerate(zip(coeffs.tolist(), points.tolist())):
+        for p, x in enumerate(pts):
+            for j, c in zip(monomials, row):
+                a = c * math.sqrt(math.factorial(d) / math.prod(math.factorial(e) for e in j))
+                term = a * math.prod(xk**e for xk, e in zip(x, j))
+                values[s, p] += term
+                value_scale[s, p] += abs(term)
+                for k, e in enumerate(j):
+                    if e:
+                        lowered = [xv**(ev - (v == k)) for v, (xv, ev) in enumerate(zip(x, j))]
+                        term = a * e * math.prod(lowered)
+                        partials[s, p, k] += term
+                        partial_scale[s, p, k] += abs(term)
+    return values, partials, value_scale, partial_scale
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 3), (2, 2), (3, 4), (4, 2)])
+def test_forms_match_plain_python_reference(n, d):
+    """evaluate_forms and gradient_forms against reference_forms, at points
+    with exact zeros and on coordinate rows with zero entries; the gradient
+    also satisfies Euler's identity sum_k x_k d_k h = d h."""
+    rng = RngStream(46, 10 * n + d)
+    k = math.comb(n + d, n)
+    coeffs = np.stack([complex_gaussian_vector(rng, k) for _ in range(3)])
+    coeffs[1, ::2] = 0.0  # zero coefficients
+    coeffs[2, :-1] = 0.0  # only x_n^d
+    points = np.stack([[complex_gaussian_vector(rng, n + 1) for _ in range(5)] for _ in range(3)])
+    points[:, 0, 0] = 0.0  # x_0 = 0: every x_0^0 factor must read 1
+    points[:, 1, :] = np.eye(n + 1)[-1]  # a coordinate point e_n
+    points[:, 2, 1:] = 0.0  # only x_0 nonzero
+    values, partials, value_scale, partial_scale = reference_forms(n, d, coeffs, points)
+    tol = 8 * (k + d) * np.finfo(float).eps
+    got = bwspace.evaluate_forms(n, d, coeffs, points)
+    assert got.shape == values.shape
+    assert np.all(np.abs(got - values) <= tol * value_scale)
+    grad = bwspace.gradient_forms(n, d, coeffs, points)
+    assert grad.shape == partials.shape
+    assert np.all(np.abs(grad - partials) <= tol * partial_scale)
+    euler = np.sum(points * grad, axis=2)
+    assert np.all(np.abs(euler - d * got) <= tol * d * (n + 2) * value_scale)
 
 
 class TestJacobian:

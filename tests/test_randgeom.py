@@ -126,29 +126,46 @@ class TestGaussianMatrix:
         assert s[0] == pytest.approx(abs(m[0, 0]))
 
 
+def batched_system_coords(seed, n, d, count):
+    """Coordinates (count, K) of count gaussian_system(rng, n, (d,)) calls on
+    RngStream(seed, 0), from one uniforms call on the same stream: each call
+    draws K radius uniforms, then K phase uniforms."""
+    k = math.comb(n + d, n)
+    x = RngStream(seed, 0).uniforms((count, 2 * k))
+    coords = randgeom.complex_gaussians(x[:, :k], x[:, k:])
+    rng = RngStream(seed, 0)
+    for row in coords[:3]:
+        assert np.array_equal(randgeom.gaussian_system(rng, n, (d,)).coords[0], row)
+    return coords
+
+
+def batched_haar_unitaries(seed, dim, count):
+    """count haar_unitary(rng, dim) calls on RngStream(seed, 0), from one
+    uniforms call on the same stream: each call draws the dim x dim radius
+    uniforms of its Ginibre matrix, then its phase uniforms."""
+    x = RngStream(seed, 0).uniforms((count, 2 * dim * dim))
+    ginibre = randgeom.complex_gaussians(x[:, : dim * dim], x[:, dim * dim :])
+    u = randgeom.unitary_from_ginibre(ginibre.reshape(count, dim, dim))
+    rng = RngStream(seed, 0)
+    for row in u[:3]:
+        assert np.array_equal(randgeom.haar_unitary(rng, dim), row)
+    return u
+
+
 class TestGaussianSystem:
     def test_expected_norm_squared_is_dimension(self):
-        rng = RngStream(9, 0)
-        sq = np.array(
-            [bwspace.bw_norm(randgeom.gaussian_system(rng, 2, (3,))) ** 2 for _ in range(20_000)]
-        )
+        sq = np.linalg.norm(batched_system_coords(9, 2, 3, 20_000), axis=1) ** 2
         ok, mean, se = mean_within(sq, 10.0)
         assert ok, (mean, se)
 
     def test_coordinate_variance(self):
-        rng = RngStream(10, 0)
-        coords = np.array(
-            [randgeom.gaussian_system(rng, 1, (2,)).coords[0][1] for _ in range(50_000)]
-        )
+        coords = batched_system_coords(10, 1, 2, 50_000)[:, 1]
         ok, mean, se = mean_within(np.abs(coords) ** 2, 1.0)
         assert ok, (mean, se)
 
     def test_inverse_square_norm_moment(self):
         # E ||h||^-2 = 1/(N-1) with N = 10 for n = 2, degree 3
-        rng = RngStream(11, 0)
-        inv = np.array(
-            [bwspace.bw_norm(randgeom.gaussian_system(rng, 2, (3,))) ** -2 for _ in range(50_000)]
-        )
+        inv = np.linalg.norm(batched_system_coords(11, 2, 3, 50_000), axis=1) ** -2
         ok, mean, se = mean_within(inv, 1.0 / 9.0)
         assert ok, (mean, se)
 
@@ -161,14 +178,12 @@ class TestHaarUnitary:
 
     def test_first_column_uniform_on_sphere(self):
         # E |u_00|^2 = 1/n by symmetry
-        rng = RngStream(13, 0)
-        vals = np.array([abs(randgeom.haar_unitary(rng, 3)[0, 0]) ** 2 for _ in range(20_000)])
+        vals = np.abs(batched_haar_unitaries(13, 3, 20_000)[:, 0, 0]) ** 2
         ok, mean, se = mean_within(vals, 1.0 / 3.0)
         assert ok, (mean, se)
 
     def test_determinant_phase_uniform(self):
-        rng = RngStream(14, 0)
-        dets = np.array([np.linalg.det(randgeom.haar_unitary(rng, 3)) for _ in range(20_000)])
+        dets = np.linalg.det(batched_haar_unitaries(14, 3, 20_000))
         ok_re, mean_re, se_re = mean_within(dets.real, 0.0)
         ok_im, mean_im, se_im = mean_within(dets.imag, 0.0)
         assert ok_re and ok_im, (mean_re, se_re, mean_im, se_im)
