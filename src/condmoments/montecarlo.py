@@ -6,7 +6,7 @@ the estimator's log-values for consecutive ranges of sample indices, in order
 counter-based substream RngStream(seed, i); on the polynomial side chunks of
 systems of about CHUNK_POINTS evaluation points, system j drawing from
 RngStream(seed, j) as whole arrays: its coordinates, then the line frames
-and Aberth phases that roots.sample_zero_sets reads, nothing more; the
+that roots.sample_zero_sets reads, nothing more; the
 chunk's largest arrays are the bwspace power tables of its points, and its
 values and gradients are summed from them monomial by monomial), and
 reduces them in sample order with pairwise summation, so a result is a pure

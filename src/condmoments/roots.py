@@ -8,17 +8,16 @@ constant density with respect to the volume measure of the zero set.
 
 One path, batched over systems and lines (a single form is a batch of one).
 Each equation is restricted straight to its line's frame (u, v) by one DFT,
-and Aberth-Ehrlich finds the roots c of that binary form, the points
-c0 u + c1 v.  At n >= 2 the frame is Gram-Schmidt on a Gaussian pair, which
-is already Haar among orthonormal pairs, so turning it by a further Haar
-chart would leave its law unchanged and is not done; at n = 1 the frame is
-the Haar chart of (e_0, e_1).  At d <= 2 Aberth starts at the closed-form
-roots, which its first convergence test accepts, so it only refines a row
-that misses that test.  System j draws from RngStream(seed, j): its
-coordinates, its line pairs (n >= 2) or its chart matrix (n = 1), then the
-Aberth start phases at d >= 3 only, all in one
-randgeom.uniforms_for_streams pass per chunk.  Stall nudges and the charts
-that turn the frame of a retried line come from that line's own substream,
+and the roots c of that binary form, the points c0 u + c1 v, are taken in
+closed form at d <= 2 and as the eigenvalues of the companion matrices,
+in one batched LAPACK call, from d = 3.  At n >= 2 the frame is
+Gram-Schmidt on a Gaussian pair, which is already Haar among orthonormal
+pairs, so turning it by a further Haar chart would leave its law unchanged
+and is not done; at n = 1 the frame is the Haar chart of (e_0, e_1).
+System j draws from RngStream(seed, j): its coordinates, then its line
+pairs (n >= 2) or its chart matrix (n = 1), all in one
+randgeom.uniforms_for_streams pass per chunk.  The charts that turn the
+frame of a retried line come from that line's own substream,
 RngStream(mix64(seed, j), line), made on first use, so a line's roots never
 depend on the batch it is solved in; these few substreams stay on
 RngStream, whose C Philox is cheaper per uniform than the array pass.
@@ -37,8 +36,6 @@ from .bwspace import SystemCoords, _power_table
 from .cxla import NumericError
 from .randgeom import RngStream, mix64
 
-ABERTH_MAX_ITER = 200
-ABERTH_TOL = 1e-12
 CHART_RETRIES = 2  # fresh charts tried on a line whose first chart fails
 _RESIDUAL_TOL = 1e-9
 
@@ -48,7 +45,7 @@ _CHECKS /= np.linalg.norm(_CHECKS, axis=1)[:, None]
 
 
 class RootFindingError(NumericError):
-    """The root iteration failed to reach the target residual."""
+    """Root finding failed its residual checks in every chart tried."""
 
 
 @dataclass(frozen=True)
@@ -140,57 +137,36 @@ def _start_roots(coeffs_asc: np.ndarray) -> np.ndarray:
         return np.stack([q / c2, np.where(q == 0, 0.0, c0 / q)], axis=1)
 
 
-def _aberth_batch(coeffs_asc: np.ndarray, phases: np.ndarray, row_rng):
-    """Row-wise Aberth-Ehrlich on coefficients of w^k; returns (roots (R, d), failed).
+def _row_roots(coeffs_asc: np.ndarray):
+    """Roots (R, d) of rows of coefficients of w^k, and the rows that failed.
 
-    Row i starts at its exact roots (_start_roots) for d <= 2, else at angles
-    2 pi phases[i] on a circle, and leaves the batch once
-    |p(z)| / (1 + |z|^2)^(d/2) <= ABERTH_TOL * max|coeff| at all its roots.  A
-    vanishing leading coefficient (a root at infinity) fails the row at once; a
-    stalled iterate is nudged with uniforms drawn from row_rng(i).
+    Rows of degree d <= 2 take their closed-form roots (_start_roots); from
+    d = 3 the roots are the eigenvalues of each row's companion matrix, the
+    method of np.roots, which is backward stable (Edelman and Murakami,
+    Math. Comp. 1995).  A vanishing leading coefficient (a root at infinity)
+    fails the row.  If LAPACK raises for the stack, the rows are solved one
+    at a time, and a row that still raises fails with NaN roots.
     """
     d = coeffs_asc.shape[1] - 1
     mag = np.abs(coeffs_asc)
-    inner = np.max(mag[:, :-1], axis=1)
-    failed = mag[:, -1] < 1e-14 * np.max(mag, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = np.where(inner > 0, (inner / mag[:, -1]) ** (1.0 / d) * (1.0 + 1e-3), 0.0)
-    z = _start_roots(coeffs_asc) if d <= 2 else radius[:, None] * np.exp(2j * np.pi * phases)
-    # pure-leading rows keep all their roots at the origin, which is exact
-    active = np.flatnonzero((inner > 0) & ~failed)
-    za, desc = z[active], coeffs_asc[active, ::-1]
-    tol = ABERTH_TOL * np.max(mag[active], axis=1)[:, None]
-    eye = np.eye(d, dtype=bool)
-    for step in range(ABERTH_MAX_ITER + 1):
-        p = np.zeros_like(za)
-        dp = np.zeros_like(za)
-        for col in range(d + 1):
-            dp = dp * za + p
-            p = p * za + desc[:, col : col + 1]
-        done = np.all(np.abs(p) <= tol * (1.0 + np.abs(za) ** 2) ** (d / 2), axis=1)
-        if done.any():  # converged rows leave the batch
-            z[active[done]] = za[done]
-            left = ~done
-            active, za, desc, tol = active[left], za[left], desc[left], tol[left]
-            p, dp = p[left], dp[left]
-        if active.size == 0 or step == ABERTH_MAX_ITER:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = p / dp
-            diff = za[:, :, None] - za[:, None, :]
-            diff[:, eye] = 1.0
-            inv_diff = 1.0 / diff
-            inv_diff[:, eye] = 0.0
-            corr = newton / (1.0 - newton * inv_diff.sum(axis=2))
-        bad = ~np.isfinite(corr)
-        for k in np.flatnonzero(bad.any(axis=1)):
-            row = active[k]
-            nudge = np.exp(2j * np.pi * row_rng(row).uniforms(int(bad[k].sum())))
-            corr[k, bad[k]] = 0.1 * radius[row] * nudge
-        za = za - corr
-    z[active] = za
-    failed[active] = True
-    return z, failed
+    failed = mag[:, -1] <= 1e-14 * np.max(mag, axis=1)  # also the zero row
+    if d <= 2:
+        return _start_roots(coeffs_asc), failed
+    ok = np.flatnonzero(~failed)
+    desc = coeffs_asc[ok, ::-1]
+    companion = np.zeros((ok.size, d, d), dtype=np.complex128)
+    companion[:, 0] = -desc[:, 1:] / desc[:, :1]
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    w = np.full((coeffs_asc.shape[0], d), np.nan, dtype=np.complex128)
+    try:
+        w[ok] = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:
+        for row, matrix in zip(ok, companion):
+            try:
+                w[row] = np.linalg.eigvals(matrix)
+            except np.linalg.LinAlgError:
+                failed[row] = True
+    return w, failed
 
 
 def _haar_charts(ginibre: np.ndarray) -> np.ndarray:
@@ -208,19 +184,18 @@ def _haar_charts(ginibre: np.ndarray) -> np.ndarray:
     return np.stack([q0, (t / np.abs(t))[..., None] * p], axis=-1)
 
 
-def _solve_in_frames(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
-                     phases: np.ndarray, row_rng):
+def _solve_in_frames(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
     """Zero-set points (R, d, n+1) of the R = S * L rows, row s * L + l being
     equation s of coeffs (S, K) on line l of u, v (S, L, n+1), and the failed rows.
 
     Each row is restricted straight to its line's frame (u, v).  A unit root
     c of that form is the point c0 u + c1 v.  A row fails on its restriction
-    residual, on no convergence, or on a root residual >= _RESIDUAL_TOL * max|coeff|.
+    residual, in _row_roots, or on a root residual >= _RESIDUAL_TOL * max|coeff|.
     """
     dim = u.shape[2]
     forms, failed = _restrict(coeffs, d, u, v)
     forms, failed = forms.reshape(-1, d + 1), failed.ravel()
-    w, unsolved = _aberth_batch(forms, phases, row_rng)
+    w, unsolved = _row_roots(forms)
     with np.errstate(invalid="ignore"):  # rows that failed may hold inf or nan
         chart = np.stack([np.ones_like(w), w], axis=2)
         chart /= np.linalg.norm(chart, axis=2)[:, :, None]
@@ -231,33 +206,24 @@ def _solve_in_frames(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
     return pts, failed
 
 
-def _phase_count(d: int) -> int:
-    """Aberth start phases a line takes: none at d <= 2, which starts at its exact roots."""
-    return d if d >= 3 else 0
-
-
-def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray,
-           phases: np.ndarray, row_rng):
+def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray, row_rng):
     """Zero-set points (S, L*d, n+1) of S equations on their L lines each, and
     the systems with a line that failed in every frame: _solve_in_frames, then
-    up to CHART_RETRIES fresh Haar charts q and start phases, drawn from
-    row_rng(row), for each row that failed.  A retry restricts the row again,
-    to its drawn frame turned by q: u' = q00 u + q10 v, v' = q01 u + q11 v."""
+    up to CHART_RETRIES fresh Haar charts q, drawn from row_rng(row), for
+    each row that failed.  A retry restricts the row again, to its drawn
+    frame turned by q: u' = q00 u + q10 v, v' = q01 u + q11 v."""
     n_sys, n_lines, dim = u.shape
-    pts, failed = _solve_in_frames(coeffs, d, u, v, phases, row_rng)
+    pts, failed = _solve_in_frames(coeffs, d, u, v)
     for _ in range(CHART_RETRIES):
         rows = np.flatnonzero(failed)
         if rows.size == 0:
             break
         system, line = np.divmod(rows, n_lines)
-        streams = [row_rng(row) for row in rows]
-        q = _haar_charts(np.stack([randgeom.complex_gaussian_array(s, (2, 2)) for s in streams]))
-        retry_phases = np.stack([s.uniforms(_phase_count(d)) for s in streams])
+        q = _haar_charts(np.stack([randgeom.complex_gaussian_array(row_rng(row), (2, 2))
+                                   for row in rows]))
         frame = q[:, 0, :, None] * u[system, line, None] + q[:, 1, :, None] * v[system, line, None]
         pts[rows], failed[rows] = _solve_in_frames(
-            coeffs[system], d, frame[:, None, 0], frame[:, None, 1],
-            retry_phases, lambda k: streams[k],
-        )
+            coeffs[system], d, frame[:, None, 0], frame[:, None, 1])
     return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)
 
 
@@ -267,7 +233,8 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
     The form is the n = 1 equation with coordinates coeffs[k] / sqrt(binom(d, k))
     on the line (e_0, e_1), solved by _solve like any row: restricted to a
     random Haar frame of that line, which makes a root at the chart boundary
-    almost surely absent, and dehomogenized and solved by Aberth-Ehrlich.
+    almost surely absent, dehomogenized, and solved in closed form at d <= 2
+    and as companion-matrix eigenvalues from d = 3 (_row_roots).
     Clustered (multiple) roots are returned as nearby simple roots.
     Everything is drawn from rng.
     """
@@ -277,8 +244,8 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
     if np.all(g.coeffs == 0):
         raise ValueError("cannot extract roots of the zero form")
     coords = g.coeffs / np.sqrt([math.comb(d, k) for k in range(d + 1)])
-    x = rng.uniforms((1, sum(_section_sizes(1, d, 1))))
-    pts, failed = _solve(coords[None], d, *_sections(x, 1, d, 1), lambda row: rng)
+    x = rng.uniforms((1, sum(_section_sizes(1, 1))))
+    pts, failed = _solve(coords[None], d, *_sections(x, 1, 1), lambda row: rng)
     if failed[0]:
         raise RootFindingError(f"root finding failed in {1 + CHART_RETRIES} charts")
     return pts[0]
@@ -296,32 +263,32 @@ def _row_streams(seed: int, first_system: int, lines: int):
     return get
 
 
-def _section_sizes(n: int, d: int, lines: int) -> list[int]:
+def _section_sizes(n: int, lines: int) -> list[int]:
     """Uniforms of a system's line frames, a complex Gaussian array as its
-    radius uniforms then its phase uniforms, and of its Aberth start phases.
-    The array is the (lines, 2, n+1) line pairs at n >= 2 and the 2 x 2 chart
-    matrix at n = 1 (lines = 1): 2 lines (n+1) entries either way."""
+    radius uniforms then its phase uniforms.  The array is the
+    (lines, 2, n+1) line pairs at n >= 2 and the 2 x 2 chart matrix at
+    n = 1 (lines = 1): 2 lines (n+1) entries either way."""
     frame = 2 * lines * (n + 1)
-    return [frame, frame, lines * _phase_count(d)]
+    return [frame, frame]
 
 
-def _sections(x: np.ndarray, n: int, d: int, lines: int):
-    """Line frames (u, v) (S, lines, n+1) and Aberth start phases of S systems
-    from their uniforms x (S, T) in stream order.
+def _sections(x: np.ndarray, n: int, lines: int):
+    """Line frames (u, v) (S, lines, n+1) of S systems from their uniforms
+    x (S, T) in stream order.
 
     At n >= 2 the frame is Gram-Schmidt on a Gaussian pair, already Haar
     among orthonormal pairs; at n = 1 it is the Haar chart of (e_0, e_1),
     the columns of _haar_charts.
     """
     n_sys = x.shape[0]
-    a, b, phases = np.split(x, np.cumsum(_section_sizes(n, d, lines))[:2], axis=1)
+    a, b = np.split(x, 2, axis=1)
     g = randgeom.complex_gaussians(a, b).reshape(n_sys, lines, 2, n + 1)
     if n >= 2:
         u, v = randgeom.orthonormal_pair(g[:, :, 0], g[:, :, 1])
     else:
         q = _haar_charts(g)
         u, v = q[..., 0], q[..., 1]
-    return u, v, phases.reshape(n_sys * lines, _phase_count(d))
+    return u, v
 
 
 def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
@@ -334,10 +301,10 @@ def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     Pass lines = 1 for n = 1.
     """
     k = math.comb(n + d, n)
-    size = 2 * k + sum(_section_sizes(n, d, lines))
+    size = 2 * k + sum(_section_sizes(n, lines))
     x = randgeom.uniforms_for_streams(seed, systems, size)
     coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k : 2 * k])
-    points, failed = _solve(coeffs, d, *_sections(x[:, 2 * k :], n, d, lines),
+    points, failed = _solve(coeffs, d, *_sections(x[:, 2 * k :], n, lines),
                             _row_streams(seed, systems.start, lines))
     return coeffs, points, failed
 
@@ -362,8 +329,8 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
         raise ValueError(f"lines must be >= 1, got {lines}")
     n, d = h.n, h.degrees[0]
     lines = 1 if n == 1 else lines
-    x = rng.uniforms((1, sum(_section_sizes(n, d, lines))))
-    points, failed = _solve(h.coords[0][None], d, *_sections(x, n, d, lines),
+    x = rng.uniforms((1, sum(_section_sizes(n, lines))))
+    points, failed = _solve(h.coords[0][None], d, *_sections(x, n, lines),
                             _row_streams(rng.seed, rng.stream_index, lines))
     if failed[0]:
         raise RootFindingError(f"root finding failed on a line in {1 + CHART_RETRIES} charts")

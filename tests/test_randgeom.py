@@ -228,6 +228,20 @@ def random_line(rng, n):
     return randgeom.orthonormal_pair(g1, g2)
 
 
+def batched_lines(seed, n, count):
+    """Frames (count, n+1) of count random_line(rng, n) calls on
+    RngStream(seed, 0), from one uniforms call on the same stream: each call
+    draws the radius then the phase uniforms of g1, then those of g2."""
+    x = RngStream(seed, 0).uniforms((count, 2, 2, n + 1))  # (line, g1/g2, radius/phase, entry)
+    g = randgeom.complex_gaussians(x[:, :, 0], x[:, :, 1])
+    u, v = randgeom.orthonormal_pair(g[:, 0], g[:, 1])
+    rng = RngStream(seed, 0)
+    for a, b in zip(u[:3], v[:3]):
+        c, e = random_line(rng, n)
+        assert np.array_equal(a, c) and np.array_equal(b, e)
+    return u, v
+
+
 class TestRandomProjectiveLine:
     def test_orthonormality(self):
         rng = RngStream(23, 0)
@@ -239,16 +253,10 @@ class TestRandomProjectiveLine:
 
     def test_law_is_unitarily_invariant(self):
         # |<u, e_0>|^2 statistics match after an arbitrary fixed rotation
-        rng = RngStream(24, 0)
+        u, _ = batched_lines(24, 3, 20_000)
         rot = randgeom.haar_unitary(RngStream(25, 0), 4)
-        plain = []
-        rotated = []
-        for _ in range(20_000):
-            u, _ = random_line(rng, 3)
-            plain.append(abs(u[0]) ** 2)
-            rotated.append(abs((rot @ u)[0]) ** 2)
-        plain = np.asarray(plain)
-        rotated = np.asarray(rotated)
+        plain = np.abs(u[:, 0]) ** 2
+        rotated = np.abs(u @ rot[0]) ** 2
         se = math.hypot(plain.std(ddof=1), rotated.std(ddof=1)) / math.sqrt(plain.size)
         assert abs(plain.mean() - rotated.mean()) <= 4 * se
 

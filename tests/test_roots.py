@@ -252,7 +252,7 @@ def test_sample_zero_sets_reads_each_systems_own_stream(n, d, lines):
                                          (2, 3, 4), (3, 4, 2)])
 def test_each_system_draws_only_what_it_reads(n, d, lines, monkeypatch):
     # coordinates, then the line pairs (n >= 2) or the 2 x 2 chart (n = 1),
-    # then Aberth start phases at d >= 3 only: no chart turns a drawn frame
+    # and nothing else: no chart turns a drawn frame
     counts = []
     real = randgeom.uniforms_for_streams
 
@@ -264,35 +264,39 @@ def test_each_system_draws_only_what_it_reads(n, d, lines, monkeypatch):
     roots.sample_zero_sets(94, range(5), n, d, lines)
     k = math.comb(n + d, n)
     frames = 4 * lines * (n + 1) if n >= 2 else 8
-    assert counts == [2 * k + frames + (lines * d if d >= 3 else 0)]
+    assert counts == [2 * k + frames]
     if (n, d, lines) == (2, 2, 8):
         assert counts == [108]
 
 
 def no_stream(row):
-    raise AssertionError(f"row {row} drew a nudge or a retry chart")
+    raise AssertionError(f"row {row} drew a retry chart")
 
 
-def aberth_accepts(coeffs, w):
-    """Aberth's stopping rule at the roots w (R, d) of the rows coeffs (R, d+1)."""
+ROOT_TOL = 1e-12
+
+
+def scaled_residuals(coeffs, w):
+    """|p(w)| / (max|c| (1 + |w|^2)^(d/2)) at the roots w (R, d) of the rows coeffs (R, d+1)."""
     d = coeffs.shape[1] - 1
     p = sum(coeffs[:, k, None] * w ** k for k in range(d + 1))
     scale = np.max(np.abs(coeffs), axis=1)[:, None] * (1.0 + np.abs(w) ** 2) ** (d / 2)
-    return np.all(np.abs(p) <= roots.ABERTH_TOL * scale, axis=1)
+    return np.abs(p) / scale
 
 
 class TestClosedFormStarts:
-    # rows of degree d <= 2 start at their exact roots, which the step-0
-    # test of Aberth's loop accepts without an iteration or a draw
-    @pytest.mark.parametrize("d", [1, 2])
+    # rows of degree d <= 2 take their closed-form roots as they are; from
+    # d = 3 the roots are the eigenvalues of the companion matrices
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_random_forms_match_numpy_roots(self, d):
         rng = RngStream(95, d)
         coeffs = randgeom.complex_gaussian_array(rng, (500, d + 1))
-        start = roots._start_roots(coeffs)
-        w, failed = roots._aberth_batch(coeffs, rng.uniforms((500, d)), no_stream)
+        w, failed = roots._row_roots(coeffs)
         assert not failed.any()
-        assert np.array_equal(w, start)
-        for row, z in zip(coeffs, start):
+        if d <= 2:
+            assert np.array_equal(w, roots._start_roots(coeffs))
+        assert np.all(scaled_residuals(coeffs, w) <= ROOT_TOL)
+        for row, z in zip(coeffs, w):
             expected = np.roots(row[::-1])
             for root in z:
                 assert np.min(np.abs(expected - root)) <= 1e-13 * max(1.0, abs(root))
@@ -309,26 +313,57 @@ class TestClosedFormStarts:
         assert np.all(np.isfinite(start))
         np.testing.assert_allclose(np.sort_complex(start[0]), np.sort_complex(expected),
                                    rtol=0, atol=1e-15)
-        w, failed = roots._aberth_batch(c, np.array([[0.25] * (c.shape[1] - 1)]), no_stream)
+        w, failed = roots._row_roots(c)
         assert not failed[0]
         assert np.array_equal(w, start)
+        assert np.all(scaled_residuals(c, w) <= ROOT_TOL)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12, 0.0])
     def test_near_double_root_still_converges(self, eps):
         a = 0.7 - 1.3j
         c = np.array([[a * (a + eps), -(2 * a + eps), 1.0]])
-        w, failed = roots._aberth_batch(c, np.array([[0.1, 0.6]]), lambda row: RngStream(96, row))
+        w, failed = roots._row_roots(c)
         assert not failed[0]
-        assert aberth_accepts(c, w)[0]
+        assert np.all(scaled_residuals(c, w) <= ROOT_TOL)
         np.testing.assert_allclose(np.sort_complex(w[0]), np.sort_complex([a, a + eps]),
                                    rtol=0, atol=1e-7)
 
     @pytest.mark.parametrize("lead", [0.0, 1e-15])
     def test_vanishing_leading_coefficient_fails_the_row(self, lead):
         c = np.array([[1.0, 2.0 - 1.0j, lead], [1.0, 2.0, 1.0]], dtype=complex)
-        _, failed = roots._aberth_batch(c, np.full((2, 2), 0.3), no_stream)
+        _, failed = roots._row_roots(c)
         assert failed.tolist() == [True, False]
+        # the companion path never divides by the vanishing coefficient, nor
+        # by the zero row's
+        c3 = np.array([[1.0, 2.0 - 1.0j, 0.5, lead], [1.0, 2.0, 1.0, 1.0j], [0.0] * 4])
+        with np.errstate(all="raise"):
+            w, failed = roots._row_roots(c3)
+        assert failed.tolist() == [True, False, True]
+        assert np.all(np.isnan(w[[0, 2]])) and np.all(np.isfinite(w[1]))
         # _solve then retries the row in a fresh chart: TestRowSubstreams' retry case
+
+
+def test_a_row_that_lapack_rejects_fails_alone(monkeypatch):
+    # eigvals raises for the whole stack when one matrix does not converge;
+    # the rows are then solved one at a time, and only that row fails
+    coeffs = randgeom.complex_gaussian_array(RngStream(99, 0), (6, 4))
+    expected, _ = roots._row_roots(coeffs)
+    marked = -coeffs[2, -2::-1] / coeffs[2, -1]  # first row of row 2's companion matrix
+    real = np.linalg.eigvals
+    calls = []
+
+    def eigvals(a):
+        calls.append(a.shape)
+        if a.ndim == 3 or np.array_equal(a[0], marked):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    w, failed = roots._row_roots(coeffs)
+    assert calls == [(6, 3, 3)] + [(3, 3)] * 6
+    assert failed.tolist() == [False, False, True, False, False, False]
+    assert np.all(np.isnan(w[2]))
+    assert np.array_equal(np.delete(w, 2, axis=0), np.delete(expected, 2, axis=0))
 
 
 def test_haar_charts_are_the_unitaries_of_qr():
@@ -344,54 +379,38 @@ def test_haar_charts_are_the_unitaries_of_qr():
 
 
 class TestRowSubstreams:
-    # a row's nudges and retry charts come from the substream of its
-    # (system, line), so the row solves the same way at any batch position
-    RADIUS = 216.0 ** (1.0 / 3) * (1.0 + 1e-3)  # the Aberth start radius of the stall form
-    # w^3 - 3 RADIUS^2 w + 216: the start point at phase 0 is the critical
-    # point, where Horner's p' is exactly 0, so the first Newton step divides
-    # by zero and is nudged.  A d <= 2 row starts at its exact roots and never
-    # stalls, hence d = 3.  Aberth gets these exact coefficients: a DFT
-    # restriction would round them off the stall
-    STALL = (np.array([216.0, -3.0 * (RADIUS * RADIUS), 0.0, 1.0]), np.array([0.0, 0.3, 0.7]))
-    # the n = 1 equation whose form on (e_0, e_1) is s t: in the identity frame
+    # a row's retry charts come from the substream of its (system, line), so
+    # the row solves the same way at any batch position.
+    # The n = 1 equation whose form on (e_0, e_1) is s t: in the identity frame
     # its leading coefficient is at zero, so the first attempt fails and the
     # row is restricted again to its frame turned by a fresh chart
     RETRY = (np.array([0.0, 2.0 ** -0.5, 0.0]), np.eye(2))
 
-    def batch(self, position, size, d, lines=2, system=10):
-        """Filler rows of degree d, and a row_rng that records its rows and
+    def batch(self, position, size, lines=2, system=10):
+        """Filler rows of degree 2, and a row_rng that records its rows and
         keeps the row at position at (system, position % lines)."""
         rng = RngStream(90, position)
-        coeffs = randgeom.complex_gaussian_array(rng, (size, d + 1))
+        coeffs = randgeom.complex_gaussian_array(rng, (size, 3))
         ginibre = randgeom.complex_gaussian_array(rng, (size, 2, 2))
-        phases = rng.uniforms((size, d))
         streams = roots._row_streams(91, system - position // lines, lines)
         used = []
-        return coeffs, ginibre, phases, used, lambda row: used.append(row) or streams(row)
+        return coeffs, ginibre, used, lambda row: used.append(row) or streams(row)
 
-    def solve_at(self, kind, position, size):
-        d = 3 if kind == "stall" else 2
-        coeffs, ginibre, phases, used, row_rng = self.batch(position, size, d)
-        if kind == "stall":
-            coeffs[position], phases[position] = self.STALL
-            w, failed = roots._aberth_batch(coeffs, phases, row_rng)
-            root = np.stack([np.ones(3), w[position]], axis=1)
-            root /= np.linalg.norm(root, axis=1)[:, None]
-        else:
-            coeffs[position], ginibre[position] = self.RETRY
-            q = roots._haar_charts(ginibre)[:, None]  # each row's n = 1 frame, (size, 1, 2, 2)
-            pts, failed = roots._solve(coeffs, 2, q[..., 0], q[..., 1], phases[:, :0], row_rng)
-            root = pts[position]
+    def solve_at(self, position, size):
+        coeffs, ginibre, used, row_rng = self.batch(position, size)
+        coeffs[position], ginibre[position] = self.RETRY
+        q = roots._haar_charts(ginibre)[:, None]  # each row's n = 1 frame, (size, 1, 2, 2)
+        pts, failed = roots._solve(coeffs, 2, q[..., 0], q[..., 1], row_rng)
         assert not failed.any()
         assert used and set(used) == {position}
-        return root
+        return pts[position]
 
-    @pytest.mark.parametrize("kind", ["stall", "retry"])
+    @pytest.mark.parametrize("kind", ["retry"])
     def test_same_roots_at_any_batch_position(self, kind):
-        alone = self.solve_at(kind, 1, 2)
+        alone = self.solve_at(1, 2)
         for position, size in ((3, 4), (5, 12), (11, 12)):
-            assert np.allclose(self.solve_at(kind, position, size), alone, rtol=0, atol=1e-14)
-        form = BinaryForm(3, self.STALL[0]) if kind == "stall" else BinaryForm(2, [0.0, 1.0, 0.0])
+            assert np.allclose(self.solve_at(position, size), alone, rtol=0, atol=1e-14)
+        form = BinaryForm(2, [0.0, 1.0, 0.0])
         for s, t in alone:
             value = roots._binary_form_values(form.coeffs, np.array([[s, t]]))[0]
             assert abs(value) < 1e-9 * np.max(np.abs(form.coeffs))
@@ -406,9 +425,9 @@ def test_line_points_are_the_roots_of_each_lines_restriction(n, d, lines):
     coeffs, points, failed = roots.sample_zero_sets(seed, systems, n, d, lines)
     assert not failed.any()
     k = math.comb(n + d, n)
-    size = 2 * k + sum(roots._section_sizes(n, d, lines))
+    size = 2 * k + sum(roots._section_sizes(n, lines))
     x = randgeom.uniforms_for_streams(seed, systems, size)
-    u, v, _ = roots._sections(x[:, 2 * k:], n, d, lines)
+    u, v = roots._sections(x[:, 2 * k:], n, lines)
     for j in systems:
         h = bwspace.make_system(n, (d,), [coeffs[j]])
         for line in range(lines):
@@ -434,9 +453,8 @@ def test_a_turned_frame_gives_each_line_the_same_points(n, d):
     q = roots._haar_charts(randgeom.complex_gaussian_array(rng, (n_sys, lines, 2, 2)))
     turned_u = q[..., 0, 0, None] * u + q[..., 1, 0, None] * v
     turned_v = q[..., 0, 1, None] * u + q[..., 1, 1, None] * v
-    phases = rng.uniforms((n_sys * lines, roots._phase_count(d)))
-    pts, failed = roots._solve(coeffs, d, u, v, phases, no_stream)
-    again, failed_again = roots._solve(coeffs, d, turned_u, turned_v, phases, no_stream)
+    pts, failed = roots._solve(coeffs, d, u, v, no_stream)
+    again, failed_again = roots._solve(coeffs, d, turned_u, turned_v, no_stream)
     assert not failed.any() and not failed_again.any()
     for a, b in zip(pts.reshape(-1, d, n + 1), again.reshape(-1, d, n + 1)):
         assert projective_match(a, b, tol=1e-12, distance=up_to_phase)
