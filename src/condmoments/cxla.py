@@ -1,10 +1,11 @@
 """Dense complex linear algebra: the matrix contract, the rank rule and kernels.
 
-The estimators take every pseudoinverse norm and Gram determinant from
-squared singular values (montecarlo) and the per-point condition number from
-singular values (conditioning); what they share lives here: the error type
-for a routine that fails, the relative rank tolerance, the coercion of a
-matrix argument, and an orthonormal null-space basis.
+The estimators read every pseudoinverse norm and Gram determinant off the
+Bartlett factor of the Gram matrix (montecarlo) and take the per-point
+condition number from singular values (conditioning); what they share
+lives here: the error type for a routine that fails, the relative rank
+tolerance, the coercion of a matrix argument, and an orthonormal
+null-space basis.
 """
 
 from __future__ import annotations

@@ -22,11 +22,11 @@ Gaussian r x m draw A, or of a Gaussian vector's squared moduli, so the
 estimators draw those and not A: G as its Bartlett factor L, G = L L*, by
 randgeom.gaussian_gram, equal to A A* in law, and the moduli by
 randgeom.gaussian_squared_moduli, equal to the full draw's up to rounding.
-Both take only radius uniforms at r = 1 and for vectors.  The integrands
-are read off L: log det G = sum log |L_ii|^2, and at the Frobenius norm
-log tr G^-1 = log ||L^-1||_F^2 by forward substitution (_log_trace_inverse).
-Only the operator norm assembles G's entries from L and takes an
-eigenvalue, lambda_min(G), from _gram_eigenvalues.
+Both take only radius uniforms at r = 1 and for vectors.  Every integrand
+is read off L, and G's entries are never formed: log det G = sum
+log |L_ii|^2, at the Frobenius norm log tr G^-1 = log ||L^-1||_F^2 by
+forward substitution (_log_trace_inverse), and at the operator norm
+lambda_min(G) = sigma_min(L)^2 (_log_pinv_norm).
 
 Domains and heavy tails: each <id>_domain checks the estimator's own rules
 (norm name, integer counts) and takes the identity's rule from the one place
@@ -245,16 +245,6 @@ def _vector_draws(seed: int, samples: range, n: int) -> np.ndarray:
     return randgeom.gaussian_squared_moduli(_block_rng(seed, samples), (len(samples), n))
 
 
-def _gram_entries(a: np.ndarray) -> tuple[list, dict]:
-    """The Gram matrices A A* of a stack of r x m matrices, as _gram_eigenvalues takes them."""
-    rows = [a[:, i] for i in range(a.shape[1])]
-    diag = [np.einsum("nj,nj->n", x.real, x.real) + np.einsum("nj,nj->n", x.imag, x.imag)
-            for x in rows]
-    off = {(i, k): np.einsum("nj,nj->n", rows[i], rows[k].conj())
-           for i in range(len(rows)) for k in range(i + 1, len(rows))}
-    return diag, off
-
-
 def _factor_rank(sq: dict) -> int:
     """r for a Bartlett factor's squared moduli, which hold r (r + 1) / 2 entries."""
     return math.isqrt(2 * len(sq))
@@ -266,147 +256,9 @@ def _factor_entries(sq: dict, phased: dict) -> dict:
     return {key: phased[key] if key in phased else np.sqrt(x) for key, x in sq.items()}
 
 
-def _gram_from_factor(sq: dict, phased: dict) -> tuple[list, dict]:
-    """The entries G_ik = sum_{j <= min(i, k)} L_ij conj(L_kj) of G = L L*,
-    as _gram_eigenvalues takes them."""
-    r = _factor_rank(sq)
-    ell = _factor_entries(sq, phased)
-    diag = [sum((sq[i, j] for j in range(i)), sq[i, i]) for i in range(r)]
-    off = {(i, k): sum(ell[i, j] * ell[k, j].conj() for j in range(i + 1))
-           for i in range(r) for k in range(i + 1, r)}
-    return diag, off
-
-
-def _squared_singular_values(a: np.ndarray) -> np.ndarray:
-    """Squared singular values of each r x m matrix (r <= m) in a stack, ascending."""
-    return _gram_eigenvalues(*_gram_entries(a))
-
-
-def _gram_eigenvalues(diag: list, off: dict) -> np.ndarray:
-    """Eigenvalues, ascending, of a stack of r x r Hermitian PSD matrices G
-    given by their entries: diag[i] the real arrays G_ii, off[i, k] (i < k)
-    the arrays G_ik, complex or real.
-
-    For r <= 3 they come from closed forms, as array arithmetic over the
-    whole stack: G itself at r = 1; at r = 2 the larger root of the
-    characteristic quadratic, and det G divided by it, which avoids the
-    cancellation of subtracting nearly equal terms; at r = 3 the eigenvalue
-    that lies apart by the trigonometric method (Smith, CACM 4(4), 1961),
-    and the other two by the r = 2 form on the block that deflating it
-    leaves.  For r >= 4 no closed form applies and eigvalsh runs on each
-    matrix.  Eigenvalues of a singular matrix that rounding pushes below 0
-    are clamped to 0, and every 0/0 (a zero matrix, three equal
-    eigenvalues) gives 0, so finite entries never give NaN.
-    """
-    r = len(diag)
-    if r == 1:
-        return diag[0][:, None]
-    if r >= 4:
-        gram = np.empty((len(diag[0]), r, r), dtype=np.complex128)
-        for i, x in enumerate(diag):
-            gram[:, i, i] = x
-        for (i, k), x in off.items():
-            gram[:, i, k] = x
-            gram[:, k, i] = np.conj(x)
-        return np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    # divide by the power of two just above the trace: exact, and it keeps
-    # products of three entries from overflowing or underflowing
-    scale = np.ldexp(1.0, np.frexp(sum(diag))[1])
-    g = [d / scale for d in diag]
-    off = {key: x / scale for key, x in off.items()}
-    if r == 2:
-        low, high = _gram_eigenvalues_2(g[0], g[1], off[0, 1])
-        lam = np.stack([low, high], axis=1)
-    else:
-        lam = _gram_eigenvalues_3(g, off)
-    return lam * scale[:, None]
-
-
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, and 0 where den is 0."""
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-
 def _abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 without the square root."""
     return (z * z.conj()).real
-
-
-def _gram_eigenvalues_2(g00, g11, g01) -> tuple[np.ndarray, np.ndarray]:
-    """Smaller and larger eigenvalues of 2 x 2 Hermitian PSD matrices, entries at most 1.
-
-    The larger is (g00 + g11 + hypot(g00 - g11, 2|g01|)) / 2, the smaller the
-    determinant divided by it.  Entries at most 1 cannot overflow the squares
-    in the hypot.
-    """
-    diff = g00 - g11
-    high = 0.5 * (g00 + g11 + np.sqrt(diff * diff + 4.0 * _abs2(g01)))
-    det = np.maximum(g00 * g11 - _abs2(g01), 0.0)
-    return np.minimum(_ratio(det, high), high), high
-
-
-def _gram_eigenvalues_3(g: list, off: dict) -> np.ndarray:
-    """Ascending eigenvalues of 3 x 3 Hermitian PSD matrices, entries at most 1.
-
-    The trigonometric method gives the eigenvalue farthest from the other
-    two: with q = tr G / 3 and p^2 = |G - q I|_F^2 / 6, the eigenvalues are
-    q + 2p cos(phi + 2 pi j / 3), j = 0, 1, 2, where cos(3 phi) =
-    det(G - q I) / (2 p^3), and the largest (j = 0) lies apart when
-    cos(3 phi) >= 0, else the smallest (j = 1).  That one is well conditioned
-    in phi; the other two are not when they nearly coincide, so they come
-    from the 2 x 2 block that a Householder reflection H, sending the lone
-    eigenvector v to e_0, leaves in H G H.  With mu the lone eigenvalue,
-    adj(G - mu I) has rank one and v is one of its columns.  Every
-    eigenvalue is then within a small multiple of eps * lambda_max of
-    exact, as with eigvalsh.
-    """
-    g00, g11, g22 = g
-    g01, g02, g12 = off[0, 1], off[0, 2], off[1, 2]
-    a2, b2, c2 = _abs2(g01), _abs2(g02), _abs2(g12)
-    t = g01 * g12
-    q = (g00 + g11 + g22) / 3.0
-    d0, d1, d2 = g00 - q, g11 - q, g22 - q
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (a2 + b2 + c2)) / 6.0)
-    # det(G - q I), with 2 Re(g01 g12 conj(g02)) for the two off-diagonal products
-    det = (d0 * d1 * d2 + 2.0 * (t.real * g02.real + t.imag * g02.imag)
-           - d0 * c2 - d1 * b2 - d2 * a2)
-    cos3phi = np.clip(_ratio(det, 2.0 * p**3), -1.0, 1.0)
-    top_apart = cos3phi >= 0.0
-    phi = np.arccos(cos3phi) / 3.0 + np.where(top_apart, 0.0, 2.0 * math.pi / 3.0)
-    mu = q + 2.0 * p * np.cos(phi)
-
-    # adj(G - mu I) = (lambda_a - mu)(lambda_b - mu) v v*: take its column
-    # with the largest diagonal entry
-    m0, m1, m2 = g00 - mu, g11 - mu, g22 - mu
-    adj00, adj11, adj22 = m1 * m2 - c2, m0 * m2 - b2, m0 * m1 - a2
-    adj01 = g02 * g12.conj() - g01 * m2
-    adj02 = t - g02 * m1
-    adj12 = g02 * g01.conj() - m0 * g12
-    col0 = (adj00 >= adj11) & (adj00 >= adj22)
-    col1 = ~col0 & (adj11 >= adj22)
-    v = [np.where(col0, adj00, np.where(col1, adj01, adj02)),
-         np.where(col0, adj01.conj(), np.where(col1, adj11, adj12)),
-         np.where(col0, adj02.conj(), np.where(col1, adj12.conj(), adj22))]
-    norm = np.sqrt(_abs2(v[0]) + _abs2(v[1]) + _abs2(v[2]))
-    v = [x * _ratio(np.ones_like(norm), norm) for x in v]
-    v[0] = np.where(norm > 0, v[0], 1.0)  # G = mu I: any unit vector
-
-    # H = I - beta w w*, w = v + e^{i arg v0} e_0, beta = 1 / (1 + |v0|); u = G w
-    v0_abs = np.abs(v[0])
-    w0 = v[0] + np.divide(v[0], v0_abs, out=np.ones_like(v[0]), where=v0_abs > 0)
-    beta = 1.0 / (1.0 + v0_abs)
-    u0 = g00 * w0 + g01 * v[1] + g02 * v[2]
-    u1 = g01.conj() * w0 + g11 * v[1] + g12 * v[2]
-    u2 = g02.conj() * w0 + g12.conj() * v[1] + g22 * v[2]
-    k = beta * beta * (w0.conj() * u0 + v[1].conj() * u1 + v[2].conj() * u2).real
-    h11 = g11 - 2.0 * beta * (v[1] * u1.conj()).real + k * _abs2(v[1])
-    h22 = g22 - 2.0 * beta * (v[2] * u2.conj()).real + k * _abs2(v[2])
-    h12 = g12 - beta * (v[1] * u2.conj() + u1 * v[2].conj()) + k * v[1] * v[2].conj()
-    low, high = _gram_eigenvalues_2(h11, h22, h12)
-
-    mu = np.maximum(mu, 0.0)
-    return np.stack([np.minimum(low, mu), np.maximum(low, np.minimum(high, mu)),
-                     np.maximum(high, mu)], axis=1)
 
 
 def _log_trace_inverse(sq: dict, phased: dict) -> np.ndarray:
@@ -437,8 +289,13 @@ def _log_trace_inverse(sq: dict, phased: dict) -> np.ndarray:
                 tr = tr + sum(_abs2(v) for v in x.values())
         # tr G^-1 >= 1/|L_ii|^2, so it is infinite where L_ii = 0, which the
         # 0/0 and inf - inf of the substitution would turn into NaN
-        singular = np.any([sq[i, i] == 0.0 for i in range(r)], axis=0)
-        return np.log(np.where(singular, np.inf, tr))
+        return np.log(np.where(_singular(sq), np.inf, tr))
+
+
+def _singular(sq: dict) -> np.ndarray:
+    """The singular draws of a stack of Bartlett factors L: L is triangular,
+    so G = L L* is singular exactly where some L_ii is 0."""
+    return np.any([sq[i, i] == 0.0 for i in range(_factor_rank(sq))], axis=0)
 
 
 def _log_det(sq: dict) -> np.ndarray:
@@ -449,16 +306,34 @@ def _log_det(sq: dict) -> np.ndarray:
 
 
 def _log_pinv_norm(sq: dict, phased: dict, norm: str) -> np.ndarray:
-    """log ||A^+|| for a stack of Bartlett factors L of G = A A*: half of
-    log tr G^-1 (Frobenius), or of -log lambda_min(G) (operator), the one
-    integrand that needs G's entries and an eigenvalue.  +inf for a
-    singular draw.
+    """log ||A^+|| for a stack of Bartlett factors L of G = A A* = L L*:
+    half of log tr G^-1 (Frobenius), or -log sigma_min(L) (operator).
+
+    At r = 2, with a, b, c = |L_00|^2, |L_10|^2, |L_11|^2, det G = a c and
+    lambda_max(G) = (a + b + c + hypot(a - b - c, 2 sqrt(a b))) / 2, which
+    adds only non-negative terms, so -log sigma_min = (log lambda_max -
+    log a - log c) / 2 holds every digit that lambda_min = det G / lambda_max
+    would.  For any other r, sigma_min comes from the SVD of L itself, in
+    sigma and not sigma^2, so no lambda underflows.  +inf for a singular
+    draw, NaN for a draw with a non-finite entry.
     """
     if norm == "frobenius":
         return 0.5 * _log_trace_inverse(sq, phased)
-    lam = _gram_eigenvalues(*_gram_from_factor(sq, phased))
-    with np.errstate(divide="ignore"):
-        return -0.5 * np.log(lam[:, 0])
+    r = _factor_rank(sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if r == 2:
+            a, b, c = sq[0, 0], sq[1, 0], sq[1, 1]
+            high = 0.5 * (a + b + c + np.hypot(a - b - c, 2.0 * np.sqrt(a) * np.sqrt(b)))
+            logv = 0.5 * (np.log(high) - np.log(a) - np.log(c))
+        else:
+            ell = np.zeros((len(sq[0, 0]), r, r), dtype=complex if phased else float)
+            for (i, k), x in _factor_entries(sq, phased).items():
+                ell[:, i, k] = x
+            # the SVD does not converge on a non-finite entry
+            finite = np.all(np.isfinite(ell), axis=(1, 2))
+            logv = np.full(len(ell), math.nan)
+            logv[finite] = -np.log(np.linalg.svd(ell[finite], compute_uv=False)[:, -1])
+    return np.where(_singular(sq), np.inf, logv)
 
 
 def _gram_log_values(r: int, m: int, alpha: float, norm: str, weight: float = 0):

@@ -244,7 +244,7 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
     if np.all(g.coeffs == 0):
         raise ValueError("cannot extract roots of the zero form")
     coords = g.coeffs / np.sqrt([math.comb(d, k) for k in range(d + 1)])
-    x = rng.uniforms((1, sum(_section_sizes(1, 1))))
+    x = rng.uniforms((1, _section_size(1, 1)))
     pts, failed = _solve(coords[None], d, *_sections(x, 1, 1), lambda row: rng)
     if failed[0]:
         raise RootFindingError(f"root finding failed in {1 + CHART_RETRIES} charts")
@@ -263,13 +263,12 @@ def _row_streams(seed: int, first_system: int, lines: int):
     return get
 
 
-def _section_sizes(n: int, lines: int) -> list[int]:
+def _section_size(n: int, lines: int) -> int:
     """Uniforms of a system's line frames, a complex Gaussian array as its
     radius uniforms then its phase uniforms.  The array is the
     (lines, 2, n+1) line pairs at n >= 2 and the 2 x 2 chart matrix at
-    n = 1 (lines = 1): 2 lines (n+1) entries either way."""
-    frame = 2 * lines * (n + 1)
-    return [frame, frame]
+    n = 1 (lines = 1): 2 lines (n+1) entries either way, two uniforms each."""
+    return 4 * lines * (n + 1)
 
 
 def _sections(x: np.ndarray, n: int, lines: int):
@@ -301,7 +300,7 @@ def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     Pass lines = 1 for n = 1.
     """
     k = math.comb(n + d, n)
-    size = 2 * k + sum(_section_sizes(n, lines))
+    size = 2 * k + _section_size(n, lines)
     x = randgeom.uniforms_for_streams(seed, systems, size)
     coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k : 2 * k])
     points, failed = _solve(coeffs, d, *_sections(x[:, 2 * k :], n, lines),
@@ -329,7 +328,7 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
         raise ValueError(f"lines must be >= 1, got {lines}")
     n, d = h.n, h.degrees[0]
     lines = 1 if n == 1 else lines
-    x = rng.uniforms((1, sum(_section_sizes(n, lines))))
+    x = rng.uniforms((1, _section_size(n, lines)))
     points, failed = _solve(h.coords[0][None], d, *_sections(x, n, lines),
                             _row_streams(rng.seed, rng.stream_index, lines))
     if failed[0]:

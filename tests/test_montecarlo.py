@@ -1,3 +1,4 @@
+import decimal
 import math
 import platform
 import types
@@ -24,13 +25,23 @@ def two_sample_z(x, y):
     return (x.mean() - y.mean()) / math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
 
 
-def lam_log_values(lam):
-    """log ||A^+||_F, log ||A^+||_op and log det(A A*) from the squared
-    singular values lam of A, ascending."""
+def svd_log_values(a):
+    """log ||A^+||_F, log ||A^+||_op and log det(A A*) of a stack of r x m
+    matrices A, from their batched SVD."""
+    s = np.linalg.svd(a, compute_uv=False)
     with np.errstate(divide="ignore"):
-        return {"frobenius": 0.5 * np.log(np.sum(1.0 / lam, axis=1)),
-                "operator": -0.5 * np.log(lam[:, 0]),
-                "det": np.sum(np.log(lam), axis=1)}
+        return {"frobenius": 0.5 * np.log(np.sum(s**-2.0, axis=1)),
+                "operator": -np.log(s[:, -1]),
+                "det": 2.0 * np.sum(np.log(s), axis=1)}
+
+
+def factor_log_values(a):
+    """The same three log-values as the estimators read them off the
+    Bartlett factor of A A*."""
+    sq, phased = factor_of(a)
+    return {"frobenius": montecarlo._log_pinv_norm(sq, phased, "frobenius"),
+            "operator": montecarlo._log_pinv_norm(sq, phased, "operator"),
+            "det": montecarlo._log_det(sq)}
 
 
 def _phase(z):
@@ -72,6 +83,13 @@ class TestPinvMoment:
     def test_one_by_three(self):
         est = montecarlo.estimate_pinv_moment(1, 3, 2.0, "frobenius", cfg(50_000, 3))
         assert abs(z_against(est, 0.5)) < 4.0
+
+    def test_operator_norm_two_by_four(self):
+        # E ||A^+||_op^2 = E 1/lambda_min(A A*) = 13/16 over 2 x 4 matrices,
+        # from the 2 x 2 Laguerre eigenvalue density (quadrature: 0.81248)
+        est = montecarlo.estimate_pinv_moment(2, 4, 2.0, "operator", cfg(100_000, 28))
+        assert est.method == "plain-mean"
+        assert abs(z_against(est, 13 / 16)) < 4.0
 
     def test_operator_norm_below_frobenius(self):
         frob = montecarlo.estimate_pinv_moment(2, 4, 2.0, "frobenius", cfg(20_000, 4))
@@ -121,87 +139,84 @@ class TestDetweightedSquare:
 
 
 class TestGramEigenvalues:
-    # the matrix estimators take s^2 as the eigenvalues of A A*; the batched
-    # SVD of the same draws is the reference
+    # the integrands depend on A only through the eigenvalues of G = A A*,
+    # which the estimators read off its Bartlett factor; the batched SVD of
+    # the same draws is the reference
 
     @pytest.mark.parametrize("r, m", [(1, 3), (2, 3), (2, 4), (3, 5), (2, 5),
                                       (1, 1), (2, 2), (3, 3), (4, 6)])
     def test_log_values_match_svd(self, r, m):
         a = complex_gaussian_array(RngStream(70, 10 * r + m), (4096, r, m))
-        s = np.linalg.svd(a, compute_uv=False)
-        lam = montecarlo._squared_singular_values(a)
-        assert np.all(np.diff(lam, axis=1) >= 0)
-        expected = {
-            "frobenius": 0.5 * np.log(np.sum(s**-2.0, axis=1)),
-            "operator": -np.log(s[:, -1]),
-        }
-        log_values = lam_log_values(lam)
-        for norm, log_norm in expected.items():
-            np.testing.assert_allclose(log_values[norm], log_norm, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(log_values["det"],
-                                   2.0 * np.sum(np.log(s), axis=1), rtol=0, atol=1e-9)
+        log_values, expected = factor_log_values(a), svd_log_values(a)
+        for key in ("frobenius", "operator", "det"):
+            np.testing.assert_allclose(log_values[key], expected[key], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("r, m", [(2, 2), (2, 3), (3, 3), (3, 5), (4, 6)])
     def test_singular_draws_give_no_nan(self, r, m):
-        # from r = 3 on, rounding makes about half of the repeated-row Gram
-        # matrices' smallest eigenvalue negative
+        # a zero row leaves L_00 = 0; a repeated row leaves L's last diagonal
+        # entry at rounding level, negative in about half the Gram matrices'
+        # eigenvalues from r = 3 on
         a = complex_gaussian_array(RngStream(71, 10 * r + m), (4096, r, m))
         zero_row, repeated_row = a.copy(), a.copy()
         zero_row[:, 0] = 0
         repeated_row[:, -1] = a[:, 0]
-        # the same through the Bartlett factor the estimators read
         for singular in (zero_row, repeated_row):
-            log_values = lam_log_values(montecarlo._squared_singular_values(singular))
-            sq, phased = factor_of(singular)
+            log_values = factor_log_values(singular)
             for norm in ("frobenius", "operator"):
-                for log_norm in (log_values[norm], montecarlo._log_pinv_norm(sq, phased, norm)):
-                    assert np.all(np.isfinite(log_norm) | (log_norm == math.inf))
-            for log_det in (log_values["det"], montecarlo._log_det(sq)):
-                assert np.all(np.isfinite(log_det) | (log_det == -math.inf))
+                assert np.all(np.isfinite(log_values[norm]) | (log_values[norm] == math.inf))
+            assert np.all(np.isfinite(log_values["det"]) | (log_values["det"] == -math.inf))
 
 
 class TestClosedFormGramEigenvalues:
-    # for r <= 3 the eigenvalues of A A* come from closed forms; eigvalsh of
-    # the Gram matrix and the batched SVD of the same draws are the references
+    # lambda_min(G) as the operator norm reads it off the factor: a closed
+    # form in |L_00|^2, |L_10|^2, |L_11|^2 at r = 2, the SVD of L otherwise.
+    # eigvalsh of G and the batched SVD of the same draws are the references
+
+    @staticmethod
+    def smallest_eigenvalue(a):
+        sq, phased = factor_of(a)
+        return np.exp(-2.0 * montecarlo._log_pinv_norm(sq, phased, "operator"))
 
     @pytest.mark.parametrize("r, m", [(1, 3), (2, 2), (2, 5), (3, 3), (3, 5), (4, 6)])
     def test_matches_eigvalsh_and_svd(self, r, m):
         a = complex_gaussian_array(RngStream(72, 10 * r + m), (4096, r, m))
-        lam = montecarlo._squared_singular_values(a)
-        assert lam.shape == (4096, r)
-        assert np.all(np.diff(lam, axis=1) >= 0)
+        lam_min = self.smallest_eigenvalue(a)
+        assert lam_min.shape == (4096,)
         gram = np.einsum("nij,nkj->nik", a, a.conj())
-        np.testing.assert_allclose(np.log(lam), np.log(np.linalg.eigvalsh(gram)),
-                                   rtol=0, atol=1e-9)
-        s = np.linalg.svd(a, compute_uv=False)[:, ::-1]
-        np.testing.assert_allclose(np.log(lam), 2.0 * np.log(s), rtol=0, atol=1e-9)
+        lam = np.linalg.eigvalsh(gram)
+        np.testing.assert_allclose(np.log(lam_min), np.log(lam[:, 0]), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(montecarlo._log_det(factor_of(a)[0]),
+                                   np.sum(np.log(lam), axis=1), rtol=0, atol=1e-9)
+        s = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(np.log(lam_min), 2.0 * np.log(s[:, -1]), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("r, m", [(2, 2), (2, 4), (3, 3), (3, 5)])
     def test_zero_draw_gives_zero_not_nan(self, r, m):
-        lam = montecarlo._squared_singular_values(np.zeros((3, r, m), dtype=complex))
-        assert np.all(lam == 0.0)
-        log_values = lam_log_values(lam)
+        a = np.zeros((3, r, m), dtype=complex)
+        assert np.all(self.smallest_eigenvalue(a) == 0.0)
+        log_values = factor_log_values(a)
         for norm in ("frobenius", "operator"):
             assert np.all(log_values[norm] == math.inf)
         assert np.all(log_values["det"] == -math.inf)
 
     @pytest.mark.parametrize("r, m", [(2, 2), (2, 4), (3, 3), (3, 5)])
     def test_repeated_eigenvalues(self, r, m):
-        # A = c [I | 0]: every eigenvalue is |c|^2, which the trigonometric
-        # method meets as p = 0
+        # A = c [I | 0]: every eigenvalue is |c|^2, where the r = 2 form's
+        # hypot is 0; compared in log space, where 1e+-150 stays normal
         for c in (1.0, 0.1, 3.7, 2.3j, 1e-150, 1e150):
             a = np.zeros((1, r, m), dtype=complex)
             a[0, :, :r] = c * np.eye(r)
-            lam = montecarlo._squared_singular_values(a)
-            np.testing.assert_allclose(lam, np.full((1, r), abs(c) ** 2), rtol=1e-15, atol=0)
+            sq, phased = factor_of(a)
+            np.testing.assert_allclose(montecarlo._log_pinv_norm(sq, phased, "operator"),
+                                       [-math.log(abs(c))], rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("m_extra", [0, 2])
     @pytest.mark.parametrize("sv", [(1.0, 1e-6), (1.0, 1e-3, 1e-6), (1.0, 1.0, 1e-6),
                                     (1.0, 1e-6, 1e-6), (1.0, 1e-2, 1.0001e-2)])
     def test_ill_conditioned_draws_match_svd(self, sv, m_extra):
         # kappa(A) = 1e6 with the small singular values spread, paired or
-        # alone, and two nearly equal ones; at scales 1e-150 and 1e150 the
-        # products of Gram entries would underflow or overflow unscaled
+        # alone, and two nearly equal ones; at scales 1e-150 and 1e150 a
+        # product of two of G's entries would underflow or overflow
         r = len(sv)
         m = r + m_extra
         rng = RngStream(73, 10 * r + m)
@@ -209,13 +224,12 @@ class TestClosedFormGramEigenvalues:
         v = unitary_from_ginibre(complex_gaussian_array(rng, (512, m, m)))[:, :r]
         a = np.einsum("nij,j,njk->nik", u, np.array(sv), v)
         for scale in (1e-150, 1.0, 1e150):
-            lam = montecarlo._squared_singular_values(scale * a)
-            assert np.all(np.diff(lam, axis=1) >= 0)
-            # each eigenvalue within a few eps * lambda_max, as with eigvalsh ...
-            s2 = np.linalg.svd(scale * a, compute_uv=False)[:, ::-1] ** 2
-            assert np.all(np.abs(lam - s2) <= 32 * np.finfo(float).eps * s2[:, -1:])
-            # ... so the smallest is good to 32 eps kappa^2 = 7e-3 relative
-            np.testing.assert_allclose(lam[:, 0], (scale * sv[-1]) ** 2, rtol=1e-2)
+            lam_min = self.smallest_eigenvalue(scale * a)
+            # within a few eps * lambda_max, as with eigvalsh ...
+            s2 = np.linalg.svd(scale * a, compute_uv=False) ** 2
+            assert np.all(np.abs(lam_min - s2[:, -1]) <= 32 * np.finfo(float).eps * s2[:, 0])
+            # ... so good to 32 eps kappa^2 = 7e-3 relative
+            np.testing.assert_allclose(lam_min, (scale * sv[-1]) ** 2, rtol=1e-2)
 
 
 def _full_gram_draws(seed, samples, r, m):
@@ -260,10 +274,11 @@ def _exact_log(q):
 
 
 class TestFactorPath:
-    # the estimators read log tr G^-1 (forward substitution) and log det G
-    # (sum log |L_ii|^2) off the Bartlett factor L of G = A A*, not off G's
-    # eigenvalues.  Products of two diagonal entries, (a + b + c) / (a c) at
-    # r = 2, would overflow or underflow at scales 1e+-100
+    # the estimators read log tr G^-1 (forward substitution), log det G
+    # (sum log |L_ii|^2) and log lambda_min(G) (sigma_min(L)) off the
+    # Bartlett factor L of G = A A*, never forming G.  Products of two
+    # diagonal entries, (a + b + c) / (a c) at r = 2, would overflow or
+    # underflow at scales 1e+-100
 
     SCALES = (1e-100, 1.0, 1e100)
 
@@ -278,6 +293,8 @@ class TestFactorPath:
                                    np.log(np.sum(1.0 / s2, axis=1)), rtol=0, atol=1e-12)
         np.testing.assert_allclose(montecarlo._log_det(sq), np.sum(np.log(s2), axis=1),
                                    rtol=0, atol=1e-12)
+        np.testing.assert_allclose(montecarlo._log_pinv_norm(sq, phased, "operator"),
+                                   -0.5 * np.log(s2[:, -1]), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("sv", [(1.0, 1e-6), (1.0, 1e-3, 1e-6), (1.0, 1.0, 1e-6),
@@ -307,12 +324,15 @@ class TestFactorPath:
         svd_accuracy = 64 * np.finfo(float).eps * max(sv) / min(sv)
         assert np.all(np.abs(log_tr - np.log(np.sum(1.0 / s2, axis=1))) <= svd_accuracy)
         assert np.all(np.abs(log_det - np.sum(np.log(s2), axis=1)) <= svd_accuracy)
+        # lambda_min within a few eps * lambda_max, as with eigvalsh
+        lam_min = np.exp(-2.0 * montecarlo._log_pinv_norm(sq, phased, "operator"))
+        assert np.all(np.abs(lam_min - s2[:, -1]) <= 32 * np.finfo(float).eps * s2[:, 0])
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_zero_diagonal_gives_inf_not_nan(self, r):
-        # the singular-draw rule: tr G^-1 = +inf and log det G = -inf, never
-        # NaN, whichever L_ii is 0, and for the all-zero factor, where the
-        # r = 2 form meets 0/0
+        # the singular-draw rule: tr G^-1 = 1 / lambda_min = +inf and
+        # log det G = -inf, never NaN, whichever L_ii is 0, and for the
+        # all-zero factor, where the r = 2 forms meet 0/0
         sq, phased = gaussian_gram(RngStream(83, r), 64, r, r + 1)
         even = np.arange(64) % 2 == 0
         factors = [({**sq, (i, i): np.where(even, 0.0, sq[i, i])}, phased) for i in range(r)]
@@ -321,12 +341,47 @@ class TestFactorPath:
         cases = [*((factor, even) for factor in factors), (zero, np.full(64, True))]
         for (sq_i, phased_i), singular in cases:
             log_tr = montecarlo._log_trace_inverse(sq_i, phased_i)
+            log_op = montecarlo._log_pinv_norm(sq_i, phased_i, "operator")
             log_det = montecarlo._log_det(sq_i)
-            assert np.all(log_tr[singular] == math.inf)
+            for log_inverse in (log_tr, log_op):
+                assert np.all(log_inverse[singular] == math.inf)
+                assert np.all(np.isfinite(log_inverse[~singular]))
             assert np.all(log_det[singular] == -math.inf)
-            assert np.all(np.isfinite(log_tr[~singular]))
             assert np.all(np.isfinite(log_det[~singular]))
         assert np.all(np.isfinite(montecarlo._log_trace_inverse(sq, phased)))
+        assert np.all(np.isfinite(montecarlo._log_pinv_norm(sq, phased, "operator")))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_nan_entry_gives_nan(self, r):
+        # a NaN draw stays NaN, for the failure rule to count, and the SVD
+        # that would not converge on it never sees it
+        sq, phased = gaussian_gram(RngStream(84, r), 8, r, r + 1)
+        sq[r - 1, 0] = np.where(np.arange(8) == 3, math.nan, sq[r - 1, 0])
+        for norm in ("frobenius", "operator"):
+            log_norm = montecarlo._log_pinv_norm(sq, phased, norm)
+            assert np.isnan(log_norm[3])
+            assert np.all(np.isfinite(np.delete(log_norm, 3)))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_operator_r2_matches_exact(self, scale):
+        # -log sigma_min(L) at r = 2 against its 60-digit value on the same
+        # factor entries, for kappa(A) = 1e3 to 1e7.  Forming det G =
+        # G_00 G_11 - |G_01|^2 loses kappa^2 eps to cancellation
+        count = 16
+        rng = RngStream(85, 2)
+        u = unitary_from_ginibre(complex_gaussian_array(rng, (count, 2, 2)))
+        v = unitary_from_ginibre(complex_gaussian_array(rng, (count, 3, 3)))[:, :2]
+        for kappa in (1e3, 1e4, 1e5, 1e6, 1e7):
+            a = scale * np.einsum("nij,j,njk->nik", u, np.array([1.0, 1.0 / kappa]), v)
+            sq, phased = factor_of(a)
+            log_op = montecarlo._log_pinv_norm(sq, phased, "operator")
+            with decimal.localcontext(prec=60):
+                exact = []
+                for n in range(count):
+                    a, b, c = (decimal.Decimal(sq[key][n]) for key in [(0, 0), (1, 0), (1, 1)])
+                    high = (a + b + c + ((a - b - c) ** 2 + 4 * a * b).sqrt()) / 2
+                    exact.append(float((high.ln() - a.ln() - c.ln()) / 2))
+            np.testing.assert_allclose(log_op, exact, rtol=1e-13, atol=0)
 
 
 class TestGaugeFixedDraws:
@@ -341,13 +396,13 @@ class TestGaugeFixedDraws:
     def test_gram_log_values_match_full_draws(self, r, m):
         count = 8192
         full = complex_gaussian_array(RngStream(74, 10 * r + m), (count, r, m))
-        lam_full = lam_log_values(montecarlo._squared_singular_values(full))
+        full_values = svd_log_values(full)
         stream = 74 if r == 1 else 75
         sq, phased = gaussian_gram(RngStream(stream, 10 * r + m), count, r, m)
         # log tr G^-1, log lambda_min and log det G: all of finite variance
-        pairs = [(montecarlo._log_pinv_norm(sq, phased, norm), lam_full[norm])
+        pairs = [(montecarlo._log_pinv_norm(sq, phased, norm), full_values[norm])
                  for norm in ("frobenius", "operator")]
-        pairs.append((montecarlo._log_det(sq), lam_full["det"]))
+        pairs.append((montecarlo._log_det(sq), full_values["det"]))
         for fixed, ref in pairs:
             if r == 1:
                 np.testing.assert_allclose(fixed, ref, rtol=0, atol=1e-9)

@@ -69,6 +69,18 @@ class TestUniformsForStreams:
         assert str(batch_err.value) == str(stream_err.value)
 
 
+def batched_gaussians(seed, shape, count, draw):
+    """count draw(rng) calls on RngStream(seed, 0), each a complex Gaussian
+    array of the given shape, from one uniforms call on the same stream:
+    each call draws its radius uniforms, then its phase uniforms."""
+    x = RngStream(seed, 0).uniforms((count, 2, *shape))  # (call, radius/phase, entry)
+    g = randgeom.complex_gaussians(x[:, 0], x[:, 1])
+    rng = RngStream(seed, 0)
+    for row in g[:3]:
+        assert np.array_equal(draw(rng), row)
+    return g
+
+
 class TestComplexGaussian:
     def test_second_moment_per_coordinate(self):
         v = randgeom.complex_gaussian_array(RngStream(1, 0), (100_000,))
@@ -76,10 +88,9 @@ class TestComplexGaussian:
         assert ok, (mean, se)
 
     def test_expected_squared_norm(self):
-        rng = RngStream(2, 0)
-        sq = np.array(
-            [np.sum(np.abs(randgeom.complex_gaussian_vector(rng, 4)) ** 2) for _ in range(20_000)]
-        )
+        v = batched_gaussians(2, (4,), 20_000,
+                              lambda rng: randgeom.complex_gaussian_vector(rng, 4))
+        sq = np.sum(np.abs(v) ** 2, axis=1)
         ok, mean, se = mean_within(sq, 4.0)
         assert ok, (mean, se)
 
@@ -105,11 +116,9 @@ class TestComplexGaussian:
 
 class TestGaussianMatrix:
     def test_frobenius_second_moment(self):
-        rng = RngStream(6, 0)
-        sq = np.array([
-            np.sum(np.abs(randgeom.complex_gaussian_array(rng, (2, 3))) ** 2)
-            for _ in range(20_000)
-        ])
+        a = batched_gaussians(6, (2, 3), 20_000,
+                              lambda rng: randgeom.complex_gaussian_array(rng, (2, 3)))
+        sq = np.sum(np.abs(a) ** 2, axis=(1, 2))
         ok, mean, se = mean_within(sq, 6.0)
         assert ok, (mean, se)
 

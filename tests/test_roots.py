@@ -425,7 +425,7 @@ def test_line_points_are_the_roots_of_each_lines_restriction(n, d, lines):
     coeffs, points, failed = roots.sample_zero_sets(seed, systems, n, d, lines)
     assert not failed.any()
     k = math.comb(n + d, n)
-    size = 2 * k + sum(roots._section_sizes(n, lines))
+    size = 2 * k + roots._section_size(n, lines)
     x = randgeom.uniforms_for_streams(seed, systems, size)
     u, v = roots._sections(x[:, 2 * k:], n, lines)
     for j in systems:
