@@ -208,7 +208,7 @@ class TestClosedFormGramEigenvalues:
             a[0, :, :r] = c * np.eye(r)
             sq, phased = factor_of(a)
             np.testing.assert_allclose(montecarlo._log_pinv_norm(sq, phased, "operator"),
-                                       [-math.log(abs(c))], rtol=1e-15, atol=1e-15)
+                                       [-math.log(abs(c))], rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("m_extra", [0, 2])
     @pytest.mark.parametrize("sv", [(1.0, 1e-6), (1.0, 1e-3, 1e-6), (1.0, 1.0, 1e-6),
