@@ -555,8 +555,9 @@ def estimate_poly_moment(
         "systems": cfg.samples,
         "lines_per_system": lines,
     }
-    # restriction nodes, the most points per system of any evaluation pass
-    chunk = max(1, CHUNK_POINTS // (lines * (d + 4)))
+    # the d + 1 restriction nodes of each line, the most points per system of
+    # any evaluation pass
+    chunk = max(1, CHUNK_POINTS // (lines * (d + 1)))
     return _sample("poly_moment", params, cfg, heavy,
                    _poly_log_values(n, d, lines, alpha, relative),
                    step=chunk, allowed=_MAX_FAILURE_RATE, unit="systems")

@@ -18,8 +18,8 @@ alone.  gaussian_gram draws G's factor L in G = L L* by the complex
 Bartlett decomposition (Goodman, Ann. Math. Stat. 34, 1963; Edelman, MIT
 thesis, 1989): from r m unit exponentials and (r - 1)(r - 2)/2 phase
 uniforms per matrix, against the 2 r m uniforms of A itself, and with no
-phase at all for r <= 2.  It returns L, not G: tr G^-1 and det G are read
-off L directly, and only the operator norm needs G's entries.
+phase at all for r <= 2.  It returns L, not G: tr G^-1, det G and the
+operator norm are all read off L directly, and G's entries are never formed.
 """
 
 from __future__ import annotations

@@ -16,36 +16,29 @@ pairs, so turning it by a further Haar chart would leave its law unchanged
 and is not done; at n = 1 the frame is the Haar chart of (e_0, e_1).
 System j draws from RngStream(seed, j): its coordinates, then its line
 pairs (n >= 2) or its chart matrix (n = 1), all in one
-randgeom.uniforms_for_streams pass per chunk.  The charts that turn the
-frame of a retried line come from that line's own substream,
-RngStream(mix64(seed, j), line), made on first use, so a line's roots never
-depend on the batch it is solved in; these few substreams stay on
-RngStream, whose C Philox is cheaper per uniform than the array pass.
+randgeom.uniforms_for_streams pass per chunk, and nothing else, so a
+line's roots never depend on the batch it is solved in.  The points are not
+checked here: every consumer checks each one against h itself
+(conditioning.ZERO_TOL).  A line fails its system only where _row_roots
+fails it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bwspace, randgeom
-from .bwspace import SystemCoords, _power_table
+from .bwspace import SystemCoords
 from .cxla import NumericError
-from .randgeom import RngStream, mix64
-
-CHART_RETRIES = 2  # fresh charts tried on a line whose first chart fails
-_RESIDUAL_TOL = 1e-9
-
-# fixed deterministic spot-check chart points of a restriction, unit (s, t)
-_CHECKS = np.array([[0.6, 0.8 + 0.06j], [1.0, -0.1j], [-0.28, 0.96 - 0.028j]])
-_CHECKS /= np.linalg.norm(_CHECKS, axis=1)[:, None]
+from .randgeom import RngStream
 
 
 class RootFindingError(NumericError):
-    """Root finding failed its residual checks in every chart tried."""
+    """Root finding failed on a line: a vanishing leading coefficient or an
+    eigenvalue problem that LAPACK rejects (_row_roots)."""
 
 
 @dataclass(frozen=True)
@@ -67,38 +60,18 @@ class BinaryForm:
         object.__setattr__(self, "coeffs", c)
 
 
-def _binary_form_values(coeffs: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Forms (..., d+1) at points st (..., m, 2), broadcast; returns (..., m).
-
-    The power table P (2, d+1, ..., m) of the points gives the monomials
-    s^(d-k) t^k = P[0, d-k] P[1, k], which one matmul contracts with the
-    coefficients.
-    """
-    d = coeffs.shape[-1] - 1
-    ptab = _power_table(st, d)
-    powers = np.moveaxis(ptab[0, ::-1] * ptab[1], 0, -1)  # (..., m, d+1)
-    return np.matmul(powers, coeffs[..., :, None])[..., 0]
-
-
-def _restrict(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
+def _restrict(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Binary forms g(s, t) = h(s u + t v), (S, L, d+1), of S equations (S, K)
-    on L orthonormal line pairs u, v (S, L, n+1) each, and the (S, L) lines
-    whose form failed its residual check.
+    on L orthonormal line pairs u, v (S, L, n+1) each.
 
     The values g(1, w^k) at the (d+1)-th roots of unity w^k determine the
-    coefficients exactly through one DFT; a residual check at fixed chart
-    points guards the construction.
+    coefficients exactly through one DFT.
     """
     n_sys, n_lines, dim = u.shape
     omega = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-    nodes = np.concatenate([np.stack([np.ones(d + 1), omega], axis=1), _CHECKS])  # (d+4, 2)
-    pts = nodes[:, 0:1] * u[:, :, None, :] + nodes[:, 1:2] * v[:, :, None, :]
+    pts = u[:, :, None, :] + omega[:, None] * v[:, :, None, :]  # (S, L, d+1, n+1)
     values = bwspace.evaluate_forms(dim - 1, d, coeffs, pts.reshape(n_sys, -1, dim))
-    values = values.reshape(n_sys, n_lines, d + 4)
-    forms = np.fft.fft(values[..., : d + 1], axis=-1) / (d + 1)
-    hnorm = np.linalg.norm(coeffs, axis=1)
-    residuals = np.abs(_binary_form_values(forms, _CHECKS) - values[..., d + 1 :])
-    return forms, np.any(residuals > _RESIDUAL_TOL * hnorm[:, None, None], axis=2)
+    return np.fft.fft(values.reshape(n_sys, n_lines, d + 1), axis=-1) / (d + 1)
 
 
 def restrict_to_line(h: SystemCoords, u, v) -> BinaryForm:
@@ -114,9 +87,7 @@ def restrict_to_line(h: SystemCoords, u, v) -> BinaryForm:
     if np.linalg.norm(pair.conj() @ pair.T - np.eye(2)) > 1e-8:
         raise ValueError("line vectors must be orthonormal")
     d = h.degrees[0]
-    forms, failed = _restrict(h.coords[0][None], d, uu[None, None], vv[None, None])
-    if failed[0, 0]:
-        raise NumericError("line restriction failed its residual check")
+    forms = _restrict(h.coords[0][None], d, uu[None, None], vv[None, None])
     return BinaryForm(degree=d, coeffs=forms[0, 0])
 
 
@@ -184,46 +155,19 @@ def _haar_charts(ginibre: np.ndarray) -> np.ndarray:
     return np.stack([q0, (t / np.abs(t))[..., None] * p], axis=-1)
 
 
-def _solve_in_frames(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
-    """Zero-set points (R, d, n+1) of the R = S * L rows, row s * L + l being
-    equation s of coeffs (S, K) on line l of u, v (S, L, n+1), and the failed rows.
+def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
+    """Zero-set points (S, L*d, n+1) of S equations (S, K) on their L lines
+    u, v (S, L, n+1) each, and the systems with a line that _row_roots failed.
 
-    Each row is restricted straight to its line's frame (u, v).  A unit root
-    c of that form is the point c0 u + c1 v.  A row fails on its restriction
-    residual, in _row_roots, or on a root residual >= _RESIDUAL_TOL * max|coeff|.
+    Each line's equation is restricted straight to its frame (u, v), and a
+    unit root c of that form is the point c0 u + c1 v.
     """
-    dim = u.shape[2]
-    forms, failed = _restrict(coeffs, d, u, v)
-    forms, failed = forms.reshape(-1, d + 1), failed.ravel()
-    w, unsolved = _row_roots(forms)
+    n_sys, n_lines, dim = u.shape
+    w, failed = _row_roots(_restrict(coeffs, d, u, v).reshape(-1, d + 1))
     with np.errstate(invalid="ignore"):  # rows that failed may hold inf or nan
         chart = np.stack([np.ones_like(w), w], axis=2)
         chart /= np.linalg.norm(chart, axis=2)[:, :, None]
-        residuals = np.abs(_binary_form_values(forms, chart))
-        scale = np.max(np.abs(forms), axis=1)
-        failed |= unsolved | np.any(residuals >= _RESIDUAL_TOL * scale[:, None], axis=1)
         pts = chart @ np.stack([u, v], axis=2).reshape(-1, 2, dim)
-    return pts, failed
-
-
-def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray, row_rng):
-    """Zero-set points (S, L*d, n+1) of S equations on their L lines each, and
-    the systems with a line that failed in every frame: _solve_in_frames, then
-    up to CHART_RETRIES fresh Haar charts q, drawn from row_rng(row), for
-    each row that failed.  A retry restricts the row again, to its drawn
-    frame turned by q: u' = q00 u + q10 v, v' = q01 u + q11 v."""
-    n_sys, n_lines, dim = u.shape
-    pts, failed = _solve_in_frames(coeffs, d, u, v)
-    for _ in range(CHART_RETRIES):
-        rows = np.flatnonzero(failed)
-        if rows.size == 0:
-            break
-        system, line = np.divmod(rows, n_lines)
-        q = _haar_charts(np.stack([randgeom.complex_gaussian_array(row_rng(row), (2, 2))
-                                   for row in rows]))
-        frame = q[:, 0, :, None] * u[system, line, None] + q[:, 1, :, None] * v[system, line, None]
-        pts[rows], failed[rows] = _solve_in_frames(
-            coeffs[system], d, frame[:, None, 0], frame[:, None, 1])
     return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)
 
 
@@ -232,11 +176,11 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
 
     The form is the n = 1 equation with coordinates coeffs[k] / sqrt(binom(d, k))
     on the line (e_0, e_1), solved by _solve like any row: restricted to a
-    random Haar frame of that line, which makes a root at the chart boundary
-    almost surely absent, dehomogenized, and solved in closed form at d <= 2
-    and as companion-matrix eigenvalues from d = 3 (_row_roots).
-    Clustered (multiple) roots are returned as nearby simple roots.
-    Everything is drawn from rng.
+    random Haar frame of that line, dehomogenized, and solved in closed form
+    at d <= 2 and as companion-matrix eigenvalues from d = 3 (_row_roots).
+    A root at the frame's chart boundary, which has probability zero, raises
+    RootFindingError.  Clustered (multiple) roots are returned as nearby
+    simple roots.  Everything is drawn from rng.
     """
     d = g.degree
     if d < 1:
@@ -245,22 +189,10 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
         raise ValueError("cannot extract roots of the zero form")
     coords = g.coeffs / np.sqrt([math.comb(d, k) for k in range(d + 1)])
     x = rng.uniforms((1, _section_size(1, 1)))
-    pts, failed = _solve(coords[None], d, *_sections(x, 1, 1), lambda row: rng)
+    pts, failed = _solve(coords[None], d, *_sections(x, 1, 1))
     if failed[0]:
-        raise RootFindingError(f"root finding failed in {1 + CHART_RETRIES} charts")
+        raise RootFindingError("root finding failed in the form's chart")
     return pts[0]
-
-
-def _row_streams(seed: int, first_system: int, lines: int):
-    """row -> its line's substream, made on first use; row i is line
-    i % lines of system first_system + i // lines."""
-
-    @functools.lru_cache(maxsize=None)
-    def get(row: int) -> RngStream:
-        system, line = divmod(int(row), lines)
-        return RngStream(mix64(seed, first_system + system), line)
-
-    return get
 
 
 def _section_size(n: int, lines: int) -> int:
@@ -303,8 +235,7 @@ def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     size = 2 * k + _section_size(n, lines)
     x = randgeom.uniforms_for_streams(seed, systems, size)
     coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k : 2 * k])
-    points, failed = _solve(coeffs, d, *_sections(x[:, 2 * k :], n, lines),
-                            _row_streams(seed, systems.start, lines))
+    points, failed = _solve(coeffs, d, *_sections(x[:, 2 * k :], n, lines))
     return coeffs, points, failed
 
 
@@ -329,8 +260,7 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
     n, d = h.n, h.degrees[0]
     lines = 1 if n == 1 else lines
     x = rng.uniforms((1, _section_size(n, lines)))
-    points, failed = _solve(h.coords[0][None], d, *_sections(x, n, lines),
-                            _row_streams(rng.seed, rng.stream_index, lines))
+    points, failed = _solve(h.coords[0][None], d, *_sections(x, n, lines))
     if failed[0]:
-        raise RootFindingError(f"root finding failed on a line in {1 + CHART_RETRIES} charts")
+        raise RootFindingError("root finding failed on a line")
     return points[0]

@@ -586,9 +586,9 @@ class TestPolyMoment:
             )
 
     def test_restriction_residual_fails_one_system(self, monkeypatch):
-        # system 500's restriction values are off by 1 at every node, which the
-        # check nodes see: its lines fail in every chart, and the system is
-        # counted as one failure instead of aborting the run
+        # system 500's restriction values are off by 1 at every node, so its
+        # points are roots of the wrong forms: the zero check against h drops
+        # the system, which is counted as one failure instead of aborting the run
         seed = 26
         bad = gaussian_system(RngStream(seed, 500), 2, (2,)).coords[0]
         real = bwspace.evaluate_forms
@@ -637,7 +637,7 @@ class TestPolyBatching:
         args = (n, (d,), 2.0, False, "frobenius", cfg(60, 40, lines_per_system=lines))
         default = poly_log_values(monkeypatch, montecarlo.CHUNK_POINTS, *args)
         for systems in (1, 7):
-            chunked = poly_log_values(monkeypatch, systems * lines * (d + 4), *args)
+            chunked = poly_log_values(monkeypatch, systems * lines * (d + 1), *args)
             np.testing.assert_allclose(chunked, default, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, d, lines, relative", [(1, 2, 1, False), (2, 3, 4, False),

@@ -4,8 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from condmoments import bwspace, randgeom, roots
-from condmoments.cxla import NumericError
+from condmoments import bwspace, conditioning, randgeom, roots
 from condmoments.randgeom import RngStream, complex_gaussian_vector, gaussian_system
 from condmoments.roots import BinaryForm
 
@@ -32,6 +31,12 @@ def projective_match(points, expected, tol=1e-6, distance=chordal):
             return False
         remaining.pop(best)
     return not remaining
+
+
+def form_value(coeffs, s, t):
+    """g(s, t) = sum_k coeffs[k] s^(d-k) t^k."""
+    d = len(coeffs) - 1
+    return sum(c * s ** (d - k) * t ** k for k, c in enumerate(coeffs))
 
 
 def reconstruct_from_roots(points, degree, reference):
@@ -77,7 +82,7 @@ class TestRestrictToLine:
             st = complex_gaussian_vector(rng, 2)
             st = st / np.linalg.norm(st)
             direct = bwspace.evaluate(h, st[0] * u + st[1] * v)[0]
-            value = roots._binary_form_values(g.coeffs, st[None])[0]
+            value = form_value(g.coeffs, *st)
             assert abs(value - direct) <= 1e-9 * bwspace.bw_norm(h)
 
     def test_rejects_non_orthonormal(self):
@@ -130,8 +135,7 @@ class TestBinaryFormRoots:
             pts = roots.binary_form_roots(g, rng)
             assert len(pts) == d
             for s, t in pts:
-                value = roots._binary_form_values(g.coeffs, np.array([[s, t]]))[0]
-                assert abs(value) < 1e-9 * np.max(np.abs(b))
+                assert abs(form_value(g.coeffs, s, t)) < 1e-9 * np.max(np.abs(b))
 
     def test_reconstruction_from_roots(self):
         rng = RngStream(69, 0)
@@ -213,28 +217,37 @@ class TestSampleVarietyPoints:
 
 
 class TestRestrictionFailure:
-    # the single-system entry points raise where the estimator fails one system
+    # a wrong restriction gives wrong points, and the zero check of their
+    # consumer, here conditioning.mu, rejects every one of them
     @pytest.fixture(autouse=True)
     def corrupt_evaluation(self, monkeypatch):
         real = bwspace.evaluate_forms
         monkeypatch.setattr(roots, "bwspace", types.SimpleNamespace(
             evaluate_forms=lambda n, d, coeffs, points: real(n, d, coeffs, points) + 1.0))
 
+    @staticmethod
+    def assert_no_point_is_a_zero(h, pts):
+        for x in pts:
+            with pytest.raises(ValueError, match="not a zero"):
+                conditioning.mu(h, x)
+
     def test_restrict_to_line_raises(self):
         h = gaussian_system(RngStream(82, 0), 2, (2,))
         e = np.eye(3, dtype=complex)
-        with pytest.raises(NumericError, match="residual check"):
-            roots.restrict_to_line(h, e[0], e[1])
+        g = roots.restrict_to_line(h, e[0], e[1])
+        w = np.roots(g.coeffs[::-1])  # g(1, w) = sum_k coeffs[k] w^k
+        self.assert_no_point_is_a_zero(h, [(e[0] + z * e[1]) / math.hypot(1.0, abs(z))
+                                           for z in w])
 
     def test_sample_variety_points_raises(self):
         h = gaussian_system(RngStream(83, 0), 2, (2,))
-        with pytest.raises(roots.RootFindingError):
-            roots.sample_variety_points(h, RngStream(83, 1), 2)
+        self.assert_no_point_is_a_zero(h, roots.sample_variety_points(h, RngStream(83, 1), 2))
 
     def test_binary_form_roots_raises(self):
         g = BinaryForm(3, complex_gaussian_vector(RngStream(84, 0), 4))
-        with pytest.raises(roots.RootFindingError):
-            roots.binary_form_roots(g, RngStream(84, 1))
+        # the n = 1 system whose restriction to (e_0, e_1) is g
+        h = bwspace.make_system(1, (3,), [g.coeffs / np.sqrt([1, 3, 3, 1])])
+        self.assert_no_point_is_a_zero(h, roots.binary_form_roots(g, RngStream(84, 1)))
 
 
 @pytest.mark.parametrize("n, d, lines", [(1, 2, 1), (2, 2, 8), (3, 3, 1)])
@@ -267,10 +280,6 @@ def test_each_system_draws_only_what_it_reads(n, d, lines, monkeypatch):
     assert counts == [2 * k + frames]
     if (n, d, lines) == (2, 2, 8):
         assert counts == [108]
-
-
-def no_stream(row):
-    raise AssertionError(f"row {row} drew a retry chart")
 
 
 ROOT_TOL = 1e-12
@@ -340,7 +349,6 @@ class TestClosedFormStarts:
             w, failed = roots._row_roots(c3)
         assert failed.tolist() == [True, False, True]
         assert np.all(np.isnan(w[[0, 2]])) and np.all(np.isfinite(w[1]))
-        # _solve then retries the row in a fresh chart: TestRowSubstreams' retry case
 
 
 def test_a_row_that_lapack_rejects_fails_alone(monkeypatch):
@@ -379,41 +387,41 @@ def test_haar_charts_are_the_unitaries_of_qr():
 
 
 class TestRowSubstreams:
-    # a row's retry charts come from the substream of its (system, line), so
-    # the row solves the same way at any batch position.
-    # The n = 1 equation whose form on (e_0, e_1) is s t: in the identity frame
-    # its leading coefficient is at zero, so the first attempt fails and the
-    # row is restricted again to its frame turned by a fresh chart
+    # a row is solved from its own coordinates and frame alone, so it gives
+    # the same points at any batch position, and its failure fails its own
+    # system and no other.
+    # NORMAL is a Gaussian n = 1 equation in a Haar frame.  RETRY is the
+    # equation whose form on (e_0, e_1) is s t: in the identity frame its
+    # leading coefficient is at zero, so _row_roots fails the row
+    NORMAL = (randgeom.complex_gaussian_array(RngStream(91, 0), (3,)),
+              randgeom.complex_gaussian_array(RngStream(91, 1), (2, 2)))
     RETRY = (np.array([0.0, 2.0 ** -0.5, 0.0]), np.eye(2))
+    POSITIONS = ((1, 2), (3, 4), (5, 12), (11, 12))
 
-    def batch(self, position, size, lines=2, system=10):
-        """Filler rows of degree 2, and a row_rng that records its rows and
-        keeps the row at position at (system, position % lines)."""
+    def solve_at(self, row, position, size):
+        """_solve on size filler rows of degree 2, one line each, with row
+        (coordinates, chart matrix) at position."""
         rng = RngStream(90, position)
         coeffs = randgeom.complex_gaussian_array(rng, (size, 3))
         ginibre = randgeom.complex_gaussian_array(rng, (size, 2, 2))
-        streams = roots._row_streams(91, system - position // lines, lines)
-        used = []
-        return coeffs, ginibre, used, lambda row: used.append(row) or streams(row)
-
-    def solve_at(self, position, size):
-        coeffs, ginibre, used, row_rng = self.batch(position, size)
-        coeffs[position], ginibre[position] = self.RETRY
+        coeffs[position], ginibre[position] = row
         q = roots._haar_charts(ginibre)[:, None]  # each row's n = 1 frame, (size, 1, 2, 2)
-        pts, failed = roots._solve(coeffs, 2, q[..., 0], q[..., 1], row_rng)
-        assert not failed.any()
-        assert used and set(used) == {position}
-        return pts[position]
+        return roots._solve(coeffs, 2, q[..., 0], q[..., 1])
 
-    @pytest.mark.parametrize("kind", ["retry"])
-    def test_same_roots_at_any_batch_position(self, kind):
-        alone = self.solve_at(1, 2)
-        for position, size in ((3, 4), (5, 12), (11, 12)):
-            assert np.allclose(self.solve_at(position, size), alone, rtol=0, atol=1e-14)
-        form = BinaryForm(2, [0.0, 1.0, 0.0])
-        for s, t in alone:
-            value = roots._binary_form_values(form.coeffs, np.array([[s, t]]))[0]
-            assert abs(value) < 1e-9 * np.max(np.abs(form.coeffs))
+    @pytest.mark.parametrize("failing_row", [RETRY], ids=["retry"])
+    def test_same_roots_at_any_batch_position(self, failing_row):
+        points = []
+        for position, size in self.POSITIONS:
+            pts, failed = self.solve_at(self.NORMAL, position, size)
+            assert not failed.any()
+            points.append(pts[position])
+            pts, failed = self.solve_at(failing_row, position, size)
+            assert failed.tolist() == [row == position for row in range(size)]
+        for pts in points[1:]:
+            assert np.array_equal(pts, points[0])
+        form = self.NORMAL[0] * np.sqrt([1, 2, 1])  # the equation on (e_0, e_1)
+        for s, t in points[0]:
+            assert abs(form_value(form, s, t)) < 1e-9 * np.max(np.abs(form))
 
 
 @pytest.mark.parametrize("n, d, lines", [(2, 3, 4), (3, 2, 3)])
@@ -453,8 +461,8 @@ def test_a_turned_frame_gives_each_line_the_same_points(n, d):
     q = roots._haar_charts(randgeom.complex_gaussian_array(rng, (n_sys, lines, 2, 2)))
     turned_u = q[..., 0, 0, None] * u + q[..., 1, 0, None] * v
     turned_v = q[..., 0, 1, None] * u + q[..., 1, 1, None] * v
-    pts, failed = roots._solve(coeffs, d, u, v, no_stream)
-    again, failed_again = roots._solve(coeffs, d, turned_u, turned_v, no_stream)
+    pts, failed = roots._solve(coeffs, d, u, v)
+    again, failed_again = roots._solve(coeffs, d, turned_u, turned_v)
     assert not failed.any() and not failed_again.any()
     for a, b in zip(pts.reshape(-1, d, n + 1), again.reshape(-1, d, n + 1)):
         assert projective_match(a, b, tol=1e-12, distance=up_to_phase)
