@@ -27,12 +27,12 @@ import numpy as np
 from . import bwspace, cxla
 from .bwspace import SystemCoords
 
-# Zeros are accepted up to this residual relative to ||h||; the companion
-# eigenvalue roots leave scaled residuals of at most 3.2e-15 on the bundled
-# suite, so the slack decouples mu from the root finder.  This is the one
-# check of a sampled point against h (here and in montecarlo's polynomial
-# log-values): the root finder checks no restriction or root itself, so a
-# wrong one fails here.
+# Zeros are accepted up to this residual relative to ||h||; the roots
+# (closed forms at d <= 3, companion eigenvalues from d = 4) leave scaled
+# residuals of at most 3.2e-15 on the bundled suite, so the slack decouples
+# mu from the root finder.  This is the one check of a sampled point
+# against h (here and in montecarlo's polynomial log-values): the root
+# finder checks no restriction or root itself, so a wrong one fails here.
 ZERO_TOL = 1e-8
 
 # the norms of the scaled pseudoinverse that a condition number can take

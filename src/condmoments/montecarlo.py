@@ -151,7 +151,12 @@ def _reduce_log_values(logv: np.ndarray, heavy: bool) -> tuple[float, float, str
 
     The plain mean reduces the samples; heavy (the domain's flag) reduces the
     means of MOM_BUCKETS contiguous buckets and takes their median.  Both then
-    take one spread.  All sums are pairwise over the fixed sample order.
+    take one spread.  All sums are pairwise over the fixed sample order.  The
+    buckets are those of np.array_split (the first size % MOM_BUCKETS hold one
+    value more), and the median is the middle of the sorted means, or the
+    mean of the middle two; both equal np.mean and np.median bit for bit,
+    without the numpy.ma import that the first np.median call of a process
+    makes.
     """
     m = float(np.max(logv))
     if math.isnan(m):
@@ -162,8 +167,14 @@ def _reduce_log_values(logv: np.ndarray, heavy: bool) -> tuple[float, float, str
         return math.inf, math.inf, "plain-mean"
     ex = np.exp(logv - m)
     if heavy:
-        ex = np.array([float(np.mean(b)) for b in np.array_split(ex, min(MOM_BUCKETS, ex.size))])
-        center, method = float(np.median(ex)), f"median-of-means({ex.size})"
+        k = min(MOM_BUCKETS, ex.size)
+        size, extra = divmod(ex.size, k)
+        cut = extra * (size + 1)
+        ex = np.concatenate([ex[:cut].reshape(extra, size + 1).mean(axis=1),
+                             ex[cut:].reshape(k - extra, size).mean(axis=1)])
+        ordered = np.sort(ex)
+        center = float(ordered[k // 2] if k % 2 else (ordered[k // 2 - 1] + ordered[k // 2]) / 2)
+        method = f"median-of-means({k})"
     else:
         center, method = float(np.mean(ex)), "plain-mean"
     spread = float(np.std(ex, ddof=1)) if ex.size > 1 else 0.0

@@ -98,7 +98,9 @@ def uniforms_for_streams(seed: int, indices, count: int) -> np.ndarray:
     arithmetic stays on uint64 arrays, where overflow wraps without a warning.
     """
     keys = [seed, *indices]
-    if not all(0 <= j <= _MASK64 for j in keys):
+    # a range's extremes are its ends
+    ends = [*indices[:1], *indices[-1:]] if isinstance(indices, range) else keys[1:]
+    if not all(0 <= j <= _MASK64 for j in [seed, *ends]):
         raise ValueError("seed and stream_index must be unsigned 64-bit integers")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")

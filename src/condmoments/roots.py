@@ -9,11 +9,12 @@ constant density with respect to the volume measure of the zero set.
 One path, batched over systems and lines (a single form is a batch of one).
 Each equation is restricted straight to its line's frame (u, v) by one DFT,
 and the roots c of that binary form, the points c0 u + c1 v, are taken in
-closed form at d <= 2 and as the eigenvalues of the companion matrices,
-in one batched LAPACK call, from d = 3.  At n >= 2 the frame is
-Gram-Schmidt on a Gaussian pair, which is already Haar among orthonormal
-pairs, so turning it by a further Haar chart would leave its law unchanged
-and is not done; at n = 1 the frame is the Haar chart of (e_0, e_1).
+closed form at d <= 3 (Cardano's formula, Newton-polished, at d = 3) and as
+the eigenvalues of the companion matrices, in one batched LAPACK call, from
+d = 4.  At n >= 2 the frame is Gram-Schmidt on a Gaussian pair, which is
+already Haar among orthonormal pairs, so turning it by a further Haar chart
+would leave its law unchanged and is not done; at n = 1 the frame is the
+Haar chart of (e_0, e_1).
 System j draws from RngStream(seed, j): its coordinates, then its line
 pairs (n >= 2) or its chart matrix (n = 1), all in one
 randgeom.uniforms_for_streams pass per chunk, and nothing else, so a
@@ -92,43 +93,68 @@ def restrict_to_line(h: SystemCoords, u, v) -> BinaryForm:
 
 
 def _start_roots(coeffs_asc: np.ndarray) -> np.ndarray:
-    """Exact roots (R, d) of rows of degree d <= 2, coefficients of w^k.
+    """Closed-form roots (R, d) of rows of degree d <= 3, coefficients of w^k.
 
-    d = 2 takes q = -(c1 + s sqrt(c1^2 - 4 c0 c2)) / 2 with the sign s that
-    avoids cancellation, Re(conj(c1) s sqrt(...)) >= 0, and the roots q / c2
-    and c0 / q (both 0 when q = 0).  Rows with c_d = 0 give inf or nan.
+    Rows need c_d != 0.  d = 2 takes q = -(c1 + s sqrt(c1^2 - 4 c0 c2)) / 2
+    with the sign s that avoids cancellation, Re(conj(c1) s sqrt(...)) >= 0,
+    and the roots q / c2 and c0 / q (both 0 when q = 0).
+
+    d = 3 is Cardano's formula in the form of Press et al., Numerical
+    Recipes, sec. 5.6: with a, b, c = c2, c1, c0 over c3, Q = (a^2 - 3b) / 9
+    and R = (2a^3 - 9ab + 27c) / 54, C is the principal cube root of
+    R + s sqrt(R^2 - Q^3), s chosen as at d = 2, and the roots are
+    -(z C + Q / (z C)) - a/3 over the cube roots of unity z (-a/3 when
+    C = 0, where Q = R = 0).  Two Newton steps on the cubic itself then
+    take the roots to rounding: one is not enough for roots of very
+    different sizes, e.g. 1e6, 1 and 1e-6.
     """
+    if coeffs_asc.shape[1] == 4:
+        c0, c1, c2, c3 = (coeffs_asc[:, k, None] for k in range(4))
+        a, b, c = c2 / c3, c1 / c3, c0 / c3
+        big_q = (a * a - 3.0 * b) / 9.0
+        big_r = (a * (2.0 * a * a - 9.0 * b) + 27.0 * c) / 54.0
+        sq = np.sqrt(big_r * big_r - big_q * big_q * big_q)
+        z = np.array([1.0, complex(-0.5, math.sqrt(0.75)), complex(-0.5, -math.sqrt(0.75))])
+        t = big_r + np.where((big_r.conj() * sq).real >= 0, sq, -sq)
+        zc = z * (np.cbrt(np.abs(t)) * np.exp(1j / 3 * np.angle(t)))  # principal cube root
+        w = -(zc + np.divide(big_q, zc, out=np.zeros_like(zc), where=zc != 0)) - a / 3.0
+        for _ in range(2):
+            f = ((c3 * w + c2) * w + c1) * w + c0
+            df = (3.0 * c3 * w + 2.0 * c2) * w + c1
+            w = w - np.divide(f, df, out=np.zeros_like(f), where=df != 0)
+        return w
     c0, c1 = coeffs_asc[:, 0], coeffs_asc[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if coeffs_asc.shape[1] == 2:
-            return (-c0 / c1)[:, None]
-        c2 = coeffs_asc[:, 2]
-        sq = np.sqrt(c1 * c1 - 4.0 * c0 * c2)
-        q = -0.5 * (c1 + np.where((c1.conj() * sq).real >= 0, sq, -sq))
-        return np.stack([q / c2, np.where(q == 0, 0.0, c0 / q)], axis=1)
+    if coeffs_asc.shape[1] == 2:
+        return (-c0 / c1)[:, None]
+    c2 = coeffs_asc[:, 2]
+    sq = np.sqrt(c1 * c1 - 4.0 * c0 * c2)
+    q = -0.5 * (c1 + np.where((c1.conj() * sq).real >= 0, sq, -sq))
+    return np.stack([q / c2, np.divide(c0, q, out=np.zeros_like(q), where=q != 0)], axis=1)
 
 
 def _row_roots(coeffs_asc: np.ndarray):
     """Roots (R, d) of rows of coefficients of w^k, and the rows that failed.
 
-    Rows of degree d <= 2 take their closed-form roots (_start_roots); from
-    d = 3 the roots are the eigenvalues of each row's companion matrix, the
+    Rows of degree d <= 3 take their closed-form roots (_start_roots); from
+    d = 4 the roots are the eigenvalues of each row's companion matrix, the
     method of np.roots, which is backward stable (Edelman and Murakami,
     Math. Comp. 1995).  A vanishing leading coefficient (a root at infinity)
     fails the row.  If LAPACK raises for the stack, the rows are solved one
-    at a time, and a row that still raises fails with NaN roots.
+    at a time, and a row that still raises fails.  A failed row has NaN
+    roots.
     """
     d = coeffs_asc.shape[1] - 1
     mag = np.abs(coeffs_asc)
     failed = mag[:, -1] <= 1e-14 * np.max(mag, axis=1)  # also the zero row
-    if d <= 2:
-        return _start_roots(coeffs_asc), failed
     ok = np.flatnonzero(~failed)
+    w = np.full((coeffs_asc.shape[0], d), np.nan, dtype=np.complex128)
+    if d <= 3:
+        w[ok] = _start_roots(coeffs_asc[ok])
+        return w, failed
     desc = coeffs_asc[ok, ::-1]
     companion = np.zeros((ok.size, d, d), dtype=np.complex128)
     companion[:, 0] = -desc[:, 1:] / desc[:, :1]
     companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    w = np.full((coeffs_asc.shape[0], d), np.nan, dtype=np.complex128)
     try:
         w[ok] = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError:
@@ -164,10 +190,9 @@ def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
     """
     n_sys, n_lines, dim = u.shape
     w, failed = _row_roots(_restrict(coeffs, d, u, v).reshape(-1, d + 1))
-    with np.errstate(invalid="ignore"):  # rows that failed may hold inf or nan
-        chart = np.stack([np.ones_like(w), w], axis=2)
-        chart /= np.linalg.norm(chart, axis=2)[:, :, None]
-        pts = chart @ np.stack([u, v], axis=2).reshape(-1, 2, dim)
+    c0 = 1.0 / np.sqrt(1.0 + (w.real * w.real + w.imag * w.imag))  # NaN on failed rows
+    c1 = w * c0
+    pts = c0[..., None] * u.reshape(-1, 1, dim) + c1[..., None] * v.reshape(-1, 1, dim)
     return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)
 
 
@@ -177,7 +202,7 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
     The form is the n = 1 equation with coordinates coeffs[k] / sqrt(binom(d, k))
     on the line (e_0, e_1), solved by _solve like any row: restricted to a
     random Haar frame of that line, dehomogenized, and solved in closed form
-    at d <= 2 and as companion-matrix eigenvalues from d = 3 (_row_roots).
+    at d <= 3 and as companion-matrix eigenvalues from d = 4 (_row_roots).
     A root at the frame's chart boundary, which has probability zero, raises
     RootFindingError.  Clustered (multiple) roots are returned as nearby
     simple roots.  Everything is drawn from rng.

@@ -750,6 +750,48 @@ class TestDeterminism:
         assert est.stderr == pytest.approx(full.stderr, rel=1e-9, abs=1e-15)
 
 
+def reference_median_of_means(logv):
+    """The median-of-means reduction written with np.array_split, np.mean and
+    np.median, as _reduce_log_values computed it before it avoided them."""
+    m = float(np.max(logv))
+    ex = np.exp(logv - m)
+    ex = np.array([float(np.mean(b))
+                   for b in np.array_split(ex, min(montecarlo.MOM_BUCKETS, ex.size))])
+    center = float(np.median(ex))
+    spread = float(np.std(ex, ddof=1)) if ex.size > 1 else 0.0
+    mean = math.exp(m + math.log(center)) if center > 0 else 0.0
+    stderr = math.exp(m + math.log(spread) - 0.5 * math.log(ex.size)) if spread > 0 else 0.0
+    return mean, stderr, f"median-of-means({ex.size})"
+
+
+class TestMedianOfMeans:
+    @pytest.mark.parametrize("sizes", [range(1, 200), [1000, 9999, 10_000, 100_000,
+                                                       123_457, 2**20 + 3]],
+                             ids=["1-199", "large"])
+    def test_equals_numpy_median_of_array_split_means(self, sizes):
+        for size in sizes:
+            u = RngStream(60, size).uniforms((2, size))
+            # heavy-tailed log-values, with a few -inf ones (zero integrands)
+            logv = 1.5 * -np.log(u[0]) + np.where(u[1] < 0.01, -np.inf, 0.0)
+            logv[0] = 0.0
+            assert montecarlo._reduce_log_values(logv, True) == reference_median_of_means(logv)
+
+    def test_never_imports_numpy_ma(self):
+        # the first np.median call of a process imports numpy.ma
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        code = ("import sys, numpy as np; from condmoments import montecarlo; "
+                "montecarlo._reduce_log_values(np.log(np.arange(1.0, 100_001.0)), True); "
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestCompare:
     @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_gate_that_is_not_finite_positive(self, tolerance):

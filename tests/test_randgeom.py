@@ -68,6 +68,21 @@ class TestUniformsForStreams:
             randgeom.uniforms_for_streams(seed, [3, index], 4)
         assert str(batch_err.value) == str(stream_err.value)
 
+    @pytest.mark.parametrize("indices", [range(2**64 - 3, 2**64 + 1), range(-2, 3),
+                                         range(2**64, 2**64 - 4, -1)])
+    def test_checks_a_range_by_its_ends(self, indices):
+        # a range is checked at its first and last index only
+        with pytest.raises(ValueError) as stream_err:
+            RngStream(0, 2**64)
+        with pytest.raises(ValueError) as batch_err:
+            randgeom.uniforms_for_streams(0, indices, 4)
+        assert str(batch_err.value) == str(stream_err.value)
+
+    def test_a_range_at_the_top_of_the_key_space(self):
+        top = range(2**64 - 3, 2**64)
+        assert np.array_equal(randgeom.uniforms_for_streams(0, top, 5),
+                              randgeom.uniforms_for_streams(0, list(top), 5))
+
 
 def batched_gaussians(seed, shape, count, draw):
     """count draw(rng) calls on RngStream(seed, 0), each a complex Gaussian

@@ -293,16 +293,27 @@ def scaled_residuals(coeffs, w):
     return np.abs(p) / scale
 
 
+def assert_roots_match(w, expected, tol):
+    """Each expected root, with multiplicity, has its own root in w within
+    tol * max(1, |root|)."""
+    remaining = list(w)
+    for e in expected:
+        dist = [abs(x - e) / max(1.0, abs(e)) for x in remaining]
+        best = int(np.argmin(dist))
+        assert dist[best] <= tol, (e, remaining)
+        remaining.pop(best)
+
+
 class TestClosedFormStarts:
-    # rows of degree d <= 2 take their closed-form roots as they are; from
-    # d = 3 the roots are the eigenvalues of the companion matrices
+    # rows of degree d <= 3 take their closed-form roots as they are; from
+    # d = 4 the roots are the eigenvalues of the companion matrices
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_random_forms_match_numpy_roots(self, d):
         rng = RngStream(95, d)
         coeffs = randgeom.complex_gaussian_array(rng, (500, d + 1))
         w, failed = roots._row_roots(coeffs)
         assert not failed.any()
-        if d <= 2:
+        if d <= 3:
             assert np.array_equal(w, roots._start_roots(coeffs))
         assert np.all(scaled_residuals(coeffs, w) <= ROOT_TOL)
         for row, z in zip(coeffs, w):
@@ -337,24 +348,52 @@ class TestClosedFormStarts:
         np.testing.assert_allclose(np.sort_complex(w[0]), np.sort_complex([a, a + eps]),
                                    rtol=0, atol=1e-7)
 
+    @pytest.mark.parametrize("coeffs, expected", [
+        ([0.0, 2.0j, -1.0 - 2.0j, 1.0], [0.0, 1.0, 2.0j]),  # c0 = 0
+        ([0.0, 0.0, 0.0, 3.0 - 2.0j], [0.0, 0.0, 0.0]),  # triple root at 0: C = 0
+        ([-1.0, 0.0, 0.0, 1.0], np.exp(2j * np.pi * np.arange(3) / 3)),  # w^3 = 1: Q = 0
+        # roots of very different sizes: one Newton step leaves 1e-10
+        (np.poly([1e6, 1.0, 1e-6])[::-1], [1e6, 1.0, 1e-6]),
+    ])
+    def test_cubic_edge_cases(self, coeffs, expected):
+        c = np.array([coeffs], dtype=complex)
+        with np.errstate(all="raise"):
+            w, failed = roots._row_roots(c)
+        assert not failed[0]
+        assert np.all(scaled_residuals(c, w) <= ROOT_TOL)
+        assert_roots_match(w[0], expected, 1e-14)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12, 0.0])
+    @pytest.mark.parametrize("cluster, tol", [("double", 1e-7), ("triple", 1e-4)])
+    def test_cubic_near_multiple_roots(self, cluster, tol, eps):
+        # a cluster of m roots, eps apart, resolves to about eps_mach^(1/m)
+        a = 0.7 - 1.3j
+        expected = [a, a + eps, -0.4 + 0.9j] if cluster == "double" else [a - eps, a, a + eps]
+        c = np.poly(expected)[::-1][None].astype(complex)
+        with np.errstate(all="raise"):
+            w, failed = roots._row_roots(c)
+        assert not failed[0]
+        assert np.all(scaled_residuals(c, w) <= ROOT_TOL)
+        assert_roots_match(w[0], expected, tol)
+
     @pytest.mark.parametrize("lead", [0.0, 1e-15])
     def test_vanishing_leading_coefficient_fails_the_row(self, lead):
-        c = np.array([[1.0, 2.0 - 1.0j, lead], [1.0, 2.0, 1.0]], dtype=complex)
-        _, failed = roots._row_roots(c)
-        assert failed.tolist() == [True, False]
-        # the companion path never divides by the vanishing coefficient, nor
-        # by the zero row's
-        c3 = np.array([[1.0, 2.0 - 1.0j, 0.5, lead], [1.0, 2.0, 1.0, 1.0j], [0.0] * 4])
-        with np.errstate(all="raise"):
-            w, failed = roots._row_roots(c3)
-        assert failed.tolist() == [True, False, True]
-        assert np.all(np.isnan(w[[0, 2]])) and np.all(np.isfinite(w[1]))
+        # no path (the quadratic, the cubic, the companion matrices) divides
+        # by the vanishing coefficient, nor by the zero row's, and a failed
+        # row has NaN roots
+        for c in ([[1.0, 2.0 - 1.0j, lead], [1.0, 2.0, 1.0], [0.0] * 3],
+                  [[1.0, 2.0 - 1.0j, 0.5, lead], [1.0, 2.0, 1.0, 1.0j], [0.0] * 4],
+                  [[1.0, 2.0 - 1.0j, 0.5, 3.0, lead], [1.0, 2.0, 1.0, 1.0j, 2.0], [0.0] * 5]):
+            with np.errstate(all="raise"):
+                w, failed = roots._row_roots(np.array(c, dtype=complex))
+            assert failed.tolist() == [True, False, True]
+            assert np.all(np.isnan(w[[0, 2]])) and np.all(np.isfinite(w[1]))
 
 
 def test_a_row_that_lapack_rejects_fails_alone(monkeypatch):
     # eigvals raises for the whole stack when one matrix does not converge;
     # the rows are then solved one at a time, and only that row fails
-    coeffs = randgeom.complex_gaussian_array(RngStream(99, 0), (6, 4))
+    coeffs = randgeom.complex_gaussian_array(RngStream(99, 0), (6, 5))
     expected, _ = roots._row_roots(coeffs)
     marked = -coeffs[2, -2::-1] / coeffs[2, -1]  # first row of row 2's companion matrix
     real = np.linalg.eigvals
@@ -368,7 +407,7 @@ def test_a_row_that_lapack_rejects_fails_alone(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     w, failed = roots._row_roots(coeffs)
-    assert calls == [(6, 3, 3)] + [(3, 3)] * 6
+    assert calls == [(6, 4, 4)] + [(4, 4)] * 6
     assert failed.tolist() == [False, False, True, False, False, False]
     assert np.all(np.isnan(w[2]))
     assert np.array_equal(np.delete(w, 2, axis=0), np.delete(expected, 2, axis=0))
