@@ -14,8 +14,8 @@ When s_min <= RANK_TOL * s_max the value is +infinity.  Both are scale
 invariant in h, invariant under a phase change of x, and invariant under
 simultaneous unitary rotation of system and point.
 
-This per-point SVD is the reference the estimators' batched fast path is
-tested against.
+The per-point SVD mu is the reference that zero_set_mu, the batched stage of
+the polynomial estimator, is tested against.
 """
 
 from __future__ import annotations
@@ -31,14 +31,21 @@ from .bwspace import SystemCoords
 # (closed forms at d <= 3, companion eigenvalues from d = 4) leave scaled
 # residuals of at most 3.2e-15 on the bundled suite, so the slack decouples
 # mu from the root finder.  This is the one check of a sampled point
-# against h (here and in montecarlo's polynomial log-values): the root
-# finder checks no restriction or root itself, so a wrong one fails here.
+# against h (in _checked_zero and zero_set_mu): the root finder checks no
+# restriction or root itself, so a wrong one fails here.
 ZERO_TOL = 1e-8
 
 # the norms of the scaled pseudoinverse that a condition number can take
 NORMS = ("frobenius", "operator")
 
 _UNIT_TOL = 1e-6
+
+
+def check_norm(norm: str) -> None:
+    """Reject a norm name that is not one of NORMS."""
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}: norm must be one of {NORMS}")
+
 
 def _checked_zero(h: SystemCoords, x) -> tuple[np.ndarray, float]:
     v = np.asarray(x, dtype=np.complex128).ravel()
@@ -63,8 +70,7 @@ def mu(h: SystemCoords, x, norm: str = "frobenius") -> float:
 
     Satisfies mu(h, x, "operator") <= mu(h, x) <= sqrt(r) * mu(h, x, "operator").
     """
-    if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}")
+    check_norm(norm)
     v, hnorm = _checked_zero(h, x)
     scale = np.sqrt(np.array(h.degrees, dtype=np.float64))
     try:
@@ -76,6 +82,25 @@ def mu(h: SystemCoords, x, norm: str = "frobenius") -> float:
     if norm == "operator":
         return hnorm / float(s[-1])
     return hnorm * math.sqrt(float(np.sum(s**-2.0)))
+
+
+def zero_set_mu(n: int, d: int, coeffs: np.ndarray, points: np.ndarray, relative: bool):
+    """mu (S, m) at the points (S, m, n+1) of S degree-d equations (S, K), and
+    the systems with a point that is not a zero: |h(x)| > ZERO_TOL * ||h||.
+
+    At r = 1 the Frobenius and operator values coincide and mu = ||h||
+    sqrt(d) / ||Dh(x)||, divided by ||h|| when relative; it agrees with mu
+    point by point.  A NaN point gives a NaN mu and is not flagged here.
+    """
+    hnorm = np.linalg.norm(coeffs, axis=1)[:, None]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        residuals = np.abs(bwspace.evaluate_forms(n, d, coeffs, points))
+        failed = np.any(residuals > ZERO_TOL * hnorm, axis=1)
+        sigma = np.linalg.norm(bwspace.gradient_forms(n, d, coeffs, points), axis=2)
+        values = hnorm * math.sqrt(d) / sigma
+        if relative:
+            values = values / hnorm
+    return values, failed
 
 
 def empirical_moment(

@@ -1,11 +1,10 @@
-"""Dense complex linear algebra: the matrix contract, the rank rule and kernels.
+"""Dense complex linear algebra: the numeric error type, the rank rule and kernels.
 
 The estimators read every pseudoinverse norm and Gram determinant off the
 Bartlett factor of the Gram matrix (montecarlo) and take the per-point
 condition number from singular values (conditioning); what they share
 lives here: the error type for a routine that fails, the relative rank
-tolerance, the coercion of a matrix argument, and an orthonormal
-null-space basis.
+tolerance, and an orthonormal null-space basis.
 """
 
 from __future__ import annotations
@@ -20,11 +19,13 @@ class NumericError(RuntimeError):
     """A numerical routine failed to converge or produced garbage."""
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array (the ComplexMatrix contract).
+def kernel_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the null space, as columns of a cols x k matrix.
 
-    Raises ValueError for wrong dimensionality, empty axes, or any
-    non-finite entry.
+    k = cols minus the number of singular values above rank_tol times the
+    largest one.  For the zero matrix this is the full identity-column basis.
+    Raises ValueError unless m is a finite, non-empty 2-D matrix with rows <=
+    cols, and NumericError if the SVD does not converge.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
@@ -33,17 +34,6 @@ def as_complex_matrix(m) -> np.ndarray:
         raise ValueError(f"matrix must have at least one row and column, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return a
-
-
-def kernel_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the null space, as columns of a cols x k matrix.
-
-    k = cols minus the number of singular values above rank_tol times the
-    largest one.  For the zero matrix this is the full identity-column basis.
-    Raises NumericError if the SVD does not converge.
-    """
-    a = as_complex_matrix(m)
     if a.shape[0] > a.shape[1]:
         raise ValueError(f"kernel_basis expects rows <= cols, got {a.shape}")
     try:

@@ -6,17 +6,16 @@ the estimator's log-values for consecutive ranges of sample indices, in order
 counter-based substream RngStream(seed, i); on the polynomial side chunks of
 systems of about CHUNK_POINTS evaluation points, system j drawing from
 RngStream(seed, j) as whole arrays: its coordinates, then the line frames
-that roots.sample_zero_sets reads, nothing more; the
-chunk's largest arrays are the bwspace power tables of its points, and its
-values and gradients are summed from them monomial by monomial), and
-reduces them in sample order with pairwise summation, so a result is a pure
-function of (estimator_id, params, seed, n_samples).  Before the first
-range it raises the allocator's thresholds once per process
-(_keep_freed_memory_mapped), so a chunk reuses the pages its predecessor
-freed instead of faulting fresh ones in.  It states the one failure rule: a
-NaN log-value is a failed sample; more failures than the estimator allows
-(none for a matrix draw, _MAX_FAILURE_RATE of the systems) raise
-NumericError, and fewer are dropped from the mean and counted.  Every
+that roots.sample_zero_sets reads, nothing more; conditioning.zero_set_mu
+checks the chunk's points against h and gives their mu), and reduces them
+in sample order with pairwise summation, so a result is a pure function of
+(estimator_id, params, seed, n_samples).  Before the first range it raises
+the allocator's thresholds once per process (_keep_freed_memory_mapped), so
+a chunk reuses the pages its predecessor freed instead of faulting fresh
+ones in.  It states the one failure rule: a NaN log-value is a failed
+sample; more failures than the estimator allows (none for a matrix draw,
+_MAX_FAILURE_RATE of the systems) raise NumericError, and fewer are dropped
+from the mean and counted.  Every
 matrix-side integrand is a function of the Gram matrix G = A A* of the
 Gaussian r x m draw A, or of a Gaussian vector's squared moduli, so the
 estimators draw those and not A: G as its Bartlett factor L, G = L L*, by
@@ -139,11 +138,6 @@ class Comparison:
     tolerance_sigmas: float
     lhs_scale: float = 1.0
     reference_estimate: EstimateResult | None = None
-
-
-def _check_norm(norm: str) -> None:
-    if norm not in conditioning.NORMS:
-        raise ValueError(f"norm must be one of {conditioning.NORMS}, got {norm!r}")
 
 
 def _reduce_log_values(logv: np.ndarray, heavy: bool) -> tuple[float, float, str]:
@@ -368,7 +362,7 @@ def pinv_moment_domain(r: int, m: int, alpha: float, norm: str) -> bool:
     estimator refuses to run.  The variance is finite iff alpha < m - r + 1,
     otherwise median-of-means is used.  No closed form covers general alpha.
     """
-    _check_norm(norm)
+    conditioning.check_norm(norm)
     if not (1 <= r <= m):
         raise ValueError(f"need 1 <= r <= m, got r = {r}, m = {m}")
     check_finite(alpha=alpha)
@@ -395,7 +389,7 @@ def detweighted_rect_domain(r: int, n: int, alpha: float, norm: str) -> bool:
 
     The alpha range and heavy flag are formulas.check_rect_alpha's.
     """
-    _check_norm(norm)
+    conditioning.check_norm(norm)
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n, got r = {r}, n = {n}")
     check_integers(r=r, n=n)
@@ -417,7 +411,7 @@ def detweighted_square_domain(r: int, k: float, alpha: float, norm: str) -> bool
 
     r and k follow formulas.invnor2mdet_value; the alpha range is this estimator's.
     """
-    _check_norm(norm)
+    conditioning.check_norm(norm)
     formulas.invnor2mdet_value(r, k)
     check_finite(alpha=alpha)
     if not (0 < alpha < 4 * k + 2):
@@ -496,27 +490,19 @@ def estimate_espnormrest(
 
 def _poly_log_values(n: int, d: int, lines: int, alpha: float, relative: bool):
     """_sample's log_values of each system's zero-set average of mu^alpha; nan
-    for a system whose root search failed or with a point that fails the
-    zero-residual precondition.
+    for a system whose root search failed or with a point that is not a zero.
 
-    Single-equation fast path: for r = 1 the Frobenius and operator values
-    coincide and mu = ||h|| sqrt(d) / ||Dh(x)||, which agrees with
-    conditioning.empirical_moment for both norms (pinned by
+    mu and the zero check are conditioning.zero_set_mu's; its values agree
+    with conditioning.empirical_moment for both norms (pinned by
     test_sample_variety_points_reproduces_system_values).
     """
 
     def log_values(seed: int, systems: range) -> np.ndarray:
         coeffs, pts, failed = roots.sample_zero_sets(seed, systems, n, d, lines)
-        hnorm = np.linalg.norm(coeffs, axis=1)[:, None]
+        mu, off_zero = conditioning.zero_set_mu(n, d, coeffs, pts, relative)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            residuals = np.abs(bwspace.evaluate_forms(n, d, coeffs, pts))
-            failed = failed | np.any(residuals > conditioning.ZERO_TOL * hnorm, axis=1)
-            sigma = np.linalg.norm(bwspace.gradient_forms(n, d, coeffs, pts), axis=2)
-            mu = hnorm * math.sqrt(d) / sigma
-            if relative:
-                mu = mu / hnorm
             logv = np.log(np.mean(mu**alpha, axis=1))
-        logv[failed] = math.nan
+        logv[failed | off_zero] = math.nan
         return logv
 
     return log_values
@@ -528,7 +514,7 @@ def poly_moment_domain(n: int, degrees, alpha: float, relative: bool, norm: str)
     The own rules are a bool relative and r = 1; n and the degrees follow
     bwspace.check_degrees, alpha formulas.check_rect_alpha.
     """
-    _check_norm(norm)
+    conditioning.check_norm(norm)
     if not isinstance(relative, bool):
         raise ValueError(f"relative must be true or false, got {relative!r}")
     r = len(bwspace.check_degrees(n, degrees))

@@ -20,8 +20,8 @@ pairs (n >= 2) or its chart matrix (n = 1), all in one
 randgeom.uniforms_for_streams pass per chunk, and nothing else, so a
 line's roots never depend on the batch it is solved in.  The points are not
 checked here: every consumer checks each one against h itself
-(conditioning.ZERO_TOL).  A line fails its system only where _row_roots
-fails it.
+(conditioning.zero_set_mu for the estimator).  A line fails its system only
+where _row_roots fails it.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ from . import bwspace, randgeom
 from .bwspace import SystemCoords
 from .cxla import NumericError
 from .randgeom import RngStream
-
-
-class RootFindingError(NumericError):
-    """Root finding failed on a line: a vanishing leading coefficient or an
-    eigenvalue problem that LAPACK rejects (_row_roots)."""
 
 
 @dataclass(frozen=True)
@@ -203,9 +198,9 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
     on the line (e_0, e_1), solved by _solve like any row: restricted to a
     random Haar frame of that line, dehomogenized, and solved in closed form
     at d <= 3 and as companion-matrix eigenvalues from d = 4 (_row_roots).
-    A root at the frame's chart boundary, which has probability zero, raises
-    RootFindingError.  Clustered (multiple) roots are returned as nearby
-    simple roots.  Everything is drawn from rng.
+    A row that _row_roots fails, which has probability zero (a root at the
+    frame's chart boundary), raises NumericError.  Clustered (multiple)
+    roots are returned as nearby simple roots.  Everything is drawn from rng.
     """
     d = g.degree
     if d < 1:
@@ -216,7 +211,7 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
     x = rng.uniforms((1, _section_size(1, 1)))
     pts, failed = _solve(coords[None], d, *_sections(x, 1, 1))
     if failed[0]:
-        raise RootFindingError("root finding failed in the form's chart")
+        raise NumericError("root finding failed in the form's chart")
     return pts[0]
 
 
@@ -287,5 +282,5 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
     x = rng.uniforms((1, _section_size(n, lines)))
     points, failed = _solve(h.coords[0][None], d, *_sections(x, n, lines))
     if failed[0]:
-        raise RootFindingError("root finding failed on a line")
+        raise NumericError("root finding failed on a line")
     return points[0]

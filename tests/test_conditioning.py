@@ -171,6 +171,38 @@ class TestRankRule:
             conditioning.mu(h, np.array([1.0, 0.0], dtype=complex), "spectral")
 
 
+class TestZeroSetMu:
+    @pytest.mark.parametrize("relative", [False, True])
+    @pytest.mark.parametrize("n, d, lines", [(1, 3, 1), (2, 2, 4), (3, 4, 2)])
+    def test_matches_per_point_mu(self, n, d, lines, relative):
+        coeffs, pts, failed = roots.sample_zero_sets(52, range(5), n, d, lines)
+        values, off_zero = conditioning.zero_set_mu(n, d, coeffs, pts, relative)
+        assert values.shape == (5, lines * d)
+        assert not failed.any() and not off_zero.any()
+        for j in range(5):
+            h = bwspace.make_system(n, (d,), [coeffs[j]])
+            scale = bwspace.bw_norm(h) if relative else 1.0
+            for norm in conditioning.NORMS:
+                expected = [conditioning.mu(h, x, norm) / scale for x in pts[j]]
+                np.testing.assert_allclose(values[j], expected, rtol=1e-12)
+
+    def test_point_off_the_zero_set_flags_only_its_system(self):
+        coeffs, pts, _ = roots.sample_zero_sets(53, range(4), 2, 2, 2)
+        pts[2, 1] = np.eye(3)[0]
+        _, off_zero = conditioning.zero_set_mu(2, 2, coeffs, pts, False)
+        assert off_zero.tolist() == [False, False, True, False]
+
+    def test_nan_point_gives_nan_mu_without_a_flag_or_warning(self):
+        # a root-failed line's points are NaN; sample_zero_sets flags that
+        # system, and the stage leaves it alone (RuntimeWarnings are errors)
+        coeffs, pts, _ = roots.sample_zero_sets(54, range(3), 2, 2, 2)
+        pts[1, 0] = complex(math.nan, math.nan)
+        values, off_zero = conditioning.zero_set_mu(2, 2, coeffs, pts, True)
+        assert np.isnan(values[1, 0])
+        assert np.isnan(values).sum() == 1
+        assert not off_zero.any()
+
+
 class TestUnitaryInvariance:
     def test_mu_invariant_under_rotation(self):
         rng = RngStream(47, 0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from condmoments import bwspace, conditioning, randgeom, roots
+from condmoments.cxla import NumericError
 from condmoments.randgeom import RngStream, complex_gaussian_vector, gaussian_system
 from condmoments.roots import BinaryForm
 
@@ -248,6 +249,28 @@ class TestRestrictionFailure:
         # the n = 1 system whose restriction to (e_0, e_1) is g
         h = bwspace.make_system(1, (3,), [g.coeffs / np.sqrt([1, 3, 3, 1])])
         self.assert_no_point_is_a_zero(h, roots.binary_form_roots(g, RngStream(84, 1)))
+
+
+class TestRowFailure:
+    # a row that _row_roots fails leaves its system without points, and the
+    # single-system wrappers raise instead of returning NaN points
+    @pytest.fixture(autouse=True)
+    def fail_every_row(self, monkeypatch):
+        def failing(coeffs_asc):
+            shape = (coeffs_asc.shape[0], coeffs_asc.shape[1] - 1)
+            return np.full(shape, np.nan, dtype=complex), np.ones(shape[0], dtype=bool)
+
+        monkeypatch.setattr(roots, "_row_roots", failing)
+
+    def test_sample_variety_points_raises(self):
+        h = gaussian_system(RngStream(85, 0), 2, (2,))
+        with pytest.raises(NumericError, match="on a line"):
+            roots.sample_variety_points(h, RngStream(85, 1), 2)
+
+    def test_binary_form_roots_raises(self):
+        g = BinaryForm(3, complex_gaussian_vector(RngStream(86, 0), 4))
+        with pytest.raises(NumericError, match="chart"):
+            roots.binary_form_roots(g, RngStream(86, 1))
 
 
 @pytest.mark.parametrize("n, d, lines", [(1, 2, 1), (2, 2, 8), (3, 3, 1)])
