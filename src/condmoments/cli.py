@@ -13,7 +13,9 @@ experiment with columns experiment_id, estimator_id, params, n_samples,
 mean, stderr, closed_form, z, pass.  Exit codes: 0 all non-probe
 experiments pass, 1 a check failed or an estimator errored, 2 the config or
 command line was invalid.  The estimator tables below (_ESTIMATORS, _PAIRS,
-_CLOSED_FORMS) are the single list of estimator and closed-form ids.
+_CLOSED_FORMS) are the single list of estimator and closed-form ids and their
+params, the fields of ExperimentConfig that of experiment keys and defaults;
+a config key or param that no list names is a config error.
 """
 
 from __future__ import annotations
@@ -46,12 +48,16 @@ SEED_ENV_VAR = "CONDMOMENTS_SEED"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; its fields are the one list of experiment keys and their
+    defaults, which parse_config reads and config_to_dict writes (a config
+    without a seed gets one derived)."""
+
     experiment_id: str
     estimator_id: str
     params: dict
     samples: int
     seed: int
-    tolerance_sigmas: float
+    tolerance_sigmas: float = 3.0
     closed_form_id: str | None = None
     lines_per_system: int | None = None
     probe: bool = False
@@ -87,11 +93,12 @@ _SECOND_FROBENIUS = {"alpha": 2.0, "norm": "frobenius"}
 class _Pair(NamedTuple):
     """Two estimates checked as lhs_scale * lhs = rhs_scale * rhs.
 
-    lhs and rhs map the params to (estimator id, its params), scales to
-    (lhs_scale, rhs_scale); rhs_samples names the param holding the rhs
+    lhs and rhs map the params it takes to (estimator id, its params), scales
+    to (lhs_scale, rhs_scale); rhs_samples names the param holding the rhs
     sample count when samples are not overridden.
     """
 
+    params: tuple[str, ...]
     lhs: Callable[[dict], tuple[str, dict]]
     rhs: Callable[[dict], tuple[str, dict]]
     scales: Callable[[dict], tuple[float, float]] = lambda p: (1.0, 1.0)
@@ -101,24 +108,28 @@ class _Pair(NamedTuple):
 _PAIRS = {
     # rectangular fibration: scaled weighted r x n moment = pinv moment over r x (n+1)
     "detweighted_rect_pair": _Pair(
+        params=("r", "n", "alpha", "norm"),
         lhs=lambda p: ("detweighted_rect", p),
         rhs=lambda p: ("pinv_moment", {**p, "m": p["n"] + 1}),
         scales=lambda p: (formulas.rect_fibration_constant(p["r"], p["n"]).value, 1.0),
     ),
     # kernel fibration: r x n pinv moment = scaled square moment, det exponent 2(n-r)
     "detweighted_square_pair": _Pair(
+        params=("r", "n", "alpha", "norm"),
         lhs=lambda p: ("pinv_moment", {**_SECOND_FROBENIUS, **p, "m": p["n"]}),
         rhs=lambda p: ("detweighted_square", {**_SECOND_FROBENIUS, **p, "k": p["n"] - p["r"]}),
         scales=lambda p: (1.0, formulas.kernel_constant(p["r"], p["n"] - p["r"]).value),
     ),
     # relative polynomial moment = pinv moment over r x (n+1)
     "poly_matrix_pair": _Pair(
+        params=("n", "degrees", "alpha", "norm", "matrix_samples"),
         lhs=lambda p: ("poly_moment", {**p, "relative": True}),
         rhs=lambda p: ("pinv_moment", {**p, "r": len(p["degrees"]), "m": p["n"] + 1}),
         rhs_samples="matrix_samples",
     ),
     # absolute = Gamma(N) / Gamma(N - alpha/2) * relative
     "poly_scaling_pair": _Pair(
+        params=("n", "degrees", "alpha", "norm"),
         lhs=lambda p: ("poly_moment", {**p, "relative": False}),
         rhs=lambda p: ("poly_moment", {**p, "relative": True}),
         scales=lambda p: (1.0, formulas.scaling_constant(p["n"], p["degrees"], p["alpha"]).value),
@@ -141,12 +152,13 @@ _CLOSED_FORMS = {
 }
 
 
-def _calls(exp: ExperimentConfig, samples: int) -> list:
+def _calls(exp: ExperimentConfig, samples_override: int | None = None) -> list:
     """(estimator id, args, config) of each estimator call an experiment makes."""
+    samples = exp.samples if samples_override is None else samples_override
     p = {**_DEFAULTS, **exp.params}
     pair = _PAIRS.get(exp.estimator_id)
     if pair is not None:
-        own = pair.rhs_samples is not None and samples == exp.samples
+        own = pair.rhs_samples is not None and samples_override is None
         sides = [(*pair.lhs(p), mix64(exp.seed, 1), samples),
                  (*pair.rhs(p), mix64(exp.seed, 2), p[pair.rhs_samples] if own else samples)]
     elif exp.estimator_id in _ESTIMATORS:
@@ -187,9 +199,15 @@ def _validate_experiment(exp: ExperimentConfig) -> None:
         montecarlo.check_tolerance(exp.tolerance_sigmas)
         # a pair's estimators take seeds mixed from the experiment's, so check it here
         EstimatorConfig(samples=exp.samples, seed=exp.seed)
-        for est_id, args, _ in _calls(exp, exp.samples):
+        calls, pair = _calls(exp), _PAIRS.get(exp.estimator_id)
+        takes = pair.params if pair else _ESTIMATORS[exp.estimator_id]
+        unknown = [name for name in exp.params if name not in takes]
+        if unknown:
+            raise ValueError(f"unknown param {', '.join(map(repr, unknown))}: "
+                             f"{exp.estimator_id} takes {', '.join(takes)}")
+        for est_id, args, _ in calls:
             getattr(montecarlo, f"{est_id}_domain")(*args)
-        if exp.estimator_id not in _PAIRS:
+        if pair is None:
             _closed_form(exp)
         elif exp.closed_form_id is not None:
             raise ValueError(f"pair experiments take no closed_form_id, "
@@ -200,9 +218,8 @@ def _validate_experiment(exp: ExperimentConfig) -> None:
 
 def run_experiment(exp: ExperimentConfig, samples_override: int | None = None) -> Comparison:
     """Execute one experiment and compare against its reference."""
-    samples = samples_override if samples_override is not None else exp.samples
     estimates = [getattr(montecarlo, f"estimate_{est_id}")(*args, cfg)
-                 for est_id, args, cfg in _calls(exp, samples)]
+                 for est_id, args, cfg in _calls(exp, samples_override)]
     pair = _PAIRS.get(exp.estimator_id)
     if pair is None:
         return montecarlo.compare(estimates[0], _closed_form(exp), exp.tolerance_sigmas)
@@ -249,64 +266,58 @@ def default_suite(seed: int = DEFAULT_SEED) -> list[ExperimentConfig]:
     through parse_config like any other."""
     exps: list[dict] = []
 
-    def add(experiment_id, estimator_id, params, samples, tolerance_sigmas,
-            closed_form_id=None, lines_per_system=None, probe=False):
-        exps.append({"experiment_id": experiment_id, "estimator_id": estimator_id,
-                     "params": params, "samples": samples, "tolerance_sigmas": tolerance_sigmas,
-                     "closed_form_id": closed_form_id, "lines_per_system": lines_per_system,
-                     "probe": probe})
+    def add(*required, **optional):
+        # the required fields in _REQUIRED_FIELDS order, then those the row sets
+        exps.append(dict(zip(_REQUIRED_FIELDS, required, strict=True), **optional))
 
     for r, m in ((1, 3), (2, 4), (3, 5), (2, 5)):
         add(f"pinv-r{r}m{m}", "pinv_moment",
             {"r": r, "m": m, "alpha": 2.0, "norm": "frobenius"},
-            100_000, 3.0, "pinv_moment_value")
+            100_000, closed_form_id="pinv_moment_value")
 
     for r, k in ((1, 1), (2, 1), (2, 2), (3, 1)):
         add(f"invnor2mdet-r{r}k{k}", "detweighted_square",
             {"r": r, "k": float(k), "alpha": 2.0, "norm": "frobenius"},
-            100_000, 3.0, "invnor2mdet_value")
+            100_000, closed_form_id="invnor2mdet_value")
 
     for norm in conditioning.NORMS:
         add(f"rect-identity-{norm}", "detweighted_rect_pair",
-            {"r": 2, "n": 3, "alpha": 2.0, "norm": norm}, 100_000, 3.0)
+            {"r": 2, "n": 3, "alpha": 2.0, "norm": norm}, 100_000)
 
     add("kernel-identity-r2n3", "detweighted_square_pair",
-        {"r": 2, "n": 3, "alpha": 2.0, "norm": "frobenius"}, 100_000, 3.0)
+        {"r": 2, "n": 3, "alpha": 2.0, "norm": "frobenius"}, 100_000)
 
     for d in (1, 2, 3):
         add(f"theorem-determined-d{d}", "poly_moment",
             {"n": 1, "degrees": [d], "alpha": 2.0, "relative": False,
              "norm": "frobenius"},
-            10_000, 4.0, "main_theorem_value", lines_per_system=1)
+            10_000, tolerance_sigmas=4.0, closed_form_id="main_theorem_value")
 
     add("theorem-underdetermined-n2d2", "poly_moment",
         {"n": 2, "degrees": [2], "alpha": 2.0, "relative": False,
          "norm": "frobenius"},
-        10_000, 3.0, "main_theorem_value", lines_per_system=8)
+        10_000, closed_form_id="main_theorem_value", lines_per_system=8)
 
     add("relative-vs-matrix-n2d2", "poly_matrix_pair",
         {"n": 2, "degrees": [2], "alpha": 2.0, "norm": "frobenius",
          "matrix_samples": 100_000},
-        10_000, 3.0, lines_per_system=8)
+        10_000, lines_per_system=8)
 
     add("scaling-identity-d2", "poly_scaling_pair",
-        {"n": 1, "degrees": [2], "alpha": 2.0, "norm": "frobenius"},
-        10_000, 3.0, lines_per_system=1)
+        {"n": 1, "degrees": [2], "alpha": 2.0, "norm": "frobenius"}, 10_000)
 
     for n, alpha in ((3, 4.0), (2, -2.0), (4, 2.0)):
         add(f"espnorm-n{n}a{alpha:g}", "espnorm",
-            {"n": n, "alpha": alpha}, 100_000, 3.0, "espnorm_value")
+            {"n": n, "alpha": alpha}, 100_000, closed_form_id="espnorm_value")
 
     for n, alpha in ((3, 1), (4, 2)):
         add(f"espnormrest-n{n}a{alpha}", "espnormrest",
-            {"n": n, "alpha": alpha, "beta": 2.0}, 100_000, 3.0, "espnormrest_closed")
+            {"n": n, "alpha": alpha, "beta": 2.0}, 100_000, closed_form_id="espnormrest_closed")
 
-    add("espnormrest-probe-sum", "espnormrest",
-        {"n": 3, "alpha": 1, "beta": 0.0}, 100_000, 3.0, "espnormrest_sum",
-        probe=True)
-    add("espnormrest-probe-closed", "espnormrest",
-        {"n": 3, "alpha": 1, "beta": 0.0}, 100_000, 5.0, "espnormrest_closed",
-        probe=True)
+    add("espnormrest-probe-sum", "espnormrest", {"n": 3, "alpha": 1, "beta": 0.0}, 100_000,
+        closed_form_id="espnormrest_sum", probe=True)
+    add("espnormrest-probe-closed", "espnormrest", {"n": 3, "alpha": 1, "beta": 0.0}, 100_000,
+        tolerance_sigmas=5.0, closed_form_id="espnormrest_closed", probe=True)
 
     return parse_config({"seed": seed, "experiments": exps})
 
@@ -328,17 +339,13 @@ def _experiment_config(e, index: int, seed: int) -> ExperimentConfig:
         raise ValueError(f"{name}: missing field {', '.join(map(repr, missing))}")
     if not isinstance(e["params"], dict):
         raise ValueError(f"{name}: params must be a JSON object, got {e['params']!r}")
-    return ExperimentConfig(
-        experiment_id=str(e["experiment_id"]),
-        estimator_id=str(e["estimator_id"]),
-        params=dict(e["params"]),
-        samples=e["samples"],
-        seed=e.get("seed", seed),
-        tolerance_sigmas=e.get("tolerance_sigmas", 3.0),
-        closed_form_id=e.get("closed_form_id"),
-        lines_per_system=e.get("lines_per_system"),
-        probe=e.get("probe", False),
-    )
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    unknown = [key for key in e if key not in known]
+    if unknown:
+        raise ValueError(f"{name}: unknown field {', '.join(map(repr, unknown))}")
+    return ExperimentConfig(**{"seed": seed, **e, "experiment_id": str(e["experiment_id"]),
+                               "estimator_id": str(e["estimator_id"]),
+                               "params": dict(e["params"])})
 
 
 def parse_config(obj: dict, seed: int | None = None) -> list[ExperimentConfig]:
@@ -350,6 +357,9 @@ def parse_config(obj: dict, seed: int | None = None) -> list[ExperimentConfig]:
     """
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
+    unknown = [key for key in obj if key not in ("version", "seed", "experiments")]
+    if unknown:
+        raise ValueError(f"unknown config field {', '.join(map(repr, unknown))}")
     version = obj.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version}")
@@ -376,23 +386,9 @@ def parse_config(obj: dict, seed: int | None = None) -> list[ExperimentConfig]:
 
 
 def config_to_dict(exps: list[ExperimentConfig]) -> dict:
-    """Serialize experiments back to the config schema."""
-    out = []
-    for e in exps:
-        d = {
-            "experiment_id": e.experiment_id,
-            "estimator_id": e.estimator_id,
-            "params": e.params,
-            "samples": e.samples,
-            "seed": e.seed,
-            "tolerance_sigmas": e.tolerance_sigmas,
-            "closed_form_id": e.closed_form_id,
-            "probe": e.probe,
-        }
-        if e.lines_per_system is not None:
-            d["lines_per_system"] = e.lines_per_system
-        out.append(d)
-    return {"version": CONFIG_VERSION, "experiments": out}
+    """Serialize experiments back to the config schema, every field written
+    (an unset closed_form_id or lines_per_system as null)."""
+    return {"version": CONFIG_VERSION, "experiments": [dataclasses.asdict(e) for e in exps]}
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +564,7 @@ def _suite_roots(seed: int) -> tuple[bool, str]:
         if len(pts) != expected:
             return False, f"expected {expected} points, got {len(pts)}"
         res = np.abs(bwspace.evaluate_at(h, pts)[:, 0])
-        if np.any(res > 1e-8 * bwspace.bw_norm(h)):
+        if np.any(res > conditioning.ZERO_TOL * bwspace.bw_norm(h)):
             return False, f"membership residual {res.max():.2e}"
     # Vieta at d = 5
     g = roots.BinaryForm(5, randgeom.complex_gaussian_vector(rng, 6))
@@ -594,9 +590,9 @@ def _suite_gamma_telescoping(seed: int) -> tuple[bool, str]:
     return worst < 1e-12, f"max telescoping residual {worst:.2e}"
 
 
-def _suite_gaussian_convention(seed: int, variance_scale: float = 1.0) -> tuple[bool, str]:
+def _suite_gaussian_convention(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, 0)
-    z = randgeom.complex_gaussian_array(rng, (100_000,)) * math.sqrt(variance_scale)
+    z = randgeom.complex_gaussian_array(rng, (100_000,))
     m2 = float(np.mean(np.abs(z) ** 2))
     se = float(np.std(np.abs(z) ** 2, ddof=1)) / math.sqrt(z.size)
     ok = abs(m2 - 1.0) <= 4 * se

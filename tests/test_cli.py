@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +159,20 @@ INVALID_EXPERIMENTS = {
     "params-not-object": ({"params": 5}, "pinv-small: params must be a JSON object, got 5"),
     # not a dict of overrides: the experiment itself
     "experiment-not-object": (7, "#0: experiment must be a JSON object, got 7"),
+    # a key or param no table names: each once ran as if it were absent
+    "misspelt-tolerance": ({"tolerance_sigma": 9.0}, "pinv-small: unknown field 'tolerance_sigma'"),
+    "poly-misspelt-relative": ({**POLY, "params": {**POLY["params"], "relatve": True}},
+                               "poly-small: unknown param 'relatve'"),
+    "square-pair-misspelt-norm": (
+        {"experiment_id": "square-pair", "estimator_id": "detweighted_square_pair",
+         "params": {"r": 2, "n": 3, "nrom": "operator"}, "closed_form_id": None},
+        "square-pair: unknown param 'nrom'"),
+    "matrix-pair-relative": (
+        {"experiment_id": "matrix-pair", "estimator_id": "poly_matrix_pair",
+         "params": {"n": 2, "degrees": [2], "alpha": 2.0, "norm": "frobenius",
+                    "matrix_samples": 100, "relative": False},
+         "samples": 50, "closed_form_id": None},
+        "matrix-pair: unknown param 'relative'"),
 }
 
 
@@ -170,6 +186,22 @@ def test_invalid_config_rejected_at_parse_exit_two(tmp_path, capsys, overrides, 
     assert cli.main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "rep")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+def test_unknown_top_level_field_exit_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**tiny_config(), "sed": 5}))
+    assert cli.main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "rep")]) == 2
+    assert "unknown config field 'sed'" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_readme_config_example_parses():
+    # the README's example config is held to the parser it documents
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("A config file looks like:", 1)[1]
+    example = example.split("```json\n", 1)[1].split("```", 1)[0]
+    assert [e.experiment_id for e in cli.parse_config(json.loads(example))] == ["pinv-r2m4"]
 
 
 def test_run_experiment_looks_functions_up_at_call_time(monkeypatch):
@@ -240,6 +272,13 @@ class TestRunVerify:
         exps = cli.parse_config(tiny_config())
         report = cli.run_verify(exps, samples_override=2000)
         assert report.rows[0]["n_samples"] == 2000
+
+    def test_samples_override_equal_to_own_count_replaces_matrix_samples(self):
+        exp = next(e for e in cli.default_suite() if e.experiment_id == "relative-vs-matrix-n2d2")
+        exp = dataclasses.replace(exp, samples=500)
+        row = cli.run_verify([exp], samples_override=exp.samples).rows[0]
+        assert exp.params["matrix_samples"] == 100_000
+        assert (row["attempted"], row["reference_attempted"]) == (500, 500)
 
 
 class TestDroppedSystems:
@@ -500,12 +539,15 @@ class TestSelftest:
         assert "FAIL" not in out
         assert "gamma-telescoping" in out
 
-    def test_gaussian_convention_mutation_detected(self):
+    def test_gaussian_convention_mutation_detected(self, monkeypatch):
         # doubling the variance must trip the convention suite
-        ok, _ = cli._suite_gaussian_convention(12345, variance_scale=2.0)
-        assert not ok
-        ok, _ = cli._suite_gaussian_convention(12345, variance_scale=1.0)
+        ok, _ = cli._suite_gaussian_convention(12345)
         assert ok
+        draw = cli.randgeom.complex_gaussian_array
+        monkeypatch.setattr(cli.randgeom, "complex_gaussian_array",
+                            lambda rng, shape: draw(rng, shape) * math.sqrt(2.0))
+        ok, _ = cli._suite_gaussian_convention(12345)
+        assert not ok
 
     def test_every_suite_returns_a_python_bool(self):
         assert len(cli._SELFTEST_SUITES) == 8
