@@ -95,7 +95,8 @@ class _Pair(NamedTuple):
 
     lhs and rhs map the params it takes to (estimator id, its params), scales
     to (lhs_scale, rhs_scale); rhs_samples names the param holding the rhs
-    sample count when samples are not overridden.
+    sample count when samples are not overridden; defaults holds the params
+    a config may leave out.
     """
 
     params: tuple[str, ...]
@@ -103,6 +104,7 @@ class _Pair(NamedTuple):
     rhs: Callable[[dict], tuple[str, dict]]
     scales: Callable[[dict], tuple[float, float]] = lambda p: (1.0, 1.0)
     rhs_samples: str | None = None
+    defaults: dict = {}
 
 
 _PAIRS = {
@@ -116,9 +118,10 @@ _PAIRS = {
     # kernel fibration: r x n pinv moment = scaled square moment, det exponent 2(n-r)
     "detweighted_square_pair": _Pair(
         params=("r", "n", "alpha", "norm"),
-        lhs=lambda p: ("pinv_moment", {**_SECOND_FROBENIUS, **p, "m": p["n"]}),
-        rhs=lambda p: ("detweighted_square", {**_SECOND_FROBENIUS, **p, "k": p["n"] - p["r"]}),
+        lhs=lambda p: ("pinv_moment", {**p, "m": p["n"]}),
+        rhs=lambda p: ("detweighted_square", {**p, "k": p["n"] - p["r"]}),
         scales=lambda p: (1.0, formulas.kernel_constant(p["r"], p["n"] - p["r"]).value),
+        defaults=_SECOND_FROBENIUS,
     ),
     # relative polynomial moment = pinv moment over r x (n+1)
     "poly_matrix_pair": _Pair(
@@ -152,19 +155,28 @@ _CLOSED_FORMS = {
 }
 
 
+def _takes(estimator_id: str) -> tuple[tuple[str, ...], dict]:
+    """The params an estimator or pair id takes, and the defaults of those a
+    config may leave out."""
+    pair = _PAIRS.get(estimator_id)
+    if pair is not None:
+        return pair.params, {**_DEFAULTS, **pair.defaults}
+    if estimator_id in _ESTIMATORS:
+        return _ESTIMATORS[estimator_id], _DEFAULTS
+    raise ValueError(f"unknown estimator_id {estimator_id!r}")
+
+
 def _calls(exp: ExperimentConfig, samples_override: int | None = None) -> list:
     """(estimator id, args, config) of each estimator call an experiment makes."""
     samples = exp.samples if samples_override is None else samples_override
-    p = {**_DEFAULTS, **exp.params}
+    p = {**_takes(exp.estimator_id)[1], **exp.params}
     pair = _PAIRS.get(exp.estimator_id)
     if pair is not None:
         own = pair.rhs_samples is not None and samples_override is None
         sides = [(*pair.lhs(p), mix64(exp.seed, 1), samples),
                  (*pair.rhs(p), mix64(exp.seed, 2), p[pair.rhs_samples] if own else samples)]
-    elif exp.estimator_id in _ESTIMATORS:
-        sides = [(exp.estimator_id, p, exp.seed, samples)]
     else:
-        raise ValueError(f"unknown estimator_id {exp.estimator_id!r}")
+        sides = [(exp.estimator_id, p, exp.seed, samples)]
     lines = exp.lines_per_system
     if lines is None:
         lines = EstimatorConfig.lines_per_system
@@ -199,12 +211,15 @@ def _validate_experiment(exp: ExperimentConfig) -> None:
         montecarlo.check_tolerance(exp.tolerance_sigmas)
         # a pair's estimators take seeds mixed from the experiment's, so check it here
         EstimatorConfig(samples=exp.samples, seed=exp.seed)
-        calls, pair = _calls(exp), _PAIRS.get(exp.estimator_id)
-        takes = pair.params if pair else _ESTIMATORS[exp.estimator_id]
+        # the params are checked against the tables before _calls indexes them
+        takes, defaults = _takes(exp.estimator_id)
         unknown = [name for name in exp.params if name not in takes]
-        if unknown:
-            raise ValueError(f"unknown param {', '.join(map(repr, unknown))}: "
-                             f"{exp.estimator_id} takes {', '.join(takes)}")
+        missing = [name for name in takes if name not in exp.params and name not in defaults]
+        wrong = [f"{kind} param {', '.join(map(repr, names))}"
+                 for kind, names in (("unknown", unknown), ("missing", missing)) if names]
+        if wrong:
+            raise ValueError(f"{'; '.join(wrong)}: {exp.estimator_id} takes {', '.join(takes)}")
+        calls, pair = _calls(exp), _PAIRS.get(exp.estimator_id)
         for est_id, args, _ in calls:
             getattr(montecarlo, f"{est_id}_domain")(*args)
         if pair is None:

@@ -5,8 +5,9 @@ the estimator's log-values for consecutive ranges of sample indices, in order
 (BLOCK_SAMPLES draws at a time on the matrix side, block i drawing from the
 counter-based substream RngStream(seed, i); on the polynomial side chunks of
 systems of about CHUNK_POINTS evaluation points, system j drawing from
-RngStream(seed, j) as whole arrays: its coordinates, then the line frames
-that roots.sample_zero_sets reads, nothing more; conditioning.zero_set_mu
+RngStream(seed, j) as whole arrays: its coordinates, then at n >= 2 the
+line frames that roots.sample_zero_sets reads, nothing more (at n = 1 it
+solves each form in the fixed frame (e_0, e_1)); conditioning.zero_set_mu
 checks the chunk's points against h and gives their mu), and reduces them
 in sample order with pairwise summation, so a result is a pure function of
 (estimator_id, params, seed, n_samples).  Before the first range it raises
@@ -409,14 +410,17 @@ def estimate_detweighted_rect(
 def detweighted_square_domain(r: int, k: float, alpha: float, norm: str) -> bool:
     """Check the parameters of estimate_detweighted_square; True if the tail is heavy.
 
-    r and k follow formulas.invnor2mdet_value; the alpha range is this estimator's.
+    r and k follow formulas.invnor2mdet_value; the alpha range is this
+    estimator's.  The last Bartlett diagonal X = |L_(r-1)(r-1)|^2 ~ Exp(1)
+    enters the integrand as X^(k - alpha/2), so the mean is finite only for
+    alpha < 2k + 2 and the variance only for alpha < 2k + 1.
     """
     conditioning.check_norm(norm)
     formulas.invnor2mdet_value(r, k)
     check_finite(alpha=alpha)
-    if not (0 < alpha < 4 * k + 2):
+    if not (0 < alpha < 2 * k + 2):
         raise ValueError(
-            f"alpha must satisfy 0 < alpha < 4k+2 = {4 * k + 2} for a finite mean, got {alpha}"
+            f"alpha must satisfy 0 < alpha < 2k+2 = {2 * k + 2} for a finite mean, got {alpha}"
         )
     return not (alpha < 2 * k + 1)
 
@@ -553,7 +557,8 @@ def estimate_poly_moment(
         "lines_per_system": lines,
     }
     # the d + 1 restriction nodes of each line, the most points per system of
-    # any evaluation pass
+    # any evaluation pass at n >= 2 (n = 1 evaluates only its d roots, in the
+    # same chunks)
     chunk = max(1, CHUNK_POINTS // (lines * (d + 1)))
     return _sample("poly_moment", params, cfg, heavy,
                    _poly_log_values(n, d, lines, alpha, relative),

@@ -13,15 +13,18 @@ closed form at d <= 3 (Cardano's formula, Newton-polished, at d = 3) and as
 the eigenvalues of the companion matrices, in one batched LAPACK call, from
 d = 4.  At n >= 2 the frame is Gram-Schmidt on a Gaussian pair, which is
 already Haar among orthonormal pairs, so turning it by a further Haar chart
-would leave its law unchanged and is not done; at n = 1 the frame is the
-Haar chart of (e_0, e_1).
+would leave its law unchanged and is not done.  At n = 1 the line is the
+whole space and the estimator returns all d roots, so nothing is sampled:
+the Gaussian (Bombieri-Weyl) ensemble is unitarily invariant, a Haar chart
+would leave the law of h, its zero set and mu unchanged, and the form is
+solved in the fixed frame (e_0, e_1), where its coefficients are its own
+coordinates scaled by sqrt(binom(d, k)), with no restriction.
 System j draws from RngStream(seed, j): its coordinates, then its line
-pairs (n >= 2) or its chart matrix (n = 1), all in one
-randgeom.uniforms_for_streams pass per chunk, and nothing else, so a
-line's roots never depend on the batch it is solved in.  The points are not
-checked here: every consumer checks each one against h itself
-(conditioning.zero_set_mu for the estimator).  A line fails its system only
-where _row_roots fails it.
+pairs (n >= 2), all in one randgeom.uniforms_for_streams pass per chunk,
+and nothing else, so a line's roots never depend on the batch it is solved
+in.  The points are not checked here: every consumer checks each one
+against h itself (conditioning.zero_set_mu for the estimator).  A line
+fails its system only where _row_roots fails it.
 """
 
 from __future__ import annotations
@@ -176,6 +179,13 @@ def _haar_charts(ginibre: np.ndarray) -> np.ndarray:
     return np.stack([q0, (t / np.abs(t))[..., None] * p], axis=-1)
 
 
+def _root_vectors(w: np.ndarray):
+    """The unit vectors (c0, c1) = (1, w) / sqrt(1 + |w|^2) of the roots w
+    (R, d) of dehomogenized forms, as c0 (real) and c1; NaN on failed rows."""
+    c0 = 1.0 / np.sqrt(1.0 + (w.real * w.real + w.imag * w.imag))
+    return c0, w * c0
+
+
 def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
     """Zero-set points (S, L*d, n+1) of S equations (S, K) on their L lines
     u, v (S, L, n+1) each, and the systems with a line that _row_roots failed.
@@ -185,10 +195,15 @@ def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
     """
     n_sys, n_lines, dim = u.shape
     w, failed = _row_roots(_restrict(coeffs, d, u, v).reshape(-1, d + 1))
-    c0 = 1.0 / np.sqrt(1.0 + (w.real * w.real + w.imag * w.imag))  # NaN on failed rows
-    c1 = w * c0
+    c0, c1 = _root_vectors(w)
     pts = c0[..., None] * u.reshape(-1, 1, dim) + c1[..., None] * v.reshape(-1, 1, dim)
     return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)
+
+
+def _bw_scale(d: int) -> np.ndarray:
+    """sqrt(binom(d, k)), k = 0..d: an n = 1 equation with coordinates c_k
+    is the binary form sum_k c_k sqrt(binom(d, k)) s^(d-k) t^k on (e_0, e_1)."""
+    return np.sqrt([math.comb(d, k) for k in range(d + 1)])
 
 
 def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
@@ -198,16 +213,19 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
     on the line (e_0, e_1), solved by _solve like any row: restricted to a
     random Haar frame of that line, dehomogenized, and solved in closed form
     at d <= 3 and as companion-matrix eigenvalues from d = 4 (_row_roots).
-    A row that _row_roots fails, which has probability zero (a root at the
-    frame's chart boundary), raises NumericError.  Clustered (multiple)
-    roots are returned as nearby simple roots.  Everything is drawn from rng.
+    The form is arbitrary, so it keeps its random chart: in the fixed frame a
+    root at (0 : 1), such as that of s t, would zero the leading coefficient
+    and fail the row.  A row that _row_roots fails, which has probability
+    zero (a root at the frame's chart boundary), raises NumericError.
+    Clustered (multiple) roots are returned as nearby simple roots.
+    Everything is drawn from rng.
     """
     d = g.degree
     if d < 1:
         raise ValueError("root extraction needs degree >= 1")
     if np.all(g.coeffs == 0):
         raise ValueError("cannot extract roots of the zero form")
-    coords = g.coeffs / np.sqrt([math.comb(d, k) for k in range(d + 1)])
+    coords = g.coeffs / _bw_scale(d)
     x = rng.uniforms((1, _section_size(1, 1)))
     pts, failed = _solve(coords[None], d, *_sections(x, 1, 1))
     if failed[0]:
@@ -218,7 +236,8 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
 def _section_size(n: int, lines: int) -> int:
     """Uniforms of a system's line frames, a complex Gaussian array as its
     radius uniforms then its phase uniforms.  The array is the
-    (lines, 2, n+1) line pairs at n >= 2 and the 2 x 2 chart matrix at
+    (lines, 2, n+1) line pairs at n >= 2 and, for the arbitrary forms of
+    binary_form_roots and sample_variety_points, the 2 x 2 chart matrix at
     n = 1 (lines = 1): 2 lines (n+1) entries either way, two uniforms each."""
     return 4 * lines * (n + 1)
 
@@ -245,16 +264,22 @@ def _sections(x: np.ndarray, n: int, lines: int):
 def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     """Gaussian degree-d equations j in systems and their zero-set points.
 
-    System j's uniforms (coordinates, then sections) are the first ones of
-    RngStream(seed, j), bit for bit; one randgeom.uniforms_for_streams pass
-    draws them for every system in systems.  Returns the coordinates (S, K),
-    the points (S, lines * d, n+1) and the systems whose root search failed.
-    Pass lines = 1 for n = 1.
+    System j's uniforms (coordinates, then at n >= 2 sections) are the first
+    ones of RngStream(seed, j), bit for bit; one
+    randgeom.uniforms_for_streams pass draws them for every system in
+    systems.  Returns the coordinates (S, K), the points (S, lines * d, n+1)
+    and the systems whose root search failed.  Pass lines = 1 for n = 1,
+    where each form is solved in the fixed frame (e_0, e_1): its ascending
+    coefficients are c_k sqrt(binom(d, k)) and a root w is the point
+    (c0, c0 w).
     """
     k = math.comb(n + d, n)
-    size = 2 * k + _section_size(n, lines)
+    size = 2 * k + (_section_size(n, lines) if n >= 2 else 0)
     x = randgeom.uniforms_for_streams(seed, systems, size)
     coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k : 2 * k])
+    if n == 1:
+        w, failed = _row_roots(coeffs * _bw_scale(d))
+        return coeffs, np.stack(_root_vectors(w), axis=-1), failed
     points, failed = _solve(coeffs, d, *_sections(x[:, 2 * k :], n, lines))
     return coeffs, points, failed
 
@@ -269,7 +294,11 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
     d roots are returned once.
 
     A batch of one of sample_zero_sets: after h = gaussian_system(rng, ...)
-    with rng = RngStream(seed, j) it returns the estimator's points of system j.
+    with rng = RngStream(seed, j) it returns the estimator's points of
+    system j, bit for bit at n >= 2.  At n = 1 h is arbitrary, so it keeps a
+    Haar chart drawn from rng (a root at (0 : 1) would fail the fixed frame
+    (e_0, e_1), see binary_form_roots), and returns the estimator's zero set
+    up to rounding, phase and order.
     """
     if h.r != 1:
         raise ValueError(f"variety sampling needs r = 1, got r = {h.r}")

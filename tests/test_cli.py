@@ -173,6 +173,17 @@ INVALID_EXPERIMENTS = {
                     "matrix_samples": 100, "relative": False},
          "samples": 50, "closed_form_id": None},
         "matrix-pair: unknown param 'relative'"),
+    # a param the estimator needs, left out or misspelt: once only "x: 'm'"
+    "pinv-missing-m": ({"params": {"r": 1, "alpha": 2.0, "norm": "frobenius"}},
+                       "pinv-small: missing param 'm': pinv_moment takes r, m, alpha, norm"),
+    "pinv-misspelt-m": ({"params": {"r": 1, "mm": 3, "alpha": 2.0, "norm": "frobenius"}},
+                        "pinv-small: unknown param 'mm'; missing param 'm': "
+                        "pinv_moment takes r, m, alpha, norm"),
+    "matrix-pair-missing-samples": (
+        {"experiment_id": "matrix-pair", "estimator_id": "poly_matrix_pair",
+         "params": {"n": 2, "degrees": [2], "alpha": 2.0, "norm": "frobenius"},
+         "samples": 50, "closed_form_id": None},
+        "matrix-pair: missing param 'matrix_samples'"),
 }
 
 

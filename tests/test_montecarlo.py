@@ -137,6 +137,20 @@ class TestDetweightedSquare:
         est = montecarlo.estimate_detweighted_square(3, 1.0, 2.0, "frobenius", cfg(100_000, 12))
         assert abs(z_against(est, 18.0)) < 4.0
 
+    @pytest.mark.parametrize("r, k", [(1, 1.0), (2, 1.0), (1, 0.25), (3, 1.5)])
+    def test_alpha_bound_is_the_finite_mean_edge(self, r, k):
+        # X^(k - alpha/2) with X ~ Exp(1): a finite mean only below 2k + 2
+        for alpha in (2 * k + 1.999, math.nextafter(2 * k + 2, 0)):
+            assert montecarlo.detweighted_square_domain(r, k, alpha, "frobenius")
+        for alpha in (2 * k + 2, 2 * k + 2.5, 4 * k + 1.9):
+            with pytest.raises(ValueError, match=r"alpha < 2k\+2 = .* for a finite mean"):
+                montecarlo.detweighted_square_domain(r, k, alpha, "frobenius")
+
+    def test_r1_k1_alpha_above_the_edge_refused(self):
+        # once admitted (alpha < 4k + 2), with an estimate that grew with the draws
+        with pytest.raises(ValueError, match="finite mean"):
+            montecarlo.estimate_detweighted_square(1, 1.0, 4.5, "frobenius", cfg(1_000, 13))
+
 
 class TestGramEigenvalues:
     # the integrands depend on A only through the eigenvalues of G = A A*,

@@ -287,8 +287,8 @@ def test_sample_zero_sets_reads_each_systems_own_stream(n, d, lines):
 @pytest.mark.parametrize("n, d, lines", [(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 2, 8),
                                          (2, 3, 4), (3, 4, 2)])
 def test_each_system_draws_only_what_it_reads(n, d, lines, monkeypatch):
-    # coordinates, then the line pairs (n >= 2) or the 2 x 2 chart (n = 1),
-    # and nothing else: no chart turns a drawn frame
+    # coordinates, then the line pairs (n >= 2), and nothing else: no chart
+    # turns a drawn frame, and at n = 1 the form is solved in (e_0, e_1)
     counts = []
     real = randgeom.uniforms_for_streams
 
@@ -299,10 +299,26 @@ def test_each_system_draws_only_what_it_reads(n, d, lines, monkeypatch):
     monkeypatch.setattr(roots.randgeom, "uniforms_for_streams", record)
     roots.sample_zero_sets(94, range(5), n, d, lines)
     k = math.comb(n + d, n)
-    frames = 4 * lines * (n + 1) if n >= 2 else 8
+    frames = 4 * lines * (n + 1) if n >= 2 else 0
     assert counts == [2 * k + frames]
     if (n, d, lines) == (2, 2, 8):
         assert counts == [108]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_n1_points_are_the_roots_of_the_form_in_its_chart(d, monkeypatch):
+    # at n = 1 the estimator solves each form in the fixed frame (e_0, e_1),
+    # with no chart and no restriction; its points are, projectively, the
+    # roots binary_form_roots finds for the same h in a Haar chart
+    for name in ("_haar_charts", "_sections", "_restrict"):
+        monkeypatch.setattr(roots, name, lambda *args, name=name: pytest.fail(name))
+    coeffs, points, failed = roots.sample_zero_sets(95, range(40), 1, d, 1)
+    assert not failed.any() and points.shape == (40, d, 2)
+    monkeypatch.undo()
+    for j, (c, pts) in enumerate(zip(coeffs, points)):
+        g = BinaryForm(d, c * np.sqrt([math.comb(d, k) for k in range(d + 1)]))
+        expected = roots.binary_form_roots(g, RngStream(95, 1000 + j))
+        assert projective_match(pts, expected, tol=1e-12, distance=up_to_phase)
 
 
 ROOT_TOL = 1e-12
