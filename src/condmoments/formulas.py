@@ -51,31 +51,50 @@ def check_finite(positive: bool = False, **values) -> None:
             raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
-def check_rect_alpha(n: int, r: int, alpha: float) -> bool:
-    """Reject alpha outside 0 < alpha < 2(n - r + 2); True if alpha >= n - r + 2.
+def check_tail(name: str, p: float, s: float, c: float = 0, sign: int = -1) -> bool:
+    """The one tail rule of the moment identities; True if the variance is infinite.
 
-    The alpha-th polynomial moment and ||A^+||^alpha |det A A*| over r x n
-    matrices have a finite mean in that range, and infinite variance from n - r + 2.
+    Each integrand behaves as X^e near X = 0, where X ~ Gamma(s) is the
+    smallest Bartlett diagonal or the smallest squared norm (Edelman, SIAM J.
+    Matrix Anal. Appl., 1988), and e = c + sign p/2 in the parameter p.  The
+    mean is finite iff e > -s, else this raises ValueError; the variance is
+    finite iff 2e > -s.  sign p is compared with -2(s + c) and -(s + 2c), so
+    no rounding of e moves an edge.  p must be a finite number (check_finite).
     """
-    check_finite(alpha=alpha)
-    if not (0 < alpha < 2 * (n - r + 2)):
+    bound = -2 * (s + c)
+    if not sign * p > bound:
+        op, pm = ("<", "-") if sign < 0 else (">", "+")
+        e = f"{c} {pm} {name}/2" if c else f"{pm}{name}/2"
         raise ValueError(
-            f"alpha must satisfy 0 < alpha < 2(n-r+2) = {2 * (n - r + 2)} "
-            f"for a finite mean, got {alpha}"
+            f"{name} must satisfy {name} {op} {sign * bound} for a finite mean, got {p}: "
+            f"the integrand goes as X^e near X = 0 with X ~ Gamma(s), s = {s} and "
+            f"e = {e}, and its mean is finite iff e > -s"
         )
-    return not (alpha < n - r + 2)
+    return not sign * p > -(s + 2 * c)
+
+
+def check_rect_alpha(n: int, r: int, alpha: float) -> bool:
+    """Check alpha > 0 and the tail rule at (s, e) = (n - r + 2, -alpha/2).
+
+    These are the alpha-th polynomial moment's; ||A^+||^alpha |det A A*|
+    over r x n matrices, which the identity equates with it, shares the
+    finite-mean range.
+    """
+    check_finite(positive=True, alpha=alpha)
+    return check_tail("alpha", alpha, n - r + 2)
 
 
 def espnorm_value(n: int, alpha: float) -> FormulaValue:
     """Moment of the norm of a standard Gaussian vector in C^n.
 
-    E ||v||^alpha = Gamma(n + alpha/2) / Gamma(n), for alpha > -2n.
+    E ||v||^alpha = Gamma(n + alpha/2) / Gamma(n), finite by check_tail at
+    (s, e) = (n, alpha/2): ||v||^2 ~ Gamma(n).
     """
     check_finite(alpha=alpha)
+    bwspace.check_integers(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if alpha <= -2 * n:
-        raise ValueError(f"alpha must exceed -2n = {-2 * n}, got {alpha}")
+    check_tail("alpha", alpha, n, sign=1)
     log_value = _lgamma(n + alpha / 2.0, "espnorm") - _lgamma(float(n), "espnorm")
     return _from_log(log_value, "espnorm_value", {"n": n, "alpha": alpha})
 
@@ -100,17 +119,17 @@ def espnormrest_value(n: int, alpha: int, beta: float) -> EspnormrestForms:
     """E( ||v||^(2 alpha) ||P v||^beta ) for v standard Gaussian in C^n,
 
     where P projects onto the first n - 1 coordinates.  alpha must be a
-    nonnegative integer and beta > 2 - 2n, where ||P v||^beta, P v Gaussian
-    in C^(n-1), has a finite mean.
+    nonnegative integer, and beta is check_tail's at (s, e) = (n - 1, beta/2):
+    ||P v||^2 ~ Gamma(n - 1).
     """
     check_finite(alpha=alpha, beta=beta)
+    bwspace.check_integers(n=n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if alpha < 0 or int(alpha) != alpha:
         raise ValueError(f"alpha must be a nonnegative integer, got {alpha}")
     alpha = int(alpha)
-    if beta <= 2 - 2 * n:
-        raise ValueError(f"beta must exceed 2 - 2n = {2 - 2 * n} for a finite mean, got {beta}")
+    check_tail("beta", beta, n - 1, sign=1)
 
     params = {"n": n, "alpha": alpha, "beta": beta}
     log_closed = (
@@ -216,6 +235,7 @@ def exmualpha_constant(n: int, r: int, degrees, alpha: float) -> FormulaValue:
 
 def pinv_moment_value(r: int, m: int) -> FormulaValue:
     """E ||M^+||_F^2 over standard Gaussian r x m complex matrices: r / (m - r)."""
+    bwspace.check_integers(r=r, m=m)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if m <= r:

@@ -29,9 +29,14 @@ forward substitution (_log_trace_inverse), and at the operator norm
 lambda_min(G) = sigma_min(L)^2 (_log_pinv_norm).
 
 Domains and heavy tails: each <id>_domain checks the estimator's own rules
-(norm name, integer counts) and takes the identity's rule from the one place
-in formulas that states it.  It returns True whenever the estimand's second
-moment is infinite or unproven, and the estimator then switches to
+(norm name, integer counts, alpha > 0, r = 1) and takes the identity's rule
+from the one place in formulas that states it.  Its range and heavy flag come
+from formulas.check_tail at the estimator's (s, e): the integrand behaves as
+X^e near X = 0 with X ~ Gamma(s), a finite mean iff e > -s, outside which
+the domain raises, and a finite variance iff 2e > -s.  It returns True
+whenever the estimand's second moment is infinite or unproven (the
+rectangular flag is the polynomial moment's, conservative on
+[n - r + 2, n - r + 3)), and the estimator then switches to
 median-of-means over MOM_BUCKETS contiguous buckets, reporting the bucket-mean
 spread (sample std of bucket means divided by sqrt(buckets)) as the
 dispersion; z-scores against that dispersion are approximate and the
@@ -359,21 +364,17 @@ def _gram_log_values(r: int, m: int, alpha: float, norm: str, weight: float = 0)
 def pinv_moment_domain(r: int, m: int, alpha: float, norm: str) -> bool:
     """Check the parameters of estimate_pinv_moment; True if the tail is heavy.
 
-    The mean is finite iff alpha < 2(m - r + 1); outside that range the
-    estimator refuses to run.  The variance is finite iff alpha < m - r + 1,
-    otherwise median-of-means is used.  No closed form covers general alpha.
+    Its own rules are the norm, integers 1 <= r <= m and alpha > 0; the tail
+    is formulas.check_tail's at (s, e) = (m - r + 1, -alpha/2), with X the
+    last Bartlett diagonal of the Gram matrix.  No closed form covers general
+    alpha.
     """
     conditioning.check_norm(norm)
     if not (1 <= r <= m):
         raise ValueError(f"need 1 <= r <= m, got r = {r}, m = {m}")
-    check_finite(alpha=alpha)
-    if not (0 < alpha < 2 * (m - r + 1)):
-        raise ValueError(
-            f"alpha must satisfy 0 < alpha < 2(m-r+1) = {2 * (m - r + 1)} "
-            f"for a finite mean, got {alpha}"
-        )
+    check_finite(positive=True, alpha=alpha)
     check_integers(r=r, m=m)
-    return not (alpha < m - r + 1)
+    return formulas.check_tail("alpha", alpha, m - r + 1)
 
 
 def estimate_pinv_moment(
@@ -388,7 +389,11 @@ def estimate_pinv_moment(
 def detweighted_rect_domain(r: int, n: int, alpha: float, norm: str) -> bool:
     """Check the parameters of estimate_detweighted_rect; True if the tail is heavy.
 
-    The alpha range and heavy flag are formulas.check_rect_alpha's.
+    Its own rules are the norm and integers 1 <= r <= n; alpha and the flag
+    are formulas.check_rect_alpha's, the polynomial moment's (s, e) =
+    (n - r + 2, -alpha/2).  The integrand's own (s, e) = (n - r + 1,
+    1 - alpha/2) gives the same finite-mean range but a finite variance below
+    n - r + 3, so the flag is conservative on [n - r + 2, n - r + 3).
     """
     conditioning.check_norm(norm)
     if not (1 <= r <= n):
@@ -410,19 +415,15 @@ def estimate_detweighted_rect(
 def detweighted_square_domain(r: int, k: float, alpha: float, norm: str) -> bool:
     """Check the parameters of estimate_detweighted_square; True if the tail is heavy.
 
-    r and k follow formulas.invnor2mdet_value; the alpha range is this
-    estimator's.  The last Bartlett diagonal X = |L_(r-1)(r-1)|^2 ~ Exp(1)
-    enters the integrand as X^(k - alpha/2), so the mean is finite only for
-    alpha < 2k + 2 and the variance only for alpha < 2k + 1.
+    r and k follow formulas.invnor2mdet_value, and alpha > 0.  The last
+    Bartlett diagonal X = |L_(r-1)(r-1)|^2 ~ Exp(1) enters the integrand as
+    X^(k - alpha/2), so the tail is formulas.check_tail's at (s, e) =
+    (1, k - alpha/2).
     """
     conditioning.check_norm(norm)
     formulas.invnor2mdet_value(r, k)
-    check_finite(alpha=alpha)
-    if not (0 < alpha < 2 * k + 2):
-        raise ValueError(
-            f"alpha must satisfy 0 < alpha < 2k+2 = {2 * k + 2} for a finite mean, got {alpha}"
-        )
-    return not (alpha < 2 * k + 1)
+    check_finite(positive=True, alpha=alpha)
+    return formulas.check_tail("alpha", alpha, 1, c=k)
 
 
 def estimate_detweighted_square(
@@ -448,11 +449,11 @@ def _log_norm(sq: np.ndarray) -> np.ndarray:
 def espnorm_domain(n: int, alpha: float) -> bool:
     """Check the parameters of estimate_espnorm; True if the tail is heavy.
 
-    The range alpha > -2n is formulas.espnorm_value's.
+    The preconditions are formulas.espnorm_value's; the tail is
+    formulas.check_tail's at (s, e) = (n, alpha/2), with X = ||v||^2.
     """
     formulas.espnorm_value(n, alpha)
-    check_integers(n=n)
-    return alpha <= -n
+    return formulas.check_tail("alpha", alpha, n, sign=1)
 
 
 def estimate_espnorm(n: int, alpha: float, cfg: EstimatorConfig) -> EstimateResult:
@@ -470,12 +471,11 @@ def espnormrest_domain(n: int, alpha: int, beta: float) -> bool:
     """Check the parameters of estimate_espnormrest; True if the tail is heavy.
 
     The preconditions are formulas.espnormrest_value's, both forms' poles
-    included.  The variance, the mean at (2 alpha, 2 beta), is infinite from
-    beta <= 1 - n, the ||P v|| singularity in C^(n-1).
+    included; the tail is formulas.check_tail's at (s, e) = (n - 1, beta/2),
+    with X = ||P v||^2, the ||P v|| singularity in C^(n-1).
     """
     formulas.espnormrest_value(n, alpha, beta)
-    check_integers(n=n)
-    return beta <= 1 - n
+    return formulas.check_tail("beta", beta, n - 1, sign=1)
 
 
 def estimate_espnormrest(
@@ -516,7 +516,8 @@ def poly_moment_domain(n: int, degrees, alpha: float, relative: bool, norm: str)
     """Check the parameters of estimate_poly_moment; True if the tail is heavy.
 
     The own rules are a bool relative and r = 1; n and the degrees follow
-    bwspace.check_degrees, alpha formulas.check_rect_alpha.
+    bwspace.check_degrees, and alpha and the flag formulas.check_rect_alpha,
+    (s, e) = (n - r + 2, -alpha/2).
     """
     conditioning.check_norm(norm)
     if not isinstance(relative, bool):

@@ -54,7 +54,7 @@ class TestConfigParsing:
                                   "relative": False, "norm": "frobenius"},
                           estimator_id="poly_moment",
                           closed_form_id="main_theorem_value")
-        with pytest.raises(ValueError, match="2\\(n-r\\+2\\)"):
+        with pytest.raises(ValueError, match="alpha < 4 for a finite mean"):
             cli.parse_config(doc)
 
     def test_fractional_base_seed_rejected(self):

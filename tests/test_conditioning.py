@@ -248,6 +248,11 @@ class TestEmpiricalMoment:
         h = bwspace.make_system(1, (1,), [np.array([0.0, 1.0], dtype=complex)])
         with pytest.raises(ValueError, match="at least one"):
             conditioning.empirical_moment(h, [], 2.0)
+        # nor does a zero list take an alpha that is not a finite positive number
+        x = np.array([1.0, 0.0], dtype=complex)
+        for alpha in (0.0, -1.0, math.nan, math.inf, True):
+            with pytest.raises(ValueError, match="alpha must be"):
+                conditioning.empirical_moment(h, [x], alpha)
 
     def test_infinite_mu_propagates(self):
         rng = RngStream(49, 0)

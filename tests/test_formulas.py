@@ -75,7 +75,7 @@ class TestEspnormrest:
                              [(2, 0, -2.5), (2, 0, -2.0), (2, 3, -2.0), (4, 1, -6.0)])
     def test_rejects_beta_outside_the_finite_range(self, n, alpha, beta):
         # ||P v||^beta, P v Gaussian in C^(n-1), has a finite mean only for beta > 2 - 2n
-        with pytest.raises(ValueError, match=f"beta must exceed 2 - 2n = {2 - 2 * n}"):
+        with pytest.raises(ValueError, match=f"beta > {2 - 2 * n} for a finite mean"):
             formulas.espnormrest_value(n, alpha, beta)
 
     def test_accepts_beta_just_inside_the_range(self):
@@ -156,7 +156,7 @@ class TestExmualphaConstant:
         assert c.value == pytest.approx(5.0 * 0.5, rel=1e-13)
 
     def test_range_enforced(self):
-        with pytest.raises(ValueError, match="2\\(n-r\\+2\\)"):
+        with pytest.raises(ValueError, match="alpha < 6 for a finite mean"):
             formulas.exmualpha_constant(2, 1, (2,), 6.0)
         with pytest.raises(ValueError):
             formulas.exmualpha_constant(2, 2, (2,), 2.0)  # r mismatch

@@ -1,6 +1,7 @@
 import decimal
 import math
 import platform
+import re
 import types
 from fractions import Fraction
 
@@ -97,7 +98,7 @@ class TestPinvMoment:
         assert op.mean < frob.mean
 
     def test_rejects_infinite_mean_range(self):
-        with pytest.raises(ValueError, match="2\\(m-r\\+1\\)"):
+        with pytest.raises(ValueError, match="alpha < 2 for a finite mean"):
             montecarlo.estimate_pinv_moment(2, 2, 2.0, "frobenius", cfg(10, 5))
 
     def test_rejects_bad_norm(self):
@@ -143,7 +144,8 @@ class TestDetweightedSquare:
         for alpha in (2 * k + 1.999, math.nextafter(2 * k + 2, 0)):
             assert montecarlo.detweighted_square_domain(r, k, alpha, "frobenius")
         for alpha in (2 * k + 2, 2 * k + 2.5, 4 * k + 1.9):
-            with pytest.raises(ValueError, match=r"alpha < 2k\+2 = .* for a finite mean"):
+            edge = re.escape(f"alpha < {2 * k + 2} for a finite mean")
+            with pytest.raises(ValueError, match=edge):
                 montecarlo.detweighted_square_domain(r, k, alpha, "frobenius")
 
     def test_r1_k1_alpha_above_the_edge_refused(self):
@@ -493,7 +495,7 @@ class TestEspnorm:
         assert abs(est.mean - 1.0) < 6 * est.stderr
 
     def test_rejects_pole(self):
-        with pytest.raises(ValueError, match="-2n"):
+        with pytest.raises(ValueError, match="alpha > -4 for a finite mean"):
             montecarlo.estimate_espnorm(2, -4.0, cfg(10, 16))
 
 
@@ -562,7 +564,7 @@ class TestPolyMoment:
         assert frob.mean == op.mean
 
     def test_alpha_range_named_in_error(self):
-        with pytest.raises(ValueError, match="2\\(n-r\\+2\\)"):
+        with pytest.raises(ValueError, match="alpha < 4 for a finite mean"):
             montecarlo.estimate_poly_moment(1, (2,), 5.0, False, "frobenius", cfg(10, 24))
 
     def test_multi_equation_rejected(self):
@@ -911,7 +913,7 @@ class TestDomainsMatchClosedForms:
     def test_espnorm(self):
         self._agree([
             ((montecarlo.espnorm_domain, n, alpha), (formulas.espnorm_value, n, alpha))
-            for n in (0, 1, 2, 3)
+            for n in (0, 1, 2, 3, 2.5, True)
             for alpha in (-7.0, -6.0, -4.0, -2.5, -2.0, 0.0, 2.0, 5.5,
                           math.inf, math.nan, True, "2")
         ])
@@ -920,7 +922,7 @@ class TestDomainsMatchClosedForms:
         self._agree([
             ((montecarlo.espnormrest_domain, n, alpha, beta),
              (formulas.espnormrest_value, n, alpha, beta))
-            for n in (1, 2, 3, 4)
+            for n in (1, 2, 3, 4, 2.5, True)
             for alpha in (-1, 0, 1, 2, 1.5, True)
             for beta in (-6.5, -4.5, -3.0, -2.5, -2.0, -1.0, 0.0, 2.0, math.inf, math.nan, True)
         ])
@@ -931,6 +933,15 @@ class TestDomainsMatchClosedForms:
              (formulas.invnor2mdet_value, r, k))
             for r in (0, 1, 2, 3, 1.5, True)
             for k in (-1.0, 0.0, 0.5, 1.0, 2.0, math.inf, math.nan, True)
+        ])
+
+    def test_pinv_at_alpha_two(self):
+        # E ||M^+||_F^2 = r / (m - r) is the pinv moment at alpha = 2
+        self._agree([
+            ((montecarlo.pinv_moment_domain, r, m, 2.0, "frobenius"),
+             (formulas.pinv_moment_value, r, m))
+            for r in (0, 1, 2, 3, 2.5, True)
+            for m in (1, 2, 3, 4, 4.0, 2.5, True)
         ])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -946,3 +957,49 @@ class TestDomainsMatchClosedForms:
         for p, q in zip(poly, rect):
             if not _raises(*p):
                 assert p[0](*p[1:]) == q[0](*q[1:])
+
+
+def _tail_cases():
+    """(id, domain as a function of its tail parameter, finite-mean edge,
+    finite-variance edge, -1 if admitted below the edges or +1 if above),
+    each edge in the arithmetic of the range it has always had."""
+    d = montecarlo
+    for r, m in ((1, 1), (1, 3), (2, 4), (3, 5)):
+        yield (f"pinv-r{r}m{m}", lambda a, r=r, m=m: d.pinv_moment_domain(r, m, a, "frobenius"),
+               2 * (m - r + 1), m - r + 1, -1)
+    for r, n in ((1, 1), (1, 3), (2, 3), (3, 5)):
+        # the flag is the polynomial moment's, from n - r + 2
+        yield (f"rect-r{r}n{n}", lambda a, r=r, n=n: d.detweighted_rect_domain(r, n, a, "frobenius"),
+               2 * (n - r + 2), n - r + 2, -1)
+    # non-dyadic k, where k - alpha/2 > -1 and 2k - alpha > -1 slip by an ulp
+    for r, k in ((1, 0.1), (2, 1 / 3), (1, 2 / 3), (3, 0.9), (1, 1.0), (2, 2.5)):
+        yield (f"square-r{r}k{k:.3g}",
+               lambda a, r=r, k=k: d.detweighted_square_domain(r, k, a, "frobenius"),
+               2 * k + 2, 2 * k + 1, -1)
+    for n in (1, 2, 3):
+        yield f"espnorm-n{n}", lambda a, n=n: d.espnorm_domain(n, a), -2 * n, -n, 1
+    for n, alpha in ((2, 0), (3, 1), (4, 2)):
+        yield (f"espnormrest-n{n}a{alpha}", lambda b, n=n, a=alpha: d.espnormrest_domain(n, a, b),
+               2 - 2 * n, 1 - n, 1)
+    for n in (1, 2, 3):
+        yield (f"poly-n{n}", lambda a, n=n: d.poly_moment_domain(n, (2,), a, False, "frobenius"),
+               2 * (n + 1), n + 1, -1)
+
+
+class TestTailEdges:
+    """Every estimator domain admits its parameter strictly inside the
+    finite-mean edge and flags it heavy from the finite-variance edge on, at
+    each edge and at its floating-point neighbours on both sides."""
+
+    @pytest.mark.parametrize("domain, mean_edge, var_edge, side",
+                             [case[1:] for case in _tail_cases()],
+                             ids=[case[0] for case in _tail_cases()])
+    def test_both_sides_of_both_edges(self, domain, mean_edge, var_edge, side):
+        inside = side * math.inf
+        assert domain(math.nextafter(mean_edge, inside)) is True
+        for p in (mean_edge, math.nextafter(mean_edge, -inside)):
+            with pytest.raises(ValueError, match="for a finite mean"):
+                domain(p)
+        assert domain(math.nextafter(var_edge, inside)) is False
+        assert domain(var_edge) is True
+        assert domain(math.nextafter(var_edge, -inside)) is True
