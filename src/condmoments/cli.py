@@ -14,8 +14,11 @@ mean, stderr, closed_form, z, pass.  Exit codes: 0 all non-probe
 experiments pass, 1 a check failed or an estimator errored, 2 the config or
 command line was invalid.  The estimator tables below (_ESTIMATORS, _PAIRS,
 _CLOSED_FORMS) are the single list of estimator and closed-form ids and their
-params, the fields of ExperimentConfig that of experiment keys and defaults;
-a config key or param that no list names is a config error.
+params, and the fields of ExperimentConfig the single list of experiment keys
+and their defaults; a config key or param that no list names is a config
+error.  _FORMULAS is the one table of closed-form values: the formulas
+subcommand prints its entries, and each _CLOSED_FORMS id names the entry it
+reads.
 """
 
 from __future__ import annotations
@@ -139,19 +142,25 @@ _PAIRS = {
     ),
 }
 
-# closed_form_id -> (the estimator it checks, the params it holds at, its value)
+class _ClosedForm(NamedTuple):
+    """A closed form as the check of a single estimate: the estimator it
+    checks, the params it holds at, the _FORMULAS entry that gives its value,
+    and, where that entry returns more than one form, the field it reads."""
+
+    checks: str
+    fixed: dict
+    formula: str
+    field: str | None = None
+
+
 _CLOSED_FORMS = {
-    "pinv_moment_value": ("pinv_moment", _SECOND_FROBENIUS,
-                          lambda p: formulas.pinv_moment_value(p["r"], p["m"])),
-    "invnor2mdet_value": ("detweighted_square", _SECOND_FROBENIUS,
-                          lambda p: formulas.invnor2mdet_value(p["r"], p["k"])),
-    "main_theorem_value": ("poly_moment", {**_SECOND_FROBENIUS, "relative": False},
-                           lambda p: formulas.main_theorem_value(p["n"], p["degrees"])),
-    "espnorm_value": ("espnorm", {}, lambda p: formulas.espnorm_value(p["n"], p["alpha"])),
-    "espnormrest_closed": ("espnormrest", {}, lambda p: formulas.espnormrest_value(
-        p["n"], p["alpha"], p["beta"]).closed_form),
-    "espnormrest_sum": ("espnormrest", {}, lambda p: formulas.espnormrest_value(
-        p["n"], p["alpha"], p["beta"]).sum_form),
+    "pinv_moment_value": _ClosedForm("pinv_moment", _SECOND_FROBENIUS, "pinv_moment"),
+    "invnor2mdet_value": _ClosedForm("detweighted_square", _SECOND_FROBENIUS, "invnor2mdet"),
+    "main_theorem_value": _ClosedForm("poly_moment", {**_SECOND_FROBENIUS, "relative": False},
+                                      "main_theorem"),
+    "espnorm_value": _ClosedForm("espnorm", {}, "espnorm"),
+    "espnormrest_closed": _ClosedForm("espnormrest", {}, "espnormrest", "closed_form"),
+    "espnormrest_sum": _ClosedForm("espnormrest", {}, "espnormrest", "sum_form"),
 }
 
 
@@ -192,14 +201,15 @@ def _closed_form(exp: ExperimentConfig) -> formulas.FormulaValue:
     cf_id = exp.closed_form_id
     if cf_id not in _CLOSED_FORMS:
         raise ValueError(f"closed_form_id must be one of {list(_CLOSED_FORMS)}, got {cf_id!r}")
-    checks, fixed, value = _CLOSED_FORMS[cf_id]
-    if checks != exp.estimator_id:
-        raise ValueError(f"{cf_id} checks {checks}, not {exp.estimator_id}")
+    form = _CLOSED_FORMS[cf_id]
+    if form.checks != exp.estimator_id:
+        raise ValueError(f"{cf_id} checks {form.checks}, not {exp.estimator_id}")
     p = {**_DEFAULTS, **exp.params}
-    for name, at in fixed.items():
+    for name, at in form.fixed.items():
         if p.get(name) != at:
             raise ValueError(f"{cf_id} holds only at {name} = {at!r}, got {p.get(name)!r}")
-    return value(exp.params)
+    value = _FORMULAS[form.formula](exp.params)
+    return value if form.field is None else getattr(value, form.field)
 
 
 def _validate_experiment(exp: ExperimentConfig) -> None:
@@ -641,7 +651,8 @@ def run_selftest(seed: int = DEFAULT_SEED, echo=print) -> bool:
 # formulas subcommand
 
 # formula name -> its closed form from the parsed arguments; the one list of
-# names the formulas subcommand accepts
+# names the formulas subcommand accepts, and the one table of closed-form
+# values (_CLOSED_FORMS reads its values here)
 _FORMULAS = {
     "espnorm": lambda a: formulas.espnorm_value(a["n"], a["alpha"]),
     "espnormrest": lambda a: formulas.espnormrest_value(a["n"], a["alpha"], a["beta"]),
@@ -772,7 +783,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_formulas(args) -> int:
     params = {k: v for k, v in vars(args).items()
-              if k in ("n", "r", "m", "k", "l", "alpha", "beta", "degrees") and v is not None}
+              if k not in ("command", "name") and v is not None}
     try:
         out = run_formulas(args.name, params)
     except (KeyError, TypeError) as err:

@@ -204,10 +204,11 @@ def kernel_constant(r: int, k: int) -> FormulaValue:
 
 
 def scaling_constant(n: int, degrees, alpha: float) -> FormulaValue:
-    """Absolute over relative alpha-th moment: Gamma(N) / Gamma(N - alpha/2), alpha/2 < N."""
+    """Absolute over relative alpha-th moment: Gamma(N) / Gamma(N - alpha/2),
+    finite by check_tail at (s, e) = (N, -alpha/2): ||h||^2 ~ Gamma(N)."""
+    check_finite(alpha=alpha)
     n_dim = bwspace.dim_space(n, degrees)
-    if alpha / 2.0 >= n_dim:
-        raise ValueError(f"alpha/2 must be below N = {n_dim}")
+    check_tail("alpha", alpha, n_dim)
     log_value = _lgamma(float(n_dim), "scaling") - _lgamma(n_dim - alpha / 2.0, "scaling")
     return _from_log(log_value, "scaling_constant", {"n": n, "alpha": alpha, "N": n_dim})
 

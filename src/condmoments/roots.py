@@ -11,14 +11,17 @@ Each equation is restricted straight to its line's frame (u, v) by one DFT,
 and the roots c of that binary form, the points c0 u + c1 v, are taken in
 closed form at d <= 3 (Cardano's formula, Newton-polished, at d = 3) and as
 the eigenvalues of the companion matrices, in one batched LAPACK call, from
-d = 4.  At n >= 2 the frame is Gram-Schmidt on a Gaussian pair, which is
-already Haar among orthonormal pairs, so turning it by a further Haar chart
-would leave its law unchanged and is not done.  At n = 1 the line is the
-whole space and the estimator returns all d roots, so nothing is sampled:
-the Gaussian (Bombieri-Weyl) ensemble is unitarily invariant, a Haar chart
-would leave the law of h, its zero set and mu unchanged, and the form is
-solved in the fixed frame (e_0, e_1), where its coefficients are its own
-coordinates scaled by sqrt(binom(d, k)), with no restriction.
+d = 4.  Every drawn frame, n = 1 included, is randgeom.orthonormal_pair
+(Gram-Schmidt) on a Gaussian pair, which is already Haar among orthonormal
+pairs, so turning it by a further Haar chart would leave its law unchanged
+and is not done; it is orthonormal to eps times the condition number of the
+pair.  At n = 1 the line is the whole space and the estimator returns all d
+roots, so nothing is sampled: the Gaussian (Bombieri-Weyl) ensemble is
+unitarily invariant, a random frame would leave the law of h, its zero set
+and mu unchanged, and the form is solved in the fixed frame (e_0, e_1),
+where its coefficients are its own coordinates scaled by sqrt(binom(d, k)),
+with no restriction.  Only the n = 1 wrappers for arbitrary forms,
+binary_form_roots and sample_variety_points, draw a frame of C^2.
 System j draws from RngStream(seed, j): its coordinates, then its line
 pairs (n >= 2), all in one randgeom.uniforms_for_streams pass per chunk,
 and nothing else, so a line's roots never depend on the batch it is solved
@@ -164,21 +167,6 @@ def _row_roots(coeffs_asc: np.ndarray):
     return w, failed
 
 
-def _haar_charts(ginibre: np.ndarray) -> np.ndarray:
-    """Haar unitaries (R, 2, 2) from Ginibre matrices (R, 2, 2) by Gram-Schmidt
-    on the columns a0, a1, written out for C^2: q0 = a0 / |a0|, and a1 minus
-    its q0 part is <p, a1> p for the unit p = (-conj(q0[1]), conj(q0[0])), so
-    q1 is p times the phase of <p, a1>.  This is QR with R's diagonal made
-    positive real, the Q of randgeom.unitary_from_ginibre, and it stays
-    unitary to rounding however close a0 and a1 are.
-    """
-    a0, a1 = ginibre[..., 0], ginibre[..., 1]
-    q0 = a0 / np.linalg.norm(a0, axis=-1, keepdims=True)
-    t = q0[..., 0] * a1[..., 1] - q0[..., 1] * a1[..., 0]  # <p, a1>
-    p = np.stack([-q0[..., 1].conj(), q0[..., 0].conj()], axis=-1)
-    return np.stack([q0, (t / np.abs(t))[..., None] * p], axis=-1)
-
-
 def _root_vectors(w: np.ndarray):
     """The unit vectors (c0, c1) = (1, w) / sqrt(1 + |w|^2) of the roots w
     (R, d) of dehomogenized forms, as c0 (real) and c1; NaN on failed rows."""
@@ -211,11 +199,12 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
 
     The form is the n = 1 equation with coordinates coeffs[k] / sqrt(binom(d, k))
     on the line (e_0, e_1), solved by _solve like any row: restricted to a
-    random Haar frame of that line, dehomogenized, and solved in closed form
-    at d <= 3 and as companion-matrix eigenvalues from d = 4 (_row_roots).
-    The form is arbitrary, so it keeps its random chart: in the fixed frame a
-    root at (0 : 1), such as that of s t, would zero the leading coefficient
-    and fail the row.  A row that _row_roots fails, which has probability
+    random Haar frame of C^2 (_sections at n = 1, the frame every line
+    takes), dehomogenized, and solved in closed form at d <= 3 and as
+    companion-matrix eigenvalues from d = 4 (_row_roots).  The form is
+    arbitrary, so it keeps its random frame: in the fixed frame a root at
+    (0 : 1), such as that of s t, would zero the leading coefficient and
+    fail the row.  A row that _row_roots fails, which has probability
     zero (a root at the frame's chart boundary), raises NumericError.
     Clustered (multiple) roots are returned as nearby simple roots.
     Everything is drawn from rng.
@@ -234,11 +223,9 @@ def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
 
 
 def _section_size(n: int, lines: int) -> int:
-    """Uniforms of a system's line frames, a complex Gaussian array as its
-    radius uniforms then its phase uniforms.  The array is the
-    (lines, 2, n+1) line pairs at n >= 2 and, for the arbitrary forms of
-    binary_form_roots and sample_variety_points, the 2 x 2 chart matrix at
-    n = 1 (lines = 1): 2 lines (n+1) entries either way, two uniforms each."""
+    """Uniforms of a system's line frames: the (lines, 2, n+1) Gaussian line
+    pairs, radius uniforms then phase uniforms, two per entry.  At n = 1
+    only binary_form_roots and sample_variety_points draw them (lines = 1)."""
     return 4 * lines * (n + 1)
 
 
@@ -246,19 +233,13 @@ def _sections(x: np.ndarray, n: int, lines: int):
     """Line frames (u, v) (S, lines, n+1) of S systems from their uniforms
     x (S, T) in stream order.
 
-    At n >= 2 the frame is Gram-Schmidt on a Gaussian pair, already Haar
-    among orthonormal pairs; at n = 1 it is the Haar chart of (e_0, e_1),
-    the columns of _haar_charts.
+    Each frame is randgeom.orthonormal_pair of rows 0 and 1 of its drawn
+    pair, at every n: Haar among orthonormal pairs, and orthonormal to eps
+    times the condition number of the pair.
     """
-    n_sys = x.shape[0]
     a, b = np.split(x, 2, axis=1)
-    g = randgeom.complex_gaussians(a, b).reshape(n_sys, lines, 2, n + 1)
-    if n >= 2:
-        u, v = randgeom.orthonormal_pair(g[:, :, 0], g[:, :, 1])
-    else:
-        q = _haar_charts(g)
-        u, v = q[..., 0], q[..., 1]
-    return u, v
+    g = randgeom.complex_gaussians(a, b).reshape(x.shape[0], lines, 2, n + 1)
+    return randgeom.orthonormal_pair(g[:, :, 0], g[:, :, 1])
 
 
 def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
@@ -296,9 +277,9 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
     A batch of one of sample_zero_sets: after h = gaussian_system(rng, ...)
     with rng = RngStream(seed, j) it returns the estimator's points of
     system j, bit for bit at n >= 2.  At n = 1 h is arbitrary, so it keeps a
-    Haar chart drawn from rng (a root at (0 : 1) would fail the fixed frame
-    (e_0, e_1), see binary_form_roots), and returns the estimator's zero set
-    up to rounding, phase and order.
+    Haar frame of C^2 drawn from rng like any line's (a root at (0 : 1) would
+    fail the fixed frame (e_0, e_1), see binary_form_roots), and returns the
+    estimator's zero set up to rounding, phase and order.
     """
     if h.r != 1:
         raise ValueError(f"variety sampling needs r = 1, got r = {h.r}")

@@ -232,6 +232,32 @@ def test_run_experiment_looks_functions_up_at_call_time(monkeypatch):
     assert comp.estimate.n_samples == 500
 
 
+# closed_form_id -> the formulas subcommand name giving its value, and the
+# field read where that name returns both espnormrest forms
+CLOSED_FORM_FORMULAS = {
+    "pinv_moment_value": ("pinv_moment", None),
+    "invnor2mdet_value": ("invnor2mdet", None),
+    "main_theorem_value": ("main_theorem", None),
+    "espnorm_value": ("espnorm", None),
+    "espnormrest_closed": ("espnormrest", "closed_form"),
+    "espnormrest_sum": ("espnormrest", "sum_form"),
+}
+
+
+@pytest.mark.parametrize("cf_id", list(CLOSED_FORM_FORMULAS))
+def test_closed_form_reads_the_formulas_value(cf_id):
+    # a verify row and the formulas subcommand read one value for each id
+    assert set(CLOSED_FORM_FORMULAS) == set(cli._CLOSED_FORMS)
+    exps = [e for e in cli.default_suite() if e.closed_form_id == cf_id]
+    assert exps
+    name, field = CLOSED_FORM_FORMULAS[cf_id]
+    for exp in exps:
+        expected = cli.run_formulas(name, exp.params)
+        if field is not None:
+            expected = expected[field]
+        assert dataclasses.asdict(cli._closed_form(exp)) == expected
+
+
 class TestRunVerify:
     def test_tiny_run_passes_and_writes_reports(self, tmp_path):
         exps = cli.parse_config(tiny_config())
@@ -239,10 +265,12 @@ class TestRunVerify:
         assert report.overall_pass
         assert len(report.rows) == 1
         json_path, csv_path = cli.write_report(report, str(tmp_path))
-        data = json.loads(open(json_path).read())
+        with open(json_path) as fh:
+            data = json.load(fh)
         assert data["overall_pass"] is True
         assert data["comparisons"][0]["experiment_id"] == "pinv-small"
-        header = open(csv_path).readline().strip().split(",")
+        with open(csv_path) as fh:
+            header = fh.readline().strip().split(",")
         assert header == ["experiment_id", "estimator_id", "params", "n_samples",
                           "mean", "stderr", "closed_form", "z", "pass"]
 

@@ -196,8 +196,14 @@ class TestIdentityConstants:
                 )
 
     def test_scaling_rejects_pole(self):
-        with pytest.raises(ValueError, match="below N"):
-            formulas.scaling_constant(1, (1,), 4.0)
+        # N = 2 at n = 1, d = 1: the pole of Gamma(N - alpha/2) at alpha = 4,
+        # and the non-finite alphas the tail rule cannot order
+        for alpha, match in ((4.0, "alpha < 4 for a finite mean"),
+                             (math.nan, "alpha must be finite"),
+                             (math.inf, "alpha must be finite"),
+                             (-math.inf, "alpha must be finite")):
+            with pytest.raises(ValueError, match=match):
+                formulas.scaling_constant(1, (1,), alpha)
 
     def test_exmualpha_is_scaling_times_kernel(self):
         for n in range(1, 5):

@@ -310,7 +310,7 @@ def test_n1_points_are_the_roots_of_the_form_in_its_chart(d, monkeypatch):
     # at n = 1 the estimator solves each form in the fixed frame (e_0, e_1),
     # with no chart and no restriction; its points are, projectively, the
     # roots binary_form_roots finds for the same h in a Haar chart
-    for name in ("_haar_charts", "_sections", "_restrict"):
+    for name in ("_sections", "_restrict"):
         monkeypatch.setattr(roots, name, lambda *args, name=name: pytest.fail(name))
     coeffs, points, failed = roots.sample_zero_sets(95, range(40), 1, d, 1)
     assert not failed.any() and points.shape == (40, d, 2)
@@ -452,15 +452,21 @@ def test_a_row_that_lapack_rejects_fails_alone(monkeypatch):
     assert np.array_equal(np.delete(w, 2, axis=0), np.delete(expected, 2, axis=0))
 
 
-def test_haar_charts_are_the_unitaries_of_qr():
-    g = randgeom.complex_gaussian_array(RngStream(98, 0), (1000, 2, 2))
-    q = roots._haar_charts(g)
-    np.testing.assert_allclose(q.conj().transpose(0, 2, 1) @ q,
-                               np.broadcast_to(np.eye(2), q.shape), rtol=0, atol=1e-14)
-    # both sides round at the condition number of the draw (up to ~160 here)
+def test_n1_sections_are_the_unitaries_of_qr():
+    # an n = 1 frame (u, v), stacked as columns, is the Haar unitary of QR on
+    # the transposed draw (the pair as columns); both sides, and q* q - I,
+    # round at the condition number kappa of the draw (up to ~100 here)
+    x = RngStream(98, 0).uniforms((1000, roots._section_size(1, 1)))
+    u, v = roots._sections(x, 1, 1)
+    q = np.stack([u[:, 0], v[:, 0]], axis=-1)
+    a, b = np.split(x, 2, axis=1)
+    g = randgeom.complex_gaussians(a, b).reshape(1000, 2, 2)
     s = np.linalg.svd(g, compute_uv=False)
-    gap = np.max(np.abs(q - randgeom.unitary_from_ginibre(g)), axis=(1, 2))
-    assert np.all(gap <= 8 * np.finfo(float).eps * s[:, 0] / s[:, 1])
+    bound = 8 * np.finfo(float).eps * s[:, 0] / s[:, 1]
+    drift = np.max(np.abs(q.conj().transpose(0, 2, 1) @ q - np.eye(2)), axis=(1, 2))
+    gap = np.max(np.abs(q - randgeom.unitary_from_ginibre(g.transpose(0, 2, 1))), axis=(1, 2))
+    assert np.all(drift <= bound)
+    assert np.all(gap <= bound)
     assert np.median(gap) < 1e-15
 
 
@@ -478,13 +484,14 @@ class TestRowSubstreams:
 
     def solve_at(self, row, position, size):
         """_solve on size filler rows of degree 2, one line each, with row
-        (coordinates, chart matrix) at position."""
+        (coordinates, Gaussian pair) at position."""
         rng = RngStream(90, position)
         coeffs = randgeom.complex_gaussian_array(rng, (size, 3))
         ginibre = randgeom.complex_gaussian_array(rng, (size, 2, 2))
         coeffs[position], ginibre[position] = row
-        q = roots._haar_charts(ginibre)[:, None]  # each row's n = 1 frame, (size, 1, 2, 2)
-        return roots._solve(coeffs, 2, q[..., 0], q[..., 1])
+        # each row's n = 1 frame, (size, 1, 2) each, as _sections draws it
+        u, v = randgeom.orthonormal_pair(ginibre[:, None, 0], ginibre[:, None, 1])
+        return roots._solve(coeffs, 2, u, v)
 
     @pytest.mark.parametrize("failing_row", [RETRY], ids=["retry"])
     def test_same_roots_at_any_batch_position(self, failing_row):
@@ -536,7 +543,8 @@ def test_a_turned_frame_gives_each_line_the_same_points(n, d):
     coeffs = randgeom.complex_gaussian_array(rng, (n_sys, math.comb(n + d, n)))
     g = randgeom.complex_gaussian_array(rng, (n_sys, lines, 2, n + 1))
     u, v = randgeom.orthonormal_pair(g[:, :, 0], g[:, :, 1])
-    q = roots._haar_charts(randgeom.complex_gaussian_array(rng, (n_sys, lines, 2, 2)))
+    q = randgeom.unitary_from_ginibre(
+        randgeom.complex_gaussian_array(rng, (n_sys, lines, 2, 2)))
     turned_u = q[..., 0, 0, None] * u + q[..., 1, 0, None] * v
     turned_v = q[..., 0, 1, None] * u + q[..., 1, 1, None] * v
     pts, failed = roots._solve(coeffs, d, u, v)
