@@ -53,6 +53,6 @@ from .randgeom import (
     mix64,
     rotate_system,
 )
-from .roots import BinaryForm, binary_form_roots, restrict_to_line, sample_variety_points
+from .roots import binary_form_roots, restrict_to_line, sample_variety_points
 
 __version__ = "0.1.0"

@@ -591,11 +591,11 @@ def _suite_roots(seed: int) -> tuple[bool, str]:
         res = np.abs(bwspace.evaluate_at(h, pts)[:, 0])
         if np.any(res > conditioning.ZERO_TOL * bwspace.bw_norm(h)):
             return False, f"membership residual {res.max():.2e}"
-    # Vieta at d = 5
-    g = roots.BinaryForm(5, randgeom.complex_gaussian_vector(rng, 6))
+    # Vieta at d = 5, on the form with monomial coefficients b
+    b = randgeom.complex_gaussian_vector(rng, 6)
+    g = bwspace.make_system(1, (5,), [b / bwspace.monomial_basis(1, 5)[1]])
     pts = roots.binary_form_roots(g, rng)
     w = pts[:, 1] / pts[:, 0]
-    b = g.coeffs
     ok_sum = abs(np.sum(w) + b[4] / b[5]) <= 1e-8 * max(1.0, abs(b[4] / b[5]))
     ok_prod = abs(np.prod(w) - (-1) ** 5 * b[0] / b[5]) <= 1e-8 * max(1.0, abs(b[0] / b[5]))
     if not (ok_sum and ok_prod):

@@ -54,7 +54,7 @@ def _checked_zero(h: SystemCoords, x) -> tuple[np.ndarray, float]:
     if v.shape != (h.n + 1,):
         raise ValueError(f"point must have shape ({h.n + 1},), got {v.shape}")
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > _UNIT_TOL:
+    if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
         raise ValueError(f"point must be unit norm, got ||x|| = {nrm}")
     v = v / nrm
     hnorm = bwspace.bw_norm(h)

@@ -181,6 +181,7 @@ def gaussian_gram(rng: RngStream, count: int, r: int, m: int) -> tuple[dict, dic
 
 def complex_gaussian_vector(rng: RngStream, n: int) -> np.ndarray:
     """Standard Gaussian vector in C^n."""
+    bwspace.check_integers(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return complex_gaussian_array(rng, (n,))
@@ -202,6 +203,7 @@ def gaussian_system(rng: RngStream, n: int, degrees) -> SystemCoords:
 
 def haar_unitary(rng: RngStream, dim: int) -> np.ndarray:
     """Haar-distributed unitary via phase-normalized QR of a Ginibre matrix."""
+    bwspace.check_integers(dim=dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     return unitary_from_ginibre(complex_gaussian_array(rng, (dim, dim)))
@@ -228,7 +230,7 @@ def rotate_system(h: SystemCoords, u) -> SystemCoords:
     dim = h.n + 1
     if um.shape != (dim, dim):
         raise ValueError(f"unitary must be {dim} x {dim}, got {um.shape}")
-    if np.linalg.norm(um.conj().T @ um - np.eye(dim)) > 1e-8:
+    if not np.linalg.norm(um.conj().T @ um - np.eye(dim)) <= 1e-8:  # NaN fails too
         raise ValueError("matrix is not unitary")
 
     # (u* v)_k = sum_l conj(u[l, k]) v_l: the linear form substituted for x_k

@@ -7,10 +7,11 @@ which are unitarily equivalent, so the line-section point process has
 constant density with respect to the volume measure of the zero set.
 
 One path, batched over systems and lines (a single form is a batch of one).
-Each equation is restricted straight to its line's frame (u, v) by one DFT,
-and the roots c of that binary form, the points c0 u + c1 v, are taken in
-closed form at d <= 3 (Cardano's formula, Newton-polished, at d = 3) and as
-the eigenvalues of the companion matrices, in one batched LAPACK call, from
+Each equation is restricted straight to its line's frame (u, v) by one DFT
+to a binary form, itself an n = 1 system (restrict_to_line returns it as
+one), and its roots c, the points c0 u + c1 v, are taken in closed form at
+d <= 3 (Cardano's formula, Newton-polished, at d = 3) and as the
+eigenvalues of the companion matrices, in one batched LAPACK call, from
 d = 4.  Every drawn frame, n = 1 included, is randgeom.orthonormal_pair
 (Gram-Schmidt) on a Gaussian pair, which is already Haar among orthonormal
 pairs, so turning it by a further Haar chart would leave its law unchanged
@@ -19,9 +20,10 @@ pair.  At n = 1 the line is the whole space and the estimator returns all d
 roots, so nothing is sampled: the Gaussian (Bombieri-Weyl) ensemble is
 unitarily invariant, a random frame would leave the law of h, its zero set
 and mu unchanged, and the form is solved in the fixed frame (e_0, e_1),
-where its coefficients are its own coordinates scaled by sqrt(binom(d, k)),
-with no restriction.  Only the n = 1 wrappers for arbitrary forms,
-binary_form_roots and sample_variety_points, draw a frame of C^2.
+where its coefficients are its own coordinates scaled by the BW weights
+bwspace.monomial_basis(1, d)[1], with no restriction.  Only
+sample_variety_points, for an arbitrary form (binary_form_roots is its
+n = 1 case), draws a frame of C^2.
 System j draws from RngStream(seed, j): its coordinates, then its line
 pairs (n >= 2), all in one randgeom.uniforms_for_streams pass per chunk,
 and nothing else, so a line's roots never depend on the batch it is solved
@@ -33,7 +35,6 @@ fails its system only where _row_roots fails it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,25 +42,6 @@ from . import bwspace, randgeom
 from .bwspace import SystemCoords
 from .cxla import NumericError
 from .randgeom import RngStream
-
-
-@dataclass(frozen=True)
-class BinaryForm:
-    """g(s, t) = sum_k coeffs[k] * s^(d-k) * t^k with complex coefficients."""
-
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.degree + 1,):
-            raise ValueError(
-                f"degree-{self.degree} form needs {self.degree + 1} coefficients, got {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("binary form coefficients must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
 
 
 def _restrict(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -76,9 +58,14 @@ def _restrict(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray) -> np.nd
     return np.fft.fft(values.reshape(n_sys, n_lines, d + 1), axis=-1) / (d + 1)
 
 
-def restrict_to_line(h: SystemCoords, u, v) -> BinaryForm:
-    """Binary form g(s, t) = h(s u + t v) for a single-equation system and
-    an orthonormal pair (u, v); a batch of one of _restrict."""
+def restrict_to_line(h: SystemCoords, u, v) -> SystemCoords:
+    """The n = 1 system g(s, t) = h(s u + t v) of a single-equation system h
+    and an orthonormal pair (u, v); a batch of one of _restrict.
+
+    g's coordinates are the monomial coefficients of s^(d-k) t^k divided by
+    bwspace.monomial_basis(1, d)[1], sqrt(binom(d, k)), like any n = 1
+    system's.
+    """
     if h.r != 1:
         raise ValueError(f"restriction needs a single-equation system, got r = {h.r}")
     uu = np.asarray(u, dtype=np.complex128).ravel()
@@ -86,11 +73,11 @@ def restrict_to_line(h: SystemCoords, u, v) -> BinaryForm:
     if uu.shape != (h.n + 1,) or vv.shape != (h.n + 1,):
         raise ValueError("line vectors must live in C^(n+1)")
     pair = np.stack([uu, vv])
-    if np.linalg.norm(pair.conj() @ pair.T - np.eye(2)) > 1e-8:
+    if not np.linalg.norm(pair.conj() @ pair.T - np.eye(2)) <= 1e-8:  # NaN fails too
         raise ValueError("line vectors must be orthonormal")
     d = h.degrees[0]
     forms = _restrict(h.coords[0][None], d, uu[None, None], vv[None, None])
-    return BinaryForm(degree=d, coeffs=forms[0, 0])
+    return bwspace.make_system(1, (d,), [forms[0, 0] / bwspace.monomial_basis(1, d)[1]])
 
 
 def _start_roots(coeffs_asc: np.ndarray) -> np.ndarray:
@@ -188,44 +175,22 @@ def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
     return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)
 
 
-def _bw_scale(d: int) -> np.ndarray:
-    """sqrt(binom(d, k)), k = 0..d: an n = 1 equation with coordinates c_k
-    is the binary form sum_k c_k sqrt(binom(d, k)) s^(d-k) t^k on (e_0, e_1)."""
-    return np.sqrt([math.comb(d, k) for k in range(d + 1)])
+def binary_form_roots(g: SystemCoords, rng: RngStream) -> np.ndarray:
+    """The d projective roots of a binary form g, an n = 1 single-equation
+    system, as unit vectors in C^2: sample_variety_points(g, rng, 1).
 
-
-def binary_form_roots(g: BinaryForm, rng: RngStream) -> np.ndarray:
-    """The d projective roots of a binary form, as unit vectors in C^2.
-
-    The form is the n = 1 equation with coordinates coeffs[k] / sqrt(binom(d, k))
-    on the line (e_0, e_1), solved by _solve like any row: restricted to a
-    random Haar frame of C^2 (_sections at n = 1, the frame every line
-    takes), dehomogenized, and solved in closed form at d <= 3 and as
-    companion-matrix eigenvalues from d = 4 (_row_roots).  The form is
-    arbitrary, so it keeps its random frame: in the fixed frame a root at
-    (0 : 1), such as that of s t, would zero the leading coefficient and
-    fail the row.  A row that _row_roots fails, which has probability
-    zero (a root at the frame's chart boundary), raises NumericError.
+    A form with monomial coefficients b_k of s^(d-k) t^k is the system
+    bwspace.make_system(1, (d,), [b / bwspace.monomial_basis(1, d)[1]]).
     Clustered (multiple) roots are returned as nearby simple roots.
-    Everything is drawn from rng.
     """
-    d = g.degree
-    if d < 1:
-        raise ValueError("root extraction needs degree >= 1")
-    if np.all(g.coeffs == 0):
-        raise ValueError("cannot extract roots of the zero form")
-    coords = g.coeffs / _bw_scale(d)
-    x = rng.uniforms((1, _section_size(1, 1)))
-    pts, failed = _solve(coords[None], d, *_sections(x, 1, 1))
-    if failed[0]:
-        raise NumericError("root finding failed in the form's chart")
-    return pts[0]
+    return sample_variety_points(g, rng, 1)
 
 
 def _section_size(n: int, lines: int) -> int:
     """Uniforms of a system's line frames: the (lines, 2, n+1) Gaussian line
     pairs, radius uniforms then phase uniforms, two per entry.  At n = 1
-    only binary_form_roots and sample_variety_points draw them (lines = 1)."""
+    only sample_variety_points draws them (lines = 1), for an arbitrary
+    form; the estimator solves its n = 1 forms in (e_0, e_1)."""
     return 4 * lines * (n + 1)
 
 
@@ -251,15 +216,15 @@ def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     systems.  Returns the coordinates (S, K), the points (S, lines * d, n+1)
     and the systems whose root search failed.  Pass lines = 1 for n = 1,
     where each form is solved in the fixed frame (e_0, e_1): its ascending
-    coefficients are c_k sqrt(binom(d, k)) and a root w is the point
-    (c0, c0 w).
+    coefficients are its coordinates times bwspace.monomial_basis(1, d)[1],
+    sqrt(binom(d, k)), and a root w is the point (c0, c0 w).
     """
     k = math.comb(n + d, n)
     size = 2 * k + (_section_size(n, lines) if n >= 2 else 0)
     x = randgeom.uniforms_for_streams(seed, systems, size)
     coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k : 2 * k])
     if n == 1:
-        w, failed = _row_roots(coeffs * _bw_scale(d))
+        w, failed = _row_roots(coeffs * bwspace.monomial_basis(1, d)[1])
         return coeffs, np.stack(_root_vectors(w), axis=-1), failed
     points, failed = _solve(coeffs, d, *_sections(x[:, 2 * k :], n, lines))
     return coeffs, points, failed
@@ -272,19 +237,23 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
     projective lines with the zero set, embedded back in C^(n+1) as unit
     vectors; each line contributes exactly d points counted with
     multiplicity.  For n = 1 the line is the whole projective space and the
-    d roots are returned once.
+    d roots of the binary form h are returned once (binary_form_roots).
 
     A batch of one of sample_zero_sets: after h = gaussian_system(rng, ...)
     with rng = RngStream(seed, j) it returns the estimator's points of
     system j, bit for bit at n >= 2.  At n = 1 h is arbitrary, so it keeps a
-    Haar frame of C^2 drawn from rng like any line's (a root at (0 : 1) would
-    fail the fixed frame (e_0, e_1), see binary_form_roots), and returns the
-    estimator's zero set up to rounding, phase and order.
+    Haar frame of C^2 drawn from rng like any line's: in the fixed frame
+    (e_0, e_1) a root at (0 : 1), such as that of s t, would zero the
+    leading coefficient and fail the row.  It returns the estimator's zero
+    set up to rounding, phase and order.  A line that _row_roots fails,
+    which has probability zero (a root at the frame's chart boundary),
+    raises NumericError.  Everything is drawn from rng.
     """
     if h.r != 1:
         raise ValueError(f"variety sampling needs r = 1, got r = {h.r}")
     if all(np.all(c == 0) for c in h.coords):
         raise ValueError("cannot sample the zero set of the zero system")
+    bwspace.check_integers(lines=lines)
     if lines < 1:
         raise ValueError(f"lines must be >= 1, got {lines}")
     n, d = h.n, h.degrees[0]

@@ -61,6 +61,13 @@ class TestMuFrobenius:
         with pytest.raises(ValueError, match="unit"):
             conditioning.mu(h, np.array([2.0, 0.0], dtype=complex))
 
+    def test_rejects_a_nan_point(self):
+        # the unit-norm check refuses a NaN point before h is evaluated at it
+        h = bwspace.make_system(1, (1,), [np.array([0.0, 1.0], dtype=complex)])
+        for x in ([np.nan, np.nan], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="unit norm"):
+                conditioning.mu(h, np.array(x, dtype=complex))
+
     def test_phase_change_of_representative(self):
         rng = RngStream(43, 0)
         h = gaussian_system(rng, 2, (3,))

@@ -128,6 +128,11 @@ class TestComplexGaussian:
         ok_im, *_ = mean_within(z.imag**2, 0.5)
         assert ok_re and ok_im
 
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0])
+    def test_vector_rejects_a_length_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            randgeom.complex_gaussian_vector(RngStream(5, 1), n)
+
 
 class TestGaussianMatrix:
     def test_frobenius_second_moment(self):
@@ -206,6 +211,11 @@ class TestHaarUnitary:
         ok, mean, se = mean_within(vals, 1.0 / 3.0)
         assert ok, (mean, se)
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            randgeom.haar_unitary(RngStream(12, 0), dim)
+
     def test_determinant_phase_uniform(self):
         dets = np.linalg.det(batched_haar_unitaries(14, 3, 20_000))
         ok_re, mean_re, se_re = mean_within(dets.real, 0.0)
@@ -243,6 +253,13 @@ class TestRotateSystem:
         h = randgeom.gaussian_system(RngStream(22, 0), 1, (2,))
         with pytest.raises(ValueError, match="unitary"):
             randgeom.rotate_system(h, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_rejects_a_nan_matrix(self):
+        # the expansion skips every zero coordinate, so for the zero system
+        # only the unitarity check can refuse a NaN matrix
+        zero = bwspace.make_system(1, (2,), [np.zeros(3, dtype=complex)])
+        with pytest.raises(ValueError, match="not unitary"):
+            randgeom.rotate_system(zero, np.full((2, 2), np.nan))
 
 
 def random_line(rng, n):

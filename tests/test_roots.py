@@ -7,7 +7,6 @@ import pytest
 from condmoments import bwspace, conditioning, randgeom, roots
 from condmoments.cxla import NumericError
 from condmoments.randgeom import RngStream, complex_gaussian_vector, gaussian_system
-from condmoments.roots import BinaryForm
 
 
 def chordal(p, q):
@@ -34,6 +33,17 @@ def projective_match(points, expected, tol=1e-6, distance=chordal):
     return not remaining
 
 
+def binary_form(b):
+    """The n = 1 system whose monomial coefficients of s^(d-k) t^k are b."""
+    d = len(b) - 1
+    return bwspace.make_system(1, (d,), [np.asarray(b) / bwspace.monomial_basis(1, d)[1]])
+
+
+def monomial_coeffs(g):
+    """The monomial coefficients of s^(d-k) t^k of an n = 1 system g."""
+    return g.coords[0] * bwspace.monomial_basis(1, g.degrees[0])[1]
+
+
 def form_value(coeffs, s, t):
     """g(s, t) = sum_k coeffs[k] s^(d-k) t^k."""
     d = len(coeffs) - 1
@@ -58,8 +68,8 @@ class TestRestrictToLine:
         e0 = np.eye(3, dtype=complex)[0]
         e1 = np.eye(3, dtype=complex)[1]
         g = roots.restrict_to_line(h, e0, e1)
-        assert g.coeffs[0] == pytest.approx(bwspace.evaluate(h, e0)[0])
-        assert g.coeffs[1] == pytest.approx(bwspace.evaluate(h, e1)[0])
+        assert monomial_coeffs(g)[0] == pytest.approx(bwspace.evaluate(h, e0)[0])
+        assert monomial_coeffs(g)[1] == pytest.approx(bwspace.evaluate(h, e1)[0])
 
     def test_pure_power_restricts_to_pure_power(self):
         d = 4
@@ -71,7 +81,7 @@ class TestRestrictToLine:
         g = roots.restrict_to_line(h, e0, e1)
         expected = np.zeros(d + 1, dtype=complex)
         expected[0] = 1.0
-        assert np.allclose(g.coeffs, expected, atol=1e-12)
+        assert np.allclose(monomial_coeffs(g), expected, atol=1e-12)
 
     def test_pointwise_residual_random(self):
         rng = RngStream(62, 0)
@@ -83,7 +93,7 @@ class TestRestrictToLine:
             st = complex_gaussian_vector(rng, 2)
             st = st / np.linalg.norm(st)
             direct = bwspace.evaluate(h, st[0] * u + st[1] * v)[0]
-            value = form_value(g.coeffs, *st)
+            value = form_value(monomial_coeffs(g), *st)
             assert abs(value - direct) <= 1e-9 * bwspace.bw_norm(h)
 
     def test_rejects_non_orthonormal(self):
@@ -98,11 +108,36 @@ class TestRestrictToLine:
         with pytest.raises(ValueError, match="single-equation"):
             roots.restrict_to_line(h, e[0], e[1])
 
+    def test_rejects_a_nan_frame(self):
+        # the orthonormality check itself refuses a NaN frame, before any
+        # coefficient is computed from it
+        h = gaussian_system(RngStream(64, 1), 2, (2,))
+        e = np.eye(3, dtype=complex)
+        for u, v in (([np.nan] * 3, e[1]), (e[0], [0.0, np.nan, 0.0])):
+            with pytest.raises(ValueError, match="orthonormal"):
+                roots.restrict_to_line(h, u, v)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_restriction_is_the_n1_system_of_the_line(self, n, d):
+        # the restriction is an n = 1 system in BW coordinates, so bwspace
+        # evaluates it like any system: g(s, t) = h(s u + t v)
+        rng = RngStream(60, 10 * n + d)
+        h = gaussian_system(rng, n, (d,))
+        u, v = randgeom.orthonormal_pair(complex_gaussian_vector(rng, n + 1),
+                                         complex_gaussian_vector(rng, n + 1))
+        g = roots.restrict_to_line(h, u, v)
+        assert (g.n, g.degrees) == (1, (d,))
+        for _ in range(20):
+            s, t = complex_gaussian_vector(rng, 2)
+            direct = bwspace.evaluate(h, s * u + t * v)[0]
+            assert bwspace.evaluate(g, [s, t])[0] == pytest.approx(direct, rel=1e-12)
+
 
 class TestBinaryFormRoots:
     def test_product_form(self):
         # g = s t has roots [1:0] and [0:1]
-        g = BinaryForm(2, np.array([0.0, 1.0, 0.0], dtype=complex))
+        g = binary_form(np.array([0.0, 1.0, 0.0], dtype=complex))
         pts = roots.binary_form_roots(g, RngStream(65, 0))
         expected = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         assert projective_match(pts, expected)
@@ -111,7 +146,7 @@ class TestBinaryFormRoots:
         for d in (2, 3, 5):
             coeffs = np.zeros(d + 1, dtype=complex)
             coeffs[0], coeffs[d] = -1.0, 1.0  # t^d - s^d
-            g = BinaryForm(d, coeffs)
+            g = binary_form(coeffs)
             pts = roots.binary_form_roots(g, RngStream(66, d))
             expected = [
                 np.array([1.0, np.exp(2j * np.pi * k / d)]) / math.sqrt(2.0)
@@ -122,7 +157,7 @@ class TestBinaryFormRoots:
     def test_vieta_on_random_quintic(self):
         rng = RngStream(67, 0)
         b = complex_gaussian_vector(rng, 6)
-        g = BinaryForm(5, b)
+        g = binary_form(b)
         pts = roots.binary_form_roots(g, rng)
         w = pts[:, 1] / pts[:, 0]  # dehomogenized roots
         assert np.sum(w) == pytest.approx(-b[4] / b[5], rel=1e-8)
@@ -132,32 +167,27 @@ class TestBinaryFormRoots:
         rng = RngStream(68, 0)
         for d in (1, 2, 4, 6):
             b = complex_gaussian_vector(rng, d + 1)
-            g = BinaryForm(d, b)
+            g = binary_form(b)
             pts = roots.binary_form_roots(g, rng)
             assert len(pts) == d
             for s, t in pts:
-                assert abs(form_value(g.coeffs, s, t)) < 1e-9 * np.max(np.abs(b))
+                assert abs(form_value(monomial_coeffs(g), s, t)) < 1e-9 * np.max(np.abs(b))
 
     def test_reconstruction_from_roots(self):
         rng = RngStream(69, 0)
         for d in (2, 3, 6):
             b = complex_gaussian_vector(rng, d + 1)
-            g = BinaryForm(d, b)
+            g = binary_form(b)
             pts = roots.binary_form_roots(g, rng)
             rebuilt = reconstruct_from_roots(pts, d, b)
             assert np.linalg.norm(rebuilt - b) <= 1e-8 * np.linalg.norm(b)
 
     def test_multiple_root_at_origin(self):
         # s^2 t^2: double roots at both chart points
-        g = BinaryForm(4, np.array([0.0, 0.0, 1.0, 0.0, 0.0], dtype=complex))
+        g = binary_form(np.array([0.0, 0.0, 1.0, 0.0, 0.0], dtype=complex))
         pts = roots.binary_form_roots(g, RngStream(70, 0))
         expected = [np.array([1.0, 0.0])] * 2 + [np.array([0.0, 1.0])] * 2
         assert projective_match(pts, expected, tol=1e-5)
-
-    def test_rejects_zero_form(self):
-        g = BinaryForm(2, np.zeros(3, dtype=complex))
-        with pytest.raises(ValueError, match="zero form"):
-            roots.binary_form_roots(g, RngStream(71, 0))
 
 
 class TestSampleVarietyPoints:
@@ -202,6 +232,13 @@ class TestSampleVarietyPoints:
             assert np.all(np.abs(values) < 1e-8 * bwspace.bw_norm(h))
             assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("lines", [2.5, True, 2.0])
+    def test_rejects_a_count_of_lines_that_is_not_an_integer(self, n, lines):
+        h = gaussian_system(RngStream(80, n), n, (2,))
+        with pytest.raises(ValueError, match="lines must be an integer"):
+            roots.sample_variety_points(h, RngStream(80, 0), lines)
+
     def test_replay_deterministic(self):
         h = gaussian_system(RngStream(77, 0), 2, (2,))
         a = roots.sample_variety_points(h, RngStream(78, 5), 3)
@@ -215,6 +252,8 @@ class TestSampleVarietyPoints:
         z = bwspace.make_system(1, (2,), [np.zeros(3, dtype=complex)])
         with pytest.raises(ValueError, match="zero system"):
             roots.sample_variety_points(z, RngStream(81, 0), 1)
+        with pytest.raises(ValueError, match="zero system"):
+            roots.binary_form_roots(z, RngStream(71, 0))
 
 
 class TestRestrictionFailure:
@@ -223,8 +262,9 @@ class TestRestrictionFailure:
     @pytest.fixture(autouse=True)
     def corrupt_evaluation(self, monkeypatch):
         real = bwspace.evaluate_forms
-        monkeypatch.setattr(roots, "bwspace", types.SimpleNamespace(
-            evaluate_forms=lambda n, d, coeffs, points: real(n, d, coeffs, points) + 1.0))
+        corrupt = types.SimpleNamespace(**vars(bwspace))
+        corrupt.evaluate_forms = lambda n, d, coeffs, points: real(n, d, coeffs, points) + 1.0
+        monkeypatch.setattr(roots, "bwspace", corrupt)
 
     @staticmethod
     def assert_no_point_is_a_zero(h, pts):
@@ -236,7 +276,7 @@ class TestRestrictionFailure:
         h = gaussian_system(RngStream(82, 0), 2, (2,))
         e = np.eye(3, dtype=complex)
         g = roots.restrict_to_line(h, e[0], e[1])
-        w = np.roots(g.coeffs[::-1])  # g(1, w) = sum_k coeffs[k] w^k
+        w = np.roots(monomial_coeffs(g)[::-1])  # g(1, w) = sum_k coeffs[k] w^k
         self.assert_no_point_is_a_zero(h, [(e[0] + z * e[1]) / math.hypot(1.0, abs(z))
                                            for z in w])
 
@@ -245,10 +285,8 @@ class TestRestrictionFailure:
         self.assert_no_point_is_a_zero(h, roots.sample_variety_points(h, RngStream(83, 1), 2))
 
     def test_binary_form_roots_raises(self):
-        g = BinaryForm(3, complex_gaussian_vector(RngStream(84, 0), 4))
-        # the n = 1 system whose restriction to (e_0, e_1) is g
-        h = bwspace.make_system(1, (3,), [g.coeffs / np.sqrt([1, 3, 3, 1])])
-        self.assert_no_point_is_a_zero(h, roots.binary_form_roots(g, RngStream(84, 1)))
+        g = binary_form(complex_gaussian_vector(RngStream(84, 0), 4))
+        self.assert_no_point_is_a_zero(g, roots.binary_form_roots(g, RngStream(84, 1)))
 
 
 class TestRowFailure:
@@ -268,8 +306,8 @@ class TestRowFailure:
             roots.sample_variety_points(h, RngStream(85, 1), 2)
 
     def test_binary_form_roots_raises(self):
-        g = BinaryForm(3, complex_gaussian_vector(RngStream(86, 0), 4))
-        with pytest.raises(NumericError, match="chart"):
+        g = binary_form(complex_gaussian_vector(RngStream(86, 0), 4))
+        with pytest.raises(NumericError, match="on a line"):
             roots.binary_form_roots(g, RngStream(86, 1))
 
 
@@ -316,8 +354,8 @@ def test_n1_points_are_the_roots_of_the_form_in_its_chart(d, monkeypatch):
     assert not failed.any() and points.shape == (40, d, 2)
     monkeypatch.undo()
     for j, (c, pts) in enumerate(zip(coeffs, points)):
-        g = BinaryForm(d, c * np.sqrt([math.comb(d, k) for k in range(d + 1)]))
-        expected = roots.binary_form_roots(g, RngStream(95, 1000 + j))
+        h = bwspace.make_system(1, (d,), [c])
+        expected = roots.binary_form_roots(h, RngStream(95, 1000 + j))
         assert projective_match(pts, expected, tol=1e-12, distance=up_to_phase)
 
 
@@ -529,7 +567,7 @@ def test_line_points_are_the_roots_of_each_lines_restriction(n, d, lines):
             st = pts @ frame.conj().T
             np.testing.assert_allclose(st @ frame, pts, rtol=0, atol=1e-12)
             g = roots.restrict_to_line(h, u[j, line], v[j, line])
-            w = np.roots(g.coeffs[::-1])  # g(1, w) = sum_k coeffs[k] w^k
+            w = np.roots(monomial_coeffs(g)[::-1])  # g(1, w) = sum_k coeffs[k] w^k
             expected = [np.array([1.0, z]) / math.hypot(1.0, abs(z)) for z in w]
             assert projective_match(st, expected)
 
