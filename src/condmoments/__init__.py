@@ -19,7 +19,7 @@ from .bwspace import (
     make_system,
 )
 from .cxla import NumericError, kernel_basis
-from .conditioning import empirical_moment, mu
+from .conditioning import mu
 from .formulas import (
     EspnormrestForms,
     FormulaValue,

@@ -20,8 +20,11 @@ Forms are evaluated at many points from one power table laid out
 variable-major, P[k, t] = x_k^t of shape (n+1, d+1, *point axes), so each
 P[k, t] is a contiguous array over the points.  A value is summed monomial
 by monomial, a_j P[k1, j_k1] P[k2, j_k2] ..., into one accumulator over the
-points; factors with j_k = 0 are skipped, and a partial derivative d_k
-skips the monomials with j_k = 0, both read off cached exponent tables.
+points; factors with j_k = 0 are skipped.  A partial derivative d_k h is
+the degree-(d-1) form with coefficients j_k a_j at x^(j - e_k), summed the
+same way on the same power table: j -> j - e_k maps the monomials with
+j_k > 0, in canonical order, onto the degree-(d-1) monomials in canonical
+order.
 """
 
 from __future__ import annotations
@@ -53,17 +56,28 @@ def check_integers(**counts) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_counts(**counts) -> None:
+    """The one count rule: reject counts (or degree lists) that are not
+    integers (check_integers), then those below 1."""
+    check_integers(**counts)
+    for name, value in counts.items():
+        if any(v < 1 for v in np.ravel(value)):
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
+def _degree_list(degrees) -> tuple[int, ...]:
+    """A nonempty list of degree counts as a tuple of ints."""
+    degs = tuple(degrees)
+    check_counts(degrees=degs)
+    if not degs:
+        raise ValueError("degree list must be nonempty")
+    return tuple(int(d) for d in degs)
+
+
 def check_degrees(n: int, degrees) -> tuple[int, ...]:
     """Validate an ambient dimension and degree list, returning the tuple."""
-    degs = tuple(degrees)
-    check_integers(n=n, degrees=degs)
-    if n < 1:
-        raise ValueError(f"ambient n must be >= 1, got {n}")
-    degs = tuple(int(d) for d in degs)
-    if len(degs) < 1:
-        raise ValueError("degree list must be nonempty")
-    if any(d < 1 for d in degs):
-        raise ValueError(f"all degrees must be >= 1, got {degs}")
+    check_counts(n=n)
+    degs = _degree_list(degrees)
     if len(degs) > n:
         raise ValueError(f"r = {len(degs)} equations exceed ambient n = {n}")
     for d in degs:
@@ -122,11 +136,7 @@ def dim_space(n: int, degrees) -> int:
 
 def bezout(degrees) -> int:
     """Product of the degrees."""
-    degs = tuple(degrees)
-    check_integers(degrees=degs)
-    if any(d < 1 for d in degs) or not degs:
-        raise ValueError(f"degrees must be positive, got {degs}")
-    return math.prod(int(d) for d in degs)
+    return math.prod(_degree_list(degrees))
 
 
 @dataclass(frozen=True)
@@ -249,13 +259,15 @@ def gradient_forms(n: int, d: int, coeffs: np.ndarray, points: np.ndarray) -> np
     """Gradients of S degree-d forms, each at its own m points; (S, m, n+1).
 
     Exact term-wise differentiation from one power table, shapes as in
-    evaluate_forms; partial k sums only the monomials with e_jk > 0.
+    evaluate_forms; partial k is the degree-(d-1) form of the monomials with
+    e_jk > 0, summed from _form_terms(n, d - 1).
     """
     _, w = monomial_basis(n, d)
     a = w * coeffs
     ptab = _power_table(points, d)
+    terms = _form_terms(n, d - 1)
     out = np.empty((n + 1,) + points.shape[:-1], dtype=np.complex128)
-    for k, (cols, factor, terms) in enumerate(_jacobian_tables(n, d)):
+    for k, (cols, factor) in enumerate(_jacobian_tables(n, d)):
         _sum_terms(ptab, a[:, cols] * factor, terms, out[k])
     return np.moveaxis(out, 0, -1)
 
@@ -282,8 +294,8 @@ def evaluate_at(h: SystemCoords, points) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _jacobian_tables(n: int, d: int):
-    """Per variable k, the monomials j with e_jk > 0, their degree factors e_jk
-    and the factors of x^(j - e_k) as in _form_terms, cached."""
+    """Per variable k, the monomials j with e_jk > 0 and their degree factors
+    e_jk, cached; j -> j - e_k maps them in order onto monomial_indices(n, d - 1)."""
     expo, _ = monomial_basis(n, d)
     tables = []
     for k in range(n + 1):
@@ -291,11 +303,7 @@ def _jacobian_tables(n: int, d: int):
         factor = expo[cols, k].astype(np.float64)
         cols.setflags(write=False)
         factor.setflags(write=False)
-        terms = tuple(
-            tuple((v, e - (v == k)) for v, e in enumerate(expo[j].tolist()) if e - (v == k))
-            for j in cols
-        )
-        tables.append((cols, factor, terms))
+        tables.append((cols, factor))
     return tuple(tables)
 
 

@@ -176,7 +176,7 @@ def _takes(estimator_id: str) -> tuple[tuple[str, ...], dict]:
 
 
 def _calls(exp: ExperimentConfig, samples_override: int | None = None) -> list:
-    """(estimator id, args, config) of each estimator call an experiment makes."""
+    """(estimator id, args, seed, samples) of each estimator call an experiment makes."""
     samples = exp.samples if samples_override is None else samples_override
     p = {**_takes(exp.estimator_id)[1], **exp.params}
     pair = _PAIRS.get(exp.estimator_id)
@@ -186,14 +186,8 @@ def _calls(exp: ExperimentConfig, samples_override: int | None = None) -> list:
                  (*pair.rhs(p), mix64(exp.seed, 2), p[pair.rhs_samples] if own else samples)]
     else:
         sides = [(exp.estimator_id, p, exp.seed, samples)]
-    lines = exp.lines_per_system
-    if lines is None:
-        lines = EstimatorConfig.lines_per_system
-    return [
-        (est_id, [params[name] for name in _ESTIMATORS[est_id]],
-         EstimatorConfig(samples=n, seed=seed, lines_per_system=lines))
-        for est_id, params, seed, n in sides
-    ]
+    return [(est_id, [params[name] for name in _ESTIMATORS[est_id]], seed, n)
+            for est_id, params, seed, n in sides]
 
 
 def _closed_form(exp: ExperimentConfig) -> formulas.FormulaValue:
@@ -218,9 +212,11 @@ def _validate_experiment(exp: ExperimentConfig) -> None:
     try:
         if not isinstance(exp.probe, bool):
             raise ValueError(f"probe must be true or false, got {exp.probe!r}")
-        montecarlo.check_tolerance(exp.tolerance_sigmas)
+        formulas.check_finite(positive=True, tolerance_sigmas=exp.tolerance_sigmas)
         # a pair's estimators take seeds mixed from the experiment's, so check it here
-        EstimatorConfig(samples=exp.samples, seed=exp.seed)
+        randgeom.check_seed(exp.seed)
+        if exp.lines_per_system is not None:
+            bwspace.check_counts(lines_per_system=exp.lines_per_system)
         # the params are checked against the tables before _calls indexes them
         takes, defaults = _takes(exp.estimator_id)
         unknown = [name for name in exp.params if name not in takes]
@@ -230,7 +226,8 @@ def _validate_experiment(exp: ExperimentConfig) -> None:
         if wrong:
             raise ValueError(f"{'; '.join(wrong)}: {exp.estimator_id} takes {', '.join(takes)}")
         calls, pair = _calls(exp), _PAIRS.get(exp.estimator_id)
-        for est_id, args, _ in calls:
+        for est_id, args, _, samples in calls:
+            bwspace.check_counts(samples=samples)
             getattr(montecarlo, f"{est_id}_domain")(*args)
         if pair is None:
             _closed_form(exp)
@@ -243,8 +240,12 @@ def _validate_experiment(exp: ExperimentConfig) -> None:
 
 def run_experiment(exp: ExperimentConfig, samples_override: int | None = None) -> Comparison:
     """Execute one experiment and compare against its reference."""
-    estimates = [getattr(montecarlo, f"estimate_{est_id}")(*args, cfg)
-                 for est_id, args, cfg in _calls(exp, samples_override)]
+    lines = exp.lines_per_system
+    if lines is None:
+        lines = EstimatorConfig.lines_per_system
+    estimates = [getattr(montecarlo, f"estimate_{est_id}")(
+                     *args, EstimatorConfig(samples=n, seed=seed, lines_per_system=lines))
+                 for est_id, args, seed, n in _calls(exp, samples_override)]
     pair = _PAIRS.get(exp.estimator_id)
     if pair is None:
         return montecarlo.compare(estimates[0], _closed_form(exp), exp.tolerance_sigmas)
@@ -389,9 +390,9 @@ def parse_config(obj: dict, seed: int | None = None) -> list[ExperimentConfig]:
     if version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version}")
     base_seed = obj.get("seed", DEFAULT_SEED)
-    EstimatorConfig(samples=1, seed=base_seed)  # seeds follow the estimator seed rules
+    randgeom.check_seed(base_seed)
     if seed is not None:
-        EstimatorConfig(samples=1, seed=seed)
+        randgeom.check_seed(seed)
         base_seed = seed
     raw = obj.get("experiments")
     if not isinstance(raw, list) or not raw:
@@ -751,8 +752,9 @@ def _cmd_verify(args) -> int:
                                     None if args.seed is None else _resolve_seed(args.seed))
         else:
             exps = default_suite(_resolve_seed(args.seed))
-        # the overrides reach every estimator call: reject them before sampling
-        EstimatorConfig(samples=1 if args.samples is None else args.samples, seed=0)
+        # the override reaches every estimator call: reject it before sampling
+        if args.samples is not None:
+            bwspace.check_counts(samples=args.samples)
     except (OSError, KeyError, TypeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

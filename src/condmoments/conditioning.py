@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from . import bwspace, cxla, formulas
+from . import bwspace, cxla
 from .bwspace import SystemCoords
 
 # Zeros are accepted up to this residual relative to ||h||; the roots
@@ -58,8 +58,11 @@ def _checked_zero(h: SystemCoords, x) -> tuple[np.ndarray, float]:
         raise ValueError(f"point must be unit norm, got ||x|| = {nrm}")
     v = v / nrm
     hnorm = bwspace.bw_norm(h)
+    # an overflowed norm would pass any residual, inf or NaN, as a zero
+    if not math.isfinite(hnorm):
+        raise ValueError(f"the system's norm must be finite, got ||h|| = {hnorm}")
     residual = np.linalg.norm(bwspace.evaluate(h, v))
-    if residual > ZERO_TOL * hnorm:
+    if not residual <= ZERO_TOL * hnorm:  # NaN fails too
         raise ValueError(
             f"point is not a zero of the system: |h(x)| = {residual:.3e} "
             f"> {ZERO_TOL:.0e} * ||h|| = {ZERO_TOL * hnorm:.3e}"
@@ -104,31 +107,3 @@ def zero_set_mu(n: int, d: int, coeffs: np.ndarray, points: np.ndarray, relative
             values = values / hnorm
     return values, failed
 
-
-def empirical_moment(
-    h: SystemCoords,
-    zeros,
-    alpha: float,
-    relative: bool = False,
-    norm: str = "frobenius",
-) -> float:
-    """Mean of mu(h, x)^alpha over a finite list of zeros.
-
-    With relative=True each term is divided by ||h||^alpha.  Any
-    rank-deficient zero makes the result +inf.  Raises on an empty list.
-    """
-    zeros = list(zeros)
-    if not zeros:
-        raise ValueError("empirical_moment needs at least one zero")
-    formulas.check_finite(positive=True, alpha=alpha)
-    hnorm = bwspace.bw_norm(h)
-    total = 0.0
-    for x in zeros:
-        m = mu(h, x, norm)
-        if math.isinf(m):
-            return math.inf
-        term = m**alpha
-        if relative:
-            term /= hnorm**alpha
-        total += term
-    return total / len(zeros)

@@ -59,8 +59,10 @@ def check_tail(name: str, p: float, s: float, c: float = 0, sign: int = -1) -> b
     Matrix Anal. Appl., 1988), and e = c + sign p/2 in the parameter p.  The
     mean is finite iff e > -s, else this raises ValueError; the variance is
     finite iff 2e > -s.  sign p is compared with -2(s + c) and -(s + 2c), so
-    no rounding of e moves an edge.  p must be a finite number (check_finite).
+    no rounding of e moves an edge.  A p that is not a finite number is
+    rejected first (check_finite).
     """
+    check_finite(**{name: p})
     bound = -2 * (s + c)
     if not sign * p > bound:
         op, pm = ("<", "-") if sign < 0 else (">", "+")
@@ -90,10 +92,7 @@ def espnorm_value(n: int, alpha: float) -> FormulaValue:
     E ||v||^alpha = Gamma(n + alpha/2) / Gamma(n), finite by check_tail at
     (s, e) = (n, alpha/2): ||v||^2 ~ Gamma(n).
     """
-    check_finite(alpha=alpha)
-    bwspace.check_integers(n=n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    bwspace.check_counts(n=n)
     check_tail("alpha", alpha, n, sign=1)
     log_value = _lgamma(n + alpha / 2.0, "espnorm") - _lgamma(float(n), "espnorm")
     return _from_log(log_value, "espnorm_value", {"n": n, "alpha": alpha})
@@ -122,7 +121,7 @@ def espnormrest_value(n: int, alpha: int, beta: float) -> EspnormrestForms:
     nonnegative integer, and beta is check_tail's at (s, e) = (n - 1, beta/2):
     ||P v||^2 ~ Gamma(n - 1).
     """
-    check_finite(alpha=alpha, beta=beta)
+    check_finite(alpha=alpha)
     bwspace.check_integers(n=n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -162,9 +161,7 @@ def invnor2mdet_value(r: int, k: float) -> FormulaValue:
     (r / k) * prod_{i=1..r} Gamma(k + i) / Gamma(i).
     """
     check_finite(positive=True, k=k)
-    bwspace.check_integers(r=r)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    bwspace.check_counts(r=r)
     log_value = math.log(r) - math.log(k)
     for i in range(1, r + 1):
         log_value += _lgamma(k + i, "invnor2mdet") - _lgamma(float(i), "invnor2mdet")
@@ -206,7 +203,6 @@ def kernel_constant(r: int, k: int) -> FormulaValue:
 def scaling_constant(n: int, degrees, alpha: float) -> FormulaValue:
     """Absolute over relative alpha-th moment: Gamma(N) / Gamma(N - alpha/2),
     finite by check_tail at (s, e) = (N, -alpha/2): ||h||^2 ~ Gamma(N)."""
-    check_finite(alpha=alpha)
     n_dim = bwspace.dim_space(n, degrees)
     check_tail("alpha", alpha, n_dim)
     log_value = _lgamma(float(n_dim), "scaling") - _lgamma(n_dim - alpha / 2.0, "scaling")
@@ -236,9 +232,7 @@ def exmualpha_constant(n: int, r: int, degrees, alpha: float) -> FormulaValue:
 
 def pinv_moment_value(r: int, m: int) -> FormulaValue:
     """E ||M^+||_F^2 over standard Gaussian r x m complex matrices: r / (m - r)."""
-    bwspace.check_integers(r=r, m=m)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    bwspace.check_counts(r=r, m=m)
     if m <= r:
         raise ValueError(f"need m > r for a finite moment, got r = {r}, m = {m}")
     value = r / (m - r)
@@ -260,7 +254,9 @@ class Volumes:
 
 
 def volumes(n: int, k: int, l: int, degrees) -> Volumes:
-    """vol P^n = pi^n / Gamma(n+1); vol G(k, l) = pi^(k(l-k)) prod Gamma(i)/Gamma(k+i);
+    """vol P^n = pi^n / Gamma(n+1); vol G(k, l) = pi^(k(l-k)) prod_{i=1..k}
+    Gamma(i)/Gamma(l-k+i), the kernel_constant(l - k, k), so that G(1, l) is
+    P^(l-1) and G(k, l) = G(l - k, l);
 
     vol V_h = D pi^(n-r) / Gamma(n-r+1) with D the product of the degrees.
     """
@@ -275,9 +271,7 @@ def volumes(n: int, k: int, l: int, degrees) -> Volumes:
     k = int(k)
 
     log_proj = n * math.log(math.pi) - _lgamma(n + 1.0, "vol_projective")
-    log_grass = k * (l - k) * math.log(math.pi)
-    for i in range(1, k + 1):
-        log_grass += _lgamma(float(i), "vol_grassmann") - _lgamma(float(k + i), "vol_grassmann")
+    log_grass = k * (l - k) * math.log(math.pi) + kernel_constant(l - k, k).log_value
     log_vh = (
         math.log(bwspace.bezout(degs))
         + (n - r) * math.log(math.pi)

@@ -29,9 +29,13 @@ forward substitution (_log_trace_inverse), and at the operator norm
 lambda_min(G) = sigma_min(L)^2 (_log_pinv_norm).
 
 Domains and heavy tails: each <id>_domain checks the estimator's own rules
-(norm name, integer counts, alpha > 0, r = 1) and takes the identity's rule
-from the one place in formulas that states it.  Its range and heavy flag come
-from formulas.check_tail at the estimator's (s, e): the integrand behaves as
+(norm name, alpha > 0, r = 1) and takes every shared rule from its one
+owner: integer counts >= 1 from bwspace.check_counts, the r x m shape from
+randgeom.check_shape, and the identity's rule from the one place in
+formulas that states it (EstimatorConfig takes its counts from
+check_counts and its seed from randgeom.check_seed).  Its range and heavy
+flag come from formulas.check_tail at the estimator's (s, e), which first
+rejects a parameter that is not a finite number: the integrand behaves as
 X^e near X = 0 with X ~ Gamma(s), a finite mean iff e > -s, outside which
 the domain raises, and a finite variance iff 2e > -s.  It returns True
 whenever the estimand's second moment is infinite or unproven (the
@@ -58,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bwspace, conditioning, formulas, randgeom, roots
-from .bwspace import check_integers
+from .bwspace import check_counts
 from .cxla import NumericError
 from .formulas import FormulaValue, check_finite
 from .randgeom import RngStream
@@ -90,13 +94,8 @@ class EstimatorConfig:
     lines_per_system: int = 8
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.lines_per_system < 1:
-            raise ValueError(f"lines_per_system must be >= 1, got {self.lines_per_system}")
-        check_integers(samples=self.samples, seed=self.seed,
-                       lines_per_system=self.lines_per_system)
-        RngStream(self.seed)  # rejects a seed that is not an unsigned 64-bit integer
+        check_counts(samples=self.samples, lines_per_system=self.lines_per_system)
+        randgeom.check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -364,16 +363,14 @@ def _gram_log_values(r: int, m: int, alpha: float, norm: str, weight: float = 0)
 def pinv_moment_domain(r: int, m: int, alpha: float, norm: str) -> bool:
     """Check the parameters of estimate_pinv_moment; True if the tail is heavy.
 
-    Its own rules are the norm, integers 1 <= r <= m and alpha > 0; the tail
-    is formulas.check_tail's at (s, e) = (m - r + 1, -alpha/2), with X the
-    last Bartlett diagonal of the Gram matrix.  No closed form covers general
-    alpha.
+    Its own rules are the norm and alpha > 0; the shape r x m is
+    randgeom.check_shape's, and the tail formulas.check_tail's at (s, e) =
+    (m - r + 1, -alpha/2), with X the last Bartlett diagonal of the Gram
+    matrix.  No closed form covers general alpha.
     """
     conditioning.check_norm(norm)
-    if not (1 <= r <= m):
-        raise ValueError(f"need 1 <= r <= m, got r = {r}, m = {m}")
+    randgeom.check_shape(r, m)
     check_finite(positive=True, alpha=alpha)
-    check_integers(r=r, m=m)
     return formulas.check_tail("alpha", alpha, m - r + 1)
 
 
@@ -389,16 +386,15 @@ def estimate_pinv_moment(
 def detweighted_rect_domain(r: int, n: int, alpha: float, norm: str) -> bool:
     """Check the parameters of estimate_detweighted_rect; True if the tail is heavy.
 
-    Its own rules are the norm and integers 1 <= r <= n; alpha and the flag
-    are formulas.check_rect_alpha's, the polynomial moment's (s, e) =
-    (n - r + 2, -alpha/2).  The integrand's own (s, e) = (n - r + 1,
-    1 - alpha/2) gives the same finite-mean range but a finite variance below
-    n - r + 3, so the flag is conservative on [n - r + 2, n - r + 3).
+    Its own rule is the norm; the shape r x n is randgeom.check_shape's, and
+    alpha and the flag are formulas.check_rect_alpha's, the polynomial
+    moment's (s, e) = (n - r + 2, -alpha/2).  The integrand's own (s, e) =
+    (n - r + 1, 1 - alpha/2) gives the same finite-mean range but a finite
+    variance below n - r + 3, so the flag is conservative on
+    [n - r + 2, n - r + 3).
     """
     conditioning.check_norm(norm)
-    if not (1 <= r <= n):
-        raise ValueError(f"need 1 <= r <= n, got r = {r}, n = {n}")
-    check_integers(r=r, n=n)
+    randgeom.check_shape(r, n, "n")
     return formulas.check_rect_alpha(n, r, alpha)
 
 
@@ -497,8 +493,8 @@ def _poly_log_values(n: int, d: int, lines: int, alpha: float, relative: bool):
     for a system whose root search failed or with a point that is not a zero.
 
     mu and the zero check are conditioning.zero_set_mu's; its values agree
-    with conditioning.empirical_moment for both norms (pinned by
-    test_sample_variety_points_reproduces_system_values).
+    with the average of conditioning.mu^alpha over sample_variety_points for
+    both norms (pinned by test_sample_variety_points_reproduces_system_values).
     """
 
     def log_values(seed: int, systems: range) -> np.ndarray:
@@ -566,19 +562,15 @@ def estimate_poly_moment(
                    step=chunk, allowed=_MAX_FAILURE_RATE, unit="systems")
 
 
-def check_tolerance(tolerance_sigmas: float) -> None:
-    """Reject an acceptance gate that is not a finite positive number of sigmas."""
-    check_finite(positive=True, tolerance_sigmas=tolerance_sigmas)
-
-
 def _comparison(value: float, sigma: float, reference_value: float, reference_stderr: float,
                 tolerance_sigmas: float, **fields) -> Comparison:
     """value against reference_value, z-scored against the dispersion sigma.
 
     A zero sigma gives z = 0 or +-inf, with differences below 1e-13 of the
-    reference counted as zero.
+    reference counted as zero.  The gate tolerance_sigmas must be a finite
+    positive number.
     """
-    check_tolerance(tolerance_sigmas)
+    check_finite(positive=True, tolerance_sigmas=tolerance_sigmas)
     delta = value - reference_value
     floor = 1e-13 * max(1.0, abs(reference_value))
     if sigma == 0.0 and abs(delta) > floor:

@@ -46,6 +46,14 @@ def mix64(*parts: int) -> int:
     return x
 
 
+def check_seed(seed: int, *stream_indices: int) -> None:
+    """The one seed rule: reject a seed or stream index that is not an integer
+    (bwspace.check_integers), then one outside [0, 2^64)."""
+    bwspace.check_integers(seed=seed, stream_index=stream_indices)
+    if not all(0 <= j <= _MASK64 for j in (seed, *stream_indices)):
+        raise ValueError("seed and stream_index must be unsigned 64-bit integers")
+
+
 @dataclass
 class RngStream:
     """One reproducible stream of uniforms keyed by (seed, stream_index)."""
@@ -55,8 +63,7 @@ class RngStream:
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0 <= self.seed <= _MASK64 and 0 <= self.stream_index <= _MASK64):
-            raise ValueError("seed and stream_index must be unsigned 64-bit integers")
+        check_seed(self.seed, self.stream_index)
 
     def generator(self) -> np.random.Generator:
         if self._gen is None:
@@ -99,9 +106,7 @@ def uniforms_for_streams(seed: int, indices, count: int) -> np.ndarray:
     """
     keys = [seed, *indices]
     # a range's extremes are its ends
-    ends = [*indices[:1], *indices[-1:]] if isinstance(indices, range) else keys[1:]
-    if not all(0 <= j <= _MASK64 for j in [seed, *ends]):
-        raise ValueError("seed and stream_index must be unsigned 64-bit integers")
+    check_seed(seed, *([*indices[:1], *indices[-1:]] if isinstance(indices, range) else indices))
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     k = np.array(keys, dtype=np.uint64)
@@ -142,6 +147,14 @@ def gaussian_squared_moduli(rng: RngStream, shape) -> np.ndarray:
     return -np.log1p(-rng.uniforms(shape))
 
 
+def check_shape(r: int, m: int, name: str = "m") -> None:
+    """The one r x m shape rule: integers 1 <= r <= m (bwspace.check_integers
+    first); name is the caller's own name for m."""
+    bwspace.check_integers(r=r, **{name: m})
+    if not 1 <= r <= m:
+        raise ValueError(f"need 1 <= r <= {name}, got r = {r}, {name} = {m}")
+
+
 def gaussian_gram(rng: RngStream, count: int, r: int, m: int) -> tuple[dict, dict]:
     """Bartlett factors L of the Gram matrices G = A A* = L L* of count
     Gaussian r x m matrices A (1 <= r <= m), equal to A A* in law.
@@ -163,8 +176,7 @@ def gaussian_gram(rng: RngStream, count: int, r: int, m: int) -> tuple[dict, dic
     entries L_ii and L_i0 are the square roots of sq, taken only where a
     caller needs them; no square root is taken at r <= 2.
     """
-    if not 1 <= r <= m:
-        raise ValueError(f"need 1 <= r <= m, got r = {r}, m = {m}")
+    check_shape(r, m)
     below = [(i, k) for i in range(1, r) for k in range(i)]
     phased = [(i, k) for i, k in below if k]
     n_diag = r * m - r * (r - 1) // 2
@@ -181,9 +193,7 @@ def gaussian_gram(rng: RngStream, count: int, r: int, m: int) -> tuple[dict, dic
 
 def complex_gaussian_vector(rng: RngStream, n: int) -> np.ndarray:
     """Standard Gaussian vector in C^n."""
-    bwspace.check_integers(n=n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    bwspace.check_counts(n=n)
     return complex_gaussian_array(rng, (n,))
 
 
@@ -203,9 +213,7 @@ def gaussian_system(rng: RngStream, n: int, degrees) -> SystemCoords:
 
 def haar_unitary(rng: RngStream, dim: int) -> np.ndarray:
     """Haar-distributed unitary via phase-normalized QR of a Ginibre matrix."""
-    bwspace.check_integers(dim=dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    bwspace.check_counts(dim=dim)
     return unitary_from_ginibre(complex_gaussian_array(rng, (dim, dim)))
 
 

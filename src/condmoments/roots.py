@@ -253,9 +253,7 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
         raise ValueError(f"variety sampling needs r = 1, got r = {h.r}")
     if all(np.all(c == 0) for c in h.coords):
         raise ValueError("cannot sample the zero set of the zero system")
-    bwspace.check_integers(lines=lines)
-    if lines < 1:
-        raise ValueError(f"lines must be >= 1, got {lines}")
+    bwspace.check_counts(lines=lines)
     n, d = h.n, h.degrees[0]
     lines = 1 if n == 1 else lines
     x = rng.uniforms((1, _section_size(n, lines)))

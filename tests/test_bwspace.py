@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from condmoments import bwspace
+from condmoments import bwspace, formulas, randgeom, roots
+from condmoments.montecarlo import EstimatorConfig
 from condmoments.randgeom import RngStream, complex_gaussian_vector, gaussian_system
 
 
@@ -68,6 +70,30 @@ class TestDimensionsAndCounting:
             bwspace.bezout([2.5])
         with pytest.raises(ValueError, match="degrees must be an integer"):
             gaussian_system(RngStream(1), 2, [2.5])
+
+    @pytest.mark.parametrize("name, site", [
+        ("n", lambda v: formulas.espnorm_value(v, 2.0)),
+        ("r", lambda v: formulas.invnor2mdet_value(v, 1.0)),
+        ("r", lambda v: formulas.pinv_moment_value(v, 3)),
+        ("m", lambda v: formulas.pinv_moment_value(1, v)),
+        ("n", lambda v: complex_gaussian_vector(RngStream(1), v)),
+        ("dim", lambda v: randgeom.haar_unitary(RngStream(1), v)),
+        ("lines", lambda v: roots.sample_variety_points(
+            gaussian_system(RngStream(1), 2, (2,)), RngStream(2), v)),
+        ("samples", lambda v: EstimatorConfig(samples=v, seed=1)),
+        ("lines_per_system", lambda v: EstimatorConfig(samples=1, seed=1, lines_per_system=v)),
+        ("n", lambda v: bwspace.check_degrees(v, (1,))),
+        ("degrees", lambda v: bwspace.check_degrees(2, (v,))),
+        ("degrees", lambda v: bwspace.bezout((2, v))),
+    ], ids=["espnorm_value", "invnor2mdet_value", "pinv_moment_value-r", "pinv_moment_value-m",
+            "complex_gaussian_vector", "haar_unitary", "sample_variety_points",
+            "EstimatorConfig-samples", "EstimatorConfig-lines", "check_degrees-n",
+            "check_degrees-degrees", "bezout"])
+    @pytest.mark.parametrize("value, rule", [(0, "must be >= 1"), (2.5, "must be an integer"),
+                                             (True, "must be an integer")])
+    def test_every_count_site_takes_the_one_rule(self, name, site, value, rule):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} {rule}, got "):
+            site(value)
 
     def test_numpy_integer_degrees_accepted(self):
         assert bwspace.check_degrees(np.int64(2), np.array([2, 3])) == (2, 3)

@@ -93,9 +93,10 @@ INVALID_EXPERIMENTS = {
     "espnormrest-fractional-alpha": (
         {"estimator_id": "espnormrest", "params": {"n": 3, "alpha": 1.5, "beta": 2.0},
          "closed_form_id": None}, "nonnegative integer"),
-    "string-r": ({"params": {**PINV_PARAMS, "r": "1"}}, "not supported"),
+    "string-r": ({"params": {**PINV_PARAMS, "r": "1"}}, "r must be an integer, got '1'"),
     "float-r": ({"params": {**PINV_PARAMS, "r": 1.0}}, "r must be an integer"),
-    "string-lines": ({**POLY, "lines_per_system": "8"}, "not supported"),
+    "string-lines": ({**POLY, "lines_per_system": "8"},
+                     "lines_per_system must be an integer, got '8'"),
     "zero-lines": ({**POLY, "lines_per_system": 0}, "lines_per_system must be >= 1"),
     "closed-form-on-pair": ({**SCALING_PAIR, "closed_form_id": "main_theorem_value"},
                             "take no closed_form_id"),

@@ -29,6 +29,16 @@ class TestMuFrobenius:
         x = np.array([1.0, 0.0], dtype=complex)
         assert conditioning.mu(h, x) == pytest.approx(1.0, rel=1e-12)
 
+    def test_hand_evaluated_binary_quadratic(self):
+        # h = x_0 x_1: coordinate 1/sqrt(2) at (1,1), ||h|| = 1/sqrt(2);
+        # both roots e_0, e_1 give ||Dh^+ sqrt(2)||_F = sqrt(2), so mu = 1
+        # at each root
+        c = np.zeros(3, dtype=complex)
+        c[1] = 1.0 / math.sqrt(2.0)
+        h = bwspace.make_system(1, (2,), [c])
+        for x in ([1.0, 0.0], [0.0, 1.0]):
+            assert conditioning.mu(h, np.array(x, dtype=complex)) == pytest.approx(1.0, rel=1e-12)
+
     def test_scale_invariance(self):
         rng = RngStream(41, 0)
         h = gaussian_system(rng, 2, (2,))
@@ -55,6 +65,13 @@ class TestMuFrobenius:
         x = np.array([1.0, 0.0], dtype=complex)  # h(e_0) = 1 != 0
         with pytest.raises(ValueError, match="not a zero"):
             conditioning.mu(h, x)
+
+    def test_rejects_a_system_whose_norm_overflows(self):
+        # ||h|| and |h(e_0)| = 1e300 both overflow to inf, and inf > 1e-8 * inf
+        # is False: e_0, not a zero, once passed and mu was nan
+        h = bwspace.make_system(1, (1,), [[1e300, 1e300]])
+        with pytest.raises(ValueError, match="norm must be finite"):
+            conditioning.mu(h, np.array([1.0, 0.0], dtype=complex))
 
     def test_rejects_non_unit_point(self):
         h = bwspace.make_system(1, (1,), [np.array([0.0, 1.0], dtype=complex)])
@@ -222,48 +239,3 @@ class TestUnitaryInvariance:
             mu_rot = conditioning.mu(rotated, u @ x)
             assert mu_rot == pytest.approx(mu, rel=1e-8)
 
-
-class TestEmpiricalMoment:
-    def test_single_zero(self):
-        h = bwspace.make_system(1, (1,), [np.array([0.0, 1.0], dtype=complex)])
-        x = np.array([1.0, 0.0], dtype=complex)
-        assert conditioning.empirical_moment(h, [x], 2.0) == pytest.approx(1.0)
-
-    def test_relative_equals_absolute_at_unit_norm(self):
-        rng = RngStream(48, 0)
-        h = gaussian_system(rng, 2, (2,))
-        scale = 1.0 / bwspace.bw_norm(h)
-        h1 = bwspace.make_system(h.n, h.degrees, [scale * c for c in h.coords])
-        pts = roots.sample_variety_points(h1, rng, 2)
-        a = conditioning.empirical_moment(h1, pts, 2.0, relative=False)
-        b = conditioning.empirical_moment(h1, pts, 2.0, relative=True)
-        assert a == pytest.approx(b, rel=1e-10)
-
-    def test_hand_evaluated_binary_quadratic(self):
-        # h = x_0 x_1: coordinate 1/sqrt(2) at (1,1), ||h|| = 1/sqrt(2);
-        # both roots e_0, e_1 give ||Dh^+ sqrt(2)||_F = sqrt(2), so mu = 1
-        # at each root and the second-moment average is exactly 1
-        c = np.zeros(3, dtype=complex)
-        c[1] = 1.0 / math.sqrt(2.0)
-        h = bwspace.make_system(1, (2,), [c])
-        zeros = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
-        assert conditioning.empirical_moment(h, zeros, 2.0) == pytest.approx(
-            1.0, rel=1e-12
-        )
-
-    def test_empty_list_rejected(self):
-        h = bwspace.make_system(1, (1,), [np.array([0.0, 1.0], dtype=complex)])
-        with pytest.raises(ValueError, match="at least one"):
-            conditioning.empirical_moment(h, [], 2.0)
-        # nor does a zero list take an alpha that is not a finite positive number
-        x = np.array([1.0, 0.0], dtype=complex)
-        for alpha in (0.0, -1.0, math.nan, math.inf, True):
-            with pytest.raises(ValueError, match="alpha must be"):
-                conditioning.empirical_moment(h, [x], alpha)
-
-    def test_infinite_mu_propagates(self):
-        rng = RngStream(49, 0)
-        row = complex_gaussian_vector(rng, 3)
-        x = unit(cxla.kernel_basis(row[None, :])[:, 0])
-        h = make_linear_system(np.array([row, row]))
-        assert math.isinf(conditioning.empirical_moment(h, [x], 2.0))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -252,10 +253,36 @@ class TestVolumes:
     def test_grassmannian_exact_integers(self):
         for k, l in ((1, 3), (2, 4), (2, 5)):
             expected = math.pi ** (k * (l - k)) * exact_gamma_ratio(
-                list(range(1, k + 1)), [k + i for i in range(1, k + 1)]
+                list(range(1, k + 1)), [l - k + i for i in range(1, k + 1)]
             )
             v = formulas.volumes(3, k, l, (2,))
             assert v.vol_grassmann.value == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("l", [2, 3, 4, 6])
+    def test_grassmannian_of_lines_is_projective_space(self, l):
+        # G(1, l) is P^(l-1): the volumes printed side by side once disagreed
+        grass = formulas.volumes(1, 1, l, (1,)).vol_grassmann
+        assert grass.value == pytest.approx(
+            formulas.volumes(l - 1, 1, 2, (1,)).vol_projective.value, rel=1e-13)
+
+    @pytest.mark.parametrize("k, l", [(1, 3), (1, 4), (2, 5), (3, 7)])
+    def test_grassmannian_duality(self, k, l):
+        # G(k, l) = G(l - k, l) through the orthogonal complement
+        assert formulas.volumes(1, k, l, (1,)).vol_grassmann.value == pytest.approx(
+            formulas.volumes(1, l - k, l, (1,)).vol_grassmann.value, rel=1e-13)
+
+
+class TestCheckTail:
+    @pytest.mark.parametrize("p, message", [
+        (math.nan, "beta must be finite, got nan"),
+        (math.inf, "beta must be finite, got inf"),
+        (-math.inf, "beta must be finite, got -inf"),
+        (True, "beta must be a number, got True"),
+    ])
+    def test_rejects_a_parameter_that_is_not_finite_by_name(self, p, message):
+        # nan and True once passed the comparison with the edge
+        with pytest.raises(ValueError, match=re.escape(message)):
+            formulas.check_tail("beta", p, 3)
 
 
 class TestLogSpace:

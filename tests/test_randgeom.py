@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from condmoments import bwspace, randgeom
+from condmoments.montecarlo import EstimatorConfig
 from condmoments.randgeom import RngStream
 
 
@@ -29,6 +30,21 @@ class TestRngStream:
             RngStream(-1, 0)
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
+
+    @pytest.mark.parametrize("site", [
+        randgeom.check_seed,
+        RngStream,
+        lambda seed: randgeom.uniforms_for_streams(seed, range(2), 4),
+        lambda seed: EstimatorConfig(samples=1, seed=seed),
+    ], ids=["check_seed", "RngStream", "uniforms_for_streams", "EstimatorConfig"])
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed and stream_index must be unsigned 64-bit integers"),
+        (2**64, "seed and stream_index must be unsigned 64-bit integers"),
+        (99.5, "seed must be an integer, got 99.5"),
+    ])
+    def test_every_seed_site_takes_the_one_rule(self, site, seed, message):
+        with pytest.raises(ValueError, match=message):
+            site(seed)
 
     def test_mix64_is_stable(self):
         # pinned values keep derived seeds stable across releases
