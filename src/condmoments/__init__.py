@@ -18,8 +18,7 @@ from .bwspace import (
     l0_matrix,
     make_system,
 )
-from .cxla import NumericError, kernel_basis
-from .conditioning import mu
+from .conditioning import NumericError, kernel_basis, mu
 from .formulas import (
     EspnormrestForms,
     FormulaValue,

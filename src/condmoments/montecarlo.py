@@ -38,13 +38,11 @@ flag come from formulas.check_tail at the estimator's (s, e), which first
 rejects a parameter that is not a finite number: the integrand behaves as
 X^e near X = 0 with X ~ Gamma(s), a finite mean iff e > -s, outside which
 the domain raises, and a finite variance iff 2e > -s.  It returns True
-whenever the estimand's second moment is infinite or unproven (the
-rectangular flag is the polynomial moment's, conservative on
-[n - r + 2, n - r + 3)), and the estimator then switches to
-median-of-means over MOM_BUCKETS contiguous buckets, reporting the bucket-mean
-spread (sample std of bucket means divided by sqrt(buckets)) as the
-dispersion; z-scores against that dispersion are approximate and the
-acceptance tolerances account for it.
+whenever the estimand's second moment is infinite or unproven, and the
+estimator then switches to median-of-means over MOM_BUCKETS contiguous
+buckets, reporting the bucket-mean spread (sample std of bucket means
+divided by sqrt(buckets)) as the dispersion; z-scores against that
+dispersion are approximate and the acceptance tolerances account for it.
 
 The Gram integrands alpha log ||A^+|| + w log det(A A*) are assembled in log
 space and exponentiated against the running maximum, since the determinant
@@ -63,7 +61,7 @@ import numpy as np
 
 from . import bwspace, conditioning, formulas, randgeom, roots
 from .bwspace import check_counts
-from .cxla import NumericError
+from .conditioning import NumericError
 from .formulas import FormulaValue, check_finite
 from .randgeom import RngStream
 
@@ -339,10 +337,7 @@ def _log_pinv_norm(sq: dict, phased: dict, norm: str) -> np.ndarray:
             ell = np.zeros((len(sq[0, 0]), r, r), dtype=complex if phased else float)
             for (i, k), x in _factor_entries(sq, phased).items():
                 ell[:, i, k] = x
-            # the SVD does not converge on a non-finite entry
-            finite = np.all(np.isfinite(ell), axis=(1, 2))
-            logv = np.full(len(ell), math.nan)
-            logv[finite] = -np.log(np.linalg.svd(ell[finite], compute_uv=False)[:, -1])
+            logv = -np.log(conditioning.singular_values(ell)[:, -1])
     return np.where(_singular(sq), np.inf, logv)
 
 
@@ -387,15 +382,15 @@ def detweighted_rect_domain(r: int, n: int, alpha: float, norm: str) -> bool:
     """Check the parameters of estimate_detweighted_rect; True if the tail is heavy.
 
     Its own rule is the norm; the shape r x n is randgeom.check_shape's, and
-    alpha and the flag are formulas.check_rect_alpha's, the polynomial
-    moment's (s, e) = (n - r + 2, -alpha/2).  The integrand's own (s, e) =
-    (n - r + 1, 1 - alpha/2) gives the same finite-mean range but a finite
-    variance below n - r + 3, so the flag is conservative on
-    [n - r + 2, n - r + 3).
+    the range of alpha formulas.check_rect_alpha's, the polynomial moment's.
+    The flag is formulas.check_tail's at the integrand's own (s, e) =
+    (n - r + 1, 1 - alpha/2): the same finite-mean range, and a finite
+    variance below n - r + 3.
     """
     conditioning.check_norm(norm)
     randgeom.check_shape(r, n, "n")
-    return formulas.check_rect_alpha(n, r, alpha)
+    formulas.check_rect_alpha(n, r, alpha)
+    return formulas.check_tail("alpha", alpha, n - r + 1, c=1)
 
 
 def estimate_detweighted_rect(
@@ -488,18 +483,18 @@ def estimate_espnormrest(
     return _sample("espnormrest", params, cfg, heavy, log_values)
 
 
-def _poly_log_values(n: int, d: int, lines: int, alpha: float, relative: bool):
+def _poly_log_values(n: int, d: int, lines: int, alpha: float, relative: bool, norm: str):
     """_sample's log_values of each system's zero-set average of mu^alpha; nan
-    for a system whose root search failed or with a point that is not a zero.
+    for a system whose root search failed or that the zero rule flags.
 
-    mu and the zero check are conditioning.zero_set_mu's; its values agree
+    mu and the zero rule are conditioning.zero_set_mu's; its values agree
     with the average of conditioning.mu^alpha over sample_variety_points for
     both norms (pinned by test_sample_variety_points_reproduces_system_values).
     """
 
     def log_values(seed: int, systems: range) -> np.ndarray:
         coeffs, pts, failed = roots.sample_zero_sets(seed, systems, n, d, lines)
-        mu, off_zero = conditioning.zero_set_mu(n, d, coeffs, pts, relative)
+        mu, off_zero = conditioning.zero_set_mu(n, (d,), [coeffs], pts, relative, norm)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             logv = np.log(np.mean(mu**alpha, axis=1))
         logv[failed | off_zero] = math.nan
@@ -558,7 +553,7 @@ def estimate_poly_moment(
     # same chunks)
     chunk = max(1, CHUNK_POINTS // (lines * (d + 1)))
     return _sample("poly_moment", params, cfg, heavy,
-                   _poly_log_values(n, d, lines, alpha, relative),
+                   _poly_log_values(n, d, lines, alpha, relative, norm),
                    step=chunk, allowed=_MAX_FAILURE_RATE, unit="systems")
 
 

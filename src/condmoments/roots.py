@@ -40,7 +40,7 @@ import numpy as np
 
 from . import bwspace, randgeom
 from .bwspace import SystemCoords
-from .cxla import NumericError
+from .conditioning import NumericError
 from .randgeom import RngStream
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condmoments import cli
+from condmoments import bwspace, cli, conditioning
 
 
 DROP = object()  # an override that removes the field
@@ -533,6 +533,30 @@ class TestMain:
                 cli.main([*argv, "--workers", "2"])
             assert exc.value.code == 2
             assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+class TestSvdFailure:
+    """A LAPACK failure on finite matrices is a NumericError, never a parameter error."""
+
+    @pytest.fixture
+    def failing_svd(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+
+    def test_estimate_reports_an_estimator_failure(self, failing_svd, capsys):
+        argv = ["estimate", "--estimator", "pinv_moment", "--r", "3", "--m", "5",
+                "--norm", "operator", "--samples", "100", "--seed", "5"]
+        assert cli.main(argv) == 1
+        assert "estimator failure: SVD did not converge" in capsys.readouterr().err
+
+    def test_mu_at_r_two_raises_numeric_error(self, failing_svd):
+        # h = (x_0, x_1) vanishes at e_3
+        rows = np.eye(4, dtype=complex)[:2]
+        h = bwspace.make_system(3, (1, 1), list(rows))
+        with pytest.raises(conditioning.NumericError, match="did not converge"):
+            conditioning.mu(h, np.eye(4, dtype=complex)[3])
 
 
 def _reject_constant(token):

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from condmoments import bwspace, conditioning, cxla, randgeom, roots
+from condmoments import bwspace, conditioning, randgeom, roots
 from condmoments.randgeom import (
     RngStream,
     complex_gaussian_array,
@@ -57,7 +58,7 @@ class TestMuFrobenius:
             u = randgeom.haar_unitary(rng, n + 1)
             m = u[:r, :]
             h = make_linear_system(m)
-            x = cxla.kernel_basis(m)[:, 0]
+            x = conditioning.kernel_basis(m)[:, 0]
             assert conditioning.mu(h, x) == pytest.approx(float(r), rel=1e-10)
 
     def test_rejects_non_zero_point(self):
@@ -106,7 +107,7 @@ class TestMuFrobenius:
             x = roots.sample_variety_points(h, rng, 1)[0]
             jac = bwspace.jacobian(h, x)
             # Hermitian complement of x is the kernel of the row vector x*
-            basis = cxla.kernel_basis(np.conj(x)[None, :])
+            basis = conditioning.kernel_basis(np.conj(x)[None, :])
             restricted = jac @ basis
             full_norm = np.linalg.norm(
                 np.linalg.pinv(jac) * np.sqrt(np.array(h.degrees))
@@ -128,7 +129,7 @@ class TestMuOperator:
         for r, n in ((2, 3), (3, 4)):
             m = complex_gaussian_array(rng, (r, n + 1))
             h = make_linear_system(m)
-            x = cxla.kernel_basis(m)[:, 0]
+            x = conditioning.kernel_basis(m)[:, 0]
             mf = conditioning.mu(h, x)
             mo = conditioning.mu(h, x, "operator")
             assert mo <= mf * (1 + 1e-12)
@@ -137,7 +138,7 @@ class TestMuOperator:
     def test_rank_deficient_duplicate_equations(self):
         rng = RngStream(46, 0)
         row = complex_gaussian_vector(rng, 4)
-        x = unit(cxla.kernel_basis(row[None, :])[:, 0])
+        x = unit(conditioning.kernel_basis(row[None, :])[:, 0])
         h = make_linear_system(np.array([row, row]))
         assert math.isinf(conditioning.mu(h, x, "operator"))
         assert math.isinf(conditioning.mu(h, x))
@@ -200,20 +201,20 @@ class TestZeroSetMu:
     @pytest.mark.parametrize("n, d, lines", [(1, 3, 1), (2, 2, 4), (3, 4, 2)])
     def test_matches_per_point_mu(self, n, d, lines, relative):
         coeffs, pts, failed = roots.sample_zero_sets(52, range(5), n, d, lines)
-        values, off_zero = conditioning.zero_set_mu(n, d, coeffs, pts, relative)
-        assert values.shape == (5, lines * d)
-        assert not failed.any() and not off_zero.any()
-        for j in range(5):
-            h = bwspace.make_system(n, (d,), [coeffs[j]])
-            scale = bwspace.bw_norm(h) if relative else 1.0
-            for norm in conditioning.NORMS:
-                expected = [conditioning.mu(h, x, norm) / scale for x in pts[j]]
+        for norm in conditioning.NORMS:
+            values, off_zero = conditioning.zero_set_mu(n, (d,), [coeffs], pts, relative, norm)
+            assert values.shape == (5, lines * d)
+            assert not failed.any() and not off_zero.any()
+            for j in range(5):
+                h = bwspace.make_system(n, (d,), [coeffs[j]])
+                scale = bwspace.bw_norm(h) if relative else 1.0
+                expected = [pinv_reference(h, x, norm) / scale for x in pts[j]]
                 np.testing.assert_allclose(values[j], expected, rtol=1e-12)
 
     def test_point_off_the_zero_set_flags_only_its_system(self):
         coeffs, pts, _ = roots.sample_zero_sets(53, range(4), 2, 2, 2)
         pts[2, 1] = np.eye(3)[0]
-        _, off_zero = conditioning.zero_set_mu(2, 2, coeffs, pts, False)
+        _, off_zero = conditioning.zero_set_mu(2, (2,), [coeffs], pts, False)
         assert off_zero.tolist() == [False, False, True, False]
 
     def test_nan_point_gives_nan_mu_without_a_flag_or_warning(self):
@@ -221,10 +222,56 @@ class TestZeroSetMu:
         # system, and the stage leaves it alone (RuntimeWarnings are errors)
         coeffs, pts, _ = roots.sample_zero_sets(54, range(3), 2, 2, 2)
         pts[1, 0] = complex(math.nan, math.nan)
-        values, off_zero = conditioning.zero_set_mu(2, 2, coeffs, pts, True)
+        values, off_zero = conditioning.zero_set_mu(2, (2,), [coeffs], pts, True)
         assert np.isnan(values[1, 0])
         assert np.isnan(values).sum() == 1
         assert not off_zero.any()
+
+    def test_nan_point_at_r_two_gives_nan_mu_without_a_flag_or_warning(self):
+        # r = 2 with a quadratic, whose Jacobian row is NaN at a NaN point
+        rng = RngStream(56, 0)
+        x = unit(complex_gaussian_vector(rng, 4))
+        h = system_through(rng, x, 3, (1, 2))
+        pts = np.array([[x, np.full(4, complex(math.nan, math.nan))]])
+        for norm in conditioning.NORMS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values, flagged = conditioning.zero_set_mu(
+                    3, h.degrees, [c[None] for c in h.coords], pts, False, norm)
+            assert np.isfinite(values[0, 0]) and np.isnan(values[0, 1])
+            assert not flagged.any()
+
+    def test_system_whose_norm_overflows_is_flagged_without_a_warning(self):
+        # ||h|| overflows to inf, and |h(e_0)| = 1e300 > 1e-8 * inf is False:
+        # only the finite-norm rule flags e_0, which is not a zero
+        coeffs = [np.array([[1e300, 1e300]], dtype=complex)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, flagged = conditioning.zero_set_mu(1, (1,), coeffs, np.array([[[1.0, 0.0]]]),
+                                                  False)
+        assert flagged.tolist() == [True]
+
+
+class TestKernelFindingIdentity:
+    """A linear system is its coefficient matrix A, and at a point of ker A
+    mu is ||A||_F ||A^+||, the condition number of finding the kernel."""
+
+    @pytest.mark.parametrize("r, m", [(1, 3), (2, 3), (2, 4), (3, 5)])
+    def test_mu_is_the_kernel_condition_number(self, r, m):
+        rng = RngStream(55, 10 * r + m)
+        mats = [complex_gaussian_array(rng, (r, m)) for _ in range(8)]
+        xs = np.array([conditioning.kernel_basis(a)[:, 0] for a in mats])
+        coeffs = [np.array([a[i] for a in mats]) for i in range(r)]
+        for norm, order in (("frobenius", "fro"), ("operator", 2)):
+            expected = [np.linalg.norm(a) * np.linalg.norm(np.linalg.pinv(a), order)
+                        for a in mats]
+            values, flagged = conditioning.zero_set_mu(m - 1, (1,) * r, coeffs, xs[:, None],
+                                                       False, norm)
+            assert not flagged.any()
+            np.testing.assert_allclose(values[:, 0], expected, rtol=1e-12)
+            for a, x, value in zip(mats, xs, expected):
+                assert conditioning.mu(make_linear_system(a), x, norm) == pytest.approx(
+                    value, rel=1e-12)
 
 
 class TestUnitaryInvariance:
@@ -239,3 +286,53 @@ class TestUnitaryInvariance:
             mu_rot = conditioning.mu(rotated, u @ x)
             assert mu_rot == pytest.approx(mu, rel=1e-8)
 
+
+def random_matrix(seed, r, m):
+    return complex_gaussian_array(RngStream(seed, 0), (r, m))
+
+
+class TestKernelBasis:
+    def test_explicit_kernel_of_zero_block(self):
+        b = random_matrix(16, 3, 3)
+        m = np.hstack([np.zeros((3, 1)), b])
+        k = conditioning.kernel_basis(m)
+        assert k.shape == (4, 1)
+        # kernel is spanned by e_0 up to phase
+        assert abs(abs(k[0, 0]) - 1.0) < 1e-10
+        assert np.linalg.norm(k[1:]) < 1e-10
+
+    def test_full_rank_random(self):
+        m = random_matrix(17, 2, 4)
+        k = conditioning.kernel_basis(m)
+        assert k.shape == (4, 2)
+        assert np.linalg.norm(m @ k) < 1e-10 * np.linalg.norm(m)
+        assert np.linalg.norm(k.conj().T @ k - np.eye(2)) < 1e-10
+
+    def test_zero_matrix(self):
+        k = conditioning.kernel_basis(np.zeros((2, 4)))
+        assert k.shape == (4, 4)
+        assert np.linalg.norm(k - np.eye(4)) < 1e-12
+
+    def test_rank_tolerance_drops_tiny_singular_values(self):
+        # rows with singular values 1 and 1e-14: the second counts as zero
+        u = np.linalg.qr(random_matrix(18, 2, 2))[0]
+        v = np.linalg.qr(random_matrix(19, 4, 4))[0]
+        m = u @ np.diag([1.0, 1e-14]) @ v[:, :2].conj().T
+        assert conditioning.kernel_basis(m).shape == (4, 3)
+        assert conditioning.kernel_basis(m, rank_tol=1e-16).shape == (4, 2)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            conditioning.kernel_basis(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="2-D"):
+            conditioning.kernel_basis(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="rows <= cols"):
+            conditioning.kernel_basis(np.zeros((3, 2)))
+
+    def test_svd_failure_is_a_numeric_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(conditioning.NumericError, match="did not converge"):
+            conditioning.kernel_basis(np.eye(2))

@@ -468,7 +468,7 @@ class TestMatrixNumericFailure:
     def test_nan_log_value_raises(self, monkeypatch):
         # a NaN draw must stop the estimate with its count, not reach the
         # reduction as a mean of NaN
-        from condmoments.cxla import NumericError
+        from condmoments.conditioning import NumericError
 
         real = montecarlo._draws
 
@@ -572,7 +572,7 @@ class TestPolyMoment:
             montecarlo.estimate_poly_moment(2, (1, 1), 2.0, False, "frobenius", cfg(10, 25))
 
     def test_root_failure_rate_aborts_with_diagnostic(self, monkeypatch):
-        from condmoments.cxla import NumericError
+        from condmoments.conditioning import NumericError
 
         real = roots.sample_zero_sets
 
@@ -587,7 +587,7 @@ class TestPolyMoment:
     def test_failure_rate_counts_systems_not_lines(self, monkeypatch):
         # 4 of 1000 systems (0.4%) fail: over the 0.1% limit, although 4 is
         # under 0.1% of the 8000 lines
-        from condmoments.cxla import NumericError
+        from condmoments.conditioning import NumericError
 
         real = roots.sample_zero_sets
 
@@ -954,10 +954,11 @@ class TestDomainsMatchClosedForms:
         exmu = [(formulas.exmualpha_constant, n, 1, (2,), a) for a in alphas]
         self._agree(list(zip(poly, exmu)))
         self._agree(list(zip(rect, exmu)))
-        # where both run, they agree on the heavy tail too
-        for p, q in zip(poly, rect):
+        # where both run, the rect flag is its own integrand's, heavy one
+        # above the polynomial moment's, from n - r + 3 = n + 2
+        for a, p, q in zip(alphas, poly, rect):
             if not _raises(*p):
-                assert p[0](*p[1:]) == q[0](*q[1:])
+                assert q[0](*q[1:]) == (a >= n + 2)
 
 
 def _tail_cases():
@@ -969,9 +970,9 @@ def _tail_cases():
         yield (f"pinv-r{r}m{m}", lambda a, r=r, m=m: d.pinv_moment_domain(r, m, a, "frobenius"),
                2 * (m - r + 1), m - r + 1, -1)
     for r, n in ((1, 1), (1, 3), (2, 3), (3, 5)):
-        # the flag is the polynomial moment's, from n - r + 2
+        # the flag is the integrand's own, from n - r + 3
         yield (f"rect-r{r}n{n}", lambda a, r=r, n=n: d.detweighted_rect_domain(r, n, a, "frobenius"),
-               2 * (n - r + 2), n - r + 2, -1)
+               2 * (n - r + 2), n - r + 3, -1)
     # non-dyadic k, where k - alpha/2 > -1 and 2k - alpha > -1 slip by an ulp
     for r, k in ((1, 0.1), (2, 1 / 3), (1, 2 / 3), (3, 0.9), (1, 1.0), (2, 2.5)):
         yield (f"square-r{r}k{k:.3g}",

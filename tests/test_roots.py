@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from condmoments import bwspace, conditioning, randgeom, roots
-from condmoments.cxla import NumericError
+from condmoments.conditioning import NumericError
 from condmoments.randgeom import RngStream, complex_gaussian_vector, gaussian_system
 
 
