@@ -25,6 +25,11 @@ the degree-(d-1) form with coefficients j_k a_j at x^(j - e_k), summed the
 same way on the same power table: j -> j - e_k maps the monomials with
 j_k > 0, in canonical order, onto the degree-(d-1) monomials in canonical
 order.
+
+A form composed with a linear map, h(A y), is read off its values at the
+(d+1)^m torus points by one DFT (substitute_forms): with A the line frame
+(u, v) this is the restriction to a line (roots), with A = u* the rotation
+of a system by a unitary u (randgeom.rotate_system).
 """
 
 from __future__ import annotations
@@ -270,6 +275,30 @@ def gradient_forms(n: int, d: int, coeffs: np.ndarray, points: np.ndarray) -> np
     for k, (cols, factor) in enumerate(_jacobian_tables(n, d)):
         _sum_terms(ptab, a[:, cols] * factor, terms, out[k])
     return np.moveaxis(out, 0, -1)
+
+
+def substitute_forms(n: int, d: int, coeffs: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Monomial coefficients (S, L, K_m) of g(y) = h(A y), y in C^(m+1), for
+    S degree-d forms h (S, K) under L linear maps A (S, L, n+1, m+1) each,
+    in the canonical order of monomial_indices(m, d).
+
+    g(1, y_1, ..., y_m) has no exponent above d, so its values at the
+    (d+1)^m torus points y = (1, w^k_1, ..., w^k_m) determine its
+    coefficients exactly through one m-dimensional DFT.  Costs (d+1)^m
+    evaluations of h per map.
+    """
+    m = maps.shape[-1] - 1
+    omega = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
+    grid = omega[np.indices((d + 1,) * m).reshape(m, -1)]  # w^k_i, k in C order
+    pts = maps[..., None, :, 0]  # (S, L, 1, n+1): y_0 = 1
+    for i in range(m):
+        pts = pts + grid[i, :, None] * maps[..., None, :, i + 1]
+    values = evaluate_forms(n, d, coeffs, pts.reshape(len(maps), -1, n + 1))
+    values = values.reshape(maps.shape[:2] + (d + 1,) * m)
+    dft = np.fft.fftn(values, axes=tuple(range(2, m + 2))) / (d + 1) ** m
+    # the coefficient of y^j is the DFT entry at k = (j_1, ..., j_m)
+    index = np.ravel_multi_index(monomial_basis(m, d)[0][:, 1:].T, (d + 1,) * m)
+    return dft.reshape(maps.shape[:2] + (-1,))[..., index]
 
 
 def _points(h: SystemCoords, points) -> np.ndarray:

@@ -77,10 +77,10 @@ def singular_values(stack: np.ndarray) -> np.ndarray:
     return s
 
 
-def kernel_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
+def kernel_basis(m) -> np.ndarray:
     """Orthonormal basis of the null space, as columns of a cols x k matrix.
 
-    k = cols minus the number of singular values above rank_tol times the
+    k = cols minus the number of singular values above RANK_TOL times the
     largest one.  For the zero matrix this is the full identity-column basis.
     Raises ValueError unless m is a finite, non-empty 2-D matrix with rows <=
     cols, and NumericError if the SVD does not converge.
@@ -98,7 +98,7 @@ def kernel_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
         _, s, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge for shape {a.shape}") from exc
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return np.ascontiguousarray(vh[rank:].conj().T)
 
 

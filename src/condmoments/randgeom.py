@@ -6,7 +6,7 @@ generator.  Two streams built from the same (seed, stream_index) replay the
 same draws, and draws under distinct stream indices are independent.
 
 Normal deviates come from Box-Muller applied to Philox uniforms rather than
-from the generator's own ziggurat, so the draw sequence is pinned down by
+from numpy's ziggurat, so the draw sequence is pinned down by
 the uniform stream alone.  Complex standard Gaussians follow the
 E|z|^2 = 1 convention: z = (g1 + i g2)/sqrt(2) with g1, g2 independent
 standard real normals, equivalently |z|^2 ~ Exp(1) with uniform phase.
@@ -54,26 +54,31 @@ def check_seed(seed: int, *stream_indices: int) -> None:
         raise ValueError("seed and stream_index must be unsigned 64-bit integers")
 
 
+def _unit(words: np.ndarray) -> np.ndarray:
+    """U[0, 1) deviates (x >> 11) * 2**-53 of uint64 words x, numpy's
+    Generator.random rule; the one word-to-uniform map of both stream paths.
+    The words are shifted in place, so callers pass fresh arrays."""
+    words >>= np.uint64(11)
+    return words * 2.0**-53
+
+
 @dataclass
 class RngStream:
     """One reproducible stream of uniforms keyed by (seed, stream_index)."""
 
     seed: int
     stream_index: int = 0
-    _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    _bits: np.random.Philox | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_seed(self.seed, self.stream_index)
 
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
-        return self._gen
-
     def uniforms(self, shape) -> np.ndarray:
-        """U[0, 1) deviates, advancing the stream."""
-        return self.generator().random(shape)
+        """U[0, 1) deviates, advancing the stream: _unit of its next Philox words."""
+        if self._bits is None:
+            key = np.array([self.seed, self.stream_index], dtype=np.uint64)
+            self._bits = np.random.Philox(key=key)
+        return _unit(self._bits.random_raw(int(np.prod(shape)))).reshape(shape)
 
 
 # Philox-4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -100,9 +105,9 @@ def uniforms_for_streams(seed: int, indices, count: int) -> np.ndarray:
 
     Philox is counter-based, so block c of key (seed, j) is a pure function of
     (seed, j, c), and every stream's blocks come from one array pass.  numpy's
-    Philox starts at counter (1, 0, 0, 0), uses the 4 words of a block in
-    order, and Generator.random maps a word x to (x >> 11) * 2**-53.  The
-    arithmetic stays on uint64 arrays, where overflow wraps without a warning.
+    Philox starts at counter (1, 0, 0, 0) and returns the 4 words of a block
+    in order; both paths map the words to uniforms by _unit.  The arithmetic
+    stays on uint64 arrays, where overflow wraps without a warning.
     """
     keys = [seed, *indices]
     # a range's extremes are its ends
@@ -121,7 +126,7 @@ def uniforms_for_streams(seed: int, indices, count: int) -> np.ndarray:
         lo1, hi1 = _mulhilo(c2, _PHILOX_M[1])
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
     words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(k1), 4 * blocks)[:, :count]
-    return (words >> np.uint64(11)) * 2.0**-53
+    return _unit(words)
 
 
 def complex_gaussians(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -231,8 +236,9 @@ def unitary_from_ginibre(a: np.ndarray) -> np.ndarray:
 def rotate_system(h: SystemCoords, u) -> SystemCoords:
     """Coordinates of the rotated system sigma_h(v) = h(u* v) for unitary u.
 
-    Computed by exact expansion of each equation's monomial form under the
-    linear substitution; the Bombieri-Weyl norm is preserved.
+    Each equation is bwspace.substitute_forms under the map u*, exact up to
+    rounding at a cost of (d+1)^n evaluations of it; the Bombieri-Weyl norm
+    is preserved.
     """
     um = np.asarray(u, dtype=np.complex128)
     dim = h.n + 1
@@ -240,36 +246,10 @@ def rotate_system(h: SystemCoords, u) -> SystemCoords:
         raise ValueError(f"unitary must be {dim} x {dim}, got {um.shape}")
     if not np.linalg.norm(um.conj().T @ um - np.eye(dim)) <= 1e-8:  # NaN fails too
         raise ValueError("matrix is not unitary")
-
-    # (u* v)_k = sum_l conj(u[l, k]) v_l: the linear form substituted for x_k
-    forms = um.conj().T  # row k = coefficients of the form replacing x_k
-
-    new_coords = []
-    for i, d in enumerate(h.degrees):
-        expo, w = bwspace.monomial_basis(h.n, d)
-        index_of = {j: p for p, j in enumerate(bwspace.monomial_indices(h.n, d))}
-        mono_coeffs = w * h.coords[i]
-        acc = np.zeros(len(w), dtype=np.complex128)
-        for j_row, a in zip(expo, mono_coeffs):
-            if a == 0:
-                continue
-            # expand prod_k form_k^{j_k} as a dict multi-index -> coefficient
-            poly = {(0,) * dim: 1.0 + 0.0j}
-            for k in range(dim):
-                for _ in range(int(j_row[k])):
-                    nxt: dict[tuple[int, ...], complex] = {}
-                    for mono, coef in poly.items():
-                        for l in range(dim):
-                            f = forms[k, l]
-                            if f == 0:
-                                continue
-                            key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
-                            nxt[key] = nxt.get(key, 0.0 + 0.0j) + coef * f
-                    poly = nxt
-            for mono, coef in poly.items():
-                acc[index_of[mono]] += a * coef
-        new_coords.append(acc / w)
-    return bwspace.make_system(h.n, h.degrees, new_coords)
+    return bwspace.make_system(h.n, h.degrees, [
+        bwspace.substitute_forms(h.n, d, c[None], um.conj().T[None, None])[0, 0]
+        / bwspace.monomial_basis(h.n, d)[1]
+        for d, c in zip(h.degrees, h.coords)])
 
 
 def orthonormal_pair(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

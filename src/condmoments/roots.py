@@ -7,10 +7,11 @@ which are unitarily equivalent, so the line-section point process has
 constant density with respect to the volume measure of the zero set.
 
 One path, batched over systems and lines (a single form is a batch of one).
-Each equation is restricted straight to its line's frame (u, v) by one DFT
-to a binary form, itself an n = 1 system (restrict_to_line returns it as
-one), and its roots c, the points c0 u + c1 v, are taken in closed form at
-d <= 3 (Cardano's formula, Newton-polished, at d = 3) and as the
+Each equation is restricted straight to its line's frame (u, v), the map
+s u + t v, by bwspace.substitute_forms (one DFT of its values at d + 1
+points) to a binary form, itself an n = 1 system (restrict_to_line returns
+it as one), and its roots c, the points c0 u + c1 v, are taken in closed
+form at d <= 3 (Cardano's formula, Newton-polished, at d = 3) and as the
 eigenvalues of the companion matrices, in one batched LAPACK call, from
 d = 4.  Every drawn frame, n = 1 included, is randgeom.orthonormal_pair
 (Gram-Schmidt) on a Gaussian pair, which is already Haar among orthonormal
@@ -44,23 +45,10 @@ from .conditioning import NumericError
 from .randgeom import RngStream
 
 
-def _restrict(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Binary forms g(s, t) = h(s u + t v), (S, L, d+1), of S equations (S, K)
-    on L orthonormal line pairs u, v (S, L, n+1) each.
-
-    The values g(1, w^k) at the (d+1)-th roots of unity w^k determine the
-    coefficients exactly through one DFT.
-    """
-    n_sys, n_lines, dim = u.shape
-    omega = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-    pts = u[:, :, None, :] + omega[:, None] * v[:, :, None, :]  # (S, L, d+1, n+1)
-    values = bwspace.evaluate_forms(dim - 1, d, coeffs, pts.reshape(n_sys, -1, dim))
-    return np.fft.fft(values.reshape(n_sys, n_lines, d + 1), axis=-1) / (d + 1)
-
-
 def restrict_to_line(h: SystemCoords, u, v) -> SystemCoords:
     """The n = 1 system g(s, t) = h(s u + t v) of a single-equation system h
-    and an orthonormal pair (u, v); a batch of one of _restrict.
+    and an orthonormal pair (u, v); bwspace.substitute_forms on one form and
+    one map, the 2-column matrix (u, v).
 
     g's coordinates are the monomial coefficients of s^(d-k) t^k divided by
     bwspace.monomial_basis(1, d)[1], sqrt(binom(d, k)), like any n = 1
@@ -76,7 +64,7 @@ def restrict_to_line(h: SystemCoords, u, v) -> SystemCoords:
     if not np.linalg.norm(pair.conj() @ pair.T - np.eye(2)) <= 1e-8:  # NaN fails too
         raise ValueError("line vectors must be orthonormal")
     d = h.degrees[0]
-    forms = _restrict(h.coords[0][None], d, uu[None, None], vv[None, None])
+    forms = bwspace.substitute_forms(h.n, d, h.coords[0][None], pair.T[None, None])
     return bwspace.make_system(1, (d,), [forms[0, 0] / bwspace.monomial_basis(1, d)[1]])
 
 
@@ -165,11 +153,13 @@ def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
     """Zero-set points (S, L*d, n+1) of S equations (S, K) on their L lines
     u, v (S, L, n+1) each, and the systems with a line that _row_roots failed.
 
-    Each line's equation is restricted straight to its frame (u, v), and a
+    Each line's equation is restricted straight to its frame (u, v), the
+    binary form g(s, t) = h(s u + t v) of bwspace.substitute_forms, and a
     unit root c of that form is the point c0 u + c1 v.
     """
     n_sys, n_lines, dim = u.shape
-    w, failed = _row_roots(_restrict(coeffs, d, u, v).reshape(-1, d + 1))
+    forms = bwspace.substitute_forms(dim - 1, d, coeffs, np.stack([u, v], -1))
+    w, failed = _row_roots(forms.reshape(-1, d + 1))
     c0, c1 = _root_vectors(w)
     pts = c0[..., None] * u.reshape(-1, 1, dim) + c1[..., None] * v.reshape(-1, 1, dim)
     return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)

@@ -226,6 +226,40 @@ def test_forms_match_plain_python_reference(n, d):
     assert np.all(np.abs(euler - d * got) <= tol * d * (n + 2) * value_scale)
 
 
+class TestSubstituteForms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_coefficients_give_the_substituted_values(self, n, d):
+        # h(A y) = sum_j c'_j y^j at Gaussian y in C^(m+1), not only on the
+        # torus the coefficients are read from (at d = 1 the points +-1),
+        # within 1e-12 of ||h|| ||A y||^d, which bounds |h(A y)|
+        for m in sorted({1, 2, n}):
+            rng = RngStream(47, 100 * n + 10 * d + m)
+            k = math.comb(n + d, n)
+            coeffs = randgeom.complex_gaussian_array(rng, (2, k))
+            maps = randgeom.complex_gaussian_array(rng, (2, 3, n + 1, m + 1))
+            got = bwspace.substitute_forms(n, d, coeffs, maps)
+            assert got.shape == (2, 3, math.comb(m + d, m))
+            y = randgeom.complex_gaussian_array(rng, (2, 3, 4, m + 1))
+            x = np.einsum("slij,slpj->slpi", maps, y)
+            lhs = bwspace.evaluate_forms(n, d, coeffs, x.reshape(2, 12, n + 1)).reshape(2, 3, 4)
+            expo, _ = bwspace.monomial_basis(m, d)
+            rhs = np.einsum("slpj,slj->slp", np.prod(y[..., None, :] ** expo, axis=-1), got)
+            scale = np.linalg.norm(coeffs, axis=1)[:, None, None] * np.linalg.norm(x, axis=-1) ** d
+            assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale), m
+
+    @pytest.mark.parametrize("n,d,m", [(2, 3, 1), (3, 2, 2), (2, 4, 2), (3, 3, 3)])
+    def test_batch_equals_single_calls_bit_for_bit(self, n, d, m):
+        rng = RngStream(48, 100 * n + 10 * d + m)
+        coeffs = randgeom.complex_gaussian_array(rng, (3, math.comb(n + d, n)))
+        maps = randgeom.complex_gaussian_array(rng, (3, 4, n + 1, m + 1))
+        batch = bwspace.substitute_forms(n, d, coeffs, maps)
+        for s in range(3):
+            for line in range(4):
+                single = bwspace.substitute_forms(n, d, coeffs[s:s + 1], maps[s:s + 1, line:line + 1])
+                assert np.array_equal(batch[s, line], single[0, 0]), (s, line)
+
+
 class TestJacobian:
     def test_coordinate_functions(self):
         # h_i = x_i for i = 1..r with degrees all 1 -> rows of (0 | I)

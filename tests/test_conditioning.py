@@ -314,12 +314,14 @@ class TestKernelBasis:
         assert np.linalg.norm(k - np.eye(4)) < 1e-12
 
     def test_rank_tolerance_drops_tiny_singular_values(self):
-        # rows with singular values 1 and 1e-14: the second counts as zero
+        # rows with singular values 1 and 1e-14: the second counts as zero;
+        # at 1e-11, above RANK_TOL, it does not
         u = np.linalg.qr(random_matrix(18, 2, 2))[0]
         v = np.linalg.qr(random_matrix(19, 4, 4))[0]
         m = u @ np.diag([1.0, 1e-14]) @ v[:, :2].conj().T
         assert conditioning.kernel_basis(m).shape == (4, 3)
-        assert conditioning.kernel_basis(m, rank_tol=1e-16).shape == (4, 2)
+        m = u @ np.diag([1.0, 1e-11]) @ v[:, :2].conj().T
+        assert conditioning.kernel_basis(m).shape == (4, 2)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="finite"):

@@ -602,17 +602,17 @@ class TestPolyMoment:
             )
 
     def test_restriction_residual_fails_one_system(self, monkeypatch):
-        # system 500's restriction values are off by 1 at every node, so its
-        # points are roots of the wrong forms: the zero check against h drops
-        # the system, which is counted as one failure instead of aborting the run
+        # system 500's restricted coefficients are off by 1, so its points are
+        # roots of the wrong forms: the zero check against h drops the system,
+        # which is counted as one failure instead of aborting the run
         seed = 26
         bad = gaussian_system(RngStream(seed, 500), 2, (2,)).coords[0]
-        real = bwspace.evaluate_forms
+        real = bwspace.substitute_forms
 
-        def corrupt(n, d, coeffs, points):
-            return real(n, d, coeffs, points) + np.all(coeffs == bad, axis=1)[:, None]
+        def corrupt(n, d, coeffs, maps):
+            return real(n, d, coeffs, maps) + np.all(coeffs == bad, axis=1)[:, None, None]
 
-        monkeypatch.setattr(roots, "bwspace", types.SimpleNamespace(evaluate_forms=corrupt))
+        monkeypatch.setattr(roots, "bwspace", types.SimpleNamespace(substitute_forms=corrupt))
         est = montecarlo.estimate_poly_moment(
             2, (2,), 2.0, False, "frobenius", cfg(1000, seed, lines_per_system=8)
         )

@@ -25,6 +25,17 @@ class TestRngStream:
         b = RngStream(123, 2).uniforms(10)
         assert not np.array_equal(a, b)
 
+    def test_successive_calls_equal_numpy_generator_random(self):
+        # odd sizes and shapes start calls inside a 4-word Philox block, so
+        # this pins where each call resumes in the bit generator's buffer
+        key = np.array([2**64 - 1, 7], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        stream = RngStream(2**64 - 1, 7)
+        for shape in (1, 3, (5,), (3, 3), 2, (1, 7), 13):
+            want = ref.random(shape)
+            got = stream.uniforms(shape)
+            assert got.shape == want.shape and np.array_equal(got, want), shape
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             RngStream(-1, 0)
@@ -246,24 +257,32 @@ class TestRotateSystem:
         for a, b in zip(hr.coords, h.coords):
             assert np.allclose(a, b, atol=1e-14)
 
-    def test_norm_preserved(self):
-        rng = RngStream(20, 0)
+    @pytest.mark.parametrize("index, n, degrees", [(0, 2, (3,)), (1, 4, (4,)), (2, 1, (5,)),
+                                                    (3, 3, (2, 3))],
+                             ids=["n2-d3", "n4-d4", "n1-d5", "n3-d2,3"])
+    def test_norm_preserved(self, index, n, degrees):
+        rng = RngStream(20, index)
         for _ in range(10):
-            h = randgeom.gaussian_system(rng, 2, (3,))
-            u = randgeom.haar_unitary(rng, 3)
+            h = randgeom.gaussian_system(rng, n, degrees)
+            u = randgeom.haar_unitary(rng, n + 1)
             hr = randgeom.rotate_system(h, u)
-            assert bwspace.bw_norm(hr) == pytest.approx(bwspace.bw_norm(h), rel=1e-10)
+            assert bwspace.bw_norm(hr) == pytest.approx(bwspace.bw_norm(h), rel=1e-12)
 
-    def test_evaluation_consistency(self):
-        rng = RngStream(21, 0)
-        h = randgeom.gaussian_system(rng, 2, (2, 3))
-        u = randgeom.haar_unitary(rng, 3)
+    @pytest.mark.parametrize("index, n, degrees", [(0, 2, (2, 3)), (1, 4, (4,)), (2, 1, (5,)),
+                                                    (3, 3, (2, 3))],
+                             ids=["n2-d2,3", "n4-d4", "n1-d5", "n3-d2,3"])
+    def test_evaluation_consistency(self, index, n, degrees):
+        # |h_i(x)| <= ||h_i|| at a unit x, so 1e-12 ||h|| is relative to the values' scale
+        rng = RngStream(21, index)
+        h = randgeom.gaussian_system(rng, n, degrees)
+        u = randgeom.haar_unitary(rng, n + 1)
         hr = randgeom.rotate_system(h, u)
         for _ in range(10):
-            v = randgeom.complex_gaussian_vector(rng, 3)
+            v = randgeom.complex_gaussian_vector(rng, n + 1)
+            v /= np.linalg.norm(v)
             lhs = bwspace.evaluate(hr, v)
             rhs = bwspace.evaluate(h, u.conj().T @ v)
-            assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+            assert np.linalg.norm(lhs - rhs) <= 1e-12 * bwspace.bw_norm(h)
 
     def test_rejects_non_unitary(self):
         h = randgeom.gaussian_system(RngStream(22, 0), 1, (2,))
@@ -271,8 +290,8 @@ class TestRotateSystem:
             randgeom.rotate_system(h, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_rejects_a_nan_matrix(self):
-        # the expansion skips every zero coordinate, so for the zero system
-        # only the unitarity check can refuse a NaN matrix
+        # the unitarity check refuses a NaN matrix before any rotated
+        # coordinate is formed, also for the zero system
         zero = bwspace.make_system(1, (2,), [np.zeros(3, dtype=complex)])
         with pytest.raises(ValueError, match="not unitary"):
             randgeom.rotate_system(zero, np.full((2, 2), np.nan))

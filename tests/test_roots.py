@@ -260,10 +260,10 @@ class TestRestrictionFailure:
     # a wrong restriction gives wrong points, and the zero check of their
     # consumer, here conditioning.mu, rejects every one of them
     @pytest.fixture(autouse=True)
-    def corrupt_evaluation(self, monkeypatch):
-        real = bwspace.evaluate_forms
+    def corrupt_restriction(self, monkeypatch):
+        real = bwspace.substitute_forms
         corrupt = types.SimpleNamespace(**vars(bwspace))
-        corrupt.evaluate_forms = lambda n, d, coeffs, points: real(n, d, coeffs, points) + 1.0
+        corrupt.substitute_forms = lambda n, d, coeffs, maps: real(n, d, coeffs, maps) + 1.0
         monkeypatch.setattr(roots, "bwspace", corrupt)
 
     @staticmethod
@@ -348,8 +348,8 @@ def test_n1_points_are_the_roots_of_the_form_in_its_chart(d, monkeypatch):
     # at n = 1 the estimator solves each form in the fixed frame (e_0, e_1),
     # with no chart and no restriction; its points are, projectively, the
     # roots binary_form_roots finds for the same h in a Haar chart
-    for name in ("_sections", "_restrict"):
-        monkeypatch.setattr(roots, name, lambda *args, name=name: pytest.fail(name))
+    for owner, name in ((roots, "_sections"), (bwspace, "substitute_forms")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: pytest.fail(name))
     coeffs, points, failed = roots.sample_zero_sets(95, range(40), 1, d, 1)
     assert not failed.any() and points.shape == (40, d, 2)
     monkeypatch.undo()
