@@ -19,6 +19,17 @@ and their defaults; a config key or param that no list names is a config
 error.  _FORMULAS is the one table of closed-form values: the formulas
 subcommand prints its entries, and each _CLOSED_FORMS id names the entry it
 reads.
+
+run_verify deals the rows whose largest estimator call draws more than
+montecarlo.BLOCK_SAMPLES samples round-robin, in row order, over one process
+per CPU in os.sched_getaffinity (at most one per such row): the caller's
+process runs its share and every other row, and the rest are forked once at
+the start and pickle their rows back through a pipe.  A row is a pure
+function of its experiment, so the report is the same in any number of
+processes; one CPU, a platform without sched_getaffinity, or fewer than two
+such rows runs every row in order in the caller's process.  Forking a row of
+one block costs more than the row (a round trip of about 1.5 ms from a numpy
+process), which is why the small rows stay in the caller's.
 """
 
 from __future__ import annotations
@@ -30,6 +41,8 @@ import io
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 from collections.abc import Callable
@@ -73,6 +86,7 @@ class Report:
     runtime_seconds: float
     overall_pass: bool
     rows: list[dict] = field(default_factory=list)
+    processes: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +441,17 @@ def run_verify(
 ) -> Report:
     """Run every experiment; overall pass is the conjunction of non-probe rows."""
     start = time.perf_counter()
-    rows = []
-    for exp in experiments:
-        try:
-            row = _row(exp, run_experiment(exp, samples_override))
-        except (conditioning.NumericError, KeyError, ValueError) as err:
-            row = _row(exp, None, err)
-        rows.append(row)
-        if echo is not None:
+    big = [i for i, exp in enumerate(experiments)
+           if _largest_call(exp, samples_override) > montecarlo.BLOCK_SAMPLES]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    processes = max(1, min(cpus, len(big)))
+    worker = {i: k % processes for k, i in enumerate(big)}
+    shares = [[i for i in range(len(experiments)) if worker.get(i, 0) == w]
+              for w in range(processes)]
+    by_index = _run_shares(experiments, shares, samples_override)
+    rows = [by_index[i] for i in range(len(experiments))]
+    if echo is not None:
+        for row in rows:
             flag = "probe" if row["probe"] else ("pass" if row["pass"] else "FAIL")
             if row["error"]:
                 echo(f"[{flag}] {row['experiment_id']}: error {row['error']}")
@@ -450,7 +467,93 @@ def run_verify(
         runtime_seconds=time.perf_counter() - start,
         overall_pass=overall,
         rows=rows,
+        processes=processes,
     )
+
+
+def _largest_call(exp: ExperimentConfig, samples_override: int | None) -> int:
+    """The sample count of an experiment's largest estimator call; 0 for one
+    whose calls cannot be named, which fails in its row."""
+    try:
+        return max(n for *_, n in _calls(exp, samples_override))
+    except (KeyError, ValueError):
+        return 0
+
+
+def _run_rows(experiments: list[ExperimentConfig], indices: list[int],
+              samples_override: int | None) -> dict[int, dict]:
+    """{index: row} of the experiments at `indices`, run in order; an error
+    the estimators raise on bad input or numerics becomes the row's error."""
+    rows = {}
+    for i in indices:
+        exp = experiments[i]
+        try:
+            rows[i] = _row(exp, run_experiment(exp, samples_override))
+        except (conditioning.NumericError, KeyError, ValueError) as err:
+            rows[i] = _row(exp, None, err)
+    return rows
+
+
+def _run_shares(experiments: list[ExperimentConfig], shares: list[list[int]],
+                samples_override: int | None) -> dict[int, dict]:
+    """{index: row} of every share: shares[0] run here, each later one in a
+    worker forked at the start; every worker is reaped before this returns
+    or raises."""
+    forked = {}  # share -> (pid, pipe) of each worker not yet reaped
+    try:
+        for w in range(1, len(shares)):
+            forked[w] = _fork_rows(experiments, shares[w], samples_override)
+        rows = _run_rows(experiments, shares[0], samples_override)
+        for w in list(forked):
+            pid, pipe = forked[w]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del forked[w]
+            try:
+                result = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError) as err:
+                ids = ", ".join(experiments[i].experiment_id for i in shares[w])
+                raise RuntimeError(f"a verify worker exited with status {status} and "
+                                   f"no result; its rows {ids} did not run") from err
+            if isinstance(result, BaseException):
+                raise result
+            rows.update(result)
+    finally:
+        for pid, pipe in forked.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return rows
+
+
+def _fork_rows(experiments: list[ExperimentConfig], indices: list[int],
+               samples_override: int | None) -> tuple[int, io.BufferedReader]:
+    """Fork a worker that runs the rows at `indices` and pickles {index: row},
+    or the exception that stopped it, to a pipe; returns (pid, pipe's read end).
+
+    The worker leaves by os._exit and never returns into its caller's stack,
+    so no caller's cleanup or buffered output runs twice.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = _run_rows(experiments, indices, samples_override)
+            except Exception as err:  # the parent re-raises it with its type
+                result = err
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def report_csv(report: Report) -> str:
@@ -480,6 +583,7 @@ def report_json(report: Report) -> dict:
         "timestamp": report.timestamp,
         "runtime_seconds": report.runtime_seconds,
         "overall_pass": report.overall_pass,
+        "processes": report.processes,
         "comparisons": report.rows,
     }
 
@@ -755,6 +859,8 @@ def _cmd_verify(args) -> int:
         # the override reaches every estimator call: reject it before sampling
         if args.samples is not None:
             bwspace.check_counts(samples=args.samples)
+        # an --out that cannot be a directory is found before sampling too
+        os.makedirs(args.out, exist_ok=True)
     except (OSError, KeyError, TypeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +351,102 @@ class TestDroppedSystems:
         assert rows[1]["reference_attempted"] is None
 
 
+class TestVerifyFanOut:
+    """Rows of more than one block run in one process per usable CPU; the
+    CPUs are forced through os.sched_getaffinity."""
+
+    pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @staticmethod
+    def experiments():
+        """Three multi-block rows, two small ones, a multi-block row that
+        errors at run time and a second row under the first row's id."""
+        def exp(eid, estimator_id, params, samples, closed_form_id):
+            return tiny_config(experiment_id=eid, estimator_id=estimator_id, params=params,
+                               samples=samples, closed_form_id=closed_form_id,
+                               seed=DROP)["experiments"][0]
+
+        pinv = {"r": 1, "m": 3, "alpha": 2.0, "norm": "frobenius"}
+        doc = {"seed": 5, "experiments": [
+            exp("pinv-big", "pinv_moment", pinv, 5000, "pinv_moment_value"),
+            exp("pinv-small", "pinv_moment", pinv, 300, "pinv_moment_value"),
+            exp("espnorm-big", "espnorm", {"n": 3, "alpha": 4.0}, 5000, "espnorm_value"),
+            exp("espnorm-small", "espnorm", {"n": 2, "alpha": 2.0}, 200, "espnorm_value"),
+            exp("pinv-big-r2", "pinv_moment", {**pinv, "r": 2, "m": 4}, 5000,
+                "pinv_moment_value"),
+        ]}
+        exps = cli.parse_config(doc)
+        # an edit after validation fails in its row: r x m = 2 x 2 has no finite moment
+        broken = dataclasses.replace(exps[4], experiment_id="broken",
+                                     params={**pinv, "r": 2, "m": 2})
+        return exps + [broken, dataclasses.replace(exps[2], seed=11)]
+
+    def run(self, monkeypatch, n):
+        self.cpus(monkeypatch, n)
+        lines = []
+        report = cli.run_verify(self.experiments(), echo=lines.append)
+        return report, lines
+
+    def test_rows_and_echo_match_one_process(self, monkeypatch):
+        one, one_lines = self.run(monkeypatch, 1)
+        assert one.processes == 1
+        assert [row["experiment_id"] for row in one.rows] == [
+            "pinv-big", "pinv-small", "espnorm-big", "espnorm-small", "pinv-big-r2",
+            "broken", "espnorm-big"]
+        assert one.rows[5]["error"] and not one.rows[6]["error"]
+        assert one.rows[2]["mean"] != one.rows[6]["mean"]
+        for n in (2, 3):
+            fanned, lines = self.run(monkeypatch, n)
+            assert fanned.processes == n
+            assert cli.report_csv(fanned) == cli.report_csv(one)
+            assert lines == one_lines
+
+    def test_processes_count_multi_block_rows(self, monkeypatch):
+        exps = self.experiments()[:4]  # two multi-block rows
+        self.cpus(monkeypatch, 3)
+        assert cli.report_json(cli.run_verify(exps))["processes"] == 2
+        self.cpus(monkeypatch, 1)
+        assert cli.report_json(cli.run_verify(exps))["processes"] == 1
+
+    @pytest.mark.parametrize("in_worker, first_row", [(True, "espnorm-big"), (False, "pinv-big")])
+    def test_row_exception_reraised_with_its_type(self, monkeypatch, in_worker, first_row):
+        # raised in the worker's first row, or in the parent's while the worker runs
+        parent = os.getpid()
+        real = cli.run_experiment
+
+        def fail(exp, samples_override=None):
+            if (os.getpid() != parent) == in_worker:
+                raise RuntimeError(f"failed on {exp.experiment_id}")
+            return real(exp, samples_override)
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        with pytest.raises(RuntimeError, match=f"failed on {first_row}$"):
+            self.run(monkeypatch, 2)
+
+    def test_worker_that_dies_raises_and_names_its_rows(self, monkeypatch):
+        parent = os.getpid()
+        real = cli.run_experiment
+
+        def die_in_worker(exp, samples_override=None):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(exp, samples_override)
+
+        monkeypatch.setattr(cli, "run_experiment", die_in_worker)
+        with pytest.raises(RuntimeError, match="status 3 and no result; its rows espnorm-big, broken did not"):
+            self.run(monkeypatch, 2)
+
+
 class TestMain:
     def test_verify_with_config_exit_zero(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -404,6 +501,17 @@ class TestMain:
         assert f"{flag[2:]} must be >= 1, got {value}" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_verify_out_file_exit_two_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_sampling)
+        out = tmp_path / "rep"
+        out.write_text("")
+        assert cli.main(["verify", "--samples", "10", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and captured.out == ""
 
     def test_estimate_prints_result(self, capsys):
         code = cli.main(["estimate", "--estimator", "pinv_moment", "--r", "1",
