@@ -20,16 +20,18 @@ error.  _FORMULAS is the one table of closed-form values: the formulas
 subcommand prints its entries, and each _CLOSED_FORMS id names the entry it
 reads.
 
-run_verify deals the rows whose largest estimator call draws more than
-montecarlo.BLOCK_SAMPLES samples round-robin, in row order, over one process
-per CPU in os.sched_getaffinity (at most one per such row): the caller's
-process runs its share and every other row, and the rest are forked once at
-the start and pickle their rows back through a pipe.  A row is a pure
-function of its experiment, so the report is the same in any number of
-processes; one CPU, a platform without sched_getaffinity, or fewer than two
-such rows runs every row in order in the caller's process.  Forking a row of
-one block costs more than the row (a round trip of about 1.5 ms from a numpy
-process), which is why the small rows stay in the caller's.
+run_verify deals the rows of more than one sampling range (an estimator call
+that montecarlo.ranges counts more than one range for, such as an n = 2,
+d = 2 row of 2000 systems of 8 lines, which runs 6 ranges of 341 systems)
+round-robin, in row order, over one process per CPU in os.sched_getaffinity
+(at most one per such row): the caller's process runs its share and every
+other row, and the rest are forked once at the start and pickle their rows
+back through a pipe.  A row is a pure function of its experiment, so the
+report is the same in any number of processes; one CPU, a platform without
+sched_getaffinity, or fewer than two such rows runs every row in order in the
+caller's process.  Forking a row of one range costs more than the row (a
+round trip of about 1.5 ms from a numpy process), which is why the small rows
+stay in the caller's.
 """
 
 from __future__ import annotations
@@ -254,11 +256,8 @@ def _validate_experiment(exp: ExperimentConfig) -> None:
 
 def run_experiment(exp: ExperimentConfig, samples_override: int | None = None) -> Comparison:
     """Execute one experiment and compare against its reference."""
-    lines = exp.lines_per_system
-    if lines is None:
-        lines = EstimatorConfig.lines_per_system
     estimates = [getattr(montecarlo, f"estimate_{est_id}")(
-                     *args, EstimatorConfig(samples=n, seed=seed, lines_per_system=lines))
+                     *args, EstimatorConfig(samples=n, seed=seed, lines_per_system=_lines(exp)))
                  for est_id, args, seed, n in _calls(exp, samples_override)]
     pair = _PAIRS.get(exp.estimator_id)
     if pair is None:
@@ -266,6 +265,12 @@ def run_experiment(exp: ExperimentConfig, samples_override: int | None = None) -
     lhs_scale, rhs_scale = pair.scales(exp.params)
     return montecarlo.compare_pair(*estimates, exp.tolerance_sigmas,
                                    lhs_scale=lhs_scale, rhs_scale=rhs_scale)
+
+
+def _lines(exp: ExperimentConfig) -> int:
+    """The lines per system an experiment's estimator calls sample."""
+    lines = exp.lines_per_system
+    return EstimatorConfig.lines_per_system if lines is None else lines
 
 
 def _row(exp: ExperimentConfig, comp: Comparison | None, err: Exception | None = None) -> dict:
@@ -441,8 +446,7 @@ def run_verify(
 ) -> Report:
     """Run every experiment; overall pass is the conjunction of non-probe rows."""
     start = time.perf_counter()
-    big = [i for i, exp in enumerate(experiments)
-           if _largest_call(exp, samples_override) > montecarlo.BLOCK_SAMPLES]
+    big = [i for i, exp in enumerate(experiments) if _most_ranges(exp, samples_override) > 1]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     processes = max(1, min(cpus, len(big)))
     worker = {i: k % processes for k, i in enumerate(big)}
@@ -471,12 +475,13 @@ def run_verify(
     )
 
 
-def _largest_call(exp: ExperimentConfig, samples_override: int | None) -> int:
-    """The sample count of an experiment's largest estimator call; 0 for one
-    whose calls cannot be named, which fails in its row."""
+def _most_ranges(exp: ExperimentConfig, samples_override: int | None) -> int:
+    """The most sampling ranges any estimator call of an experiment runs; 0 for
+    one whose calls cannot be named or sized, which fails in its row."""
     try:
-        return max(n for *_, n in _calls(exp, samples_override))
-    except (KeyError, ValueError):
+        return max(montecarlo.ranges(est_id, args, n, _lines(exp))
+                   for est_id, args, _, n in _calls(exp, samples_override))
+    except (ArithmeticError, IndexError, KeyError, TypeError, ValueError):
         return 0
 
 

@@ -1,7 +1,8 @@
 """Monte Carlo estimators for the moment identities, with comparisons.
 
 Sampling discipline: one driver, _sample, runs every estimator.  It asks
-the estimator's log-values for consecutive ranges of sample indices, in order
+the estimator's log-values for consecutive ranges of sample indices, in order,
+of the size _step states once for every estimator, and ranges() counts them
 (BLOCK_SAMPLES draws at a time on the matrix side, block i drawing from the
 counter-based substream RngStream(seed, i); on the polynomial side chunks of
 systems of about CHUNK_POINTS evaluation points, system j drawing from
@@ -234,6 +235,26 @@ def _sample(
         params=params,
         attempted=cfg.samples,
     )
+
+
+def _step(estimator_id: str, args, lines_per_system: int) -> int:
+    """The samples of each range _sample runs for estimate_<estimator_id>(*args, cfg)
+    at cfg.lines_per_system = lines_per_system: BLOCK_SAMPLES draws on the matrix
+    side; for poly_moment the systems of about CHUNK_POINTS points, counting the
+    d + 1 restriction nodes of each line, the most points per system of any
+    evaluation pass at n >= 2 (n = 1 has one line and evaluates only its d roots,
+    in the same chunks)."""
+    if estimator_id != "poly_moment":
+        return BLOCK_SAMPLES
+    n, degrees = args[0], args[1]
+    lines = 1 if n == 1 else lines_per_system
+    return max(1, CHUNK_POINTS // (lines * (int(degrees[0]) + 1)))
+
+
+def ranges(estimator_id: str, args, samples: int, lines_per_system: int) -> int:
+    """How many log_values calls _sample makes for estimate_<estimator_id>(*args, cfg)
+    at cfg.samples = samples and cfg.lines_per_system = lines_per_system."""
+    return -(-samples // _step(estimator_id, args, lines_per_system))
 
 
 def _block_rng(seed: int, samples: range) -> RngStream:
@@ -548,13 +569,10 @@ def estimate_poly_moment(
         "systems": cfg.samples,
         "lines_per_system": lines,
     }
-    # the d + 1 restriction nodes of each line, the most points per system of
-    # any evaluation pass at n >= 2 (n = 1 evaluates only its d roots, in the
-    # same chunks)
-    chunk = max(1, CHUNK_POINTS // (lines * (d + 1)))
     return _sample("poly_moment", params, cfg, heavy,
                    _poly_log_values(n, d, lines, alpha, relative, norm),
-                   step=chunk, allowed=_MAX_FAILURE_RATE, unit="systems")
+                   step=_step("poly_moment", (n, degrees), cfg.lines_per_system),
+                   allowed=_MAX_FAILURE_RATE, unit="systems")
 
 
 def _comparison(value: float, sigma: float, reference_value: float, reference_stderr: float,

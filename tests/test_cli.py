@@ -418,6 +418,56 @@ class TestVerifyFanOut:
         self.cpus(monkeypatch, 1)
         assert cli.report_json(cli.run_verify(exps))["processes"] == 1
 
+    @staticmethod
+    def poly_experiments(n, d, samples):
+        """Two poly_moment rows at (n, d) of `samples` systems each, 8 lines at n = 2."""
+        doc = {"seed": 5, "experiments": [
+            tiny_config(experiment_id=eid, estimator_id="poly_moment",
+                        params={"n": n, "degrees": [d], "alpha": 2.0, "norm": "frobenius"},
+                        samples=samples, closed_form_id="main_theorem_value",
+                        seed=DROP)["experiments"][0]
+            for eid in ("poly-a", "poly-b")]}
+        return cli.parse_config(doc)
+
+    def test_poly_rows_of_several_ranges_fan_out(self, monkeypatch):
+        # 700 systems of 8 lines at d = 2 run 3 ranges of 341 systems, far
+        # below montecarlo.BLOCK_SAMPLES samples
+        exps = self.poly_experiments(2, 2, 700)
+        self.cpus(monkeypatch, 1)
+        one_lines = []
+        one = cli.run_verify(exps, echo=one_lines.append)
+        self.cpus(monkeypatch, 2)
+        lines = []
+        fanned = cli.run_verify(exps, echo=lines.append)
+        assert (one.processes, fanned.processes) == (1, 2)
+        assert cli.report_csv(fanned) == cli.report_csv(one)
+        assert lines == one_lines
+        assert not any(row["error"] for row in fanned.rows)
+
+    def test_poly_rows_of_one_range_stay_in_the_caller(self, monkeypatch):
+        # an n = 1, d = 2 range holds 8192 // 3 = 2730 systems
+        self.cpus(monkeypatch, 2)
+        assert cli.run_verify(self.poly_experiments(1, 2, 2730)).processes == 1
+        assert cli.run_verify(self.poly_experiments(1, 2, 2731)).processes == 2
+
+    @pytest.mark.parametrize("edit", [
+        {"params": {"r": 2, "m": 2, "alpha": 2.0, "norm": "frobenius"}},
+        {"estimator_id": "poly_moment",
+         "params": {"n": 2, "degrees": [], "alpha": 2.0, "norm": "frobenius"}},
+        {"estimator_id": "poly_moment",
+         "params": {"n": 2, "degrees": [2], "alpha": 2.0, "norm": "frobenius"},
+         "lines_per_system": 0},
+    ], ids=["pinv-r2m2", "poly-no-degrees", "poly-no-lines"])
+    def test_rows_edited_after_validation_error_in_their_row(self, monkeypatch, edit):
+        # a range count that cannot be taken deals the row to the caller
+        exps = self.experiments()[:5]
+        broken = dataclasses.replace(exps[4], experiment_id="broken", **edit)
+        self.cpus(monkeypatch, 2)
+        report = cli.run_verify(exps + [broken])
+        assert report.processes == 2
+        assert [bool(row["error"]) for row in report.rows] == [False] * 5 + [True]
+        assert "ValueError" in report.rows[5]["error"]
+
     @pytest.mark.parametrize("in_worker, first_row", [(True, "espnorm-big"), (False, "pinv-big")])
     def test_row_exception_reraised_with_its_type(self, monkeypatch, in_worker, first_row):
         # raised in the worker's first row, or in the parent's while the worker runs

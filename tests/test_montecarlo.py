@@ -673,6 +673,51 @@ class TestPolyBatching:
                 assert math.log(expected) == pytest.approx(logv[j], abs=1e-12)
 
 
+_RANGE_CASES = [
+    # (estimator id, args, lines per system, samples per range)
+    ("pinv_moment", (1, 3, 2.0, "frobenius"), 8, montecarlo.BLOCK_SAMPLES),
+    ("detweighted_rect", (1, 2, 2.0, "frobenius"), 8, montecarlo.BLOCK_SAMPLES),
+    ("detweighted_square", (1, 1.0, 2.0, "frobenius"), 8, montecarlo.BLOCK_SAMPLES),
+    ("espnorm", (3, 4.0), 8, montecarlo.BLOCK_SAMPLES),
+    ("espnormrest", (3, 1, 2.0), 8, montecarlo.BLOCK_SAMPLES),
+    # 8192 points in ranges of lines * (d + 1) points a system, one line at n = 1
+    ("poly_moment", (1, (2,), 2.0, False, "frobenius"), 1, 2730),
+    ("poly_moment", (1, (2,), 2.0, False, "frobenius"), 8, 2730),
+    ("poly_moment", (2, (2,), 2.0, False, "frobenius"), 1, 2730),
+    ("poly_moment", (2, (2,), 2.0, False, "frobenius"), 8, 341),
+]
+
+
+class TestRanges:
+    """montecarlo.ranges, which sizes verify's fan-out, counts the log_values
+    calls _sample makes."""
+
+    def test_every_estimator_is_covered(self):
+        estimators = {name.removeprefix("estimate_") for name in dir(montecarlo)
+                      if name.startswith("estimate_")}
+        assert {case[0] for case in _RANGE_CASES} == estimators
+
+    @pytest.mark.parametrize("estimator_id, args, lines, step", _RANGE_CASES)
+    def test_ranges_counts_log_values_calls(self, monkeypatch, estimator_id, args, lines, step):
+        real = montecarlo._sample
+        calls = []
+
+        def counting(estimator_id, params, cfg, heavy, log_values, **kw):
+            def counted(seed, samples):
+                calls.append(samples)
+                return log_values(seed, samples)
+            return real(estimator_id, params, cfg, heavy, counted, **kw)
+
+        monkeypatch.setattr(montecarlo, "_sample", counting)
+        estimate = getattr(montecarlo, f"estimate_{estimator_id}")
+        for samples, expected in ((step - 1, 1), (step, 1), (step + 1, 2)):
+            calls.clear()
+            estimate(*args, cfg(samples, 60, lines_per_system=lines))
+            assert montecarlo.ranges(estimator_id, args, samples, lines) == expected
+            assert len(calls) == expected
+            assert calls[0] == range(0, min(samples, step))
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the allocator thresholds are glibc's mallopt parameters")
 class TestWorkingMemory:
