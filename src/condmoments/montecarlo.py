@@ -5,11 +5,11 @@ the estimator's log-values for consecutive ranges of sample indices, in order,
 of the size _step states once for every estimator, and ranges() counts them
 (BLOCK_SAMPLES draws at a time on the matrix side, block i drawing from the
 counter-based substream RngStream(seed, i); on the polynomial side chunks of
-systems of about CHUNK_POINTS evaluation points, system j drawing from
-RngStream(seed, j) as whole arrays: its coordinates, then at n >= 2 the
-line frames that roots.sample_zero_sets reads, nothing more (at n = 1 it
-solves each form in the fixed frame (e_0, e_1)); conditioning.zero_set_mu
-checks the chunk's points against h and gives their mu), and reduces them
+systems of about CHUNK_POINTS points, system j drawing from RngStream(seed, j)
+its coordinates and nothing more, as whole arrays (roots.sample_zero_sets cuts
+every system by the same fixed lines at n >= 2 and solves each form in the
+fixed frame (e_0, e_1) at n = 1); conditioning.zero_set_mu checks the
+chunk's points against h and gives their mu), and reduces them
 in sample order with pairwise summation, so a result is a pure function of
 (estimator_id, params, seed, n_samples).  Before the first range it raises
 the allocator's thresholds once per process (_keep_freed_memory_mapped), so
@@ -72,7 +72,7 @@ MOM_BUCKETS = 32
 # share of systems whose root search may fail before the polynomial estimator aborts
 _MAX_FAILURE_RATE = 1e-3
 # the polynomial estimator runs its systems in chunks of about this many
-# evaluation points, which bounds its working memory: the largest power of
+# points (_step), which bounds its working memory: the largest power of
 # two that keeps every benchmark workload's peak RSS within 1% of what the
 # 4096-point chunks of the earlier (systems, points, monomials) evaluation
 # took (16384 costs poly-lines 5%)
@@ -240,10 +240,10 @@ def _sample(
 def _step(estimator_id: str, args, lines_per_system: int) -> int:
     """The samples of each range _sample runs for estimate_<estimator_id>(*args, cfg)
     at cfg.lines_per_system = lines_per_system: BLOCK_SAMPLES draws on the matrix
-    side; for poly_moment the systems of about CHUNK_POINTS points, counting the
-    d + 1 restriction nodes of each line, the most points per system of any
-    evaluation pass at n >= 2 (n = 1 has one line and evaluates only its d roots,
-    in the same chunks)."""
+    side; for poly_moment the systems of about CHUNK_POINTS points, counting
+    d + 1 for each line, the coefficients of its restricted form, one more than
+    the d roots that conditioning.zero_set_mu evaluates (n = 1 has one line, in
+    the same chunks)."""
     if estimator_id != "poly_moment":
         return BLOCK_SAMPLES
     n, degrees = args[0], args[1]
@@ -509,8 +509,11 @@ def _poly_log_values(n: int, d: int, lines: int, alpha: float, relative: bool, n
     for a system whose root search failed or that the zero rule flags.
 
     mu and the zero rule are conditioning.zero_set_mu's; its values agree
-    with the average of conditioning.mu^alpha over sample_variety_points for
-    both norms (pinned by test_sample_variety_points_reproduces_system_values).
+    with the average of conditioning.mu^alpha over the system's roots on the
+    lines of roots.sample_zero_sets, the same for every system at n >= 2, for
+    both norms (pinned by test_line_roots_reproduce_system_values).  Such a
+    value is not the system's own zero-set average; only its mean over
+    systems is the estimand (the roots module docstring).
     """
 
     def log_values(seed: int, systems: range) -> np.ndarray:

@@ -6,35 +6,44 @@ space of a hypersurface at any smooth point is a complex hyperplane, all of
 which are unitarily equivalent, so the line-section point process has
 constant density with respect to the volume measure of the zero set.
 
-One path, batched over systems and lines (a single form is a batch of one).
-Each equation is restricted straight to its line's frame (u, v), the map
-s u + t v, by bwspace.substitute_forms (one DFT of its values at d + 1
-points) to a binary form, itself an n = 1 system (restrict_to_line returns
-it as one), and its roots c, the points c0 u + c1 v, are taken in closed
-form at d <= 3 (Cardano's formula, Newton-polished, at d = 3) and as the
-eigenvalues of the companion matrices, in one batched LAPACK call, from
-d = 4.  Every drawn frame, n = 1 included, is randgeom.orthonormal_pair
-(Gram-Schmidt) on a Gaussian pair, which is already Haar among orthonormal
-pairs, so turning it by a further Haar chart would leave its law unchanged
-and is not done; it is orthonormal to eps times the condition number of the
-pair.  At n = 1 the line is the whole space and the estimator returns all d
-roots, so nothing is sampled: the Gaussian (Bombieri-Weyl) ensemble is
-unitarily invariant, a random frame would leave the law of h, its zero set
-and mu unchanged, and the form is solved in the fixed frame (e_0, e_1),
-where its coefficients are its own coordinates scaled by the BW weights
-bwspace.monomial_basis(1, d)[1], with no restriction.  Only
-sample_variety_points, for an arbitrary form (binary_form_roots is its
-n = 1 case), draws a frame of C^2.
-System j draws from RngStream(seed, j): its coordinates, then its line
-pairs (n >= 2), all in one randgeom.uniforms_for_streams pass per chunk,
-and nothing else, so a line's roots never depend on the batch it is solved
-in.  The points are not checked here: every consumer checks each one
-against h itself (conditioning.zero_set_mu for the estimator).  A line
-fails its system only where _row_roots fails it.
+The estimator's lines are fixed.  The Gaussian (Bombieri-Weyl) ensemble is
+U(n+1)-invariant and mu(h o U, x) = mu(h, U x), so for lines L chosen
+independently of h, E_h[average of mu^alpha over V_h cut by L] equals E_h
+E_U[the same over U L], U Haar, which by the line-section identity is
+E_h[average over V_h] (Burgisser and Cucker, Condition, 2013, on integral
+geometry).  Fixed lines thus give the outer mean over systems without bias;
+only each system's own average is no longer its zero-set average, and
+nothing reads it as one.  So at n >= 2 sample_zero_sets cuts every system by
+the same lines, _fixed_frames(n, lines), drawn once from one fixed stream as
+sample_variety_points draws its frames, and restricts a whole chunk to them
+by one product with a cached matrix, _restriction(n, d, lines).  At n = 1
+the line is the whole space and the estimator returns all d roots, so
+nothing is sampled: each form is solved in the fixed frame (e_0, e_1), where
+its coefficients are its own coordinates scaled by the BW weights
+bwspace.monomial_basis(1, d)[1], with no restriction.  System j draws from
+RngStream(seed, j) its coordinates and nothing else, all systems of a chunk
+in one randgeom.uniforms_for_streams pass, so a line's roots never depend on
+the batch it is solved in.
+
+sample_variety_points, for an arbitrary form (binary_form_roots is its n = 1
+case), draws its own frames from its stream instead: each is
+randgeom.orthonormal_pair (Gram-Schmidt) on a Gaussian pair, which is
+already Haar among orthonormal pairs and orthonormal to eps times the
+condition number of the pair, and each equation is restricted straight to
+its line's frame (u, v), the map s u + t v, by bwspace.substitute_forms (one
+DFT of its values at d + 1 points).  Either way a line's binary form is
+itself an n = 1 system (restrict_to_line returns it as one), and its roots
+c, the points c0 u + c1 v, are taken in closed form at d <= 3 (Cardano's
+formula, Newton-polished, at d = 3) and as the eigenvalues of the companion
+matrices, in one batched LAPACK call, from d = 4.  The points are not
+checked here: every consumer checks each one against h itself
+(conditioning.zero_set_mu for the estimator).  A line fails its system only
+where _row_roots fails it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -149,20 +158,29 @@ def _root_vectors(w: np.ndarray):
     return c0, w * c0
 
 
-def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
-    """Zero-set points (S, L*d, n+1) of S equations (S, K) on their L lines
-    u, v (S, L, n+1) each, and the systems with a line that _row_roots failed.
+def _line_points(forms: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Zero-set points (S, L*d, n+1) of S equations from their binary forms
+    (S, L, d+1) on their L lines, and the systems with a line that
+    _row_roots failed.
 
-    Each line's equation is restricted straight to its frame (u, v), the
-    binary form g(s, t) = h(s u + t v) of bwspace.substitute_forms, and a
-    unit root c of that form is the point c0 u + c1 v.
+    The frames u, v are (S, L, n+1), one per system and line, or (L, n+1),
+    the same lines for every system.  A unit root c of a line's form is the
+    point c0 u + c1 v.
     """
-    n_sys, n_lines, dim = u.shape
-    forms = bwspace.substitute_forms(dim - 1, d, coeffs, np.stack([u, v], -1))
-    w, failed = _row_roots(forms.reshape(-1, d + 1))
-    c0, c1 = _root_vectors(w)
-    pts = c0[..., None] * u.reshape(-1, 1, dim) + c1[..., None] * v.reshape(-1, 1, dim)
-    return pts.reshape(n_sys, n_lines * d, dim), failed.reshape(n_sys, n_lines).any(axis=1)
+    n_sys, n_lines, order = forms.shape
+    w, failed = _row_roots(forms.reshape(-1, order))
+    c0, c1 = (c.reshape(n_sys, n_lines, order - 1, 1) for c in _root_vectors(w))
+    pts = c0 * u[..., None, :] + c1 * v[..., None, :]
+    return pts.reshape(n_sys, -1, u.shape[-1]), failed.reshape(n_sys, n_lines).any(axis=1)
+
+
+def _solve(coeffs: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
+    """_line_points of S equations (S, K) on their own L lines u, v
+    (S, L, n+1) each: each line's equation is restricted straight to its
+    frame (u, v), the binary form g(s, t) = h(s u + t v) of
+    bwspace.substitute_forms."""
+    forms = bwspace.substitute_forms(u.shape[-1] - 1, d, coeffs, np.stack([u, v], -1))
+    return _line_points(forms, u, v)
 
 
 def binary_form_roots(g: SystemCoords, rng: RngStream) -> np.ndarray:
@@ -177,15 +195,13 @@ def binary_form_roots(g: SystemCoords, rng: RngStream) -> np.ndarray:
 
 
 def _section_size(n: int, lines: int) -> int:
-    """Uniforms of a system's line frames: the (lines, 2, n+1) Gaussian line
-    pairs, radius uniforms then phase uniforms, two per entry.  At n = 1
-    only sample_variety_points draws them (lines = 1), for an arbitrary
-    form; the estimator solves its n = 1 forms in (e_0, e_1)."""
+    """Uniforms of `lines` line frames in C^(n+1): the (lines, 2, n+1)
+    Gaussian line pairs, radius uniforms then phase uniforms, two per entry."""
     return 4 * lines * (n + 1)
 
 
 def _sections(x: np.ndarray, n: int, lines: int):
-    """Line frames (u, v) (S, lines, n+1) of S systems from their uniforms
+    """Line frames (u, v) (S, lines, n+1) of S draws from their uniforms
     x (S, T) in stream order.
 
     Each frame is randgeom.orthonormal_pair of rows 0 and 1 of its drawn
@@ -197,26 +213,61 @@ def _sections(x: np.ndarray, n: int, lines: int):
     return randgeom.orthonormal_pair(g[:, :, 0], g[:, :, 1])
 
 
+# the key of the one stream that draws the estimator's lines at n >= 2, fixed
+# once, before any estimate was seen; row 0 of uniforms_for_streams, so that
+# no numpy.random generator is built for it
+_FRAME_SEED = 777
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_frames(n: int, lines: int):
+    """The estimator's lines at n >= 2, the same for every system and seed:
+    the frames (u, v) (lines, n+1) of _sections on the first uniforms of
+    stream (_FRAME_SEED, 0), cached and read-only."""
+    x = randgeom.uniforms_for_streams(_FRAME_SEED, range(1), _section_size(n, lines))
+    frames = tuple(f[0] for f in _sections(x, n, lines))
+    for f in frames:
+        f.setflags(write=False)
+    return frames
+
+
+@functools.lru_cache(maxsize=None)
+def _restriction(n: int, d: int, lines: int) -> np.ndarray:
+    """The matrix R (K, lines * (d+1)) that restricts degree-d equations to
+    the fixed lines: coeffs (S, K) @ R are their binary forms on each line
+    in turn, the coefficients of s^(d-k) t^k.  Restriction is linear in the
+    coordinates, so R is bwspace.substitute_forms of the identity on the
+    frames, cached and read-only."""
+    k = math.comb(n + d, n)
+    maps = np.broadcast_to(np.stack(_fixed_frames(n, lines), -1), (k, lines, n + 1, 2))
+    r = bwspace.substitute_forms(n, d, np.eye(k, dtype=np.complex128), maps).reshape(k, -1)
+    r.setflags(write=False)
+    return r
+
+
 def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     """Gaussian degree-d equations j in systems and their zero-set points.
 
-    System j's uniforms (coordinates, then at n >= 2 sections) are the first
-    ones of RngStream(seed, j), bit for bit; one
+    System j's coordinates are the first 2K uniforms of RngStream(seed, j),
+    bit for bit, and it draws nothing else; one
     randgeom.uniforms_for_streams pass draws them for every system in
     systems.  Returns the coordinates (S, K), the points (S, lines * d, n+1)
-    and the systems whose root search failed.  Pass lines = 1 for n = 1,
-    where each form is solved in the fixed frame (e_0, e_1): its ascending
-    coefficients are its coordinates times bwspace.monomial_basis(1, d)[1],
-    sqrt(binom(d, k)), and a root w is the point (c0, c0 w).
+    and the systems whose root search failed.  At n >= 2 every system is cut
+    by the same lines, _fixed_frames(n, lines), and the chunk is restricted
+    to them by one product with the cached matrix _restriction(n, d, lines).
+    Pass lines = 1 for n = 1, where each form is solved in the fixed frame
+    (e_0, e_1): its ascending coefficients are its coordinates times
+    bwspace.monomial_basis(1, d)[1], sqrt(binom(d, k)), and a root w is the
+    point (c0, c0 w).
     """
     k = math.comb(n + d, n)
-    size = 2 * k + (_section_size(n, lines) if n >= 2 else 0)
-    x = randgeom.uniforms_for_streams(seed, systems, size)
-    coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k : 2 * k])
+    x = randgeom.uniforms_for_streams(seed, systems, 2 * k)
+    coeffs = randgeom.complex_gaussians(x[:, :k], x[:, k:])
     if n == 1:
         w, failed = _row_roots(coeffs * bwspace.monomial_basis(1, d)[1])
         return coeffs, np.stack(_root_vectors(w), axis=-1), failed
-    points, failed = _solve(coeffs, d, *_sections(x[:, 2 * k :], n, lines))
+    forms = (coeffs @ _restriction(n, d, lines)).reshape(len(coeffs), lines, d + 1)
+    points, failed = _line_points(forms, *_fixed_frames(n, lines))
     return coeffs, points, failed
 
 
@@ -229,15 +280,16 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
     multiplicity.  For n = 1 the line is the whole projective space and the
     d roots of the binary form h are returned once (binary_form_roots).
 
-    A batch of one of sample_zero_sets: after h = gaussian_system(rng, ...)
-    with rng = RngStream(seed, j) it returns the estimator's points of
-    system j, bit for bit at n >= 2.  At n = 1 h is arbitrary, so it keeps a
-    Haar frame of C^2 drawn from rng like any line's: in the fixed frame
-    (e_0, e_1) a root at (0 : 1), such as that of s t, would zero the
-    leading coefficient and fail the row.  It returns the estimator's zero
-    set up to rounding, phase and order.  A line that _row_roots fails,
-    which has probability zero (a root at the frame's chart boundary),
-    raises NumericError.  Everything is drawn from rng.
+    Each line is drawn from rng, a Haar frame (_sections) per line, at every
+    n.  The estimator (sample_zero_sets) cuts every system by the same fixed
+    lines instead, so this is not its per-system path: its points are those
+    of another set of lines.  At n = 1 h is arbitrary, so the frame of C^2
+    is drawn too: in the fixed frame (e_0, e_1) a root at (0 : 1), such as
+    that of s t, would zero the leading coefficient and fail the row.  It
+    returns the estimator's n = 1 zero set up to rounding, phase and order.
+    A line that _row_roots fails, which has probability zero (a root at the
+    frame's chart boundary), raises NumericError.  Everything is drawn from
+    rng.
     """
     if h.r != 1:
         raise ValueError(f"variety sampling needs r = 1, got r = {h.r}")

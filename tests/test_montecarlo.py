@@ -2,7 +2,6 @@ import decimal
 import math
 import platform
 import re
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -602,17 +601,21 @@ class TestPolyMoment:
             )
 
     def test_restriction_residual_fails_one_system(self, monkeypatch):
-        # system 500's restricted coefficients are off by 1, so its points are
-        # roots of the wrong forms: the zero check against h drops the system,
-        # which is counted as one failure instead of aborting the run
+        # system 500's restricted forms, the rows of coeffs @ R that are its
+        # own, are off by 1, so its points are roots of the wrong forms: the
+        # zero check against h drops the system, which is counted as one
+        # failure instead of aborting the run
         seed = 26
         bad = gaussian_system(RngStream(seed, 500), 2, (2,)).coords[0]
-        real = bwspace.substitute_forms
+        bad_forms = (bad @ roots._restriction(2, 2, 8)).reshape(8, 3)
+        real = roots._line_points
 
-        def corrupt(n, d, coeffs, maps):
-            return real(n, d, coeffs, maps) + np.all(coeffs == bad, axis=1)[:, None, None]
+        def corrupt(forms, u, v):
+            hit = np.all(np.isclose(forms, bad_forms, rtol=1e-12, atol=0), axis=(1, 2))
+            assert u.shape == (8, 3) and hit.sum() <= 1
+            return real(forms + hit[:, None, None], u, v)
 
-        monkeypatch.setattr(roots, "bwspace", types.SimpleNamespace(substitute_forms=corrupt))
+        monkeypatch.setattr(roots, "_line_points", corrupt)
         est = montecarlo.estimate_poly_moment(
             2, (2,), 2.0, False, "frobenius", cfg(1000, seed, lines_per_system=8)
         )
@@ -658,8 +661,11 @@ class TestPolyBatching:
 
     @pytest.mark.parametrize("n, d, lines, relative", [(1, 2, 1, False), (2, 3, 4, False),
                                                         (3, 2, 2, True)])
-    def test_sample_variety_points_reproduces_system_values(self, monkeypatch, n, d, lines,
-                                                             relative):
+    def test_line_roots_reproduce_system_values(self, monkeypatch, n, d, lines, relative):
+        # system j's value is mu^alpha averaged over its roots on the
+        # estimator's lines, found here one line at a time, each in a Haar
+        # chart of C^2 (binary_form_roots): at n >= 2 the fixed lines, restricted
+        # by restrict_to_line; at n = 1 the whole space
         seed, alpha = 41, 1.5
         for norm in ("frobenius", "operator"):
             logv = poly_log_values(monkeypatch, montecarlo.CHUNK_POINTS, n, (d,), alpha,
@@ -667,7 +673,12 @@ class TestPolyBatching:
             for j in range(6):
                 rng = RngStream(seed, j)
                 h = gaussian_system(rng, n, (d,))
-                pts = roots.sample_variety_points(h, rng, lines)
+                if n == 1:
+                    pts = roots.binary_form_roots(h, rng)
+                else:
+                    pts = np.concatenate([
+                        roots.binary_form_roots(roots.restrict_to_line(h, u, v), rng)
+                        @ np.stack([u, v]) for u, v in zip(*roots._fixed_frames(n, lines))])
                 scale = bwspace.bw_norm(h) ** alpha if relative else 1.0
                 expected = np.mean([conditioning.mu(h, x, norm) ** alpha / scale for x in pts])
                 assert math.log(expected) == pytest.approx(logv[j], abs=1e-12)

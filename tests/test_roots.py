@@ -325,22 +325,26 @@ def test_sample_zero_sets_reads_each_systems_own_stream(n, d, lines):
 @pytest.mark.parametrize("n, d, lines", [(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 2, 8),
                                          (2, 3, 4), (3, 4, 2)])
 def test_each_system_draws_only_what_it_reads(n, d, lines, monkeypatch):
-    # coordinates, then the line pairs (n >= 2), and nothing else: no chart
-    # turns a drawn frame, and at n = 1 the form is solved in (e_0, e_1)
-    counts = []
+    # its coordinates and nothing else: at n >= 2 every system is cut by the
+    # same lines, drawn once per (n, lines) from their own stream, and at
+    # n = 1 the form is solved in (e_0, e_1)
+    calls = []
     real = randgeom.uniforms_for_streams
 
     def record(seed, indices, count):
-        counts.append(count)
+        calls.append((seed, count))
         return real(seed, indices, count)
 
     monkeypatch.setattr(roots.randgeom, "uniforms_for_streams", record)
+    for cached in (roots._fixed_frames, roots._restriction):
+        cached.cache_clear()
     roots.sample_zero_sets(94, range(5), n, d, lines)
+    roots.sample_zero_sets(94, range(5, 9), n, d, lines)
     k = math.comb(n + d, n)
-    frames = 4 * lines * (n + 1) if n >= 2 else 0
-    assert counts == [2 * k + frames]
+    frames = [(roots._FRAME_SEED, 4 * lines * (n + 1))] if n >= 2 else []
+    assert calls == [(94, 2 * k), *frames, (94, 2 * k)]
     if (n, d, lines) == (2, 2, 8):
-        assert counts == [108]
+        assert calls[0] == (94, 12)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -549,27 +553,73 @@ class TestRowSubstreams:
 
 @pytest.mark.parametrize("n, d, lines", [(2, 3, 4), (3, 2, 3)])
 def test_line_points_are_the_roots_of_each_lines_restriction(n, d, lines):
-    # each line's d points lie in span(u, v) and are, projectively, the roots
-    # of h restricted to (u, v): a point in the span that is not a root
-    # would pass membership alone
+    # each line's d points lie in span(u, v) of the fixed frame and are,
+    # projectively, the roots of h restricted to (u, v): a point in the span
+    # that is not a root would pass membership alone
     seed, systems = 92, range(6)
     coeffs, points, failed = roots.sample_zero_sets(seed, systems, n, d, lines)
     assert not failed.any()
-    k = math.comb(n + d, n)
-    size = 2 * k + roots._section_size(n, lines)
-    x = randgeom.uniforms_for_streams(seed, systems, size)
-    u, v = roots._sections(x[:, 2 * k:], n, lines)
+    u, v = roots._fixed_frames(n, lines)
     for j in systems:
         h = bwspace.make_system(n, (d,), [coeffs[j]])
         for line in range(lines):
             pts = points[j, line * d:(line + 1) * d]
-            frame = np.stack([u[j, line], v[j, line]])
+            frame = np.stack([u[line], v[line]])
             st = pts @ frame.conj().T
             np.testing.assert_allclose(st @ frame, pts, rtol=0, atol=1e-12)
-            g = roots.restrict_to_line(h, u[j, line], v[j, line])
+            g = roots.restrict_to_line(h, u[line], v[line])
             w = np.roots(monomial_coeffs(g)[::-1])  # g(1, w) = sum_k coeffs[k] w^k
             expected = [np.array([1.0, z]) / math.hypot(1.0, abs(z)) for z in w]
             assert projective_match(st, expected)
+
+
+class TestFixedLines:
+    """The estimator's lines at n >= 2 and the cached matrix that restricts
+    a chunk to them."""
+
+    @pytest.mark.parametrize("n, lines", [(2, 8), (2, 1), (3, 4)])
+    def test_frames_are_orthonormal_fixed_and_seed_free(self, n, lines):
+        u, v = roots._fixed_frames(n, lines)
+        assert u.shape == v.shape == (lines, n + 1)
+        for a, b in zip(u, v):
+            frame = np.stack([a, b])
+            assert np.linalg.norm(frame.conj() @ frame.T - np.eye(2)) < 1e-14
+        roots._fixed_frames.cache_clear()
+        again = roots._fixed_frames(n, lines)
+        assert all(np.array_equal(a, b) for a, b in zip((u, v), again))
+        assert not u.flags.writeable and not v.flags.writeable
+        # every seed's systems are cut by the same lines
+        for seed in (1, 2**64 - 1):
+            coeffs, pts, failed = roots.sample_zero_sets(seed, range(3), n, 2, lines)
+            assert not failed.any()
+            st = pts.reshape(3, lines, 2, n + 1) @ np.stack([u, v], -1).conj()
+            np.testing.assert_allclose(st @ np.stack([u, v], -2), pts.reshape(3, lines, 2, n + 1),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 4)])
+    def test_product_is_the_restriction_on_the_frames(self, n, d):
+        lines = 4
+        coeffs = randgeom.complex_gaussian_array(RngStream(96, 10 * n + d),
+                                                 (50, math.comb(n + d, n)))
+        u, v = roots._fixed_frames(n, lines)
+        maps = np.broadcast_to(np.stack([u, v], -1), (50, lines, n + 1, 2))
+        expected = bwspace.substitute_forms(n, d, coeffs, maps)
+        product = coeffs @ roots._restriction(n, d, lines)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(product.reshape(expected.shape) - expected)) <= 1e-13 * scale
+        assert not roots._restriction(n, d, lines).flags.writeable
+
+    @pytest.mark.parametrize("n, d, lines", [(2, 2, 8), (3, 4, 2)])
+    def test_no_stream_object_is_built(self, n, d, lines, monkeypatch):
+        # the frames come from uniforms_for_streams, as the coordinates do: an
+        # RngStream would build numpy's Philox and load numpy.random, which
+        # the estimator's caller otherwise never imports
+        for cached in (roots._fixed_frames, roots._restriction):
+            cached.cache_clear()
+        monkeypatch.setattr(randgeom.RngStream, "__post_init__",
+                            lambda self: pytest.fail("RngStream built"))
+        _, _, failed = roots.sample_zero_sets(93, range(4), n, d, lines)
+        assert not failed.any()
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2), (3, 4)])
