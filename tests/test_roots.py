@@ -584,7 +584,8 @@ class TestFixedLines:
         for a, b in zip(u, v):
             frame = np.stack([a, b])
             assert np.linalg.norm(frame.conj() @ frame.T - np.eye(2)) < 1e-14
-        roots._fixed_frames.cache_clear()
+        for cached in (roots._fixed_frames, roots._restriction):
+            cached.cache_clear()
         again = roots._fixed_frames(n, lines)
         assert all(np.array_equal(a, b) for a, b in zip((u, v), again))
         assert not u.flags.writeable and not v.flags.writeable
@@ -608,6 +609,19 @@ class TestFixedLines:
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(product.reshape(expected.shape) - expected)) <= 1e-13 * scale
         assert not roots._restriction(n, d, lines).flags.writeable
+
+    @pytest.mark.parametrize("n, d, lines", [(2, 2, 8), (2, 3, 4)])
+    def test_a_chunk_builds_no_frame_and_no_dft(self, n, d, lines, monkeypatch):
+        # once the lines and R are cached, a chunk only draws, multiplies and
+        # solves: no Gram-Schmidt and no per-chunk substitution
+        roots._fixed_frames(n, lines)
+        roots._restriction(n, d, lines)
+        for owner, name in ((roots, "_sections"), (randgeom, "orthonormal_pair"),
+                            (bwspace, "substitute_forms")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name: pytest.fail(name))
+        for systems in (range(3), range(3, 400)):
+            _, points, failed = roots.sample_zero_sets(98, systems, n, d, lines)
+            assert points.shape == (len(systems), lines * d, n + 1) and not failed.any()
 
     @pytest.mark.parametrize("n, d, lines", [(2, 2, 8), (3, 4, 2)])
     def test_no_stream_object_is_built(self, n, d, lines, monkeypatch):
