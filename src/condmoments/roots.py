@@ -282,9 +282,8 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
 
     Each line is drawn from rng, a Haar frame (_sections) per line, at every
     n.  The estimator (sample_zero_sets) cuts every system by the same fixed
-    lines instead, so this is not its per-system path: its points are those
-    of another set of lines.  At n = 1 h is arbitrary, so the frame of C^2
-    is drawn too: in the fixed frame (e_0, e_1) a root at (0 : 1), such as
+    lines instead, so at n >= 2 the points here lie on other lines than the
+    estimator's.  At n = 1 h is arbitrary, so the frame of C^2 is drawn too: in the fixed frame (e_0, e_1) a root at (0 : 1), such as
     that of s t, would zero the leading coefficient and fail the row.  It
     returns the estimator's n = 1 zero set up to rounding, phase and order.
     A line that _row_roots fails, which has probability zero (a root at the
