@@ -10,9 +10,13 @@ Subcommands:
 
 Config and report formats are JSON; the CSV summary has one row per
 experiment with columns experiment_id, estimator_id, params, n_samples,
-mean, stderr, closed_form, z, pass.  Exit codes: 0 all non-probe
-experiments pass, 1 a check failed or an estimator errored, 2 the config or
-command line was invalid.  The estimator tables below (_ESTIMATORS, _PAIRS,
+mean, stderr, closed_form, z, pass.  The library functions (run_verify,
+run_selftest, run_formulas) return their results and print nothing; main and
+the _cmd_* functions print them: verify its verdict lines once the report
+files are written, selftest its lines after the last suite.  Exit codes:
+0 all non-probe experiments pass, 1 a check failed, an estimator errored or
+stdout was closed before the output was written, 2 the config or command
+line was invalid.  The estimator tables below (_ESTIMATORS, _PAIRS,
 _CLOSED_FORMS) are the single list of estimator and closed-form ids and their
 params, and the fields of ExperimentConfig the single list of experiment keys
 and their defaults; a config key or param that no list names is a config
@@ -30,8 +34,10 @@ back through a pipe.  A row is a pure function of its experiment, so the
 report is the same in any number of processes; one CPU, a platform without
 sched_getaffinity, or fewer than two such rows runs every row in order in the
 caller's process.  Forking a row of one range costs more than the row (a
-round trip of about 1.5 ms from a numpy process), which is why the small rows
-stay in the caller's.
+round trip of 2.5-2.9 ms from a numpy process), which is why the small rows
+stay in the caller's: dealing every row took the poly-determined benchmark,
+four one-range rows, from 571k to 295k samples/s on a 2-core Xeon (slower in
+19 of 20 alternating pairs).
 """
 
 from __future__ import annotations
@@ -54,11 +60,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import bwspace, conditioning, formulas, montecarlo, randgeom, roots
 from .montecarlo import Comparison, EstimatorConfig
 from .randgeom import RngStream, mix64
 
-VERSION = "0.1.0"
 CONFIG_VERSION = 1
 DEFAULT_SEED = 20260809
 SEED_ENV_VAR = "CONDMOMENTS_SEED"
@@ -442,7 +448,6 @@ def config_to_dict(exps: list[ExperimentConfig]) -> dict:
 def run_verify(
     experiments: list[ExperimentConfig],
     samples_override: int | None = None,
-    echo=None,
 ) -> Report:
     """Run every experiment; overall pass is the conjunction of non-probe rows."""
     start = time.perf_counter()
@@ -454,16 +459,6 @@ def run_verify(
               for w in range(processes)]
     by_index = _run_shares(experiments, shares, samples_override)
     rows = [by_index[i] for i in range(len(experiments))]
-    if echo is not None:
-        for row in rows:
-            flag = "probe" if row["probe"] else ("pass" if row["pass"] else "FAIL")
-            if row["error"]:
-                echo(f"[{flag}] {row['experiment_id']}: error {row['error']}")
-            else:
-                echo(
-                    f"[{flag}] {row['experiment_id']}: mean={row['mean']:.6g} "
-                    f"ref={row['reference_value']:.6g} z={row['z']:+.2f}"
-                )
     overall = all(r["pass"] for r in rows if not r["probe"])
     return Report(
         version=VERSION,
@@ -538,7 +533,11 @@ def _fork_rows(experiments: list[ExperimentConfig], indices: list[int],
     or the exception that stopped it, to a pipe; returns (pid, pipe's read end).
 
     The worker leaves by os._exit and never returns into its caller's stack,
-    so no caller's cleanup or buffered output runs twice.
+    so no caller's cleanup or buffered output runs twice.  A raw fork stays
+    over concurrent.futures' process pool, which on a 2-core Xeon took 11-15 ms
+    to import, 1.2 MB resident and 6.3-10 ms per round trip (2.5-2.9 ms here),
+    and took the poly-lines benchmark from 103k to 68k samples/s (slower in 19
+    of 20 alternating pairs).
     """
     sys.stdout.flush()
     sys.stderr.flush()
@@ -746,15 +745,10 @@ _SELFTEST_SUITES = [
 ]
 
 
-def run_selftest(seed: int = DEFAULT_SEED, echo=print) -> bool:
-    """Run every property suite; returns True iff all pass."""
-    all_ok = True
-    for index, (name, fn) in enumerate(_SELFTEST_SUITES):
-        ok, detail = fn(mix64(seed, index + 1))
-        all_ok &= ok
-        if echo is not None:
-            echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    return all_ok
+def run_selftest(seed: int = DEFAULT_SEED) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) of every property suite, in _SELFTEST_SUITES order."""
+    return [(name, *fn(mix64(seed, index + 1)))
+            for index, (name, fn) in enumerate(_SELFTEST_SUITES)]
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +847,15 @@ def _resolve_seed(cli_seed: int | None) -> int:
     return seed
 
 
+def _verdict_line(row: dict) -> str:
+    """The line verify prints for a report row."""
+    flag = "probe" if row["probe"] else ("pass" if row["pass"] else "FAIL")
+    if row["error"]:
+        return f"[{flag}] {row['experiment_id']}: error {row['error']}"
+    return (f"[{flag}] {row['experiment_id']}: mean={row['mean']:.6g} "
+            f"ref={row['reference_value']:.6g} z={row['z']:+.2f}")
+
+
 def _cmd_verify(args) -> int:
     try:
         if args.config:
@@ -869,8 +872,10 @@ def _cmd_verify(args) -> int:
     except (OSError, KeyError, TypeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    report = run_verify(exps, samples_override=args.samples, echo=print)
+    report = run_verify(exps, samples_override=args.samples)
     json_path, csv_path = write_report(report, args.out)
+    for row in report.rows:
+        print(_verdict_line(row))
     print(f"report: {json_path}")
     print(f"summary: {csv_path}")
     errored = any(r["error"] for r in report.rows)
@@ -915,18 +920,27 @@ def _cmd_selftest(args) -> int:
     except ValueError as err:
         print(f"parameter error: {err}", file=sys.stderr)
         return 2
-    return 0 if run_selftest(seed) else 1
+    results = run_selftest(seed)
+    for name, ok, detail in results:
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    return 0 if all(ok for _, ok, _ in results) else 1
+
+
+_COMMANDS = {"verify": _cmd_verify, "estimate": _cmd_estimate,
+             "formulas": _cmd_formulas, "selftest": _cmd_selftest}
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "estimate":
-        return _cmd_estimate(args)
-    if args.command == "formulas":
-        return _cmd_formulas(args)
-    return _cmd_selftest(args)
+    try:
+        args = _build_parser().parse_args(argv)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed before the output was written: point it at the null
+        # device, so that the interpreter's flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

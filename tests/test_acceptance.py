@@ -129,7 +129,7 @@ def test_criterion_10_probe_flags_closed_form_discrepancy():
 
 
 def test_criterion_11_property_selftest(capsys):
-    ok = cli.run_selftest(echo=print)
+    ok = cli.main(["selftest"]) == 0
     out = capsys.readouterr().out
     print(out)
     assert ok, out

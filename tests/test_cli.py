@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -391,14 +393,15 @@ class TestVerifyFanOut:
                                      params={**pinv, "r": 2, "m": 2})
         return exps + [broken, dataclasses.replace(exps[2], seed=11)]
 
-    def run(self, monkeypatch, n):
+    def run(self, monkeypatch, n, exps=None):
+        """The report of a run on n CPUs and the verdict lines verify prints for it."""
         self.cpus(monkeypatch, n)
-        lines = []
-        report = cli.run_verify(self.experiments(), echo=lines.append)
-        return report, lines
+        report = cli.run_verify(self.experiments() if exps is None else exps)
+        return report, [cli._verdict_line(row) for row in report.rows]
 
-    def test_rows_and_echo_match_one_process(self, monkeypatch):
+    def test_rows_and_echo_match_one_process(self, monkeypatch, capsys):
         one, one_lines = self.run(monkeypatch, 1)
+        assert capsys.readouterr().out == ""  # run_verify returns its rows and prints nothing
         assert one.processes == 1
         assert [row["experiment_id"] for row in one.rows] == [
             "pinv-big", "pinv-small", "espnorm-big", "espnorm-small", "pinv-big-r2",
@@ -433,12 +436,8 @@ class TestVerifyFanOut:
         # 700 systems of 8 lines at d = 2 run 3 ranges of 341 systems, far
         # below montecarlo.BLOCK_SAMPLES samples
         exps = self.poly_experiments(2, 2, 700)
-        self.cpus(monkeypatch, 1)
-        one_lines = []
-        one = cli.run_verify(exps, echo=one_lines.append)
-        self.cpus(monkeypatch, 2)
-        lines = []
-        fanned = cli.run_verify(exps, echo=lines.append)
+        one, one_lines = self.run(monkeypatch, 1, exps)
+        fanned, lines = self.run(monkeypatch, 2, exps)
         assert (one.processes, fanned.processes) == (1, 2)
         assert cli.report_csv(fanned) == cli.report_csv(one)
         assert lines == one_lines
@@ -689,6 +688,30 @@ class TestMain:
             assert exc.value.code == 2
             assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["formulas", "main_theorem", "--n", "3", "--degrees", "4"],
+        ["estimate", "--estimator", "espnorm", "--n", "2", "--samples", "100", "--seed", "5"],
+        ["selftest"],
+        ["verify", "--samples", "200", "--out", "rep"],
+    ], ids=lambda argv: argv[0])
+    def test_closed_stdout_exits_one_quietly(self, tmp_path, argv):
+        # the reader closes the pipe before the child has imported numpy, so
+        # every write to an unbuffered stdout fails
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-m", "condmoments.cli", *argv], cwd=tmp_path,
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait() == 1
+        assert err == b""
+        if argv[0] == "verify":
+            # the report is written before the first line is printed
+            assert (tmp_path / "rep" / "verify-report.json").is_file()
+            assert (tmp_path / "rep" / "verify-report.csv").is_file()
+
 
 class TestSvdFailure:
     """A LAPACK failure on finite matrices is a NumericError, never a parameter error."""
@@ -753,10 +776,16 @@ class TestStandardJson:
 
 class TestSelftest:
     def test_all_suites_pass(self, capsys):
-        assert cli.run_selftest(echo=print)
+        assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "gamma-telescoping" in out
+
+    def test_run_selftest_returns_every_suite_and_prints_nothing(self, capsys):
+        results = cli.run_selftest()
+        assert capsys.readouterr().out == ""
+        assert [name for name, _, _ in results] == [name for name, _ in cli._SELFTEST_SUITES]
+        assert all(ok and isinstance(detail, str) for _, ok, detail in results)
 
     def test_gaussian_convention_mutation_detected(self, monkeypatch):
         # doubling the variance must trip the convention suite
