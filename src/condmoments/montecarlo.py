@@ -191,7 +191,10 @@ def _keep_freed_memory_mapped() -> bool:
     again.  Both are raised: M_MMAP_THRESHOLD (-3) to 32 MiB, then
     M_TRIM_THRESHOLD (-1) to 128 MiB, never the latter alone, which would
     turn off glibc's dynamic mmap threshold.  Without glibc (macOS, musl,
-    Windows) nothing is changed.
+    Windows) nothing is changed.  Without it the matrix benchmark run in one
+    process (taskset -c 0) on a 2-core Xeon fell from 10.2M to 9.1M samples/s
+    (slower in 29 of 30 alternating pairs); in two processes, and on the
+    polynomial workloads, the run-to-run spread hides any difference.
     """
     if platform.libc_ver()[0] != "glibc":
         return False
