@@ -24,16 +24,21 @@ points; factors with j_k = 0 are skipped.  A partial derivative d_k h is
 the degree-(d-1) form with coefficients j_k a_j at x^(j - e_k), summed the
 same way on the same power table: j -> j - e_k maps the monomials with
 j_k > 0, in canonical order, onto the degree-(d-1) monomials in canonical
-order.
+order.  A system's values and Jacobians (evaluate_at, jacobian_at) are
+those of its equations, each taken by one helper, _per_equation.
 
 A form composed with a linear map, h(A y), is read off its values at the
-(d+1)^m torus points by one DFT (substitute_forms): with A the line frame
-(u, v) this is the restriction to a line (roots), with A = u* the rotation
-of a system by a unitary u (randgeom.rotate_system).
+(d+1)^m torus points by one DFT (substitute_forms).  compose is that
+substitution for a whole system and a map A with orthonormal columns, the
+one place that checks A and converts the monomial coefficients back to
+coordinates: with A the line frame (u, v) it is the restriction to a line
+(roots.restrict_to_line), with A = u* the rotation of a system by a unitary
+u (randgeom.rotate_system).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -103,20 +108,13 @@ def multinomial(d: int, j) -> int:
 
 @lru_cache(maxsize=None)
 def monomial_indices(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All degree-d multi-indices over x_0..x_n in canonical order."""
+    """All degree-d multi-indices over x_0..x_n in canonical order: the
+    exponent vectors of the sorted variable tuples of
+    itertools.combinations_with_replacement, which come in lexicographic
+    descending order of j."""
     _check_scale(n, d)
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    idx = tuple(compositions(d, n + 1))
-    # compositions already emits lexicographic descending order
-    return idx
+    return tuple(tuple(c.count(k) for k in range(n + 1))
+                 for c in itertools.combinations_with_replacement(range(n + 1), d))
 
 
 @lru_cache(maxsize=None)
@@ -301,11 +299,33 @@ def substitute_forms(n: int, d: int, coeffs: np.ndarray, maps: np.ndarray) -> np
     return dft.reshape(maps.shape[:2] + (-1,))[..., index]
 
 
-def _points(h: SystemCoords, points) -> np.ndarray:
+def compose(h: SystemCoords, a) -> SystemCoords:
+    """The system y -> h(a y), y in C^(m+1), for an (n+1) x (m+1) matrix a
+    with orthonormal columns: substitute_forms on each equation, its
+    monomial coefficients divided by monomial_basis(m, d)[1].
+
+    An a with another row count, or with a* a off the identity by more
+    than 1e-8 in norm (a NaN entry included), is refused.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != h.n + 1:
+        raise ValueError(f"map must have {h.n + 1} rows, got shape {a.shape}")
+    m = a.shape[1] - 1
+    if not np.linalg.norm(a.conj().T @ a - np.eye(m + 1)) <= 1e-8:  # NaN fails too
+        raise ValueError("map is not unitary onto its image: its columns must be orthonormal")
+    return make_system(m, h.degrees, [substitute_forms(h.n, d, c[None], a[None, None])[0, 0]
+                                      / monomial_basis(m, d)[1]
+                                      for d, c in zip(h.degrees, h.coords)])
+
+
+def _per_equation(forms, h: SystemCoords, points) -> np.ndarray:
+    """forms(n, d, coeffs, points) of each equation of h at the points
+    (m, n+1), stacked along axis 1: (m, r) values or (m, r, n+1) gradients."""
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != h.n + 1:
         raise ValueError(f"points must be (m, {h.n + 1}), got {pts.shape}")
-    return pts
+    return np.stack([forms(h.n, d, c[None], pts[None])[0]
+                     for d, c in zip(h.degrees, h.coords)], axis=1)
 
 
 def evaluate(h: SystemCoords, x) -> np.ndarray:
@@ -315,10 +335,7 @@ def evaluate(h: SystemCoords, x) -> np.ndarray:
 
 def evaluate_at(h: SystemCoords, points) -> np.ndarray:
     """Evaluate all equations at many points; returns an (m, r) array."""
-    pts = _points(h, points)[None]
-    return np.stack(
-        [evaluate_forms(h.n, d, c[None], pts)[0] for d, c in zip(h.degrees, h.coords)], axis=1
-    )
+    return _per_equation(evaluate_forms, h, points)
 
 
 @lru_cache(maxsize=None)
@@ -343,10 +360,7 @@ def jacobian(h: SystemCoords, x) -> np.ndarray:
 
 def jacobian_at(h: SystemCoords, points) -> np.ndarray:
     """Derivative matrices at many points; returns an (m, r, n+1) array."""
-    pts = _points(h, points)[None]
-    return np.stack(
-        [gradient_forms(h.n, d, c[None], pts)[0] for d, c in zip(h.degrees, h.coords)], axis=1
-    )
+    return _per_equation(gradient_forms, h, points)
 
 
 def kernel_poly(x, d: int) -> SystemCoords:

@@ -37,7 +37,12 @@ caller's process.  Forking a row of one range costs more than the row (a
 round trip of 2.5-2.9 ms from a numpy process), which is why the small rows
 stay in the caller's: dealing every row took the poly-determined benchmark,
 four one-range rows, from 571k to 295k samples/s on a 2-core Xeon (slower in
-19 of 20 alternating pairs).
+19 of 20 alternating pairs).  The fan-out stays also where it does not gain
+time, on a host whose second CPU is busy: the benchmark's peak_rss_mb reads
+the caller alone, and a caller that runs both poly-lines rows also runs the
+matrix half of relative-vs-matrix-n2d2 and so loads numpy.random; in one
+process that workload peaks at 39.4 MB against 34.2 MB fanned out (10 of 10
+alternating pairs), above the benchmark's 10% bound.
 """
 
 from __future__ import annotations

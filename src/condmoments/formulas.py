@@ -1,9 +1,11 @@
 """Closed-form Gamma-function identities for the moment computations.
 
-Every formula is evaluated in log space with the C library log-Gamma, so
-ratios whose factors overflow double range (already at moderate matrix
-sizes) stay finite.  Tests cross-check all integer-argument cases against
-exact factorial arithmetic.
+Every Gamma-function formula is evaluated in log space with the C library
+log-Gamma, so ratios whose factors overflow double range (already at
+moderate matrix sizes) stay finite, and its FormulaValue is built by
+_from_log; the few values computed directly (rational closed forms and the
+espnormrest sum form) are built by _exact.  Tests cross-check all
+integer-argument cases against exact factorial arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ def _from_log(log_value: float, formula_id: str, params: dict) -> FormulaValue:
     except OverflowError:
         value = math.inf
     return FormulaValue(value=value, log_value=log_value, formula_id=formula_id, params=params)
+
+
+def _exact(value: float, formula_id: str, params: dict) -> FormulaValue:
+    """A closed form computed as its value, not its log: value > 0."""
+    return FormulaValue(value=value, log_value=math.log(value), formula_id=formula_id,
+                        params=params)
 
 
 def _lgamma(x: float, what: str) -> float:
@@ -148,9 +156,7 @@ def espnormrest_value(n: int, alpha: int, beta: float) -> EspnormrestForms:
             - log_base
         )
         total += math.exp(log_term)
-    sum_form = FormulaValue(
-        value=total, log_value=math.log(total), formula_id="espnormrest_sum", params=params
-    )
+    sum_form = _exact(total, "espnormrest_sum", params)
     agree = abs(closed.value - sum_form.value) <= 1e-12 * abs(closed.value)
     return EspnormrestForms(closed_form=closed, sum_form=sum_form, forms_agree=agree)
 
@@ -177,13 +183,8 @@ def main_theorem_value(n: int, degrees) -> FormulaValue:
     degs = bwspace.check_degrees(n, degrees)
     r = len(degs)
     n_dim = bwspace.dim_space(n, degs)
-    value = (n_dim - 1) * r / (n - r + 1)
-    return FormulaValue(
-        value=value,
-        log_value=math.log(value),
-        formula_id="main_theorem_value",
-        params={"n": n, "degrees": list(degs), "N": n_dim},
-    )
+    return _exact((n_dim - 1) * r / (n - r + 1), "main_theorem_value",
+                  {"n": n, "degrees": list(degs), "N": n_dim})
 
 
 def rect_fibration_constant(r: int, n: int) -> FormulaValue:
@@ -235,13 +236,7 @@ def pinv_moment_value(r: int, m: int) -> FormulaValue:
     bwspace.check_counts(r=r, m=m)
     if m <= r:
         raise ValueError(f"need m > r for a finite moment, got r = {r}, m = {m}")
-    value = r / (m - r)
-    return FormulaValue(
-        value=value,
-        log_value=math.log(value),
-        formula_id="pinv_moment_value",
-        params={"r": r, "m": m},
-    )
+    return _exact(r / (m - r), "pinv_moment_value", {"r": r, "m": m})
 
 
 @dataclass(frozen=True)

@@ -191,10 +191,12 @@ def _keep_freed_memory_mapped() -> bool:
     again.  Both are raised: M_MMAP_THRESHOLD (-3) to 32 MiB, then
     M_TRIM_THRESHOLD (-1) to 128 MiB, never the latter alone, which would
     turn off glibc's dynamic mmap threshold.  Without glibc (macOS, musl,
-    Windows) nothing is changed.  Without it the matrix benchmark run in one
-    process (taskset -c 0) on a 2-core Xeon fell from 10.2M to 9.1M samples/s
-    (slower in 29 of 30 alternating pairs); in two processes, and on the
-    polynomial workloads, the run-to-run spread hides any difference.
+    Windows) nothing is changed.  Without it the matrix benchmark on a 2-core
+    Xeon ran slower in one process (taskset -c 0: 10.2M against 9.2M
+    samples/s, 10 of 10 alternating pairs) and fanned out over two (17 of 20
+    pairs; 14.6M against 12.4M in the round of 10 whose spread left a median
+    to read).  On the polynomial workloads it moves no throughput (3 and 5
+    of 10 pairs) and keeps peak memory 0.2 MB lower.
     """
     if platform.libc_ver()[0] != "glibc":
         return False
@@ -245,13 +247,12 @@ def _step(estimator_id: str, args, lines_per_system: int) -> int:
     at cfg.lines_per_system = lines_per_system: BLOCK_SAMPLES draws on the matrix
     side; for poly_moment the systems of about CHUNK_POINTS points, counting
     d + 1 for each line, the coefficients of its restricted form, one more than
-    the d roots that conditioning.zero_set_mu evaluates (n = 1 has one line, in
-    the same chunks)."""
+    the d roots that conditioning.zero_set_mu evaluates, over the lines of
+    roots.section_lines (one at n = 1)."""
     if estimator_id != "poly_moment":
         return BLOCK_SAMPLES
-    n, degrees = args[0], args[1]
-    lines = 1 if n == 1 else lines_per_system
-    return max(1, CHUNK_POINTS // (lines * (int(degrees[0]) + 1)))
+    lines = roots.section_lines(args[0], lines_per_system)
+    return max(1, CHUNK_POINTS // (lines * (int(args[1][0]) + 1)))
 
 
 def ranges(estimator_id: str, args, samples: int, lines_per_system: int) -> int:
@@ -345,9 +346,11 @@ def _log_pinv_norm(sq: dict, phased: dict, norm: str) -> np.ndarray:
     lambda_max(G) = (a + b + c + hypot(a - b - c, 2 sqrt(a b))) / 2, which
     adds only non-negative terms, so -log sigma_min = (log lambda_max -
     log a - log c) / 2 holds every digit that lambda_min = det G / lambda_max
-    would.  For any other r, sigma_min comes from the SVD of L itself, in
-    sigma and not sigma^2, so no lambda underflows.  +inf for a singular
-    draw, NaN for a draw with a non-finite entry.
+    would.  It stays beside the general path because it is cheap: 0.096 ms
+    against 2.8 ms for np.linalg.svd of the same 4096 2 x 2 factors (best of
+    5, 2-core Xeon, BLAS 1 thread).  For any other r, sigma_min comes from
+    the SVD of L itself, in sigma and not sigma^2, so no lambda underflows.
+    +inf for a singular draw, NaN for a draw with a non-finite entry.
     """
     if norm == "frobenius":
         return 0.5 * _log_trace_inverse(sq, phased)
@@ -565,7 +568,7 @@ def estimate_poly_moment(
     """
     heavy = poly_moment_domain(n, degrees, alpha, relative, norm)
     d = int(degrees[0])
-    lines = 1 if n == 1 else cfg.lines_per_system
+    lines = roots.section_lines(n, cfg.lines_per_system)
     params = {
         "n": n,
         "degrees": [d],

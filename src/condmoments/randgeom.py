@@ -236,20 +236,15 @@ def unitary_from_ginibre(a: np.ndarray) -> np.ndarray:
 def rotate_system(h: SystemCoords, u) -> SystemCoords:
     """Coordinates of the rotated system sigma_h(v) = h(u* v) for unitary u.
 
-    Each equation is bwspace.substitute_forms under the map u*, exact up to
-    rounding at a cost of (d+1)^n evaluations of it; the Bombieri-Weyl norm
-    is preserved.
+    bwspace.compose under the map u*, exact up to rounding at a cost of
+    (d+1)^n evaluations of each equation; the Bombieri-Weyl norm is
+    preserved.
     """
     um = np.asarray(u, dtype=np.complex128)
     dim = h.n + 1
     if um.shape != (dim, dim):
         raise ValueError(f"unitary must be {dim} x {dim}, got {um.shape}")
-    if not np.linalg.norm(um.conj().T @ um - np.eye(dim)) <= 1e-8:  # NaN fails too
-        raise ValueError("matrix is not unitary")
-    return bwspace.make_system(h.n, h.degrees, [
-        bwspace.substitute_forms(h.n, d, c[None], um.conj().T[None, None])[0, 0]
-        / bwspace.monomial_basis(h.n, d)[1]
-        for d, c in zip(h.degrees, h.coords)])
+    return bwspace.compose(h, um.conj().T)
 
 
 def orthonormal_pair(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,13 +17,14 @@ nothing reads it as one.  So at n >= 2 sample_zero_sets cuts every system by
 the same lines, _fixed_frames(n, lines), drawn once from one fixed stream as
 sample_variety_points draws its frames, and restricts a whole chunk to them
 by one product with a cached matrix, _restriction(n, d, lines).  At n = 1
-the line is the whole space and the estimator returns all d roots, so
-nothing is sampled: each form is solved in the fixed frame (e_0, e_1), where
-its coefficients are its own coordinates scaled by the BW weights
-bwspace.monomial_basis(1, d)[1], with no restriction.  System j draws from
-RngStream(seed, j) its coordinates and nothing else, all systems of a chunk
-in one randgeom.uniforms_for_streams pass, so a line's roots never depend on
-the batch it is solved in.
+the line is the whole space (section_lines, the one rule that n = 1 has one
+line) and the estimator returns all d roots, so nothing is sampled: each
+form is solved in the fixed frame (e_0, e_1), where its coefficients are its
+own coordinates scaled by the BW weights bwspace.monomial_basis(1, d)[1],
+with no restriction.  System j draws from RngStream(seed, j) its
+coordinates and nothing else, all systems of a chunk in one
+randgeom.uniforms_for_streams pass, so a line's roots never depend on the
+batch it is solved in.
 
 sample_variety_points, for an arbitrary form (binary_form_roots is its n = 1
 case), draws its own frames from its stream instead: each is
@@ -32,13 +33,13 @@ already Haar among orthonormal pairs and orthonormal to eps times the
 condition number of the pair, and each equation is restricted straight to
 its line's frame (u, v), the map s u + t v, by bwspace.substitute_forms (one
 DFT of its values at d + 1 points).  Either way a line's binary form is
-itself an n = 1 system (restrict_to_line returns it as one), and its roots
-c, the points c0 u + c1 v, are taken in closed form at d <= 3 (Cardano's
-formula, Newton-polished, at d = 3) and as the eigenvalues of the companion
-matrices, in one batched LAPACK call, from d = 4.  The points are not
-checked here: every consumer checks each one against h itself
-(conditioning.zero_set_mu for the estimator).  A line fails its system only
-where _row_roots fails it.
+itself an n = 1 system (restrict_to_line, bwspace.compose with the frame
+(u, v), returns it as one), and its roots c, the points c0 u + c1 v, are
+taken in closed form at d <= 3 (Cardano's formula, Newton-polished, at
+d = 3) and as the eigenvalues of the companion matrices, in one batched
+LAPACK call, from d = 4.  The points are not checked here: every consumer
+checks each one against h itself (conditioning.zero_set_mu for the
+estimator).  A line fails its system only where _row_roots fails it.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from .randgeom import RngStream
 
 def restrict_to_line(h: SystemCoords, u, v) -> SystemCoords:
     """The n = 1 system g(s, t) = h(s u + t v) of a single-equation system h
-    and an orthonormal pair (u, v); bwspace.substitute_forms on one form and
-    one map, the 2-column matrix (u, v).
+    and an orthonormal pair (u, v): bwspace.compose with the 2-column matrix
+    (u, v).
 
     g's coordinates are the monomial coefficients of s^(d-k) t^k divided by
     bwspace.monomial_basis(1, d)[1], sqrt(binom(d, k)), like any n = 1
@@ -69,12 +70,7 @@ def restrict_to_line(h: SystemCoords, u, v) -> SystemCoords:
     vv = np.asarray(v, dtype=np.complex128).ravel()
     if uu.shape != (h.n + 1,) or vv.shape != (h.n + 1,):
         raise ValueError("line vectors must live in C^(n+1)")
-    pair = np.stack([uu, vv])
-    if not np.linalg.norm(pair.conj() @ pair.T - np.eye(2)) <= 1e-8:  # NaN fails too
-        raise ValueError("line vectors must be orthonormal")
-    d = h.degrees[0]
-    forms = bwspace.substitute_forms(h.n, d, h.coords[0][None], pair.T[None, None])
-    return bwspace.make_system(1, (d,), [forms[0, 0] / bwspace.monomial_basis(1, d)[1]])
+    return bwspace.compose(h, np.stack([uu, vv], axis=1))
 
 
 def _start_roots(coeffs_asc: np.ndarray) -> np.ndarray:
@@ -194,6 +190,12 @@ def binary_form_roots(g: SystemCoords, rng: RngStream) -> np.ndarray:
     return sample_variety_points(g, rng, 1)
 
 
+def section_lines(n: int, lines: int) -> int:
+    """The lines that cut a zero set in P^n when `lines` are asked for: at
+    n = 1 the line is the whole space, so one, and `lines` from n = 2."""
+    return 1 if n == 1 else lines
+
+
 def _section_size(n: int, lines: int) -> int:
     """Uniforms of `lines` line frames in C^(n+1): the (lines, 2, n+1)
     Gaussian line pairs, radius uniforms then phase uniforms, two per entry."""
@@ -255,8 +257,9 @@ def sample_zero_sets(seed: int, systems: range, n: int, d: int, lines: int):
     and the systems whose root search failed.  At n >= 2 every system is cut
     by the same lines, _fixed_frames(n, lines), and the chunk is restricted
     to them by one product with the cached matrix _restriction(n, d, lines).
-    Pass lines = 1 for n = 1, where each form is solved in the fixed frame
-    (e_0, e_1): its ascending coefficients are its coordinates times
+    At n = 1 the one line (section_lines) is the whole space, lines is not
+    read, and each form is solved in the fixed frame (e_0, e_1): its
+    ascending coefficients are its coordinates times
     bwspace.monomial_basis(1, d)[1], sqrt(binom(d, k)), and a root w is the
     point (c0, c0 w).
     """
@@ -296,7 +299,7 @@ def sample_variety_points(h: SystemCoords, rng: RngStream, lines: int) -> np.nda
         raise ValueError("cannot sample the zero set of the zero system")
     bwspace.check_counts(lines=lines)
     n, d = h.n, h.degrees[0]
-    lines = 1 if n == 1 else lines
+    lines = section_lines(n, lines)
     x = rng.uniforms((1, _section_size(n, lines)))
     points, failed = _solve(h.coords[0][None], d, *_sections(x, n, lines))
     if failed[0]:

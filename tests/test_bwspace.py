@@ -107,6 +107,14 @@ class TestCanonicalOrder:
         assert idx[-1] == (0, 0, 2)
         assert list(idx) == sorted(idx, reverse=True)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5, 6])
+    def test_every_index_once_in_strictly_descending_order(self, n, d):
+        idx = bwspace.monomial_indices(n, d)
+        assert len(idx) == math.comb(n + d, n)
+        assert all(len(j) == n + 1 and min(j) >= 0 and sum(j) == d for j in idx)
+        assert all(a > b for a, b in zip(idx, idx[1:]))
+
     def test_weights_are_sqrt_multinomials(self):
         _, w = bwspace.monomial_basis(2, 3)
         idx = bwspace.monomial_indices(2, 3)
@@ -258,6 +266,79 @@ class TestSubstituteForms:
             for line in range(4):
                 single = bwspace.substitute_forms(n, d, coeffs[s:s + 1], maps[s:s + 1, line:line + 1])
                 assert np.array_equal(batch[s, line], single[0, 0]), (s, line)
+
+
+def isometry(rng, rows, cols):
+    """The first cols columns of a Haar unitary of size rows."""
+    return randgeom.haar_unitary(rng, rows)[:, :cols]
+
+
+class TestCompose:
+    @pytest.mark.parametrize("n,degrees,m", [(2, (3,), 1), (3, (2, 4), 2), (3, (1, 3), 3)])
+    def test_values_are_the_composed_values(self, n, degrees, m):
+        # g(y) = h(a y) at Gaussian y, within 1e-12 of ||h|| ||a y||^d
+        rng = RngStream(49, 10 * n + m)
+        h = gaussian_system(rng, n, degrees)
+        a = isometry(rng, n + 1, m + 1)
+        g = bwspace.compose(h, a)
+        assert (g.n, g.degrees) == (m, h.degrees)
+        y = randgeom.complex_gaussian_array(rng, (5, m + 1))
+        x = y @ a.T
+        scale = bwspace.bw_norm(h) * np.linalg.norm(x, axis=1)[:, None] ** np.array(degrees)
+        assert np.all(np.abs(bwspace.evaluate_at(g, y) - bwspace.evaluate_at(h, x)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_composition_law(self, n, d):
+        # compose(compose(h, a), b) = compose(h, a b) for isometries a
+        # (n+1) x (m+1) and b (m+1) x 2, m = n (a rotation) and m = n - 1
+        for m in (n, n - 1):
+            rng = RngStream(50, 100 * n + 10 * d + m)
+            h = gaussian_system(rng, n, (d,))
+            a, b = isometry(rng, n + 1, m + 1), isometry(rng, m + 1, 2)
+            lhs = bwspace.compose(bwspace.compose(h, a), b).coords[0]
+            rhs = bwspace.compose(h, a @ b).coords[0]
+            assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs), m
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_restriction_of_a_rotation_is_the_rotated_restriction(self, n, d):
+        # h o u* cut by the line (p, q) is h cut by the line (u* p, u* q)
+        rng = RngStream(51, 10 * n + d)
+        h = gaussian_system(rng, n, (d,))
+        u = randgeom.haar_unitary(rng, n + 1)
+        p, q = isometry(rng, n + 1, 2).T
+        lhs = roots.restrict_to_line(randgeom.rotate_system(h, u), p, q).coords[0]
+        rhs = roots.restrict_to_line(h, u.conj().T @ p, u.conj().T @ q).coords[0]
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("call,fault,match", [
+        ("compose", "not isometric", "orthonormal"),
+        ("compose", "nan", "orthonormal"),
+        ("compose", "rows", "must have 3 rows"),
+        ("restrict_to_line", "not isometric", "orthonormal"),
+        ("restrict_to_line", "nan", "orthonormal"),
+        ("restrict_to_line", "rows", r"C\^\(n\+1\)"),
+        ("rotate_system", "not isometric", "not unitary"),
+        ("rotate_system", "nan", "not unitary"),
+        ("rotate_system", "rows", "must be 3 x 3"),
+    ])
+    def test_rejects_a_bad_map_through_each_caller(self, call, fault, match):
+        # a map that is not an isometry, has a NaN entry or the wrong row
+        # count is refused, with the message of the function called
+        h = gaussian_system(RngStream(52, 0), 2, (2,))
+        a = np.eye(4 if fault == "rows" else 3, dtype=complex)
+        if fault == "not isometric":
+            a[0, 1] = 0.5
+        elif fault == "nan":
+            a[1, 1] = np.nan
+        with pytest.raises(ValueError, match=match):
+            if call == "compose":
+                bwspace.compose(h, a[:, :2])
+            elif call == "restrict_to_line":
+                roots.restrict_to_line(h, a[:, 0], a[:, 1])
+            else:
+                randgeom.rotate_system(h, a)
 
 
 class TestJacobian:

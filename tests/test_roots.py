@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -258,13 +257,14 @@ class TestSampleVarietyPoints:
 
 class TestRestrictionFailure:
     # a wrong restriction gives wrong points, and the zero check of their
-    # consumer, here conditioning.mu, rejects every one of them
+    # consumer, here conditioning.mu, rejects every one of them; the
+    # substitution is corrupted at its owner, so that it reaches roots' own
+    # calls and those inside bwspace.compose alike
     @pytest.fixture(autouse=True)
     def corrupt_restriction(self, monkeypatch):
         real = bwspace.substitute_forms
-        corrupt = types.SimpleNamespace(**vars(bwspace))
-        corrupt.substitute_forms = lambda n, d, coeffs, maps: real(n, d, coeffs, maps) + 1.0
-        monkeypatch.setattr(roots, "bwspace", corrupt)
+        monkeypatch.setattr(bwspace, "substitute_forms",
+                            lambda n, d, coeffs, maps: real(n, d, coeffs, maps) + 1.0)
 
     @staticmethod
     def assert_no_point_is_a_zero(h, pts):
